@@ -180,17 +180,12 @@ def _run_moments(args: argparse.Namespace) -> RunResult:
         for key, value in est.items():
             diag[key] = value
         return RunResult(verdict="OK", diagnostics=diag)
-    cap = args.cap
     if isinstance(instance, WeightedDigraph):
-        dist = moments.dist_linord(instance, cap=cap if cap else moments.DEFAULT_ORDER_CAP)
+        dist = moments.dist_linord(instance, **_cap_kw(args))
     elif isinstance(instance, Lin2System):
-        dist = moments.dist_lin2(
-            instance, cap=cap if cap else moments.DEFAULT_ASSIGNMENT_CAP, workers=args.workers
-        )
+        dist = moments.dist_lin2(instance, workers=args.workers, **_cap_kw(args))
     else:
-        dist = moments.dist_rsat(
-            instance, cap=cap if cap else moments.DEFAULT_ASSIGNMENT_CAP, workers=args.workers
-        )
+        dist = moments.dist_rsat(instance, workers=args.workers, **_cap_kw(args))
     report = moments.moment_report(dist)
     diag["e1"] = report.e1
     diag["e2"] = report.e2
@@ -199,7 +194,7 @@ def _run_moments(args: argparse.Namespace) -> RunResult:
     diag["scale"] = dist.scale
     diag["total"] = dist.total
     try:
-        claim = moments.verify_second_moment_claims(instance, cap=cap, workers=args.workers)
+        claim = moments.verify_second_moment_claims(instance, dist=dist)
         diag["second_moment_target"] = claim.target
         diag["second_moment_holds"] = claim.holds
         if claim.pairwise_e2 is not None:
@@ -234,17 +229,19 @@ def run(argv: Sequence[str]) -> RunResult:
         elif args.command == "linalb":
             system = _load(args.file, Lin2System)
             tag = _case_tag(args.case, system, args.k)
-            kwargs: dict[str, Any] = {"workers": args.workers}
-            if args.cap is not None:
-                kwargs["cap"] = args.cap
-            outcome = maxlin.decide_linalb(system, args.k, tag, **kwargs)
+            outcome = maxlin.decide_linalb(
+                system, args.k, tag, workers=args.workers, **_cap_kw(args)
+            )
             result = _from_outcome(outcome)
         elif args.command == "rsat":
             formula = _load(args.file, ExactCnfFormula)
-            kwargs = {"workers": args.workers, "diagnostic": args.diagnostic}
-            if args.cap is not None:
-                kwargs["cap"] = args.cap
-            outcome = rsat.decide_rsatalb(formula, args.k_num, **kwargs)
+            outcome = rsat.decide_rsatalb(
+                formula,
+                args.k_num,
+                workers=args.workers,
+                diagnostic=args.diagnostic,
+                **_cap_kw(args),
+            )
             result = _from_outcome(outcome)
         elif args.command == "moments":
             result = _run_moments(args)

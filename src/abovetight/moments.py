@@ -1,18 +1,20 @@
 """Exact distributions of the three balance variables and their moment checks.
 
-Each sample space is enumerated completely: all n! vertex orders for digraph
-instances, all 2^n assignments for equation systems and formulas. Values are
-stored at an integer scale (2 for orders, 1 for equation systems, 2^r for
-formulas) and every probability or moment is an exact rational; square roots
-and other irrational thresholds are compared by raising both sides to integer
-powers, so no floating point enters any verification path. A Monte-Carlo
-estimator exists for larger instances but is labeled as an estimate and is
-never used in assertions.
+Each sample space is counted completely. The n! vertex orders of a digraph
+are counted by a dynamic program over subsets of its n' non-isolated
+vertices that keeps the exact forward-weight distribution of each subset,
+in O(2^n' * n' * support) time rather than n'!; equation systems and
+formulas enumerate all 2^n assignments. Values are stored at an integer
+scale (2 for orders, 1 for equation systems, 2^r for formulas) and every
+probability or moment is an exact rational; square roots and other
+irrational thresholds are compared by raising both sides to integer powers,
+so no floating point enters any verification path. A Monte-Carlo estimator
+exists for larger instances but is labeled as an estimate and is never used
+in assertions.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections import Counter
@@ -21,12 +23,11 @@ from fractions import Fraction
 
 from . import maxlin, rsat
 from .linord import WeightedDigraph, digraph_stats
-from .maxlin import Lin2Equation, Lin2System
+from .maxlin import DEFAULT_ASSIGNMENT_CAP, Lin2Equation, Lin2System
 from .outcome import CapExceeded
 from .rsat import ExactCnfFormula
 
 DEFAULT_ORDER_CAP = 9
-DEFAULT_ASSIGNMENT_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,11 @@ class SecondMomentCheck:
 def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistribution:
     """Exact mass of 2X over all n! vertex orders (scale 2).
 
-    Only orders of non-isolated vertices are enumerated; each accounts for
+    Orders of the n' non-isolated vertices are counted by a dynamic program
+    over vertex subsets: the orders of a set S end in some v of S, and each
+    adds to an order of S - v the weight of arcs from S - v into v. Each
+    subset keeps a Counter of forward weight over its orders, so the cost is
+    O(2^n' * n' * support). Every order of the active vertices accounts for
     n!/n'! full orders.
     """
     if g.n > cap:
@@ -137,19 +142,30 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
             cap=cap,
         )
     active = sorted({v for arc in g.arcs for v in arc[:2]})
-    arcs = list(g.arcs)
-    total_weight = sum(w for _, _, w in arcs)
-    counts: Counter[int] = Counter()
-    pos = {}
-    for perm in itertools.permutations(active):
-        for i, v in enumerate(perm):
-            pos[v] = i
-        forward = 0
-        for u, v, w in arcs:
-            if pos[u] < pos[v]:
-                forward += w
-        counts[2 * forward - total_weight] += 1
-    multiplier = math.factorial(g.n) // math.factorial(len(active))
+    nv = len(active)
+    index = {v: i for i, v in enumerate(active)}
+    in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    for u, v, w in g.arcs:
+        in_arcs[index[v]].append((1 << index[u], w))
+    full = (1 << nv) - 1
+    forward: list[Counter[int]] = [Counter() for _ in range(full + 1)]
+    forward[0][0] = 1
+    for mask in range(full):
+        base = forward[mask]
+        for i in range(nv):
+            bit = 1 << i
+            if mask & bit:
+                continue
+            gain = 0
+            for ubit, w in in_arcs[i]:
+                if mask & ubit:
+                    gain += w
+            target = forward[mask | bit]
+            for f, c in base.items():
+                target[f + gain] += c
+    total_weight = sum(w for _, _, w in g.arcs)
+    counts = Counter({2 * f - total_weight: c for f, c in forward[full].items()})
+    multiplier = math.factorial(g.n) // math.factorial(nv)
     return ExactDistribution.from_counts(2, counts, multiplier)
 
 
@@ -274,32 +290,38 @@ def verify_second_moment_claims(
     instance: WeightedDigraph | Lin2System | ExactCnfFormula,
     cap: int | None = None,
     workers: int = 1,
+    dist: ExactDistribution | None = None,
 ) -> SecondMomentCheck:
-    """Enumerate the instance's distribution and check its second-moment claim.
+    """Check the second-moment claim on the instance's exact distribution.
 
     Oriented digraphs must satisfy E(X^2) >= W2/12, merge-normalized equation
     systems the identities E(X) = 0 and E(X^2) = sum of squared weights, and
     formulas within the conflict-number restriction E(X^2) >= m/4^r; formula
     checks also cross-check the enumerated E(X^2) against the pairwise closed
-    form. Precondition violations raise ValueError.
+    form. Precondition violations raise ValueError, checked before ``dist`` is
+    read. ``dist`` is the instance's distribution from ``dist_*`` when the
+    caller already holds it; when None the distribution is enumerated here,
+    under ``cap`` and ``workers``.
     """
     if isinstance(instance, WeightedDigraph):
         st = digraph_stats(instance)
         if not st.oriented:
             raise ValueError("digraph must be oriented (no 2-cycles)")
-        d = dist_linord(instance, cap=cap if cap is not None else DEFAULT_ORDER_CAP)
-        e1 = moment_p(d, 1)
-        e2 = moment_p(d, 2)
+        if dist is None:
+            dist = dist_linord(instance, cap=cap if cap is not None else DEFAULT_ORDER_CAP)
+        e1 = moment_p(dist, 1)
+        e2 = moment_p(dist, 2)
         target = Fraction(st.W2, 12)
         return SecondMomentCheck("linord", e1, e2, target, e1 == 0 and e2 >= target)
     if isinstance(instance, Lin2System):
         if not instance.is_merge_normalized():
             raise ValueError("system must be merge-normalized")
-        d = dist_lin2(
-            instance, cap=cap if cap is not None else DEFAULT_ASSIGNMENT_CAP, workers=workers
-        )
-        e1 = moment_p(d, 1)
-        e2 = moment_p(d, 2)
+        if dist is None:
+            dist = dist_lin2(
+                instance, cap=cap if cap is not None else DEFAULT_ASSIGNMENT_CAP, workers=workers
+            )
+        e1 = moment_p(dist, 1)
+        e2 = moment_p(dist, 2)
         target = Fraction(sum(eq.weight**2 for eq in instance.equations))
         return SecondMomentCheck("lin2", e1, e2, target, e1 == 0 and e2 == target)
     if isinstance(instance, ExactCnfFormula):
@@ -310,11 +332,12 @@ def verify_second_moment_claims(
                 "conflict number %d exceeds (2^r - 2)m = %d"
                 % (stats.conflict_number, bound)
             )
-        d = dist_rsat(
-            instance, cap=cap if cap is not None else DEFAULT_ASSIGNMENT_CAP, workers=workers
-        )
-        e1 = moment_p(d, 1)
-        e2 = moment_p(d, 2)
+        if dist is None:
+            dist = dist_rsat(
+                instance, cap=cap if cap is not None else DEFAULT_ASSIGNMENT_CAP, workers=workers
+            )
+        e1 = moment_p(dist, 1)
+        e2 = moment_p(dist, 2)
         pairwise = pairwise_second_moment(instance)
         target = Fraction(len(instance.clauses), 4**instance.r)
         holds = e1 == 0 and e2 == pairwise and e2 >= target

@@ -18,9 +18,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from .maxlin import DEFAULT_ASSIGNMENT_CAP
 from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict
-
-DEFAULT_ASSIGNMENT_CAP = 20
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,14 @@ route.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 from abovetight.linord import LinearOrder, WeightedDigraph
 from abovetight.maxlin import Lin2Equation, Lin2System
+from abovetight.moments import ExactDistribution
 from abovetight.rsat import ExactCnfFormula
 
 
@@ -34,6 +37,28 @@ def brute_max_forward_weight(g: WeightedDigraph) -> int:
         if forward > best:
             best = forward
     return best
+
+
+def brute_dist_linord(g: WeightedDigraph) -> ExactDistribution:
+    """Exact mass of 2X over all n! orders, by permutation enumeration.
+
+    Only orders of non-isolated vertices are walked; each accounts for
+    n!/n'! full orders.
+    """
+    active = sorted({v for u, v2, _ in g.arcs for v in (u, v2)})
+    total_weight = sum(w for _, _, w in g.arcs)
+    counts: Counter[int] = Counter()
+    pos: dict[int, int] = {}
+    for perm in itertools.permutations(active):
+        for i, v in enumerate(perm):
+            pos[v] = i
+        forward = 0
+        for u, v, w in g.arcs:
+            if pos[u] < pos[v]:
+                forward += w
+        counts[2 * forward - total_weight] += 1
+    multiplier = math.factorial(g.n) // math.factorial(len(active))
+    return ExactDistribution.from_counts(2, counts, multiplier)
 
 
 def brute_decide_loalb(g: WeightedDigraph, k: int) -> bool:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from abovetight import maxlin, moments, rsat
 from abovetight.cli import main, run
 from abovetight.instances import gen_instance
 
@@ -136,6 +137,42 @@ def test_moments_cap_exceeded_is_error(tmp_path):
     assert result.verdict == "ERROR"
     assert result.exit_code == 2
     assert "cap" in result.error
+
+
+def test_moments_cap_zero_is_error(tmp_path):
+    unmerged = write(tmp_path, "s.txt", "p lin2 2 2\ne 1 1 1 2\ne 2 0 1 2\n")
+    for path in (unmerged, write(tmp_path, "g.txt", THREE_CYCLE)):
+        result = run(["moments", path, "--cap", "0"])
+        assert result.verdict == "ERROR"
+        assert "cap 0" in result.error
+
+
+def test_moments_enumerates_each_sample_space_once(tmp_path, monkeypatch):
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(moments, "dist_linord")
+    counting(maxlin, "x_distribution_counts")
+    counting(rsat, "scaled_x_counts")
+    cases = {
+        "dist_linord": THREE_CYCLE,
+        "x_distribution_counts": ODD_SET_FOUR,
+        "scaled_x_counts": "p ecnf 4 2 2\n1 2 0\n3 4 0\n",
+    }
+    for enumerator, text in cases.items():
+        calls.update(dict.fromkeys(cases, 0))
+        result = run(["moments", write(tmp_path, "i.txt", text), "--b", "64"])
+        assert result.verdict == "OK"
+        assert result.diagnostics["second_moment_holds"] is True
+        assert calls == {name: int(name == enumerator) for name in cases}
 
 
 def test_gen_round_trips_through_cli(tmp_path):

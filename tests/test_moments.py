@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from abovetight.linord import WeightedDigraph
+from abovetight.linord import WeightedDigraph, digraph_stats
 from abovetight.maxlin import Lin2System, merge_duplicates, system_stats
 from abovetight.moments import (
     ExactDistribution,
@@ -24,6 +24,7 @@ from abovetight.outcome import CapExceeded
 from abovetight.rsat import ExactCnfFormula
 
 from helpers import (
+    brute_dist_linord,
     brute_pair_expectation,
     random_digraph,
     random_lin2,
@@ -54,6 +55,26 @@ def test_dist_linord_empty_graph():
 def test_dist_linord_cap():
     with pytest.raises(CapExceeded):
         dist_linord(WeightedDigraph(10, ()), cap=9)
+
+
+def test_dist_linord_matches_permutation_oracle():
+    rng = random.Random(4242)
+    seen_two_cycle = seen_padding = False
+    for active_count in (0, 2, 3, 4, 5, 6, 7, 8):
+        for _ in range({7: 3, 8: 2}.get(active_count, 6)):
+            n = min(9, active_count + rng.randint(0, 2))
+            active = rng.sample(range(n), active_count)
+            arcs = []
+            for v in active:
+                u = rng.choice([x for x in active if x != v])
+                arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+            arcs += [(u, v) for u in active for v in active if u != v and rng.random() < 0.3]
+            g = WeightedDigraph.from_arcs(n, [(u, v, rng.randint(1, 5)) for u, v in arcs])
+            assert len({v for u, w, _ in g.arcs for v in (u, w)}) == active_count
+            seen_two_cycle |= not digraph_stats(g).oriented
+            seen_padding |= g.n > active_count
+            assert dist_linord(g) == brute_dist_linord(g)
+    assert seen_two_cycle and seen_padding
 
 
 def test_dist_lin2_examples():
@@ -155,6 +176,8 @@ def test_second_moment_requires_oriented_graph():
     g = WeightedDigraph.from_arcs(2, [(0, 1, 1), (1, 0, 1)])
     with pytest.raises(ValueError, match="oriented"):
         verify_second_moment_claims(g)
+    with pytest.raises(ValueError, match="oriented"):
+        verify_second_moment_claims(g, dist=dist_linord(g))
 
 
 def test_second_moment_lin2_identity():
@@ -167,6 +190,8 @@ def test_second_moment_lin2_requires_merge_normalized():
     s = Lin2System.from_tuples(1, [((0,), 1, 1), ((0,), 1, 1)])
     with pytest.raises(ValueError, match="merge-normalized"):
         verify_second_moment_claims(s)
+    with pytest.raises(ValueError, match="merge-normalized"):
+        verify_second_moment_claims(s, dist=dist_lin2(s))
 
 
 def test_second_moment_rsat_disjoint_pair():
@@ -183,6 +208,18 @@ def test_second_moment_rsat_rejects_unrestricted_formula():
     f = ExactCnfFormula.from_clauses(2, 2, clauses)
     with pytest.raises(ValueError, match="conflict number"):
         verify_second_moment_claims(f)
+    with pytest.raises(ValueError, match="conflict number"):
+        verify_second_moment_claims(f, dist=dist_rsat(f))
+
+
+def test_second_moment_claims_accept_the_enumerated_distribution():
+    g = WeightedDigraph.from_arcs(4, [(0, 1, 2), (1, 2, 1), (3, 1, 3)])
+    s = Lin2System.from_tuples(3, [((0,), 1, 1), ((0, 1), 0, 2), ((1, 2), 1, 3)])
+    f = ExactCnfFormula.from_clauses(4, 2, [(1, 2), (-2, 3), (3, -4)])
+    for instance, dist in ((g, dist_linord(g)), (s, dist_lin2(s)), (f, dist_rsat(f))):
+        check = verify_second_moment_claims(instance, dist=dist)
+        assert check.holds
+        assert check == verify_second_moment_claims(instance)
 
 
 def test_single_clause_second_moment_constant():
