@@ -51,7 +51,11 @@ class RunResult:
     def to_json(self) -> str:
         payload = {
             "verdict": self.verdict,
-            "diagnostics": {k: str(v) for k, v in self.diagnostics.items()},
+            # bool is an int; Fraction and float diagnostics are written with str().
+            "diagnostics": {
+                k: v if isinstance(v, (int, str)) else str(v)
+                for k, v in self.diagnostics.items()
+            },
             "witness": self.witness,
             "kernel": self.kernel,
             "time_ms": self.time_ms,
@@ -71,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("file", help="instance file path")
         p.add_argument("--cap", type=int, default=None, help="exact-solve size cap")
-        p.add_argument("--workers", type=int, default=1, help="enumeration workers")
         p.add_argument("--emit", default=None, help="write a JSON result here")
 
     p = sub.add_parser("loalb", help="acyclic-subdigraph weight above W/2 + k")
@@ -183,9 +186,9 @@ def _run_moments(args: argparse.Namespace) -> RunResult:
     if isinstance(instance, WeightedDigraph):
         dist = moments.dist_linord(instance, **_cap_kw(args))
     elif isinstance(instance, Lin2System):
-        dist = moments.dist_lin2(instance, workers=args.workers, **_cap_kw(args))
+        dist = moments.dist_lin2(instance, **_cap_kw(args))
     else:
-        dist = moments.dist_rsat(instance, workers=args.workers, **_cap_kw(args))
+        dist = moments.dist_rsat(instance, **_cap_kw(args))
     report = moments.moment_report(dist)
     diag["e1"] = report.e1
     diag["e2"] = report.e2
@@ -229,18 +232,12 @@ def run(argv: Sequence[str]) -> RunResult:
         elif args.command == "linalb":
             system = _load(args.file, Lin2System)
             tag = _case_tag(args.case, system, args.k)
-            outcome = maxlin.decide_linalb(
-                system, args.k, tag, workers=args.workers, **_cap_kw(args)
-            )
+            outcome = maxlin.decide_linalb(system, args.k, tag, **_cap_kw(args))
             result = _from_outcome(outcome)
         elif args.command == "rsat":
             formula = _load(args.file, ExactCnfFormula)
             outcome = rsat.decide_rsatalb(
-                formula,
-                args.k_num,
-                workers=args.workers,
-                diagnostic=args.diagnostic,
-                **_cap_kw(args),
+                formula, args.k_num, diagnostic=args.diagnostic, **_cap_kw(args)
             )
             result = _from_outcome(outcome)
         elif args.command == "moments":

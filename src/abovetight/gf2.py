@@ -124,36 +124,6 @@ def independent_columns(mat: BitMatrix) -> list[int]:
     return picked
 
 
-def express_in_basis(mat: BitMatrix, basis_cols: Sequence[int], col: int) -> set[int]:
-    """Subset of ``basis_cols`` whose GF(2) column sum equals column ``col``.
-
-    Raises ValueError if the basis columns are dependent or the target
-    column is not in their span.
-    """
-    ech: dict[int, tuple[int, int]] = {}
-    for pos, j in enumerate(basis_cols):
-        v = mat.column_bits(j)
-        comb = 1 << pos
-        while v:
-            p = v.bit_length() - 1
-            if p not in ech:
-                ech[p] = (v, comb)
-                break
-            v ^= ech[p][0]
-            comb ^= ech[p][1]
-        else:
-            raise ValueError("basis columns are linearly dependent")
-    v = mat.column_bits(col)
-    comb = 0
-    while v:
-        p = v.bit_length() - 1
-        if p not in ech:
-            raise ValueError("column %d is not in the span of the basis" % col)
-        v ^= ech[p][0]
-        comb ^= ech[p][1]
-    return {basis_cols[i] for i in range(len(basis_cols)) if (comb >> i) & 1}
-
-
 def solve_affine(mat: BitMatrix, rhs: BitVec) -> tuple[int, ...] | None:
     """One solution of ``mat @ x = rhs`` over GF(2), or None if inconsistent.
 

@@ -9,10 +9,10 @@ at least W/2 + k" reads X >= 2k.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from . import gf2
 from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict
@@ -83,15 +83,13 @@ class SystemStats:
 class RankReduction:
     """Restriction of a system to an independent set of variable columns.
 
-    ``reduced`` is renumbered over 0..len(basis)-1 in basis order; ``recipe``
-    maps each eliminated original variable to the basis subset whose column
-    sum reproduces its column. Zero-padding a reduced assignment back onto
-    the original variables satisfies exactly the corresponding equations.
+    ``reduced`` is renumbered over 0..len(basis)-1 in basis order.
+    Zero-padding a reduced assignment back onto the original variables
+    satisfies exactly the corresponding equations.
     """
 
     reduced: Lin2System
     basis: tuple[int, ...]
-    recipe: dict[int, frozenset[int]]
     original_n: int
 
 
@@ -201,18 +199,13 @@ def rank_reduce(s: Lin2System) -> RankReduction:
     mat = coefficient_matrix(s)
     basis = gf2.independent_columns(mat)
     basis_set = set(basis)
-    recipe = {
-        j: frozenset(gf2.express_in_basis(mat, basis, j))
-        for j in range(s.n)
-        if j not in basis_set
-    }
     position = {v: i for i, v in enumerate(basis)}
     new_eqs = []
     for eq in s.equations:
         kept = tuple(sorted(position[v] for v in eq.variables if v in basis_set))
         new_eqs.append(Lin2Equation(kept, eq.rhs, eq.weight))
     reduced = Lin2System(len(basis), tuple(new_eqs))
-    return RankReduction(reduced=reduced, basis=tuple(basis), recipe=recipe, original_n=s.n)
+    return RankReduction(reduced=reduced, basis=tuple(basis), original_n=s.n)
 
 
 def lift_assignment(reduction: RankReduction, y: Sequence[int]) -> tuple[int, ...]:
@@ -240,82 +233,34 @@ def evaluate_x(s: Lin2System, z: Sequence[int]) -> int:
     return total
 
 
-def _scan_setup(s: Lin2System, start: int):
-    masks = s.masks()
+def _walk(s: Lin2System) -> Iterator[int]:
+    """X of each assignment 0, 1, ..., 2^n - 1, in that order.
+
+    Counting up from z - 1 to z flips exactly bits 0..t, where t is the
+    lowest set bit of z. ``delta[j]`` is the change in X when equation j
+    flips: -2w while it is satisfied, +2w while it is not.
+    """
     occ: list[list[int]] = [[] for _ in range(s.n)]
     for j, eq in enumerate(s.equations):
         for v in eq.variables:
             occ[v].append(j)
-    sat = bytearray(len(s.equations))
-    x = 0
-    for j, (mask, eq) in enumerate(zip(masks, s.equations)):
-        parity = (start & mask).bit_count() & 1
-        if parity == eq.rhs:
-            sat[j] = 1
-            x += eq.weight
-        else:
-            x -= eq.weight
-    doubled = [2 * eq.weight for eq in s.equations]
-    return occ, sat, doubled, x
-
-
-def _scan_best(s: Lin2System, lo: int, hi: int) -> tuple[int, int]:
-    """Best (x, assignment) over assignments lo..hi-1; ties take the smaller one."""
-    occ, sat, doubled, x = _scan_setup(s, lo)
-    best_x, best_z = x, lo
-    for z in range(lo + 1, hi):
-        diff = z ^ (z - 1)
-        while diff:
-            v = (diff & -diff).bit_length() - 1
-            diff &= diff - 1
+    # Assignment 0 satisfies exactly the equations with right side 0.
+    delta = [2 * eq.weight if eq.rhs else -2 * eq.weight for eq in s.equations]
+    x = -sum(delta) // 2
+    yield x
+    for z in range(1, 1 << s.n):
+        for v in range((z & -z).bit_length()):
             for j in occ[v]:
-                if sat[j]:
-                    x -= doubled[j]
-                    sat[j] = 0
-                else:
-                    x += doubled[j]
-                    sat[j] = 1
-        if x > best_x:
-            best_x, best_z = x, z
-    return best_x, best_z
+                x += delta[j]
+                delta[j] = -delta[j]
+        yield x
 
 
-def _scan_mass(s: Lin2System, lo: int, hi: int) -> Counter[int]:
-    occ, sat, doubled, x = _scan_setup(s, lo)
-    counts: Counter[int] = Counter()
-    counts[x] += 1
-    for z in range(lo + 1, hi):
-        diff = z ^ (z - 1)
-        while diff:
-            v = (diff & -diff).bit_length() - 1
-            diff &= diff - 1
-            for j in occ[v]:
-                if sat[j]:
-                    x -= doubled[j]
-                    sat[j] = 0
-                else:
-                    x += doubled[j]
-                    sat[j] = 1
-        counts[x] += 1
-    return counts
-
-
-def _chunk_ranges(n: int, workers: int) -> list[tuple[int, int]]:
-    size = 1 << n
-    parts = max(1, min(workers, size))
-    step = size // parts
-    bounds = [i * step for i in range(parts)] + [size]
-    return [(bounds[i], bounds[i + 1]) for i in range(parts) if bounds[i] < bounds[i + 1]]
-
-
-def solve_exact(
-    s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP, workers: int = 1
-) -> tuple[int, tuple[int, ...]]:
+def solve_exact(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[int, tuple[int, ...]]:
     """Exhaustive optimum of X with a witness assignment.
 
-    The assignment space may be split across workers; the merged result is
-    deterministic and independent of the worker count (maximum X, smallest
-    assignment on ties). Refuses systems with more than ``cap`` variables.
+    Deterministic: maximum X, smallest assignment on ties. Refuses systems
+    with more than ``cap`` variables.
     """
     if s.n > cap:
         raise CapExceeded(
@@ -324,34 +269,17 @@ def solve_exact(
             needed=s.n,
             cap=cap,
         )
-    ranges = _chunk_ranges(s.n, workers)
-    if len(ranges) == 1:
-        best_x, best_z = _scan_best(s, *ranges[0])
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda r: _scan_best(s, *r), ranges))
-        best_x, best_z = results[0]
-        for x, z in results[1:]:
-            if x > best_x:
-                best_x, best_z = x, z
+    best_z, best_x = max(enumerate(_walk(s)), key=itemgetter(1))
     return best_x, tuple((best_z >> v) & 1 for v in range(s.n))
 
 
-def x_distribution_counts(s: Lin2System, workers: int = 1) -> Counter[int]:
+def x_distribution_counts(s: Lin2System) -> Counter[int]:
     """Exact multiset of X values over all 2^n assignments."""
-    ranges = _chunk_ranges(s.n, workers)
-    if len(ranges) == 1:
-        return _scan_mass(s, *ranges[0])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda r: _scan_mass(s, *r), ranges))
-    total: Counter[int] = Counter()
-    for part in parts:
-        total.update(part)
-    return total
+    return Counter(_walk(s))
 
 
 def occurrence_f(k: int, r: int) -> int:
-    """Equation-count threshold 16(2k-1)^2 64^r used by the occurrence rule."""
+    """Equation-count threshold 16(2k-1)^2 64^r of the arity case and the occurrence rule."""
     return 16 * (2 * k - 1) ** 2 * 64**r
 
 
@@ -392,7 +320,7 @@ def case_threshold(tag: CaseTag, k: int) -> int | None:
     if tag.kind is CaseKind.ODD_SET:
         return 4 * k * k
     if tag.kind is CaseKind.BOUNDED_ARITY:
-        return 16 * (2 * k - 1) ** 2 * 64**tag.arity
+        return occurrence_f(k, tag.arity)
     if tag.kind is CaseKind.BOUNDED_OCCURRENCE:
         rho = max(2, tag.occurrence)
         return 32 * rho * rho * (2 * k - 1) ** 2
@@ -460,7 +388,6 @@ def decide_linalb(
     k: int,
     tag: CaseTag,
     cap: int = DEFAULT_ASSIGNMENT_CAP,
-    workers: int = 1,
 ) -> DecisionOutcome:
     """Decide whether some assignment satisfies weight at least W/2 + k.
 
@@ -486,7 +413,7 @@ def decide_linalb(
     diag["kernel_vars"] = reduction.reduced.n
     diag["kernel_eqs"] = len(reduction.reduced.equations)
     try:
-        best, y = solve_exact(reduction.reduced, cap=cap, workers=workers)
+        best, y = solve_exact(reduction.reduced, cap=cap)
     except CapExceeded as exc:
         diag["cap"] = exc.cap
         return DecisionOutcome(Verdict.KERNEL, kernel=reduction.reduced, diagnostics=diag)

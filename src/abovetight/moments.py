@@ -169,9 +169,7 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
     return ExactDistribution.from_counts(2, counts, multiplier)
 
 
-def dist_lin2(
-    s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP, workers: int = 1
-) -> ExactDistribution:
+def dist_lin2(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDistribution:
     """Exact mass of X over all 2^n assignments (scale 1)."""
     if s.n > cap:
         raise CapExceeded(
@@ -180,13 +178,11 @@ def dist_lin2(
             needed=s.n,
             cap=cap,
         )
-    counts = maxlin.x_distribution_counts(s, workers=workers)
+    counts = maxlin.x_distribution_counts(s)
     return ExactDistribution.from_counts(1, counts)
 
 
-def dist_rsat(
-    f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP, workers: int = 1
-) -> ExactDistribution:
+def dist_rsat(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDistribution:
     """Exact mass of 2^r * X over all 2^n assignments (scale 2^r)."""
     if f.n > cap:
         raise CapExceeded(
@@ -195,7 +191,7 @@ def dist_rsat(
             needed=f.n,
             cap=cap,
         )
-    counts, multiplier = rsat.scaled_x_counts(f, workers=workers)
+    counts, multiplier = rsat.scaled_x_counts(f)
     return ExactDistribution.from_counts(1 << f.r, counts, multiplier)
 
 
@@ -289,7 +285,6 @@ def pairwise_second_moment(f: ExactCnfFormula) -> Fraction:
 def verify_second_moment_claims(
     instance: WeightedDigraph | Lin2System | ExactCnfFormula,
     cap: int | None = None,
-    workers: int = 1,
     dist: ExactDistribution | None = None,
 ) -> SecondMomentCheck:
     """Check the second-moment claim on the instance's exact distribution.
@@ -301,7 +296,7 @@ def verify_second_moment_claims(
     form. Precondition violations raise ValueError, checked before ``dist`` is
     read. ``dist`` is the instance's distribution from ``dist_*`` when the
     caller already holds it; when None the distribution is enumerated here,
-    under ``cap`` and ``workers``.
+    under ``cap``.
     """
     if isinstance(instance, WeightedDigraph):
         st = digraph_stats(instance)
@@ -317,9 +312,7 @@ def verify_second_moment_claims(
         if not instance.is_merge_normalized():
             raise ValueError("system must be merge-normalized")
         if dist is None:
-            dist = dist_lin2(
-                instance, cap=cap if cap is not None else DEFAULT_ASSIGNMENT_CAP, workers=workers
-            )
+            dist = dist_lin2(instance, cap=cap if cap is not None else DEFAULT_ASSIGNMENT_CAP)
         e1 = moment_p(dist, 1)
         e2 = moment_p(dist, 2)
         target = Fraction(sum(eq.weight**2 for eq in instance.equations))
@@ -333,9 +326,7 @@ def verify_second_moment_claims(
                 % (stats.conflict_number, bound)
             )
         if dist is None:
-            dist = dist_rsat(
-                instance, cap=cap if cap is not None else DEFAULT_ASSIGNMENT_CAP, workers=workers
-            )
+            dist = dist_rsat(instance, cap=cap if cap is not None else DEFAULT_ASSIGNMENT_CAP)
         e1 = moment_p(dist, 1)
         e2 = moment_p(dist, 2)
         pairwise = pairwise_second_moment(instance)

@@ -11,12 +11,12 @@ numerator k_num.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .maxlin import DEFAULT_ASSIGNMENT_CAP
 from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict
@@ -126,24 +126,18 @@ def _variable_sharing_pairs(f: ExactCnfFormula) -> set[tuple[int, int]]:
 
 
 def conflict_number(f: ExactCnfFormula) -> ConflictStats:
-    """Ordered-pair conflict and overlap counts over all distinct clause indices.
-
-    Pairs sharing no variable are disjoint, so only variable-sharing pairs
-    are classified.
-    """
-    conflicts = 0
-    overlaps = 0
-    for a, b in _variable_sharing_pairs(f):
-        rel = pair_relation(f.clauses[a], f.clauses[b])
-        if rel.kind is RelationKind.CONFLICT:
-            conflicts += 2
-        elif rel.kind is RelationKind.OVERLAP:
-            overlaps += 2
+    """Ordered-pair conflict and overlap counts over all distinct clause indices."""
+    conflicts, shared_counts = overlap_histogram(f)
+    overlaps = sum(shared_counts.values())
     return ConflictStats(conflicts, overlaps, conflicts - overlaps)
 
 
 def overlap_histogram(f: ExactCnfFormula) -> tuple[int, Counter[int]]:
-    """Ordered conflict count and ordered overlap counts keyed by shared size."""
+    """Ordered conflict count and ordered overlap counts keyed by shared size.
+
+    Pairs sharing no variable are disjoint, so only variable-sharing pairs
+    are classified.
+    """
     conflicts = 0
     shared_counts: Counter[int] = Counter()
     for a, b in _variable_sharing_pairs(f):
@@ -172,93 +166,42 @@ def x_value_scaled(f: ExactCnfFormula, assignment: Sequence[int]) -> int:
     return (1 << f.r) * satisfied_count(f, assignment) - ((1 << f.r) - 1) * m
 
 
-def _scan_setup(f: ExactCnfFormula, variables: list[int], start: int):
+def _walk(f: ExactCnfFormula, variables: list[int]) -> Iterator[int]:
+    """Unsatisfied-clause count of each assignment 0, 1, ..., 2^len - 1 in order.
+
+    Bit p of an assignment is the value of ``variables[p]``. Counting up from
+    z - 1 to z flips exactly bits 0..t, where t is the lowest set bit of z.
+    """
     index = {v: p for p, v in enumerate(variables)}
-    # For each variable position: (clause index, literal-positive flag).
-    touching: list[list[tuple[int, bool]]] = [[] for _ in variables]
-    true_counts = []
-    zero_count = 0
+    # sides[p][b]: the clauses whose literal on variables[p] is true when bit p is b.
+    sides: list[tuple[list[int], list[int]]] = [([], []) for _ in variables]
     for j, clause in enumerate(f.clauses):
-        cnt = 0
         for lit in clause:
-            p = index[abs(lit)]
-            touching[p].append((j, lit > 0))
-            bit = (start >> p) & 1
-            if (lit > 0) == bool(bit):
-                cnt += 1
-        true_counts.append(cnt)
-        if cnt == 0:
-            zero_count += 1
-    return touching, true_counts, zero_count
-
-
-def _scan_best(f: ExactCnfFormula, variables: list[int], lo: int, hi: int) -> tuple[int, int]:
-    touching, true_counts, zero_count = _scan_setup(f, variables, lo)
-    m = len(f.clauses)
-    scale = 1 << f.r
-    best_value = m - scale * zero_count
-    best_z = lo
-    for z in range(lo + 1, hi):
-        diff = z ^ (z - 1)
-        while diff:
-            p = (diff & -diff).bit_length() - 1
-            diff &= diff - 1
+            sides[index[abs(lit)]][lit > 0].append(j)
+    # Assignment 0 makes exactly the negative literals true.
+    true_counts = [sum(1 for lit in clause if lit < 0) for clause in f.clauses]
+    unsat = true_counts.count(0)
+    yield unsat
+    for z in range(1, 1 << len(variables)):
+        for p in range((z & -z).bit_length()):
             bit = (z >> p) & 1
-            for j, positive in touching[p]:
-                if positive == bool(bit):
-                    true_counts[j] += 1
-                    if true_counts[j] == 1:
-                        zero_count -= 1
-                else:
-                    true_counts[j] -= 1
-                    if true_counts[j] == 0:
-                        zero_count += 1
-        value = m - scale * zero_count
-        if value > best_value:
-            best_value, best_z = value, z
-    return best_value, best_z
+            for j in sides[p][bit]:
+                true_counts[j] += 1
+                if true_counts[j] == 1:
+                    unsat -= 1
+            for j in sides[p][bit ^ 1]:
+                true_counts[j] -= 1
+                if true_counts[j] == 0:
+                    unsat += 1
+        yield unsat
 
 
-def _scan_mass(f: ExactCnfFormula, variables: list[int], lo: int, hi: int) -> Counter[int]:
-    touching, true_counts, zero_count = _scan_setup(f, variables, lo)
-    m = len(f.clauses)
-    scale = 1 << f.r
-    counts: Counter[int] = Counter()
-    counts[m - scale * zero_count] += 1
-    for z in range(lo + 1, hi):
-        diff = z ^ (z - 1)
-        while diff:
-            p = (diff & -diff).bit_length() - 1
-            diff &= diff - 1
-            bit = (z >> p) & 1
-            for j, positive in touching[p]:
-                if positive == bool(bit):
-                    true_counts[j] += 1
-                    if true_counts[j] == 1:
-                        zero_count -= 1
-                else:
-                    true_counts[j] -= 1
-                    if true_counts[j] == 0:
-                        zero_count += 1
-        counts[m - scale * zero_count] += 1
-    return counts
-
-
-def _chunk_ranges(nbits: int, workers: int) -> list[tuple[int, int]]:
-    size = 1 << nbits
-    parts = max(1, min(workers, size))
-    step = size // parts
-    bounds = [i * step for i in range(parts)] + [size]
-    return [(bounds[i], bounds[i + 1]) for i in range(parts) if bounds[i] < bounds[i + 1]]
-
-
-def solve_exact(
-    f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP, workers: int = 1
-) -> tuple[int, tuple[int, ...]]:
+def solve_exact(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[int, tuple[int, ...]]:
     """Exhaustive optimum of the scaled balance with a witness assignment.
 
     Enumerates only the variables that occur in clauses; the rest of the
-    witness is 0. Deterministic and independent of the worker count.
+    witness is 0. Deterministic: fewest unsatisfied clauses, smallest
+    assignment on ties.
     """
     variables = f.occurring_variables()
     if len(variables) > cap:
@@ -269,38 +212,22 @@ def solve_exact(
             needed=len(variables),
             cap=cap,
         )
-    ranges = _chunk_ranges(len(variables), workers)
-    if len(ranges) == 1:
-        best_value, best_z = _scan_best(f, variables, *ranges[0])
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda rg: _scan_best(f, variables, *rg), ranges))
-        best_value, best_z = results[0]
-        for value, z in results[1:]:
-            if value > best_value:
-                best_value, best_z = value, z
+    best_z, unsat = min(enumerate(_walk(f, variables)), key=itemgetter(1))
     witness = [0] * f.n
     for p, v in enumerate(variables):
         witness[v - 1] = (best_z >> p) & 1
-    return best_value, tuple(witness)
+    return len(f.clauses) - (unsat << f.r), tuple(witness)
 
 
-def scaled_x_counts(f: ExactCnfFormula, workers: int = 1) -> tuple[Counter[int], int]:
+def scaled_x_counts(f: ExactCnfFormula) -> tuple[Counter[int], int]:
     """Scaled-balance multiset over the occurring variables plus a multiplier.
 
     The multiplier 2^(n - occurring) turns the counts into the mass over all
     2^n assignments.
     """
     variables = f.occurring_variables()
-    ranges = _chunk_ranges(len(variables), workers)
-    if len(ranges) == 1:
-        counts = _scan_mass(f, variables, *ranges[0])
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda rg: _scan_mass(f, variables, *rg), ranges))
-        counts = Counter()
-        for part in parts:
-            counts.update(part)
+    m = len(f.clauses)
+    counts = Counter({m - (u << f.r): c for u, c in Counter(_walk(f, variables)).items()})
     return counts, 1 << (f.n - len(variables))
 
 
@@ -313,7 +240,6 @@ def decide_rsatalb(
     f: ExactCnfFormula,
     k_num: int | RationalTarget,
     cap: int = DEFAULT_ASSIGNMENT_CAP,
-    workers: int = 1,
     diagnostic: bool = False,
 ) -> DecisionOutcome:
     """Decide whether some assignment satisfies at least (1 - 2^-r)m + k clauses.
@@ -349,7 +275,7 @@ def decide_rsatalb(
         if m >= threshold:
             return DecisionOutcome(Verdict.YES_BY_BOUND, diagnostics=diag)
     try:
-        best, witness = solve_exact(f, cap=cap, workers=workers)
+        best, witness = solve_exact(f, cap=cap)
     except CapExceeded as exc:
         diag["cap"] = exc.cap
         diag["kernel_vars"] = exc.needed

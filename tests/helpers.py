@@ -66,19 +66,35 @@ def brute_decide_loalb(g: WeightedDigraph, k: int) -> bool:
     return 2 * brute_max_forward_weight(g) - total >= 2 * k
 
 
+def brute_first_best(n: int, value) -> tuple[int, tuple[int, ...]]:
+    """Best ``value`` over all 2^n assignments, and the first assignment reaching it.
+
+    Assignment z sets variable i to bit i of z, and z runs 0, 1, ..., 2^n - 1,
+    so ties keep the smallest z.
+    """
+    best = None
+    for z in range(1 << n):
+        assignment = tuple((z >> i) & 1 for i in range(n))
+        x = value(assignment)
+        if best is None or x > best[0]:
+            best = (x, assignment)
+    return best
+
+
+def lin2_x(s: Lin2System, assignment) -> int:
+    """Satisfied minus unsatisfied weight, by inline parity checks."""
+    x = 0
+    for eq in s.equations:
+        parity = 0
+        for v in eq.variables:
+            parity ^= assignment[v]
+        x += eq.weight if parity == eq.rhs else -eq.weight
+    return x
+
+
 def brute_best_x_lin2(s: Lin2System) -> int:
     """Best satisfied-minus-unsatisfied weight over all assignments."""
-    best = None
-    for assignment in itertools.product((0, 1), repeat=s.n):
-        x = 0
-        for eq in s.equations:
-            parity = 0
-            for v in eq.variables:
-                parity ^= assignment[v]
-            x += eq.weight if parity == eq.rhs else -eq.weight
-        if best is None or x > best:
-            best = x
-    return 0 if best is None else best
+    return brute_first_best(s.n, lambda a: lin2_x(s, a))[0]
 
 
 def brute_decide_lin2(s: Lin2System, k: int) -> bool:
@@ -100,21 +116,20 @@ def brute_patterns_lin2(s: Lin2System) -> set[frozenset[int]]:
     return patterns
 
 
+def rsat_scaled_x(f: ExactCnfFormula, assignment) -> int:
+    """2^r * satisfied - (2^r - 1) * m, by inline literal checks."""
+    satisfied = 0
+    for clause in f.clauses:
+        if any(
+            assignment[abs(lit) - 1] if lit > 0 else not assignment[abs(lit) - 1]
+            for lit in clause
+        ):
+            satisfied += 1
+    return (1 << f.r) * satisfied - ((1 << f.r) - 1) * len(f.clauses)
+
+
 def brute_best_scaled_rsat(f: ExactCnfFormula) -> int:
-    best = None
-    m = len(f.clauses)
-    for assignment in itertools.product((False, True), repeat=f.n):
-        satisfied = 0
-        for clause in f.clauses:
-            if any(
-                assignment[abs(lit) - 1] if lit > 0 else not assignment[abs(lit) - 1]
-                for lit in clause
-            ):
-                satisfied += 1
-        value = (1 << f.r) * satisfied - ((1 << f.r) - 1) * m
-        if best is None or value > best:
-            best = value
-    return 0 if best is None else best
+    return brute_first_best(f.n, lambda a: rsat_scaled_x(f, a))[0]
 
 
 def brute_pair_expectation(y: tuple[int, ...], z: tuple[int, ...], r: int) -> Fraction:

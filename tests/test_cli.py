@@ -95,6 +95,15 @@ def test_emit_writes_json(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["verdict"] == "YES_WITNESS"
     assert payload["witness"] == [1, 2]
+    assert payload["diagnostics"]["k"] == 1
+
+
+def test_moments_emit_keeps_booleans_and_writes_fractions_as_strings(tmp_path):
+    out = tmp_path / "result.json"
+    run(["moments", write(tmp_path, "g.txt", THREE_CYCLE), "--emit", str(out)])
+    diagnostics = json.loads(out.read_text())["diagnostics"]
+    assert type(diagnostics["symmetric"]) is bool
+    assert isinstance(diagnostics["e2"], str)
 
 
 def test_kernel_verdict_via_cap(tmp_path):
@@ -190,12 +199,11 @@ def test_gen_to_stdout():
     assert result.diagnostics["text"].startswith("p lin2 3 7")
 
 
-def test_workers_flag_does_not_change_results(tmp_path):
+def test_workers_flag_is_rejected(tmp_path):
     path = write(tmp_path, "s.txt", "p lin2 3 3\ne 1 1 1 2\ne 2 0 2 3\ne 1 1 1 3\n")
-    serial = run(["linalb", path, "--k", "1", "--case", "general"])
-    threaded = run(["linalb", path, "--k", "1", "--case", "general", "--workers", "4"])
-    assert serial.verdict == threaded.verdict
-    assert serial.witness == threaded.witness
+    with pytest.raises(SystemExit) as exc:
+        run(["linalb", path, "--k", "1", "--case", "general", "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_moments_on_formula_reports_decomposition(tmp_path):

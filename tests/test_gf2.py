@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from abovetight.gf2 import (
     BitMatrix,
     BitVec,
-    express_in_basis,
     independent_columns,
     rank,
     solve_affine,
@@ -45,31 +44,6 @@ def test_independent_columns_greedy_leftmost():
 def test_independent_columns_skips_zero_column():
     mat = BitMatrix.from_rows([[0, 1], [0, 1]])
     assert independent_columns(mat) == [1]
-
-
-def test_express_in_basis_unique_expansion():
-    assert express_in_basis(DEPENDENT, [0, 1], 2) == {0, 1}
-
-
-def test_express_in_basis_identity_case():
-    assert express_in_basis(DEPENDENT, [0, 1], 1) == {1}
-
-
-def test_express_in_basis_zero_column():
-    mat = BitMatrix.from_rows([[1, 0], [0, 0]])
-    assert express_in_basis(mat, [0], 1) == set()
-
-
-def test_express_in_basis_rejects_out_of_span():
-    mat = BitMatrix.from_rows([[1, 0], [0, 1]])
-    with pytest.raises(ValueError, match="not in the span"):
-        express_in_basis(mat, [0], 1)
-
-
-def test_express_in_basis_rejects_dependent_basis():
-    mat = BitMatrix.from_rows([[1, 1, 0], [0, 0, 1]])
-    with pytest.raises(ValueError, match="dependent"):
-        express_in_basis(mat, [0, 1], 2)
 
 
 def test_solve_affine_small_system():
@@ -109,14 +83,19 @@ def test_rank_equals_basis_size_and_expansions_reproduce_columns():
         basis = independent_columns(mat)
         assert rank(mat) == len(basis)
         assert basis == sorted(basis)
+        ech = {}  # the basis columns in echelon form, keyed by leading bit
+
+        def reduce(v):
+            while v and v.bit_length() in ech:
+                v ^= ech[v.bit_length()]
+            return v
+
+        for j in basis:
+            v = reduce(mat.column_bits(j))
+            assert v, "basis columns must be independent"
+            ech[v.bit_length()] = v
         for j in range(cols):
-            if j in basis:
-                continue
-            combo = express_in_basis(mat, basis, j)
-            acc = 0
-            for b in combo:
-                acc ^= mat.column_bits(b)
-            assert acc == mat.column_bits(j)
+            assert reduce(mat.column_bits(j)) == 0, "column %d is outside the span" % j
 
 
 def test_solve_affine_agrees_with_brute_force():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from abovetight.rsat import (
     x_value_scaled,
 )
 
-from helpers import brute_best_scaled_rsat, random_formula
+from helpers import brute_best_scaled_rsat, brute_first_best, random_formula, rsat_scaled_x
 
 
 def complete_formula(r: int, base: int = 0) -> ExactCnfFormula:
@@ -141,12 +142,21 @@ def test_solve_exact_matches_brute_force():
         assert x_value_scaled(f, witness) == best
 
 
-def test_solve_exact_worker_independence():
+def test_solve_exact_ties_go_to_the_smallest_assignment():
     rng = random.Random(4)
-    for _ in range(15):
-        f = random_formula(rng, 2, n_max=8, m_max=8)
-        assert solve_exact(f, workers=1) == solve_exact(f, workers=3)
-        assert scaled_x_counts(f, workers=1) == scaled_x_counts(f, workers=4)
+    for _ in range(60):
+        f = random_formula(rng, rng.choice([2, 3]), n_max=8, m_max=8)
+        assert solve_exact(f) == brute_first_best(f.n, lambda a: rsat_scaled_x(f, a))
+
+
+def test_scaled_x_counts_match_x_value_scaled_over_all_assignments():
+    rng = random.Random(5)
+    for _ in range(40):
+        f = random_formula(rng, rng.choice([2, 3]), n_max=9, m_max=10)
+        counts, multiplier = scaled_x_counts(f)
+        expanded = Counter({v: c * multiplier for v, c in counts.items()})
+        every = itertools.product((0, 1), repeat=f.n)
+        assert expanded == Counter(x_value_scaled(f, z) for z in every)
 
 
 def test_solve_exact_cap_refusal():
