@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from abovetight.instances import gen_instance, parse_instance
 from abovetight.linord import decide_loalb
-from abovetight.maxlin import CaseTag, decide_linalb
+from abovetight.maxlin import CaseKind, decide_linalb
 from abovetight.rsat import decide_rsatalb
 
 
@@ -27,9 +27,8 @@ def main() -> int:
         s = parse_instance(
             gen_instance("cancelling-pairs-lin2", seed=pairs, n=6, pairs=pairs).text
         )
-        rows.append(
-            ("cancelling-pairs p=%d" % pairs, decide_linalb(s, 1, CaseTag.general()).verdict.value)
-        )
+        verdict = decide_linalb(s, 1, CaseKind.GENERAL).verdict.value
+        rows.append(("cancelling-pairs p=%d" % pairs, verdict))
     for r in (2, 3, 4):
         f = parse_instance(gen_instance("complete-rcnf", r=r).text)
         verdict = decide_rsatalb(f, 1, diagnostic=True).verdict.value

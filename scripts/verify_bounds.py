@@ -36,7 +36,7 @@ from helpers import (
 )
 
 
-def sweep_digraphs(rng: random.Random, trials: int) -> None:
+def sweep_digraphs(rng: random.Random, trials: int) -> int:
     worst = None
     failures = 0
     for _ in range(trials):
@@ -52,9 +52,10 @@ def sweep_digraphs(rng: random.Random, trials: int) -> None:
         "digraph second moment  : %d trials, %d failures, min margin %s"
         % (trials, failures, worst)
     )
+    return failures
 
 
-def sweep_systems(rng: random.Random, trials: int) -> None:
+def sweep_systems(rng: random.Random, trials: int) -> int:
     identity_failures = 0
     for _ in range(trials):
         s = merge_duplicates(random_lin2(rng, n_max=12, m_max=12, wmax=3))
@@ -79,9 +80,10 @@ def sweep_systems(rng: random.Random, trials: int) -> None:
         "lin2 tail (b=2 rho^2)  : %d trials, %d failures, min tail prob %s"
         % (trials, tail_failures, worst_prob)
     )
+    return identity_failures + tail_failures
 
 
-def sweep_formulas(rng: random.Random, trials: int) -> None:
+def sweep_formulas(rng: random.Random, trials: int) -> int:
     failures = 0
     worst = None
     for _ in range(trials):
@@ -100,6 +102,7 @@ def sweep_formulas(rng: random.Random, trials: int) -> None:
         "rsat decomposition     : %d trials, %d failures, min margin %s"
         % (trials, failures, worst)
     )
+    return failures
 
 
 def main() -> int:
@@ -108,10 +111,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     rng = random.Random(args.seed)
-    sweep_digraphs(rng, args.trials)
-    sweep_systems(rng, args.trials)
-    sweep_formulas(rng, args.trials)
-    return 0
+    failures = sweep_digraphs(rng, args.trials)
+    failures += sweep_systems(rng, args.trials)
+    failures += sweep_formulas(rng, args.trials)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from .linord import (
 )
 from .maxlin import (
     CaseKind,
-    CaseTag,
     Lin2Equation,
     Lin2System,
     RankReduction,
@@ -50,7 +49,6 @@ from .rsat import (
     ConflictStats,
     ExactCnfFormula,
     PairRelation,
-    RationalTarget,
     RelationKind,
     conflict_number,
     decide_rsatalb,

@@ -12,7 +12,7 @@ from typing import Any, Sequence
 
 from . import instances, maxlin, moments, rsat
 from .linord import LinearOrder, WeightedDigraph, decide_fas_below, decide_loalb
-from .maxlin import CaseTag, Lin2System
+from .maxlin import CaseKind, Lin2System
 from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated
 from .rsat import ExactCnfFormula
 
@@ -159,20 +159,6 @@ def _load(path: str, expected: type) -> Any:
     return instance
 
 
-def _case_tag(name: str, system: Lin2System, k: int) -> CaseTag:
-    if name == "auto":
-        return maxlin.auto_case(system, k)
-    if name == "odd-set":
-        return CaseTag.for_odd_set()
-    if name == "arity":
-        stats = maxlin.system_stats(maxlin.merge_duplicates(system))
-        return CaseTag.for_arity(max(stats.r, 1))
-    if name == "occurrence":
-        stats = maxlin.system_stats(maxlin.merge_duplicates(system))
-        return CaseTag.for_occurrence(max(stats.rho, 1))
-    return CaseTag.general()
-
-
 def _run_moments(args: argparse.Namespace) -> RunResult:
     instance = None
     with open(args.file, "r", encoding="utf-8") as handle:
@@ -231,8 +217,8 @@ def run(argv: Sequence[str]) -> RunResult:
             result = _from_outcome(outcome)
         elif args.command == "linalb":
             system = _load(args.file, Lin2System)
-            tag = _case_tag(args.case, system, args.k)
-            outcome = maxlin.decide_linalb(system, args.k, tag, **_cap_kw(args))
+            case = None if args.case == "auto" else CaseKind(args.case)
+            outcome = maxlin.decide_linalb(system, args.k, case, **_cap_kw(args))
             result = _from_outcome(outcome)
         elif args.command == "rsat":
             formula = _load(args.file, ExactCnfFormula)

@@ -127,12 +127,19 @@ def x_value(g: WeightedDigraph, order: LinearOrder) -> int:
     return 2 * forward - total
 
 
-def _active_vertices(g: WeightedDigraph) -> list[int]:
-    used = set()
-    for u, v, _ in g.arcs:
-        used.add(u)
-        used.add(v)
-    return sorted(used)
+def active_in_arcs(g: WeightedDigraph) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """Non-isolated vertices in increasing order, and the in-arcs of each.
+
+    ``in_arcs[i]`` lists the arcs into ``active[i]`` as (tail bit, weight),
+    where the bit of a vertex is 1 << its position in ``active``: the input
+    of both subset dynamic programs over vertex orders.
+    """
+    active = sorted({v for arc in g.arcs for v in arc[:2]})
+    index = {v: i for i, v in enumerate(active)}
+    in_arcs: list[list[tuple[int, int]]] = [[] for _ in active]
+    for u, v, w in g.arcs:
+        in_arcs[index[v]].append((1 << index[u], w))
+    return active, in_arcs
 
 
 def exact_max_acyclic(
@@ -145,7 +152,7 @@ def exact_max_acyclic(
     arcs from S into v. Refuses instances with more than ``cap`` non-isolated
     vertices.
     """
-    active = _active_vertices(g)
+    active, in_arcs = active_in_arcs(g)
     nv = len(active)
     if nv > cap:
         raise CapExceeded(
@@ -154,10 +161,6 @@ def exact_max_acyclic(
             needed=nv,
             cap=cap,
         )
-    index = {v: i for i, v in enumerate(active)}
-    in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    for u, v, w in g.arcs:
-        in_arcs[index[v]].append((1 << index[u], w))
     size = 1 << nv
     dp = [-1] * size
     dp[0] = 0
@@ -183,7 +186,8 @@ def exact_max_acyclic(
         seq_rev.append(active[i])
         mask ^= 1 << i
     seq = list(reversed(seq_rev))
-    seq.extend(v for v in range(g.n) if v not in index)
+    used = set(active)
+    seq.extend(v for v in range(g.n) if v not in used)
     return dp[size - 1], LinearOrder.from_sequence(seq)
 
 

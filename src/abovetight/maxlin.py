@@ -100,37 +100,6 @@ class CaseKind(Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class CaseTag:
-    """Which structural special case a decision run may rely on."""
-
-    kind: CaseKind
-    odd_set: frozenset[int] | None = None
-    arity: int | None = None
-    occurrence: int | None = None
-
-    @classmethod
-    def for_odd_set(cls, variables: Iterable[int] | None = None) -> CaseTag:
-        U = None if variables is None else frozenset(variables)
-        return cls(CaseKind.ODD_SET, odd_set=U)
-
-    @classmethod
-    def for_arity(cls, r: int) -> CaseTag:
-        if r < 1:
-            raise ValueError("arity bound must be at least 1")
-        return cls(CaseKind.BOUNDED_ARITY, arity=r)
-
-    @classmethod
-    def for_occurrence(cls, rho: int) -> CaseTag:
-        if rho < 1:
-            raise ValueError("occurrence bound must be at least 1")
-        return cls(CaseKind.BOUNDED_OCCURRENCE, occurrence=rho)
-
-    @classmethod
-    def general(cls) -> CaseTag:
-        return cls(CaseKind.GENERAL)
-
-
 def merge_duplicates(s: Lin2System) -> Lin2System:
     """Combine equations with identical variable sets.
 
@@ -315,96 +284,55 @@ def occurrence_reduce(s: Lin2System, k: int, r: int) -> Lin2System:
     return Lin2System(s.n, tuple(eqs))
 
 
-def case_threshold(tag: CaseTag, k: int) -> int | None:
-    """Equation count at which the tagged case certifies YES outright."""
-    if tag.kind is CaseKind.ODD_SET:
+def case_threshold(case: CaseKind, k: int, stats: SystemStats) -> int | None:
+    """Equation count at which the case certifies YES outright.
+
+    The arity and occurrence bounds are the merged system's own r and rho,
+    taken as at least 1 and 2.
+    """
+    if case is CaseKind.ODD_SET:
         return 4 * k * k
-    if tag.kind is CaseKind.BOUNDED_ARITY:
-        return occurrence_f(k, tag.arity)
-    if tag.kind is CaseKind.BOUNDED_OCCURRENCE:
-        rho = max(2, tag.occurrence)
+    if case is CaseKind.BOUNDED_ARITY:
+        return occurrence_f(k, max(stats.r, 1))
+    if case is CaseKind.BOUNDED_OCCURRENCE:
+        rho = max(2, stats.rho)
         return 32 * rho * rho * (2 * k - 1) ** 2
     return None
-
-
-def _check_tag(merged: Lin2System, tag: CaseTag, stats: SystemStats) -> CaseTag:
-    """Validate the tag against the merged system; fill in a found odd set."""
-    if tag.kind is CaseKind.ODD_SET:
-        if tag.odd_set is None:
-            found = find_odd_set(merged)
-            if found is None:
-                raise RestrictionViolated(
-                    "no variable set meets every equation an odd number of times"
-                )
-            return CaseTag(CaseKind.ODD_SET, odd_set=found)
-        for j, eq in enumerate(merged.equations):
-            if len(tag.odd_set.intersection(eq.variables)) % 2 == 0:
-                raise RestrictionViolated(
-                    "supplied set meets equation %d an even number of times" % j
-                )
-        return tag
-    if tag.kind is CaseKind.BOUNDED_ARITY:
-        if stats.r > tag.arity:
-            raise RestrictionViolated(
-                "system arity %d exceeds the declared bound %d" % (stats.r, tag.arity)
-            )
-        return tag
-    if tag.kind is CaseKind.BOUNDED_OCCURRENCE:
-        if stats.rho > tag.occurrence:
-            raise RestrictionViolated(
-                "variable occurrence %d exceeds the declared bound %d"
-                % (stats.rho, tag.occurrence)
-            )
-        return tag
-    return tag
-
-
-def auto_case(s: Lin2System, k: int) -> CaseTag:
-    """Pick the applicable case with the smallest YES threshold.
-
-    An odd set is looked for first, then the arity and occurrence bounds of
-    the merged system itself; ties keep that ordering.
-    """
-    merged = merge_duplicates(s)
-    stats = system_stats(merged)
-    candidates: list[tuple[int, int, CaseTag]] = []
-    found = find_odd_set(merged)
-    if found is not None:
-        tag = CaseTag(CaseKind.ODD_SET, odd_set=found)
-        candidates.append((case_threshold(tag, k), 0, tag))
-    if stats.m:
-        arity_tag = CaseTag.for_arity(stats.r)
-        candidates.append((case_threshold(arity_tag, k), 1, arity_tag))
-        occ_tag = CaseTag.for_occurrence(max(stats.rho, 1))
-        candidates.append((case_threshold(occ_tag, k), 2, occ_tag))
-    if not candidates:
-        return CaseTag.general()
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    return candidates[0][2]
 
 
 def decide_linalb(
     s: Lin2System,
     k: int,
-    tag: CaseTag,
+    case: CaseKind | None = None,
     cap: int = DEFAULT_ASSIGNMENT_CAP,
 ) -> DecisionOutcome:
     """Decide whether some assignment satisfies weight at least W/2 + k.
 
-    The system is merge-normalized first and the tag's condition checked
-    against the result. Large systems are YES outright at the case's
-    threshold; otherwise the rank-reduced kernel is solved exhaustively and
-    a witness is lifted back by zero-padding.
+    The system is merge-normalized first; every case reads its structure
+    from the result. The odd-set case needs a variable set meeting every
+    equation an odd number of times and is refused without one. With
+    ``case`` None the applicable case with the smallest threshold is used,
+    ties going to odd set, then arity, then occurrence. Large systems are
+    YES outright at the case's threshold; otherwise the rank-reduced kernel
+    is solved exhaustively and a witness is lifted back by zero-padding.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     merged = merge_duplicates(s)
     stats = system_stats(merged)
-    tag = _check_tag(merged, tag, stats)
-    diag: dict[str, object] = {"k": k, "case": tag.kind.value, "m": stats.m}
-    if tag.kind is CaseKind.ODD_SET:
-        diag["odd_set_size"] = len(tag.odd_set)
-    threshold = case_threshold(tag, k)
+    odd_set = find_odd_set(merged) if case in (None, CaseKind.ODD_SET) else None
+    if case is None:
+        # The empty set is odd-hitting for an empty system, so this is never empty.
+        cases = [CaseKind.ODD_SET] if odd_set is not None else []
+        if stats.m:
+            cases += [CaseKind.BOUNDED_ARITY, CaseKind.BOUNDED_OCCURRENCE]
+        case = min(cases, key=lambda c: case_threshold(c, k, stats))
+    elif case is CaseKind.ODD_SET and odd_set is None:
+        raise RestrictionViolated("no variable set meets every equation an odd number of times")
+    diag: dict[str, object] = {"k": k, "case": case.value, "m": stats.m}
+    if case is CaseKind.ODD_SET:
+        diag["odd_set_size"] = len(odd_set)
+    threshold = case_threshold(case, k, stats)
     if threshold is not None:
         diag["m_threshold"] = threshold
         if stats.m >= threshold:

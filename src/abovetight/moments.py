@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import maxlin, rsat
-from .linord import WeightedDigraph, digraph_stats
+from .linord import WeightedDigraph, active_in_arcs, digraph_stats
 from .maxlin import DEFAULT_ASSIGNMENT_CAP, Lin2Equation, Lin2System
 from .outcome import CapExceeded
 from .rsat import ExactCnfFormula
@@ -141,12 +141,8 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
             needed=g.n,
             cap=cap,
         )
-    active = sorted({v for arc in g.arcs for v in arc[:2]})
+    active, in_arcs = active_in_arcs(g)
     nv = len(active)
-    index = {v: i for i, v in enumerate(active)}
-    in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    for u, v, w in g.arcs:
-        in_arcs[index[v]].append((1 << index[u], w))
     full = (1 << nv) - 1
     forward: list[Counter[int]] = [Counter() for _ in range(full + 1)]
     forward[0][0] = 1
@@ -273,8 +269,11 @@ def pairwise_second_moment(f: ExactCnfFormula) -> Fraction:
     contributes -1/4^r, an ordered pair sharing t literals (2^t - 1)/4^r,
     and variable-disjoint pairs contribute nothing.
     """
+    return _pairwise_e2(f, *rsat.overlap_histogram(f))
+
+
+def _pairwise_e2(f: ExactCnfFormula, conflicts: int, shared_counts: Counter[int]) -> Fraction:
     q = 4**f.r
-    conflicts, shared_counts = rsat.overlap_histogram(f)
     acc = Fraction(len(f.clauses) * ((1 << f.r) - 1), q)
     acc += Fraction(-conflicts, q)
     for t, count in shared_counts.items():
@@ -318,18 +317,17 @@ def verify_second_moment_claims(
         target = Fraction(sum(eq.weight**2 for eq in instance.equations))
         return SecondMomentCheck("lin2", e1, e2, target, e1 == 0 and e2 == target)
     if isinstance(instance, ExactCnfFormula):
-        stats = rsat.conflict_number(instance)
+        # One pass over clause pairs serves the restriction and the closed form.
+        conflicts, shared_counts = rsat.overlap_histogram(instance)
+        cn = conflicts - sum(shared_counts.values())
         bound = rsat.conflict_bound(instance)
-        if stats.conflict_number > bound:
-            raise ValueError(
-                "conflict number %d exceeds (2^r - 2)m = %d"
-                % (stats.conflict_number, bound)
-            )
+        if cn > bound:
+            raise ValueError("conflict number %d exceeds (2^r - 2)m = %d" % (cn, bound))
         if dist is None:
             dist = dist_rsat(instance, cap=cap if cap is not None else DEFAULT_ASSIGNMENT_CAP)
         e1 = moment_p(dist, 1)
         e2 = moment_p(dist, 2)
-        pairwise = pairwise_second_moment(instance)
+        pairwise = _pairwise_e2(instance, conflicts, shared_counts)
         target = Fraction(len(instance.clauses), 4**instance.r)
         holds = e1 == 0 and e2 == pairwise and e2 >= target
         return SecondMomentCheck("rsat", e1, e2, target, holds, pairwise_e2=pairwise)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -83,23 +82,6 @@ class ConflictStats:
     conflicts: int
     overlaps: int
     conflict_number: int
-
-
-@dataclass(frozen=True)
-class RationalTarget:
-    """Positive rational k = numerator / 2^width for the decision target."""
-
-    numerator: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if self.numerator < 1:
-            raise ValueError("the target numerator must be positive")
-        if self.width < 2:
-            raise ValueError("the denominator exponent must be at least 2")
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 2**self.width)
 
 
 def pair_relation(y: Sequence[int], z: Sequence[int]) -> PairRelation:
@@ -238,7 +220,7 @@ def conflict_bound(f: ExactCnfFormula) -> int:
 
 def decide_rsatalb(
     f: ExactCnfFormula,
-    k_num: int | RationalTarget,
+    k_num: int,
     cap: int = DEFAULT_ASSIGNMENT_CAP,
     diagnostic: bool = False,
 ) -> DecisionOutcome:
@@ -249,10 +231,6 @@ def decide_rsatalb(
     in which case the instance is solved exhaustively. Within the family,
     m >= 16 * 64^r * k_num^2 certifies YES outright.
     """
-    if isinstance(k_num, RationalTarget):
-        if k_num.width != f.r:
-            raise ValueError("target denominator exponent must equal the clause width")
-        k_num = k_num.numerator
     if k_num < 1:
         raise ValueError("the target numerator must be positive")
     m = len(f.clauses)

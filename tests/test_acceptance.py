@@ -21,7 +21,7 @@ from abovetight.linord import (
     x_value,
 )
 from abovetight.maxlin import (
-    CaseTag,
+    CaseKind,
     Lin2System,
     decide_linalb,
     evaluate_x,
@@ -138,8 +138,8 @@ def test_criterion_01_reduction_rule_soundness():
         reduced = occurrence_reduce(s, 1, 1)
         if len(reduced.equations) != occurrence_f(1, 1):
             violations.append("occurrence synthetic seed %d kept %d" % (seed, len(reduced.equations)))
-        before = decide_linalb(s, 1, CaseTag.for_arity(1)).verdict
-        after = decide_linalb(reduced, 1, CaseTag.for_arity(1)).verdict
+        before = decide_linalb(s, 1, CaseKind.BOUNDED_ARITY).verdict
+        after = decide_linalb(reduced, 1, CaseKind.BOUNDED_ARITY).verdict
         if before is not Verdict.YES_BY_BOUND or after is not Verdict.YES_BY_BOUND:
             violations.append("occurrence synthetic seed %d verdicts %s/%s" % (seed, before, after))
 
@@ -273,17 +273,17 @@ def test_criterion_07_threshold_constants():
         thr = 4 * k * k
         eqs_at = [((v,), 1, 1) for v in range(thr)]
         eqs_below = [((v,), 1, 1) for v in range(thr - 1)]
-        at = decide_linalb(Lin2System.from_tuples(thr, eqs_at), k, CaseTag.for_odd_set())
-        below = decide_linalb(Lin2System.from_tuples(thr - 1, eqs_below), k, CaseTag.for_odd_set())
+        at = decide_linalb(Lin2System.from_tuples(thr, eqs_at), k, CaseKind.ODD_SET)
+        below = decide_linalb(Lin2System.from_tuples(thr - 1, eqs_below), k, CaseKind.ODD_SET)
         check("odd-set k=%d at threshold" % k, at.verdict, Verdict.YES_BY_BOUND)
         if below.verdict is Verdict.YES_BY_BOUND:
             violations.append("odd-set k=%d below threshold still bound-certified" % k)
 
     # 16 (2k-1)^2 64^r for the arity case, exercised at r=1, k=1 (1024).
     eqs = [((v,), 0, 1) for v in range(1024)]
-    at = decide_linalb(Lin2System.from_tuples(1024, eqs), 1, CaseTag.for_arity(1))
+    at = decide_linalb(Lin2System.from_tuples(1024, eqs), 1, CaseKind.BOUNDED_ARITY)
     check("arity r=1 at threshold", at.verdict, Verdict.YES_BY_BOUND)
-    below = decide_linalb(Lin2System.from_tuples(1023, eqs[:1023]), 1, CaseTag.for_arity(1))
+    below = decide_linalb(Lin2System.from_tuples(1023, eqs[:1023]), 1, CaseKind.BOUNDED_ARITY)
     check("arity r=1 below threshold", below.verdict, Verdict.KERNEL)
     if below.diagnostics.get("m_threshold") != 1024:
         violations.append("arity threshold not echoed")
@@ -294,10 +294,10 @@ def test_criterion_07_threshold_constants():
         chain_at = [((v, v + 1), 1, 1) for v in range(thr)]
         chain_below = chain_at[:-1]
         at = decide_linalb(
-            Lin2System.from_tuples(thr + 1, chain_at), k, CaseTag.for_occurrence(rho)
+            Lin2System.from_tuples(thr + 1, chain_at), k, CaseKind.BOUNDED_OCCURRENCE
         )
         below = decide_linalb(
-            Lin2System.from_tuples(thr + 1, chain_below), k, CaseTag.for_occurrence(rho)
+            Lin2System.from_tuples(thr + 1, chain_below), k, CaseKind.BOUNDED_OCCURRENCE
         )
         check("occurrence k=%d at threshold" % k, at.verdict, Verdict.YES_BY_BOUND)
         if below.verdict is Verdict.YES_BY_BOUND:
@@ -362,7 +362,7 @@ def test_criterion_09_tight_families_decide_no():
         s = parse_instance(
             gen_instance("cancelling-pairs-lin2", seed=seed, n=4 + seed % 3).text
         )
-        if decide_linalb(s, 1, CaseTag.general()).verdict is not Verdict.NO:
+        if decide_linalb(s, 1, CaseKind.GENERAL).verdict is not Verdict.NO:
             violations.append("cancelling pairs seed %d not NO" % seed)
     for r in (2, 3, 4):
         f = parse_instance(gen_instance("complete-rcnf", r=r).text)
@@ -412,7 +412,7 @@ def test_criterion_10_faithful_lifting():
         reduction = rank_reduce(merge_duplicates(s))
         if reduction.reduced.n >= s.n:
             continue
-        out = decide_linalb(s, 1, CaseTag.general())
+        out = decide_linalb(s, 1, CaseKind.GENERAL)
         if out.verdict is not Verdict.YES_WITNESS:
             continue
         hits += 1

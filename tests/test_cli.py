@@ -156,21 +156,22 @@ def test_moments_cap_zero_is_error(tmp_path):
         assert "cap 0" in result.error
 
 
+def count_calls(monkeypatch, calls, module, name):
+    """Replace ``module.name`` with a wrapper that adds 1 to ``calls[name]`` per call."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_moments_enumerates_each_sample_space_once(tmp_path, monkeypatch):
     calls = {}
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(moments, "dist_linord")
-    counting(maxlin, "x_distribution_counts")
-    counting(rsat, "scaled_x_counts")
+    count_calls(monkeypatch, calls, moments, "dist_linord")
+    count_calls(monkeypatch, calls, maxlin, "x_distribution_counts")
+    count_calls(monkeypatch, calls, rsat, "scaled_x_counts")
     cases = {
         "dist_linord": THREE_CYCLE,
         "x_distribution_counts": ODD_SET_FOUR,
@@ -182,6 +183,53 @@ def test_moments_enumerates_each_sample_space_once(tmp_path, monkeypatch):
         assert result.verdict == "OK"
         assert result.diagnostics["second_moment_holds"] is True
         assert calls == {name: int(name == enumerator) for name in cases}
+
+
+def test_moments_on_formula_walks_clause_pairs_once(tmp_path, monkeypatch):
+    calls = {"overlap_histogram": 0}
+    count_calls(monkeypatch, calls, rsat, "overlap_histogram")
+    path = write(tmp_path, "f.txt", "p ecnf 4 2 2\n1 2 0\n3 4 0\n")
+    result = run(["moments", path, "--b", "64"])
+    assert result.diagnostics["second_moment_holds"] is True
+    assert calls == {"overlap_histogram": 1}
+
+
+def test_linalb_merges_and_counts_once_under_every_case(tmp_path, monkeypatch):
+    calls = {}
+    count_calls(monkeypatch, calls, maxlin, "merge_duplicates")
+    count_calls(monkeypatch, calls, maxlin, "system_stats")
+    path = write(tmp_path, "s.txt", ODD_SET_FOUR)
+    for case in ("auto", "odd-set", "arity", "occurrence", "general"):
+        calls.update(merge_duplicates=0, system_stats=0)
+        result = run(["linalb", path, "--k", "1", "--case", case])
+        assert result.diagnostics["case"] == ("odd-set" if case == "auto" else case)
+        assert calls == {"merge_duplicates": 1, "system_stats": 1}
+
+
+def test_linalb_bounds_come_from_the_merged_system(tmp_path):
+    # Both width-3 equations cancel, as do both copies of x1 + x2, which
+    # leaves x1 = 1 and x2 = 0: arity 1 and occurrence 1 (counted as 2), where
+    # the unmerged file has arity 3 and occurrence 5.
+    text = (
+        "p lin2 3 6\ne 1 1 1 2 3\ne 1 0 1 2 3\ne 2 1 1 2\ne 2 0 1 2\ne 1 1 1\ne 1 0 2\n"
+    )
+    path = write(tmp_path, "s.txt", text)
+    arity = run(["linalb", path, "--k", "1", "--case", "arity"])
+    assert arity.diagnostics["m_threshold"] == maxlin.occurrence_f(1, 1) == 1024
+    occurrence = run(["linalb", path, "--k", "1", "--case", "occurrence"])
+    assert occurrence.diagnostics["m_threshold"] == 32 * 2 * 2
+    for result in (arity, occurrence):
+        assert result.diagnostics["m"] == 2
+        assert result.verdict == "YES_WITNESS"
+
+
+def test_linalb_odd_set_without_one_is_refused(tmp_path):
+    # x1 + x2 = x1 = x2 = 1 has no solution, so no set meets every equation oddly.
+    path = write(tmp_path, "s.txt", "p lin2 2 3\ne 1 1 1 2\ne 1 1 1\ne 1 1 2\n")
+    result = run(["linalb", path, "--k", "1", "--case", "odd-set"])
+    assert result.verdict == "REFUSED"
+    assert result.exit_code == 2
+    assert "odd" in result.error
 
 
 def test_gen_round_trips_through_cli(tmp_path):

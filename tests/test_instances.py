@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abovetight.instances import (
     GENERATOR_KINDS,
@@ -10,7 +12,7 @@ from abovetight.instances import (
     serialize_instance,
 )
 from abovetight.linord import WeightedDigraph
-from abovetight.maxlin import CaseTag, Lin2System, decide_linalb, merge_duplicates
+from abovetight.maxlin import CaseKind, Lin2System, decide_linalb, merge_duplicates
 from abovetight.outcome import Verdict
 from abovetight.rsat import ExactCnfFormula, decide_rsatalb
 
@@ -73,6 +75,49 @@ def test_round_trip_random_instances():
         assert parse_instance(serialize_instance(f).text) == f
 
 
+_TOKENS = st.sampled_from(["p", "a", "e", "c", "x", "lin2", "ecnf", "-1", "0", "1", "2", "7"])
+
+
+@st.composite
+def _edited_instance_text(draw):
+    """A small serialized instance with up to three tokens deleted, inserted or replaced."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    build = draw(
+        st.sampled_from(
+            [
+                lambda: random_digraph(rng, n_max=5),
+                lambda: random_lin2(rng, n_max=5, m_max=5),
+                lambda: random_formula(rng, 2, n_max=5, m_max=4),
+            ]
+        )
+    )
+    lines = [line.split() for line in serialize_instance(build()).text.splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        j = draw(st.integers(0, len(line)))
+        token = draw(st.one_of(st.none(), _TOKENS))
+        if token is None:
+            del line[j : j + 1]
+        elif draw(st.booleans()):
+            line.insert(j, token)
+        else:
+            line[j : j + 1] = [token]
+    return "\n".join(map(" ".join, lines))
+
+
+_TEXT = st.one_of(st.text(max_size=60), _edited_instance_text())
+
+
+@given(_TEXT)
+@settings(max_examples=1000, deadline=None)
+def test_parse_rejects_or_round_trips_any_text(text):
+    try:
+        instance = parse_instance(text)
+    except ParseError:
+        return
+    assert parse_instance(serialize_instance(instance).text) == instance
+
+
 def test_generators_are_seed_deterministic():
     for kind in GENERATOR_KINDS:
         a = gen_instance(kind, seed=7)
@@ -123,7 +168,7 @@ def test_cancelling_pairs_family_is_tight():
     for seed in range(5):
         s = parse_instance(gen_instance("cancelling-pairs-lin2", seed=seed, n=5).text)
         assert merge_duplicates(s).equations == ()
-        assert decide_linalb(s, 1, CaseTag.general()).verdict is Verdict.NO
+        assert decide_linalb(s, 1, CaseKind.GENERAL).verdict is Verdict.NO
 
 
 def test_complete_formula_families_are_tight():

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from abovetight.maxlin import (
     CaseKind,
-    CaseTag,
     Lin2Equation,
     Lin2System,
-    auto_case,
     decide_linalb,
     evaluate_x,
     find_odd_set,
@@ -274,13 +272,13 @@ def test_occurrence_reduce_requires_merge_normalized():
 
 def test_decide_odd_set_bound_verdict():
     eqs = [((v,), 1, 1) for v in range(4)]
-    out = decide_linalb(Lin2System.from_tuples(4, eqs), 1, CaseTag.for_odd_set())
+    out = decide_linalb(Lin2System.from_tuples(4, eqs), 1, CaseKind.ODD_SET)
     assert out.verdict is Verdict.YES_BY_BOUND
     assert out.diagnostics["m_threshold"] == 4
 
 
 def test_decide_small_kernel_witness():
-    out = decide_linalb(sys2(1, [((0,), 0, 2)]), 1, CaseTag.for_odd_set(frozenset({0})))
+    out = decide_linalb(sys2(1, [((0,), 0, 2)]), 1, CaseKind.ODD_SET)
     assert out.verdict is Verdict.YES_WITNESS
     assert out.witness == (0,)
     assert out.diagnostics["best_x"] == 2
@@ -288,7 +286,7 @@ def test_decide_small_kernel_witness():
 
 def test_decide_cancelling_pair_is_no():
     out = decide_linalb(
-        sys2(2, [((0, 1), 1, 1), ((0, 1), 0, 1)]), 1, CaseTag.general()
+        sys2(2, [((0, 1), 1, 1), ((0, 1), 0, 1)]), 1, CaseKind.GENERAL
     )
     assert out.verdict is Verdict.NO
 
@@ -296,16 +294,12 @@ def test_decide_cancelling_pair_is_no():
 def test_decide_rejects_bad_tag():
     s = sys2(2, [((0, 1), 1, 1), ((0,), 1, 1), ((1,), 1, 1)])
     with pytest.raises(RestrictionViolated):
-        decide_linalb(s, 1, CaseTag.for_odd_set())
-    with pytest.raises(RestrictionViolated):
-        decide_linalb(s, 1, CaseTag.for_arity(1))
-    with pytest.raises(RestrictionViolated):
-        decide_linalb(s, 1, CaseTag.for_occurrence(1))
+        decide_linalb(s, 1, CaseKind.ODD_SET)
 
 
 def test_decide_rejects_nonpositive_k():
     with pytest.raises(ValueError):
-        decide_linalb(sys2(1, [((0,), 0, 1)]), 0, CaseTag.general())
+        decide_linalb(sys2(1, [((0,), 0, 1)]), 0, CaseKind.GENERAL)
 
 
 def test_decide_witness_lifts_to_original_variables():
@@ -314,7 +308,7 @@ def test_decide_witness_lifts_to_original_variables():
     for _ in range(120):
         s = random_lin2(rng, n_max=7, m_max=8)
         k = rng.randint(1, 2)
-        out = decide_linalb(s, k, CaseTag.general())
+        out = decide_linalb(s, k, CaseKind.GENERAL)
         if out.verdict is Verdict.YES_WITNESS:
             hits += 1
             assert evaluate_x(s, out.witness) >= 2 * k
@@ -325,23 +319,24 @@ def test_decide_witness_lifts_to_original_variables():
 
 def test_decide_kernel_on_cap():
     eqs = [((v,), 1, 1) for v in range(10)]
-    out = decide_linalb(Lin2System.from_tuples(10, eqs), 2, CaseTag.general(), cap=5)
+    out = decide_linalb(Lin2System.from_tuples(10, eqs), 2, CaseKind.GENERAL, cap=5)
     assert out.verdict is Verdict.KERNEL
     assert out.kernel is not None
 
 
 def test_auto_case_prefers_odd_set():
     s = sys2(2, [((0,), 1, 1), ((0, 1), 0, 1)])
-    tag = auto_case(s, 1)
-    assert tag.kind is CaseKind.ODD_SET
+    diag = decide_linalb(s, 1).diagnostics
+    assert diag["case"] == "odd-set"
+    assert diag["m_threshold"] == 4
 
 
 def test_auto_case_falls_back_to_bounded_structure():
     # No odd set: equations z1+z2, z1, z2 (all-ones system inconsistent).
     s = sys2(2, [((0, 1), 1, 1), ((0,), 1, 1), ((1,), 1, 1)])
-    tag = auto_case(s, 1)
-    assert tag.kind is CaseKind.BOUNDED_OCCURRENCE  # 32*4*1 < 16*64^2
-    assert tag.occurrence == 2
+    diag = decide_linalb(s, 1).diagnostics
+    assert diag["case"] == "occurrence"
+    assert diag["m_threshold"] == 32 * 2 * 2  # rho = 2; below 16 * 64^2 for arity 2
 
 
 @given(st.data())

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from abovetight.outcome import CapExceeded, RestrictionViolated, Verdict
 from abovetight.rsat import (
     ExactCnfFormula,
-    RationalTarget,
     RelationKind,
     conflict_bound,
     conflict_number,
@@ -192,17 +191,6 @@ def test_decide_rejects_nonpositive_target():
     f = ExactCnfFormula.from_clauses(2, 2, [(1, 2)])
     with pytest.raises(ValueError):
         decide_rsatalb(f, 0)
-
-
-def test_rational_target_validation():
-    target = RationalTarget(3, 2)
-    assert target.as_fraction().numerator == 3
-    f = ExactCnfFormula.from_clauses(2, 2, [(1, 2)])
-    assert decide_rsatalb(f, RationalTarget(1, 2)).verdict is Verdict.YES_WITNESS
-    with pytest.raises(ValueError):
-        decide_rsatalb(f, RationalTarget(1, 3))
-    with pytest.raises(ValueError):
-        RationalTarget(0, 2)
 
 
 def test_decide_monotone_in_target():

@@ -1,0 +1,21 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scripts/tight_families.py"],
+        ["scripts/verify_bounds.py", "--trials", "5", "--seed", "1"],
+    ],
+)
+def test_script_exits_zero(argv):
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
