@@ -3,7 +3,7 @@ parameterized above tight lower bounds: maximum acyclic subdigraph weight
 above W/2, weighted GF(2) equation satisfaction above W/2, and exact-width
 CNF satisfaction above (1 - 2^-r)m."""
 
-from .gf2 import BitMatrix, BitVec, independent_columns, rank, solve_affine
+from .gf2 import echelon, solve_affine
 from .linord import (
     DigraphStats,
     LinearOrder,

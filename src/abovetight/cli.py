@@ -160,7 +160,8 @@ def _load(path: str, expected: type) -> Any:
 
 
 def _run_moments(args: argparse.Namespace) -> RunResult:
-    instance = None
+    if args.estimate is not None and (args.b is not None or args.cap is not None):
+        raise ValueError("--estimate samples without enumerating; it takes neither --b nor --cap")
     with open(args.file, "r", encoding="utf-8") as handle:
         instance = instances.parse_instance(handle.read())
     diag: dict[str, Any] = {}

@@ -138,26 +138,30 @@ def system_stats(s: Lin2System) -> SystemStats:
     )
 
 
-def coefficient_matrix(s: Lin2System) -> gf2.BitMatrix:
-    return gf2.BitMatrix.from_row_masks(s.masks(), s.n)
-
-
 def find_odd_set(s: Lin2System) -> frozenset[int] | None:
     """A variable set meeting every equation in an odd number of variables.
 
     Exists iff the system with every right side replaced by 1 is solvable;
     the set is the support of that solution. Returns None otherwise.
     """
-    mat = coefficient_matrix(s)
-    rhs = gf2.BitVec(mat.rows, (1 << mat.rows) - 1)
-    sol = gf2.solve_affine(mat, rhs)
-    if sol is None:
+    masks = s.masks()
+    # The right side sits just above the highest occurring variable, not at
+    # the declared n, so row operations cost what the equations hold.
+    x = gf2.solve_affine(masks, (1 << len(masks)) - 1, max(masks, default=0).bit_length())
+    if x is None:
         return None
-    return frozenset(i for i, bit in enumerate(sol) if bit)
+    support = []
+    while x:
+        low = x & -x
+        support.append(low.bit_length() - 1)
+        x ^= low
+    return frozenset(support)
 
 
 def rank_reduce(s: Lin2System) -> RankReduction:
-    """Drop every variable outside a greedy-leftmost independent column basis.
+    """Drop every variable outside the greedy-leftmost independent column basis.
+
+    The basis is the pivot set of one row echelon of the equation masks.
 
     Each equation keeps only its basis variables (renumbered by basis
     position). The eliminated columns lie in the basis span, so every
@@ -165,13 +169,11 @@ def rank_reduce(s: Lin2System) -> RankReduction:
     achievable in the reduction and vice versa; no equation loses all of
     its variables.
     """
-    mat = coefficient_matrix(s)
-    basis = gf2.independent_columns(mat)
-    basis_set = set(basis)
+    basis = sorted(gf2.echelon(s.masks()))
     position = {v: i for i, v in enumerate(basis)}
     new_eqs = []
     for eq in s.equations:
-        kept = tuple(sorted(position[v] for v in eq.variables if v in basis_set))
+        kept = tuple(sorted(position[v] for v in eq.variables if v in position))
         new_eqs.append(Lin2Equation(kept, eq.rhs, eq.weight))
     reduced = Lin2System(len(basis), tuple(new_eqs))
     return RankReduction(reduced=reduced, basis=tuple(basis), original_n=s.n)

@@ -81,6 +81,34 @@ def brute_first_best(n: int, value) -> tuple[int, tuple[int, ...]]:
     return best
 
 
+def brute_independent_columns(rows: list[int], cols: int) -> list[int]:
+    """Greedy leftmost independent columns of packed rows, column by column.
+
+    Each column j is unpacked (row i at bit i) and kept when it does not
+    reduce to 0 against the columns kept before it.
+    """
+    basis: dict[int, int] = {}
+    picked = []
+    for j in range(cols):
+        v = 0
+        for i, row in enumerate(rows):
+            v |= ((row >> j) & 1) << i
+        while v and v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if v:
+            basis[v.bit_length()] = v
+            picked.append(j)
+    return picked
+
+
+def brute_first_solution(rows: list[int], rhs: int, cols: int) -> int | None:
+    """The smallest packed x with parity(row i & x) = bit i of rhs for every row, or None."""
+    for x in range(1 << cols):
+        if all((row & x).bit_count() & 1 == (rhs >> i) & 1 for i, row in enumerate(rows)):
+            return x
+    return None
+
+
 def lin2_x(s: Lin2System, assignment) -> int:
     """Satisfied minus unsatisfied weight, by inline parity checks."""
     x = 0

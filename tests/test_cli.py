@@ -1,4 +1,6 @@
 import json
+import random
+import time
 
 import pytest
 
@@ -135,6 +137,15 @@ def test_moments_command_estimate(tmp_path):
     assert result.diagnostics["estimate"] is True
 
 
+def test_moments_estimate_refuses_b_and_cap(tmp_path):
+    path = write(tmp_path, "s.txt", ODD_SET_FOUR)
+    for flags in (["--b", "8"], ["--cap", "0"], ["--b", "8", "--cap", "0"]):
+        result = run(["moments", path, "--estimate", "50", *flags])
+        assert result.verdict == "ERROR"
+        assert result.exit_code == 2
+        assert "--estimate" in result.error
+
+
 def test_moments_skips_claim_for_unrestricted_formula(tmp_path):
     result = run(["moments", write(tmp_path, "f.txt", COMPLETE_R2)])
     assert result.verdict == "OK"
@@ -230,6 +241,37 @@ def test_linalb_odd_set_without_one_is_refused(tmp_path):
     assert result.verdict == "REFUSED"
     assert result.exit_code == 2
     assert "odd" in result.error
+
+
+def test_linalb_decides_a_million_variable_header_within_budget(tmp_path):
+    # Two equations on four of 10^6 declared variables: the cost must follow
+    # the equations present, not the declared n.
+    n = 1_000_000
+    path = write(tmp_path, "s.txt", "p lin2 %d 2\ne 1 1 1 %d\ne 1 1 %d %d\n" % (n, n // 2, n - 1, n))
+    for case in ("general", "auto"):
+        started = time.perf_counter()
+        result = run(["linalb", path, "--k", "1", "--case", case])
+        elapsed = time.perf_counter() - started
+        assert result.verdict == "YES_WITNESS"
+        assert len(result.witness) == n
+        assert result.diagnostics["kernel_vars"] == 2
+        assert elapsed < 1.0, "%s took %.2f s" % (case, elapsed)
+
+
+def test_linalb_odd_set_cost_follows_the_equations_not_the_header(tmp_path):
+    # 300 three-variable equations on variables 1..100 under a 10^7 header:
+    # the odd-set elimination must work on 100-bit rows, not 10^7-bit ones.
+    rng = random.Random(11)
+    lines = ["p lin2 10000000 300"]
+    for _ in range(300):
+        lines.append("e 1 1 " + " ".join(map(str, sorted(rng.sample(range(1, 101), 3)))))
+    path = write(tmp_path, "s.txt", "\n".join(lines) + "\n")
+    started = time.perf_counter()
+    result = run(["linalb", path, "--k", "1", "--case", "odd-set"])
+    elapsed = time.perf_counter() - started
+    assert result.verdict == "YES_BY_BOUND"
+    assert result.diagnostics["odd_set_size"] == 100
+    assert elapsed < 1.0, "took %.2f s" % elapsed
 
 
 def test_gen_round_trips_through_cli(tmp_path):

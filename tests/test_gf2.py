@@ -1,24 +1,32 @@
-import itertools
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abovetight.gf2 import (
-    BitMatrix,
-    BitVec,
-    independent_columns,
-    rank,
-    solve_affine,
-)
+from abovetight.gf2 import echelon, solve_affine
+from helpers import brute_first_solution, brute_independent_columns
+
+
+def pack(rows):
+    """Row masks of 0/1 lists, entry j of a row at bit j."""
+    return [sum(c << j for j, c in enumerate(row)) for row in rows]
+
+
+def rank(rows):
+    return len(echelon(rows))
+
+
+def basis(rows):
+    return sorted(echelon(rows))
+
 
 # Columns a1=(1,0,1), a2=(1,1,0), a3=(0,1,1); a3 = a1 + a2 over GF(2).
-DEPENDENT = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+DEPENDENT = pack([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+IDENTITY = pack([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_rank_identity():
-    assert rank(BitMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
+    assert rank(IDENTITY) == 3
 
 
 def test_rank_dependent_columns():
@@ -26,52 +34,67 @@ def test_rank_dependent_columns():
 
 
 def test_rank_zero_matrix():
-    assert rank(BitMatrix.from_rows([[0, 0, 0, 0], [0, 0, 0, 0]])) == 0
+    assert rank(pack([[0, 0, 0, 0], [0, 0, 0, 0]])) == 0
 
 
 def test_rank_empty_matrix():
-    assert rank(BitMatrix(0, 0, ())) == 0
+    assert echelon([]) == {}
 
 
 def test_independent_columns_identity():
-    assert independent_columns(BitMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == [0, 1, 2]
+    assert basis(IDENTITY) == [0, 1, 2]
 
 
 def test_independent_columns_greedy_leftmost():
-    assert independent_columns(DEPENDENT) == [0, 1]
+    assert basis(DEPENDENT) == [0, 1]
 
 
 def test_independent_columns_skips_zero_column():
-    mat = BitMatrix.from_rows([[0, 1], [0, 1]])
-    assert independent_columns(mat) == [1]
+    assert basis(pack([[0, 1], [0, 1]])) == [1]
+
+
+def test_echelon_rows_are_keyed_by_their_lowest_bit():
+    ech = echelon(DEPENDENT)
+    for p, row in ech.items():
+        assert row & -row == 1 << p
 
 
 def test_solve_affine_small_system():
     # z1+z2=1, z2+z3=1
-    mat = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
-    sol = solve_affine(mat, BitVec.from_coords([1, 1]))
-    assert sol is not None
-    assert (sol[0] ^ sol[1]) == 1 and (sol[1] ^ sol[2]) == 1
+    x = solve_affine(pack([[1, 1, 0], [0, 1, 1]]), 0b11, 3)
+    assert x is not None
+    assert (x ^ (x >> 1)) & 1 == 1 and ((x >> 1) ^ (x >> 2)) & 1 == 1
 
 
 def test_solve_affine_contradiction():
-    mat = BitMatrix.from_rows([[1], [1]])
-    assert solve_affine(mat, BitVec.from_coords([1, 0])) is None
+    assert solve_affine(pack([[1], [1]]), 0b01, 1) is None
 
 
 def test_solve_affine_empty_system():
-    mat = BitMatrix(0, 3, ())
-    assert solve_affine(mat, BitVec(0, 0)) == (0, 0, 0)
+    assert solve_affine([], 0, 3) == 0
 
 
-def test_solve_affine_dimension_mismatch():
-    mat = BitMatrix.from_rows([[1, 0]])
-    with pytest.raises(ValueError):
-        solve_affine(mat, BitVec.from_coords([1, 0]))
+def _random_rows(rng: random.Random, rows: int, cols: int) -> list[int]:
+    """Random rows, with some rows and some columns forced to zero."""
+    keep = rng.getrandbits(cols) if rng.random() < 0.3 else (1 << cols) - 1
+    out = [rng.getrandbits(cols) & keep for _ in range(rows)]
+    for i in range(rows):
+        if rng.random() < 0.15:
+            out[i] = 0
+    return out
 
 
-def _random_matrix(rng: random.Random, rows: int, cols: int) -> BitMatrix:
-    return BitMatrix.from_row_masks([rng.getrandbits(cols) for _ in range(rows)], cols)
+def test_echelon_pivots_match_the_column_walk():
+    rng = random.Random(20261018)
+    for trial in range(3000):
+        rows = rng.randint(0, 14)
+        cols = rng.randint(0, 14)
+        if trial % 3 == 1:  # more rows than columns
+            rows = cols + rng.randint(1, 6)
+        elif trial % 3 == 2:  # more columns than rows
+            cols = rows + rng.randint(1, 6)
+        masks = _random_rows(rng, rows, cols)
+        assert basis(masks) == brute_independent_columns(masks, cols), (masks, cols)
 
 
 def test_rank_equals_basis_size_and_expansions_reproduce_columns():
@@ -79,10 +102,13 @@ def test_rank_equals_basis_size_and_expansions_reproduce_columns():
     for _ in range(300):
         rows = rng.randint(0, 12)
         cols = rng.randint(0, 12)
-        mat = _random_matrix(rng, rows, cols)
-        basis = independent_columns(mat)
-        assert rank(mat) == len(basis)
-        assert basis == sorted(basis)
+        masks = _random_rows(rng, rows, cols)
+        picked = basis(masks)
+        assert rank(masks) == len(picked) == len(brute_independent_columns(masks, cols))
+
+        def column(j):
+            return sum(((row >> j) & 1) << i for i, row in enumerate(masks))
+
         ech = {}  # the basis columns in echelon form, keyed by leading bit
 
         def reduce(v):
@@ -90,45 +116,42 @@ def test_rank_equals_basis_size_and_expansions_reproduce_columns():
                 v ^= ech[v.bit_length()]
             return v
 
-        for j in basis:
-            v = reduce(mat.column_bits(j))
+        for j in picked:
+            v = reduce(column(j))
             assert v, "basis columns must be independent"
             ech[v.bit_length()] = v
         for j in range(cols):
-            assert reduce(mat.column_bits(j)) == 0, "column %d is outside the span" % j
+            assert reduce(column(j)) == 0, "column %d is outside the span" % j
+
+
+def test_rhs_pivot_matches_brute_solvability():
+    rng = random.Random(5)
+    for _ in range(1000):
+        rows = rng.randint(0, 7)
+        cols = rng.randint(0, 7)
+        masks = _random_rows(rng, rows, cols)
+        rhs = rng.getrandbits(rows) if rows else 0
+        augmented = [row | ((rhs >> i) & 1) << cols for i, row in enumerate(masks)]
+        solvable = brute_first_solution(masks, rhs, cols) is not None
+        assert (cols in echelon(augmented)) == (not solvable)
 
 
 def test_solve_affine_agrees_with_brute_force():
     rng = random.Random(77)
-    for _ in range(200):
+    for _ in range(400):
         rows = rng.randint(0, 6)
         cols = rng.randint(0, 8)
-        mat = _random_matrix(rng, rows, cols)
-        rhs_bits = rng.getrandbits(rows) if rows else 0
-        rhs = BitVec(rows, rhs_bits)
-        solution = solve_affine(mat, rhs)
-        brute = None
-        for bits in itertools.product((0, 1), repeat=cols):
-            ok = True
-            for i in range(rows):
-                parity = 0
-                for j in range(cols):
-                    if (mat.row_bits[i] >> j) & 1:
-                        parity ^= bits[j]
-                if parity != (rhs_bits >> i) & 1:
-                    ok = False
-                    break
-            if ok:
-                brute = bits
-                break
-        assert (solution is None) == (brute is None)
-        if solution is not None:
-            for i in range(rows):
-                parity = 0
-                for j in range(cols):
-                    if (mat.row_bits[i] >> j) & 1:
-                        parity ^= solution[j]
-                assert parity == (rhs_bits >> i) & 1
+        masks = _random_rows(rng, rows, cols)
+        rhs = rng.getrandbits(rows) if rows else 0
+        x = solve_affine(masks, rhs, cols)
+        brute = brute_first_solution(masks, rhs, cols)
+        assert (x is None) == (brute is None)
+        if x is not None:
+            for i, row in enumerate(masks):
+                assert (row & x).bit_count() & 1 == (rhs >> i) & 1
+            # Free variables are 0: the solution lies on the pivot columns.
+            pivots = sum(1 << p for p in echelon(masks))
+            assert x & ~pivots == 0
 
 
 @given(st.data())
@@ -137,24 +160,14 @@ def test_rank_invariant_under_row_operations(data):
     rows = data.draw(st.integers(1, 6))
     cols = data.draw(st.integers(1, 8))
     masks = [data.draw(st.integers(0, (1 << cols) - 1)) for _ in range(rows)]
-    mat = BitMatrix.from_row_masks(masks, cols)
-    base = rank(mat)
+    base = rank(masks)
 
     perm = data.draw(st.permutations(range(rows)))
-    permuted = BitMatrix.from_row_masks([masks[i] for i in perm], cols)
-    assert rank(permuted) == base
+    assert rank([masks[i] for i in perm]) == base
 
     src = data.draw(st.integers(0, rows - 1))
     dst = data.draw(st.integers(0, rows - 1))
     if src != dst:
         added = list(masks)
         added[dst] ^= added[src]
-        assert rank(BitMatrix.from_row_masks(added, cols)) == base
-
-
-def test_bitvec_round_trip():
-    v = BitVec.from_coords([1, 0, 1, 1])
-    assert v.to_tuple() == (1, 0, 1, 1)
-    assert v.coord(0) == 1 and v.coord(1) == 0
-    with pytest.raises(IndexError):
-        v.coord(4)
+        assert rank(added) == base
