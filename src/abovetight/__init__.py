@@ -45,15 +45,6 @@ from .moments import (
     verify_symmetric_tail,
 )
 from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict
-from .rsat import (
-    ConflictStats,
-    ExactCnfFormula,
-    PairRelation,
-    RelationKind,
-    conflict_number,
-    decide_rsatalb,
-    pair_relation,
-    x_value_scaled,
-)
+from .rsat import ExactCnfFormula, conflict_number, decide_rsatalb, x_value_scaled
 
 __version__ = "0.1.0"

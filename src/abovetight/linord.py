@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .outcome import CapExceeded, DecisionOutcome, Verdict
+from .outcome import CapExceeded, DecisionOutcome, Verdict, check_cap
 
 DEFAULT_VERTEX_CAP = 24
 
@@ -154,13 +154,7 @@ def exact_max_acyclic(
     """
     active, in_arcs = active_in_arcs(g)
     nv = len(active)
-    if nv > cap:
-        raise CapExceeded(
-            "exact solve refused: %d non-isolated vertices exceed cap %d" % (nv, cap),
-            instance=g,
-            needed=nv,
-            cap=cap,
-        )
+    check_cap("exact solve", nv, "non-isolated vertices", cap)
     size = 1 << nv
     dp = [-1] * size
     dp[0] = 0
@@ -215,7 +209,7 @@ def decide_loalb(
     try:
         value, order = exact_max_acyclic(reduced, cap=cap)
     except CapExceeded as exc:
-        diag["cap"] = exc.cap
+        diag["cap"] = cap
         diag["kernel_vertices"] = exc.needed
         return DecisionOutcome(Verdict.KERNEL, kernel=reduced, diagnostics=diag)
     doubled = 2 * value - st.W
@@ -244,7 +238,12 @@ def solve_loalb_faithful(
     reduced = reduce_two_cycles(g)
     threshold = 12 * k * k
     wm = dict(reduced.weight_map())
-    alive = set(range(reduced.n))
+    # Isolated vertices stay out of the deletion scan. From 12k^2 arcs on,
+    # each would be deleted first, in index order, and so come back in
+    # front; below that they trail the residual's order.
+    alive = {v for arc in wm for v in arc}
+    isolated = [v for v in range(reduced.n) if v not in alive]
+    isolated_first = len(wm) >= threshold
     out_adj: dict[int, dict[int, int]] = {v: {} for v in alive}
     in_adj: dict[int, dict[int, int]] = {v: {} for v in alive}
     for (u, v), w in wm.items():
@@ -298,6 +297,7 @@ def solve_loalb_faithful(
             seq.insert(0, v)
         else:
             seq.append(v)
+    seq = isolated + seq if isolated_first else seq + isolated
     return LinearOrder.from_sequence(seq)
 
 

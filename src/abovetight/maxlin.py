@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import gf2
-from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict
+from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict, check_cap
 
 DEFAULT_ASSIGNMENT_CAP = 20
 
@@ -233,13 +233,7 @@ def solve_exact(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[int, 
     Deterministic: maximum X, smallest assignment on ties. Refuses systems
     with more than ``cap`` variables.
     """
-    if s.n > cap:
-        raise CapExceeded(
-            "exact solve refused: %d variables exceed cap %d" % (s.n, cap),
-            instance=s,
-            needed=s.n,
-            cap=cap,
-        )
+    check_cap("exact solve", s.n, "variables", cap)
     best_z, best_x = max(enumerate(_walk(s)), key=itemgetter(1))
     return best_x, tuple((best_z >> v) & 1 for v in range(s.n))
 
@@ -344,8 +338,8 @@ def decide_linalb(
     diag["kernel_eqs"] = len(reduction.reduced.equations)
     try:
         best, y = solve_exact(reduction.reduced, cap=cap)
-    except CapExceeded as exc:
-        diag["cap"] = exc.cap
+    except CapExceeded:
+        diag["cap"] = cap
         return DecisionOutcome(Verdict.KERNEL, kernel=reduction.reduced, diagnostics=diag)
     diag["best_x"] = best
     diag["target_x"] = 2 * k

@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import maxlin, rsat
 from .linord import WeightedDigraph, active_in_arcs, digraph_stats
 from .maxlin import DEFAULT_ASSIGNMENT_CAP, Lin2Equation, Lin2System
-from .outcome import CapExceeded
+from .outcome import check_cap
 from .rsat import ExactCnfFormula
 
 DEFAULT_ORDER_CAP = 9
@@ -134,13 +134,7 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
     O(2^n' * n' * support). Every order of the active vertices accounts for
     n!/n'! full orders.
     """
-    if g.n > cap:
-        raise CapExceeded(
-            "distribution refused: %d vertices exceed cap %d" % (g.n, cap),
-            instance=g,
-            needed=g.n,
-            cap=cap,
-        )
+    check_cap("distribution", g.n, "vertices", cap)
     active, in_arcs = active_in_arcs(g)
     nv = len(active)
     full = (1 << nv) - 1
@@ -167,26 +161,14 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
 
 def dist_lin2(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDistribution:
     """Exact mass of X over all 2^n assignments (scale 1)."""
-    if s.n > cap:
-        raise CapExceeded(
-            "distribution refused: %d variables exceed cap %d" % (s.n, cap),
-            instance=s,
-            needed=s.n,
-            cap=cap,
-        )
+    check_cap("distribution", s.n, "variables", cap)
     counts = maxlin.x_distribution_counts(s)
     return ExactDistribution.from_counts(1, counts)
 
 
 def dist_rsat(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDistribution:
     """Exact mass of 2^r * X over all 2^n assignments (scale 2^r)."""
-    if f.n > cap:
-        raise CapExceeded(
-            "distribution refused: %d variables exceed cap %d" % (f.n, cap),
-            instance=f,
-            needed=f.n,
-            cap=cap,
-        )
+    check_cap("distribution", f.n, "variables", cap)
     counts, multiplier = rsat.scaled_x_counts(f)
     return ExactDistribution.from_counts(1 << f.r, counts, multiplier)
 
@@ -372,9 +354,12 @@ def estimate_moments(
             order = LinearOrder.from_sequence(vertices)
             values.append(x_value(instance, order) / 2)
     elif isinstance(instance, Lin2System):
+        # Every satisfaction pattern is hit by 2^(n - rank) assignments, so X
+        # has the same law on the rank-reduced system.
+        reduced = maxlin.rank_reduce(instance).reduced
         for _ in range(samples):
-            z = [rng.randint(0, 1) for _ in range(instance.n)]
-            values.append(float(maxlin.evaluate_x(instance, z)))
+            z = [rng.randint(0, 1) for _ in range(reduced.n)]
+            values.append(float(maxlin.evaluate_x(reduced, z)))
     elif isinstance(instance, ExactCnfFormula):
         scale = 1 << instance.r
         for _ in range(samples):

@@ -41,17 +41,16 @@ class DecisionOutcome:
 class CapExceeded(Exception):
     """Exact solving refused: the instance is larger than the configured cap."""
 
-    def __init__(
-        self,
-        message: str,
-        instance: Any = None,
-        needed: int | None = None,
-        cap: int | None = None,
-    ):
+    def __init__(self, message: str, needed: int):
         super().__init__(message)
-        self.instance = instance
         self.needed = needed
-        self.cap = cap
+
+
+def check_cap(refused: str, needed: int, items: str, cap: int) -> None:
+    """Raise CapExceeded when ``needed`` items exceed ``cap``."""
+    if needed > cap:
+        message = "%s refused: %d %s exceed cap %d" % (refused, needed, items, cap)
+        raise CapExceeded(message, needed)
 
 
 class RestrictionViolated(Exception):

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
-from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .maxlin import DEFAULT_ASSIGNMENT_CAP
-from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict
+from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict, check_cap
 
 
 @dataclass(frozen=True)
@@ -63,71 +61,39 @@ class ExactCnfFormula:
         return sorted(seen)
 
 
-class RelationKind(Enum):
-    CONFLICT = "conflict"
-    OVERLAP = "overlap"
-    DISJOINT = "disjoint"
-
-
-@dataclass(frozen=True)
-class PairRelation:
-    kind: RelationKind
-    shared: int = 0
-
-
-@dataclass(frozen=True)
-class ConflictStats:
-    """Ordered pair counts: conflicts c, overlaps o, and their difference."""
-
-    conflicts: int
-    overlaps: int
-    conflict_number: int
-
-
-def pair_relation(y: Sequence[int], z: Sequence[int]) -> PairRelation:
-    """Classify a clause pair: conflicting literal, shared literals, or neither."""
-    zset = set(z)
-    if any(-lit in zset for lit in y):
-        return PairRelation(RelationKind.CONFLICT)
-    shared = sum(1 for lit in y if lit in zset)
-    if shared:
-        return PairRelation(RelationKind.OVERLAP, shared=shared)
-    return PairRelation(RelationKind.DISJOINT)
-
-
-def _variable_sharing_pairs(f: ExactCnfFormula) -> set[tuple[int, int]]:
-    by_var: dict[int, list[int]] = {}
-    for j, clause in enumerate(f.clauses):
-        for lit in clause:
-            by_var.setdefault(abs(lit), []).append(j)
-    pairs: set[tuple[int, int]] = set()
-    for indices in by_var.values():
-        for a, b in combinations(indices, 2):
-            pairs.add((a, b))
-    return pairs
-
-
-def conflict_number(f: ExactCnfFormula) -> ConflictStats:
-    """Ordered-pair conflict and overlap counts over all distinct clause indices."""
+def conflict_number(f: ExactCnfFormula) -> int:
+    """Ordered conflicting clause pairs minus ordered overlapping clause pairs."""
     conflicts, shared_counts = overlap_histogram(f)
-    overlaps = sum(shared_counts.values())
-    return ConflictStats(conflicts, overlaps, conflicts - overlaps)
+    return conflicts - sum(shared_counts.values())
 
 
 def overlap_histogram(f: ExactCnfFormula) -> tuple[int, Counter[int]]:
     """Ordered conflict count and ordered overlap counts keyed by shared size.
 
-    Pairs sharing no variable are disjoint, so only variable-sharing pairs
-    are classified.
+    A pair conflicts when some literal of one clause is negated in the other,
+    and otherwise overlaps on its shared literals. Pairs sharing no variable
+    are disjoint, so each clause meets only the earlier clauses found through
+    its variables' clause lists, and memory stays O(m * r).
     """
+    by_var: dict[int, list[int]] = {}
+    for j, clause in enumerate(f.clauses):
+        for lit in clause:
+            by_var.setdefault(abs(lit), []).append(j)
     conflicts = 0
     shared_counts: Counter[int] = Counter()
-    for a, b in _variable_sharing_pairs(f):
-        rel = pair_relation(f.clauses[a], f.clauses[b])
-        if rel.kind is RelationKind.CONFLICT:
-            conflicts += 2
-        elif rel.kind is RelationKind.OVERLAP:
-            shared_counts[rel.shared] += 2
+    for a in reversed(range(len(f.clauses))):
+        clause = f.clauses[a]
+        # a ends each of its variables' lists; dropping it leaves the earlier clauses.
+        for lit in clause:
+            by_var[abs(lit)].pop()
+        lits = set(clause)
+        negated = {-lit for lit in clause}
+        for b in set().union(*(by_var[abs(lit)] for lit in clause)):
+            other = f.clauses[b]
+            if negated.isdisjoint(other):
+                shared_counts[len(lits.intersection(other))] += 2
+            else:
+                conflicts += 2
     return conflicts, shared_counts
 
 
@@ -186,14 +152,7 @@ def solve_exact(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[
     assignment on ties.
     """
     variables = f.occurring_variables()
-    if len(variables) > cap:
-        raise CapExceeded(
-            "exact solve refused: %d occurring variables exceed cap %d"
-            % (len(variables), cap),
-            instance=f,
-            needed=len(variables),
-            cap=cap,
-        )
+    check_cap("exact solve", len(variables), "occurring variables", cap)
     best_z, unsat = min(enumerate(_walk(f, variables)), key=itemgetter(1))
     witness = [0] * f.n
     for p, v in enumerate(variables):
@@ -234,19 +193,12 @@ def decide_rsatalb(
     if k_num < 1:
         raise ValueError("the target numerator must be positive")
     m = len(f.clauses)
-    stats = conflict_number(f)
+    cn = conflict_number(f)
     bound = conflict_bound(f)
-    diag: dict[str, object] = {
-        "k_num": k_num,
-        "m": m,
-        "cn": stats.conflict_number,
-        "cn_bound": bound,
-    }
-    restricted = stats.conflict_number <= bound
+    diag: dict[str, object] = {"k_num": k_num, "m": m, "cn": cn, "cn_bound": bound}
+    restricted = cn <= bound
     if not restricted and not diagnostic:
-        raise RestrictionViolated(
-            "conflict number %d exceeds (2^r - 2)m = %d" % (stats.conflict_number, bound)
-        )
+        raise RestrictionViolated("conflict number %d exceeds (2^r - 2)m = %d" % (cn, bound))
     if restricted:
         threshold = 16 * 64**f.r * k_num * k_num
         diag["m_threshold"] = threshold
@@ -255,7 +207,7 @@ def decide_rsatalb(
     try:
         best, witness = solve_exact(f, cap=cap)
     except CapExceeded as exc:
-        diag["cap"] = exc.cap
+        diag["cap"] = cap
         diag["kernel_vars"] = exc.needed
         return DecisionOutcome(Verdict.KERNEL, kernel=f, diagnostics=diag)
     diag["best_scaled_x"] = best

@@ -177,6 +177,28 @@ def brute_pair_expectation(y: tuple[int, ...], z: tuple[int, ...], r: int) -> Fr
     return total / count
 
 
+def pair_relation(y: tuple[int, ...], z: tuple[int, ...]) -> tuple[str, int]:
+    """Classify a clause pair: ("conflict", 0), ("overlap", shared literals) or ("disjoint", 0)."""
+    zset = set(z)
+    if any(-lit in zset for lit in y):
+        return "conflict", 0
+    shared = sum(1 for lit in y if lit in zset)
+    return ("overlap", shared) if shared else ("disjoint", 0)
+
+
+def brute_overlap_histogram(f: ExactCnfFormula) -> tuple[int, Counter[int]]:
+    """Conflicts and overlaps by shared size, over all ordered pairs of clause indices."""
+    conflicts = 0
+    shared_counts: Counter[int] = Counter()
+    for a, b in itertools.permutations(range(len(f.clauses)), 2):
+        kind, shared = pair_relation(f.clauses[a], f.clauses[b])
+        if kind == "conflict":
+            conflicts += 1
+        elif kind == "overlap":
+            shared_counts[shared] += 1
+    return conflicts, shared_counts
+
+
 def random_digraph(
     rng: random.Random,
     n_max: int = 6,
@@ -276,7 +298,7 @@ def random_restricted_formula(
 
     while True:
         f = random_formula(rng, r, n_max=n_max, m_max=m_max)
-        if conflict_number(f).conflict_number <= conflict_bound(f):
+        if conflict_number(f) <= conflict_bound(f):
             return f
 
 

@@ -44,12 +44,7 @@ from abovetight.moments import (
     verify_symmetric_tail,
 )
 from abovetight.outcome import Verdict
-from abovetight.rsat import (
-    ExactCnfFormula,
-    RelationKind,
-    decide_rsatalb,
-    pair_relation,
-)
+from abovetight.rsat import ExactCnfFormula, decide_rsatalb, overlap_histogram
 
 from helpers import (
     brute_decide_lin2,
@@ -318,6 +313,14 @@ def test_criterion_07_threshold_constants():
     _conclude(7, "kernel thresholds exact on both sides of each boundary", violations)
 
 
+def pair_closed_form(f: ExactCnfFormula) -> Fraction:
+    """E(X_Y X_Z) of a two-clause formula from its pair counts: -4^-r for a
+    conflict, (2^t - 1)/4^r for t shared literals, 0 for disjoint clauses."""
+    conflicts, shared_counts = overlap_histogram(f)
+    terms = -conflicts + sum(c * (2**t - 1) for t, c in shared_counts.items())
+    return Fraction(terms, 2 * 4**f.r)
+
+
 def test_criterion_08_pairwise_terms_and_formula_bound():
     violations: list[str] = []
     rng = random.Random(808)
@@ -333,13 +336,7 @@ def test_criterion_08_pairwise_terms_and_formula_bound():
 
             y, z = clause(), clause()
             expected = brute_pair_expectation(y, z, r)
-            rel = pair_relation(y, z)
-            if rel.kind is RelationKind.DISJOINT:
-                want = Fraction(0)
-            elif rel.kind is RelationKind.CONFLICT:
-                want = Fraction(-1, 4**r)
-            else:
-                want = Fraction(2**rel.shared - 1, 4**r)
+            want = pair_closed_form(ExactCnfFormula(n, r, (y, z)))
             if expected != want:
                 violations.append("r=%d pair %d: %s != %s" % (r, i, expected, want))
     for i in range(100):

@@ -137,6 +137,20 @@ def test_moments_command_estimate(tmp_path):
     assert result.diagnostics["estimate"] is True
 
 
+def test_moments_estimate_cost_follows_the_equations_not_the_header(tmp_path):
+    # Two unit equations on four of 10^6 declared variables: X is the sum of
+    # two independent signs, so E(X^2) = 2.
+    n = 1_000_000
+    path = write(tmp_path, "s.txt", "p lin2 %d 2\ne 1 1 1 %d\ne 1 1 %d %d\n" % (n, n // 2, n - 1, n))
+    started = time.perf_counter()
+    result = run(["moments", path, "--estimate", "1000"])
+    elapsed = time.perf_counter() - started
+    assert result.verdict == "OK"
+    assert result.diagnostics["samples"] == 1000
+    assert abs(result.diagnostics["e2"] - 2) < 0.5
+    assert elapsed < 1.0, "took %.2f s" % elapsed
+
+
 def test_moments_estimate_refuses_b_and_cap(tmp_path):
     path = write(tmp_path, "s.txt", ODD_SET_FOUR)
     for flags in (["--b", "8"], ["--cap", "0"], ["--b", "8", "--cap", "0"]):

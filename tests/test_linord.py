@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -212,6 +213,28 @@ def test_faithful_reinsertion_prefers_heavier_side():
     assert order is not None
     assert order.sequence()[0] == 7
     assert x_value(g, order) >= 2
+
+
+def test_faithful_isolated_vertices_lead_at_12k2_arcs_and_trail_below():
+    # A path on odd vertices; the even vertices and the last one are isolated.
+    for arc_count, isolated_first in ((12, True), (11, False)):
+        path = list(range(1, 2 * arc_count + 2, 2))
+        g = WeightedDigraph.from_arcs(path[-1] + 3, [(u, v, 1) for u, v in zip(path, path[1:])])
+        isolated = [v for v in range(g.n) if v % 2 == 0 or v > path[-1]]
+        want = isolated + path if isolated_first else path + isolated
+        assert list(solve_loalb_faithful(g, 1).sequence()) == want
+
+
+def test_faithful_cost_follows_the_arcs_not_the_header():
+    # A 13-arc path under a 200,000-vertex header: vertex 0 is deleted and
+    # reinserted in front, and the isolated vertices lead.
+    n = 200_000
+    g = WeightedDigraph.from_arcs(n, [(v, v + 1, 1) for v in range(13)])
+    started = time.perf_counter()
+    order = solve_loalb_faithful(g, 1)
+    elapsed = time.perf_counter() - started
+    assert order.sequence() == tuple(range(14, n)) + tuple(range(14))
+    assert elapsed < 1.0, "took %.2f s" % elapsed
 
 
 def test_fas_requires_unit_weights():

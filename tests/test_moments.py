@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from abovetight.moments import (
     verify_symmetric_tail,
 )
 from abovetight.outcome import CapExceeded
-from abovetight.rsat import ExactCnfFormula
+from abovetight.rsat import ExactCnfFormula, overlap_histogram
 
 from helpers import (
     brute_dist_linord,
@@ -246,15 +247,15 @@ def test_pairwise_expectations_match_enumeration():
             if y == z:
                 continue
             expected = brute_pair_expectation(y, z, r)
-            from abovetight.rsat import RelationKind, pair_relation
-
-            rel = pair_relation(y, z)
-            if rel.kind is RelationKind.DISJOINT:
-                assert expected == 0
-            elif rel.kind is RelationKind.CONFLICT:
+            conflicts, shared_counts = overlap_histogram(ExactCnfFormula(n, r, (y, z)))
+            if conflicts:
+                assert (conflicts, shared_counts) == (2, Counter())
                 assert expected == Fraction(-1, 4**r)
+            elif not shared_counts:
+                assert expected == 0
             else:
-                t = rel.shared
+                [(t, count)] = shared_counts.items()
+                assert count == 2
                 assert expected == Fraction(2**t - 1, 4**r)
                 # Overlap terms never fall below 4^-r.
                 assert expected >= Fraction(1, 4**r)

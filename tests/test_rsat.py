@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -9,18 +10,23 @@ from hypothesis import strategies as st
 from abovetight.outcome import CapExceeded, RestrictionViolated, Verdict
 from abovetight.rsat import (
     ExactCnfFormula,
-    RelationKind,
     conflict_bound,
     conflict_number,
     decide_rsatalb,
-    pair_relation,
+    overlap_histogram,
     satisfied_count,
     scaled_x_counts,
     solve_exact,
     x_value_scaled,
 )
 
-from helpers import brute_best_scaled_rsat, brute_first_best, random_formula, rsat_scaled_x
+from helpers import (
+    brute_best_scaled_rsat,
+    brute_first_best,
+    brute_overlap_histogram,
+    random_formula,
+    rsat_scaled_x,
+)
 
 
 def complete_formula(r: int, base: int = 0) -> ExactCnfFormula:
@@ -43,56 +49,83 @@ def test_formula_validation():
         ExactCnfFormula(2, 1, ((1,),))
 
 
+def pair_histogram(r: int, y: tuple[int, ...], z: tuple[int, ...]):
+    n = max(abs(lit) for lit in y + z)
+    return overlap_histogram(ExactCnfFormula.from_clauses(n, r, [y, z]))
+
+
 def test_pair_relation_conflict():
-    assert pair_relation((1, 2), (-1, 3)).kind is RelationKind.CONFLICT
+    assert pair_histogram(2, (1, 2), (-1, 3)) == (2, Counter())
 
 
 def test_pair_relation_overlap():
-    rel = pair_relation((1, 2), (1, 3))
-    assert rel.kind is RelationKind.OVERLAP and rel.shared == 1
+    assert pair_histogram(2, (1, 2), (1, 3)) == (0, Counter({1: 2}))
 
 
 def test_pair_relation_disjoint():
-    assert pair_relation((1, 2), (3, 4)).kind is RelationKind.DISJOINT
+    assert pair_histogram(2, (1, 2), (3, 4)) == (0, Counter())
 
 
 def test_pair_relation_conflict_wins_over_sharing():
-    rel = pair_relation((1, 2, 3), (1, 2, -3))
-    assert rel.kind is RelationKind.CONFLICT
+    assert pair_histogram(3, (1, 2, 3), (1, 2, -3)) == (2, Counter())
 
 
 def test_conflict_number_single_conflict_pair():
     f = ExactCnfFormula.from_clauses(3, 2, [(1, 2), (-1, 3)])
-    stats = conflict_number(f)
-    assert (stats.conflicts, stats.overlaps, stats.conflict_number) == (2, 0, 2)
+    assert overlap_histogram(f) == (2, Counter())
+    assert conflict_number(f) == 2
 
 
 def test_conflict_number_single_overlap_pair():
     f = ExactCnfFormula.from_clauses(3, 2, [(1, 2), (1, 3)])
-    stats = conflict_number(f)
-    assert (stats.conflicts, stats.overlaps, stats.conflict_number) == (0, 2, -2)
+    assert overlap_histogram(f) == (0, Counter({1: 2}))
+    assert conflict_number(f) == -2
 
 
 def test_conflict_number_complete_width_two():
     f = complete_formula(2)
-    stats = conflict_number(f)
-    assert (stats.conflicts, stats.overlaps, stats.conflict_number) == (12, 0, 12)
-    assert stats.conflict_number > conflict_bound(f) == 8
+    assert overlap_histogram(f) == (12, Counter())
+    assert conflict_number(f) == 12 > conflict_bound(f) == 8
 
 
 def test_conflict_counts_match_naive_pairs():
+    # Few variables per width make pairs that share, conflict on several
+    # variables, or conflict and share at once; every fifth clause repeats one.
     rng = random.Random(99)
-    for _ in range(60):
-        f = random_formula(rng, rng.choice([2, 3]), n_max=8, m_max=8)
-        stats = conflict_number(f)
-        c = o = 0
-        for a, b in itertools.permutations(range(len(f.clauses)), 2):
-            rel = pair_relation(f.clauses[a], f.clauses[b])
-            if rel.kind is RelationKind.CONFLICT:
-                c += 1
-            elif rel.kind is RelationKind.OVERLAP:
-                o += 1
-        assert (stats.conflicts, stats.overlaps) == (c, o)
+    seen = Counter()
+    for _ in range(2500):
+        r = rng.randint(2, 5)
+        n = rng.randint(r, r + 3)
+        clauses = []
+        for _ in range(rng.randint(1, 10)):
+            if clauses and rng.random() < 0.2:
+                clauses.append(rng.choice(clauses))
+            else:
+                chosen = sorted(rng.sample(range(1, n + 1), r))
+                clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
+        f = ExactCnfFormula(n, r, tuple(clauses))
+        assert overlap_histogram(f) == brute_overlap_histogram(f)
+        for y, z in itertools.combinations(clauses, 2):
+            negated = sum(1 for lit in y if -lit in z)
+            seen["duplicate"] += y == z
+            seen["multi-conflict"] += negated > 1
+            seen["conflict and share"] += negated > 0 and not set(y).isdisjoint(z)
+    assert min(seen.values()) > 100, seen
+
+
+def test_overlap_histogram_memory_stays_linear_in_the_clauses():
+    # 300 clauses all containing variable 1 make 44,850 sharing pairs; none
+    # of them may be held at once.
+    clauses = [(1 if j % 2 else -1, 2 * j + 2, 2 * j + 3) for j in range(300)]
+    f = ExactCnfFormula(601, 3, tuple(clauses))
+    tracemalloc.start()
+    try:
+        conflicts, shared_counts = overlap_histogram(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (conflicts, shared_counts) == (2 * 150 * 150, Counter({1: 2 * 2 * 150 * 149 // 2}))
+    assert peak < 1 << 20, "peak %d bytes" % peak
 
 
 def test_x_value_scaled_single_clause():
@@ -218,7 +251,7 @@ def test_decide_kernel_on_cap():
 def test_conflict_and_overlap_counts_are_even(seed):
     rng = random.Random(seed)
     f = random_formula(rng, rng.choice([2, 3]), n_max=8, m_max=8)
-    stats = conflict_number(f)
-    assert stats.conflicts % 2 == 0
-    assert stats.overlaps % 2 == 0
-    assert stats.conflict_number == stats.conflicts - stats.overlaps
+    conflicts, shared_counts = overlap_histogram(f)
+    assert conflicts % 2 == 0
+    assert all(count % 2 == 0 for count in shared_counts.values())
+    assert conflict_number(f) == conflicts - sum(shared_counts.values())

@@ -12,6 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ["scripts/tight_families.py"],
         ["scripts/verify_bounds.py", "--trials", "5", "--seed", "1"],
+        # The benchmark builds its instances through the package's public names.
+        ["perfbench/smoke.py"],
     ],
 )
 def test_script_exits_zero(argv):
