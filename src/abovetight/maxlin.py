@@ -204,27 +204,44 @@ def evaluate_x(s: Lin2System, z: Sequence[int]) -> int:
     return total
 
 
-def _walk(s: Lin2System) -> Iterator[int]:
-    """X of each assignment 0, 1, ..., 2^n - 1, in that order.
+def walk(n: int, constraints: list[tuple[list[tuple[int, bool]], list[int]]]) -> Iterator[int]:
+    """Total score of each assignment 0, 1, ..., 2^n - 1 in order; z sets bit b to (z >> b) & 1.
 
-    Counting up from z - 1 to z flips exactly bits 0..t, where t is the
-    lowest set bit of z. ``delta[j]`` is the change in X when equation j
-    flips: -2w while it is satisfied, +2w while it is not.
+    Constraint ``(literals, score)`` scores ``score[c]`` when c of its literals are true;
+    each literal ``(bit, positive)`` is on a distinct bit and true when the bit equals positive.
     """
-    occ: list[list[int]] = [[] for _ in range(s.n)]
-    for j, eq in enumerate(s.equations):
-        for v in eq.variables:
-            occ[v].append(j)
-    # Assignment 0 satisfies exactly the equations with right side 0.
-    delta = [2 * eq.weight if eq.rhs else -2 * eq.weight for eq in s.equations]
-    x = -sum(delta) // 2
+    # Counting up to z sets the lowest set bit t of z and clears bits 0..t-1:
+    # changes[t] lists each constraint whose true count that step changes, by how much.
+    changes: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for j, (literals, _) in enumerate(constraints):
+        gain = {b: 1 if positive else -1 for b, positive in literals}
+        cleared = 0
+        for t in range(min(gain, default=n), n):
+            d = cleared + gain.get(t, 0)
+            if d:
+                changes[t].append((j, d))
+            cleared -= gain.get(t, 0)
+    scores = [score for _, score in constraints]
+    # Assignment 0 makes exactly the negative literals true.
+    counts = [sum(1 for _, positive in literals if not positive) for literals, _ in constraints]
+    x = sum(score[c] for score, c in zip(scores, counts))
     yield x
-    for z in range(1, 1 << s.n):
-        for v in range((z & -z).bit_length()):
-            for j in occ[v]:
-                x += delta[j]
-                delta[j] = -delta[j]
+    for z in range(1, 1 << n):
+        for j, d in changes[(z & -z).bit_length() - 1]:
+            score = scores[j]
+            c = counts[j]
+            x += score[c + d] - score[c]
+            counts[j] = c + d
         yield x
+
+
+def _parity_constraints(s: Lin2System) -> list[tuple[list[tuple[int, bool]], list[int]]]:
+    """Each equation as a ``walk`` constraint: w when its true count has parity rhs, else -w."""
+    out = []
+    for eq in s.equations:
+        score = [eq.weight * (-1) ** (c + eq.rhs) for c in range(len(eq.variables) + 1)]
+        out.append(([(v, True) for v in eq.variables], score))
+    return out
 
 
 def solve_exact(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[int, tuple[int, ...]]:
@@ -234,13 +251,13 @@ def solve_exact(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[int, 
     with more than ``cap`` variables.
     """
     check_cap("exact solve", s.n, "variables", cap)
-    best_z, best_x = max(enumerate(_walk(s)), key=itemgetter(1))
+    best_z, best_x = max(enumerate(walk(s.n, _parity_constraints(s))), key=itemgetter(1))
     return best_x, tuple((best_z >> v) & 1 for v in range(s.n))
 
 
 def x_distribution_counts(s: Lin2System) -> Counter[int]:
     """Exact multiset of X values over all 2^n assignments."""
-    return Counter(_walk(s))
+    return Counter(walk(s.n, _parity_constraints(s)))
 
 
 def occurrence_f(k: int, r: int) -> int:

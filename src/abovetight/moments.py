@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import maxlin, rsat
-from .linord import WeightedDigraph, active_in_arcs, digraph_stats
+from .linord import LinearOrder, WeightedDigraph, active_in_arcs, digraph_stats, x_value
 from .maxlin import DEFAULT_ASSIGNMENT_CAP, Lin2Equation, Lin2System
 from .outcome import check_cap
 from .rsat import ExactCnfFormula
@@ -265,8 +265,7 @@ def _pairwise_e2(f: ExactCnfFormula, conflicts: int, shared_counts: Counter[int]
 
 def verify_second_moment_claims(
     instance: WeightedDigraph | Lin2System | ExactCnfFormula,
-    cap: int | None = None,
-    dist: ExactDistribution | None = None,
+    dist: ExactDistribution,
 ) -> SecondMomentCheck:
     """Check the second-moment claim on the instance's exact distribution.
 
@@ -274,17 +273,13 @@ def verify_second_moment_claims(
     systems the identities E(X) = 0 and E(X^2) = sum of squared weights, and
     formulas within the conflict-number restriction E(X^2) >= m/4^r; formula
     checks also cross-check the enumerated E(X^2) against the pairwise closed
-    form. Precondition violations raise ValueError, checked before ``dist`` is
-    read. ``dist`` is the instance's distribution from ``dist_*`` when the
-    caller already holds it; when None the distribution is enumerated here,
-    under ``cap``.
+    form. ``dist`` is the instance's distribution from ``dist_*``.
+    Precondition violations raise ValueError, checked before ``dist`` is read.
     """
     if isinstance(instance, WeightedDigraph):
         st = digraph_stats(instance)
         if not st.oriented:
             raise ValueError("digraph must be oriented (no 2-cycles)")
-        if dist is None:
-            dist = dist_linord(instance, cap=cap if cap is not None else DEFAULT_ORDER_CAP)
         e1 = moment_p(dist, 1)
         e2 = moment_p(dist, 2)
         target = Fraction(st.W2, 12)
@@ -292,8 +287,6 @@ def verify_second_moment_claims(
     if isinstance(instance, Lin2System):
         if not instance.is_merge_normalized():
             raise ValueError("system must be merge-normalized")
-        if dist is None:
-            dist = dist_lin2(instance, cap=cap if cap is not None else DEFAULT_ASSIGNMENT_CAP)
         e1 = moment_p(dist, 1)
         e2 = moment_p(dist, 2)
         target = Fraction(sum(eq.weight**2 for eq in instance.equations))
@@ -305,8 +298,6 @@ def verify_second_moment_claims(
         bound = rsat.conflict_bound(instance)
         if cn > bound:
             raise ValueError("conflict number %d exceeds (2^r - 2)m = %d" % (cn, bound))
-        if dist is None:
-            dist = dist_rsat(instance, cap=cap if cap is not None else DEFAULT_ASSIGNMENT_CAP)
         e1 = moment_p(dist, 1)
         e2 = moment_p(dist, 2)
         pairwise = _pairwise_e2(instance, conflicts, shared_counts)
@@ -346,13 +337,15 @@ def estimate_moments(
     rng = random.Random(seed)
     values: list[float] = []
     if isinstance(instance, WeightedDigraph):
-        from .linord import LinearOrder, x_value
-
-        vertices = list(range(instance.n))
+        # The active vertices of a uniform order are in uniform relative order,
+        # so X has the same law on the digraph they induce.
+        active, _ = active_in_arcs(instance)
+        index = {v: i for i, v in enumerate(active)}
+        g = WeightedDigraph(len(active), tuple((index[u], index[v], w) for u, v, w in instance.arcs))
+        vertices = list(range(g.n))
         for _ in range(samples):
             rng.shuffle(vertices)
-            order = LinearOrder.from_sequence(vertices)
-            values.append(x_value(instance, order) / 2)
+            values.append(x_value(g, LinearOrder.from_sequence(vertices)) / 2)
     elif isinstance(instance, Lin2System):
         # Every satisfaction pattern is hit by 2^(n - rank) assignments, so X
         # has the same law on the rank-reduced system.
@@ -361,10 +354,16 @@ def estimate_moments(
             z = [rng.randint(0, 1) for _ in range(reduced.n)]
             values.append(float(maxlin.evaluate_x(reduced, z)))
     elif isinstance(instance, ExactCnfFormula):
-        scale = 1 << instance.r
+        # Variables in no clause leave X unchanged, so X has the same law on
+        # the formula renumbered over the occurring variables.
+        index = {v: i for i, v in enumerate(instance.occurring_variables(), start=1)}
+        clauses = tuple(
+            tuple(index[lit] if lit > 0 else -index[-lit] for lit in c) for c in instance.clauses
+        )
+        f = ExactCnfFormula(len(index), instance.r, clauses)
         for _ in range(samples):
-            x = [rng.randint(0, 1) for _ in range(instance.n)]
-            values.append(rsat.x_value_scaled(instance, x) / scale)
+            x = [rng.randint(0, 1) for _ in range(f.n)]
+            values.append(rsat.x_value_scaled(f, x) / (1 << f.r))
     else:
         raise TypeError("unsupported instance type: %r" % type(instance))
     e1 = sum(values) / samples

@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .maxlin import DEFAULT_ASSIGNMENT_CAP
+from .maxlin import DEFAULT_ASSIGNMENT_CAP, walk
 from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict, check_cap
 
 
@@ -114,34 +114,17 @@ def x_value_scaled(f: ExactCnfFormula, assignment: Sequence[int]) -> int:
     return (1 << f.r) * satisfied_count(f, assignment) - ((1 << f.r) - 1) * m
 
 
-def _walk(f: ExactCnfFormula, variables: list[int]) -> Iterator[int]:
-    """Unsatisfied-clause count of each assignment 0, 1, ..., 2^len - 1 in order.
+def _clause_constraints(
+    f: ExactCnfFormula, variables: list[int]
+) -> list[tuple[list[tuple[int, bool]], list[int]]]:
+    """Each clause as a ``walk`` constraint over bit p = ``variables[p]``.
 
-    Bit p of an assignment is the value of ``variables[p]``. Counting up from
-    z - 1 to z flips exactly bits 0..t, where t is the lowest set bit of z.
+    A clause scores 1 - 2^r with no true literal and 1 otherwise, so the
+    scores sum to the scaled balance 2^r * m(x) - (2^r - 1) * m.
     """
     index = {v: p for p, v in enumerate(variables)}
-    # sides[p][b]: the clauses whose literal on variables[p] is true when bit p is b.
-    sides: list[tuple[list[int], list[int]]] = [([], []) for _ in variables]
-    for j, clause in enumerate(f.clauses):
-        for lit in clause:
-            sides[index[abs(lit)]][lit > 0].append(j)
-    # Assignment 0 makes exactly the negative literals true.
-    true_counts = [sum(1 for lit in clause if lit < 0) for clause in f.clauses]
-    unsat = true_counts.count(0)
-    yield unsat
-    for z in range(1, 1 << len(variables)):
-        for p in range((z & -z).bit_length()):
-            bit = (z >> p) & 1
-            for j in sides[p][bit]:
-                true_counts[j] += 1
-                if true_counts[j] == 1:
-                    unsat -= 1
-            for j in sides[p][bit ^ 1]:
-                true_counts[j] -= 1
-                if true_counts[j] == 0:
-                    unsat += 1
-        yield unsat
+    score = [1 - (1 << f.r)] + [1] * f.r
+    return [([(index[abs(lit)], lit > 0) for lit in clause], score) for clause in f.clauses]
 
 
 def solve_exact(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[int, tuple[int, ...]]:
@@ -153,11 +136,12 @@ def solve_exact(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[
     """
     variables = f.occurring_variables()
     check_cap("exact solve", len(variables), "occurring variables", cap)
-    best_z, unsat = min(enumerate(_walk(f, variables)), key=itemgetter(1))
+    scan = walk(len(variables), _clause_constraints(f, variables))
+    best_z, best = max(enumerate(scan), key=itemgetter(1))
     witness = [0] * f.n
     for p, v in enumerate(variables):
         witness[v - 1] = (best_z >> p) & 1
-    return len(f.clauses) - (unsat << f.r), tuple(witness)
+    return best, tuple(witness)
 
 
 def scaled_x_counts(f: ExactCnfFormula) -> tuple[Counter[int], int]:
@@ -167,8 +151,7 @@ def scaled_x_counts(f: ExactCnfFormula) -> tuple[Counter[int], int]:
     2^n assignments.
     """
     variables = f.occurring_variables()
-    m = len(f.clauses)
-    counts = Counter({m - (u << f.r): c for u, c in Counter(_walk(f, variables)).items()})
+    counts = Counter(walk(len(variables), _clause_constraints(f, variables)))
     return counts, 1 << (f.n - len(variables))
 
 

@@ -81,6 +81,59 @@ def brute_first_best(n: int, value) -> tuple[int, tuple[int, ...]]:
     return best
 
 
+def flip_walk_lin2(s: Lin2System):
+    """X of each assignment 0, 1, ..., 2^n - 1 in order, flipping each changed bit in turn.
+
+    Counting up from z - 1 to z flips exactly bits 0..t, where t is the
+    lowest set bit of z. ``delta[j]`` is the change in X when equation j
+    flips: -2w while it is satisfied, +2w while it is not.
+    """
+    occ: list[list[int]] = [[] for _ in range(s.n)]
+    for j, eq in enumerate(s.equations):
+        for v in eq.variables:
+            occ[v].append(j)
+    # Assignment 0 satisfies exactly the equations with right side 0.
+    delta = [2 * eq.weight if eq.rhs else -2 * eq.weight for eq in s.equations]
+    x = -sum(delta) // 2
+    yield x
+    for z in range(1, 1 << s.n):
+        for v in range((z & -z).bit_length()):
+            for j in occ[v]:
+                x += delta[j]
+                delta[j] = -delta[j]
+        yield x
+
+
+def flip_walk_rsat(f: ExactCnfFormula, variables: list[int]):
+    """Unsatisfied-clause count of each assignment 0, 1, ..., 2^len - 1 in order, bit by bit.
+
+    Bit p of an assignment is the value of ``variables[p]``. Counting up from
+    z - 1 to z flips exactly bits 0..t, where t is the lowest set bit of z.
+    """
+    index = {v: p for p, v in enumerate(variables)}
+    # sides[p][b]: the clauses whose literal on variables[p] is true when bit p is b.
+    sides: list[tuple[list[int], list[int]]] = [([], []) for _ in variables]
+    for j, clause in enumerate(f.clauses):
+        for lit in clause:
+            sides[index[abs(lit)]][lit > 0].append(j)
+    # Assignment 0 makes exactly the negative literals true.
+    true_counts = [sum(1 for lit in clause if lit < 0) for clause in f.clauses]
+    unsat = true_counts.count(0)
+    yield unsat
+    for z in range(1, 1 << len(variables)):
+        for p in range((z & -z).bit_length()):
+            bit = (z >> p) & 1
+            for j in sides[p][bit]:
+                true_counts[j] += 1
+                if true_counts[j] == 1:
+                    unsat -= 1
+            for j in sides[p][bit ^ 1]:
+                true_counts[j] -= 1
+                if true_counts[j] == 0:
+                    unsat += 1
+        yield unsat
+
+
 def brute_independent_columns(rows: list[int], cols: int) -> list[int]:
     """Greedy leftmost independent columns of packed rows, column by column.
 
@@ -245,6 +298,19 @@ def random_lin2(
     return Lin2System(n, tuple(eqs))
 
 
+def edge_lin2_systems(rng: random.Random) -> list[Lin2System]:
+    """n = 0, no equations, weights above 2^64, a width-7 equation and duplicate equations."""
+    s = random_lin2(rng, n_min=7, n_max=8, m_max=8)
+    heavy = tuple(Lin2Equation(eq.variables, eq.rhs, eq.weight + (1 << 64)) for eq in s.equations)
+    wide = Lin2Equation(tuple(range(7)), rng.randint(0, 1), rng.randint(1, 3))
+    return [
+        Lin2System(0, ()),
+        Lin2System(5, ()),
+        Lin2System(s.n, heavy + (wide,)),
+        Lin2System(s.n, s.equations + s.equations[:2] + (wide, wide)),
+    ]
+
+
 def random_lin2_bounded_occurrence(
     rng: random.Random, rho: int, n_max: int = 14, wmax: int = 3
 ) -> Lin2System:
@@ -288,6 +354,15 @@ def random_formula(
         )
         clauses.append(clause)
     return ExactCnfFormula(n, r, tuple(clauses))
+
+
+def edge_formulas(rng: random.Random) -> list[ExactCnfFormula]:
+    """n = 0, no clauses, and clause widths 4 to 7 with duplicate clauses."""
+    out = [ExactCnfFormula(0, 2, ()), ExactCnfFormula(4, 3, ())]
+    for r in range(4, 8):
+        f = random_formula(rng, r, n_max=r + 2, m_max=6)
+        out.append(ExactCnfFormula(f.n, r, f.clauses + f.clauses[:2]))
+    return out
 
 
 def random_restricted_formula(

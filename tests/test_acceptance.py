@@ -341,7 +341,7 @@ def test_criterion_08_pairwise_terms_and_formula_bound():
                 violations.append("r=%d pair %d: %s != %s" % (r, i, expected, want))
     for i in range(100):
         f = random_restricted_formula(rng, rng.choice([2, 3]), n_max=10, m_max=10)
-        claim = verify_second_moment_claims(f)
+        claim = verify_second_moment_claims(f, dist_rsat(f))
         if not claim.holds:
             violations.append("formula %d fails bound or decomposition" % i)
         if claim.e2 != pairwise_second_moment(f):

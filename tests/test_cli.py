@@ -138,17 +138,25 @@ def test_moments_command_estimate(tmp_path):
 
 
 def test_moments_estimate_cost_follows_the_equations_not_the_header(tmp_path):
-    # Two unit equations on four of 10^6 declared variables: X is the sum of
-    # two independent signs, so E(X^2) = 2.
+    # Each header declares 10^6 variables or vertices. Two unit equations on
+    # four of them: X is the sum of two independent signs, so E(X^2) = 2. One
+    # 2-clause: X is 1/4 or -3/4 at odds 3:1, so E(X^2) = 3/16. One unit arc:
+    # X is +-1/2, so E(X^2) = 1/4.
     n = 1_000_000
-    path = write(tmp_path, "s.txt", "p lin2 %d 2\ne 1 1 1 %d\ne 1 1 %d %d\n" % (n, n // 2, n - 1, n))
-    started = time.perf_counter()
-    result = run(["moments", path, "--estimate", "1000"])
-    elapsed = time.perf_counter() - started
-    assert result.verdict == "OK"
-    assert result.diagnostics["samples"] == 1000
-    assert abs(result.diagnostics["e2"] - 2) < 0.5
-    assert elapsed < 1.0, "took %.2f s" % elapsed
+    cases = [
+        ("p lin2 %d 2\ne 1 1 1 %d\ne 1 1 %d %d\n" % (n, n // 2, n - 1, n), 2),
+        ("p ecnf %d 1 2\n1 -%d 0\n" % (n, n), 3 / 16),
+        ("p digraph %d 1\na %d 1 1\n" % (n, n), 1 / 4),
+    ]
+    for i, (text, e2) in enumerate(cases):
+        path = write(tmp_path, "in%d.txt" % i, text)
+        started = time.perf_counter()
+        result = run(["moments", path, "--estimate", "1000"])
+        elapsed = time.perf_counter() - started
+        assert result.verdict == "OK"
+        assert result.diagnostics["samples"] == 1000
+        assert abs(result.diagnostics["e2"] - e2) < e2 / 4
+        assert elapsed < 1.0, "%s took %.2f s" % (text.split("\n")[0], elapsed)
 
 
 def test_moments_estimate_refuses_b_and_cap(tmp_path):

@@ -10,6 +10,7 @@ from abovetight.maxlin import (
     CaseKind,
     Lin2Equation,
     Lin2System,
+    _parity_constraints,
     decide_linalb,
     evaluate_x,
     find_odd_set,
@@ -20,6 +21,7 @@ from abovetight.maxlin import (
     rank_reduce,
     solve_exact,
     system_stats,
+    walk,
     x_distribution_counts,
 )
 from abovetight.outcome import CapExceeded, RestrictionViolated, Verdict
@@ -29,6 +31,8 @@ from helpers import (
     brute_decide_lin2,
     brute_first_best,
     brute_patterns_lin2,
+    edge_lin2_systems,
+    flip_walk_lin2,
     lin2_x,
     random_lin2,
 )
@@ -190,8 +194,8 @@ def test_solve_exact_examples():
 
 def test_solve_exact_matches_brute_force():
     rng = random.Random(31415)
-    for _ in range(80):
-        s = random_lin2(rng, n_max=7, m_max=9)
+    systems = [random_lin2(rng, n_max=7, m_max=9) for _ in range(80)]
+    for s in systems + edge_lin2_systems(rng):
         best, witness = solve_exact(s)
         assert best == brute_best_x_lin2(s)
         assert evaluate_x(s, witness) == best
@@ -199,18 +203,25 @@ def test_solve_exact_matches_brute_force():
 
 def test_solve_exact_ties_go_to_the_smallest_assignment():
     rng = random.Random(6)
-    for _ in range(60):
-        # Unit weights make ties among the maxima the common case.
-        s = random_lin2(rng, n_max=7, m_max=6, wmax=1)
+    # Unit weights make ties among the maxima the common case.
+    systems = [random_lin2(rng, n_max=7, m_max=6, wmax=1) for _ in range(60)]
+    for s in systems + edge_lin2_systems(rng):
         assert solve_exact(s) == brute_first_best(s.n, lambda a: lin2_x(s, a))
 
 
 def test_x_distribution_counts_match_evaluate_x_over_all_assignments():
     rng = random.Random(8)
-    for _ in range(40):
-        s = random_lin2(rng, n_max=8, m_max=10)
+    systems = [random_lin2(rng, n_max=8, m_max=10) for _ in range(40)]
+    for s in systems + edge_lin2_systems(rng):
         every = itertools.product((0, 1), repeat=s.n)
         assert x_distribution_counts(s) == Counter(evaluate_x(s, z) for z in every)
+
+
+def test_walk_yields_what_the_flip_walker_yields():
+    rng = random.Random(77)
+    systems = [random_lin2(rng, n_max=8, m_max=10) for _ in range(2000)]
+    for s in systems + edge_lin2_systems(rng):
+        assert list(walk(s.n, _parity_constraints(s))) == list(flip_walk_lin2(s))
 
 
 def test_solve_exact_cap_refusal():

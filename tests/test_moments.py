@@ -169,35 +169,32 @@ def test_fourth_moment_tail_rejects_violated_precondition():
 
 
 def test_second_moment_linord_three_cycle_exact_quarter():
-    check = verify_second_moment_claims(three_cycle())
+    g = three_cycle()
+    check = verify_second_moment_claims(g, dist_linord(g))
     assert check.holds and check.e2 == Fraction(1, 4) and check.target == Fraction(3, 12)
 
 
 def test_second_moment_requires_oriented_graph():
     g = WeightedDigraph.from_arcs(2, [(0, 1, 1), (1, 0, 1)])
     with pytest.raises(ValueError, match="oriented"):
-        verify_second_moment_claims(g)
-    with pytest.raises(ValueError, match="oriented"):
-        verify_second_moment_claims(g, dist=dist_linord(g))
+        verify_second_moment_claims(g, dist_linord(g))
 
 
 def test_second_moment_lin2_identity():
     s = Lin2System.from_tuples(2, [((0,), 1, 1), ((0, 1), 1, 2)])
-    check = verify_second_moment_claims(s)
+    check = verify_second_moment_claims(s, dist_lin2(s))
     assert check.holds and check.e2 == 5
 
 
 def test_second_moment_lin2_requires_merge_normalized():
     s = Lin2System.from_tuples(1, [((0,), 1, 1), ((0,), 1, 1)])
     with pytest.raises(ValueError, match="merge-normalized"):
-        verify_second_moment_claims(s)
-    with pytest.raises(ValueError, match="merge-normalized"):
-        verify_second_moment_claims(s, dist=dist_lin2(s))
+        verify_second_moment_claims(s, dist_lin2(s))
 
 
 def test_second_moment_rsat_disjoint_pair():
     f = ExactCnfFormula.from_clauses(4, 2, [(1, 2), (3, 4)])
-    check = verify_second_moment_claims(f)
+    check = verify_second_moment_claims(f, dist_rsat(f))
     assert check.holds
     assert check.e2 == Fraction(3, 8)
     assert check.pairwise_e2 == Fraction(3, 8)
@@ -208,9 +205,7 @@ def test_second_moment_rsat_rejects_unrestricted_formula():
     clauses = [(1, 2), (1, -2), (-1, 2), (-1, -2)]
     f = ExactCnfFormula.from_clauses(2, 2, clauses)
     with pytest.raises(ValueError, match="conflict number"):
-        verify_second_moment_claims(f)
-    with pytest.raises(ValueError, match="conflict number"):
-        verify_second_moment_claims(f, dist=dist_rsat(f))
+        verify_second_moment_claims(f, dist_rsat(f))
 
 
 def test_second_moment_claims_accept_the_enumerated_distribution():
@@ -218,9 +213,7 @@ def test_second_moment_claims_accept_the_enumerated_distribution():
     s = Lin2System.from_tuples(3, [((0,), 1, 1), ((0, 1), 0, 2), ((1, 2), 1, 3)])
     f = ExactCnfFormula.from_clauses(4, 2, [(1, 2), (-2, 3), (3, -4)])
     for instance, dist in ((g, dist_linord(g)), (s, dist_lin2(s)), (f, dist_rsat(f))):
-        check = verify_second_moment_claims(instance, dist=dist)
-        assert check.holds
-        assert check == verify_second_moment_claims(instance)
+        assert verify_second_moment_claims(instance, dist).holds
 
 
 def test_single_clause_second_moment_constant():

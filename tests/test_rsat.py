@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abovetight.maxlin import walk
 from abovetight.outcome import CapExceeded, RestrictionViolated, Verdict
 from abovetight.rsat import (
     ExactCnfFormula,
+    _clause_constraints,
     conflict_bound,
     conflict_number,
     decide_rsatalb,
@@ -24,6 +26,8 @@ from helpers import (
     brute_best_scaled_rsat,
     brute_first_best,
     brute_overlap_histogram,
+    edge_formulas,
+    flip_walk_rsat,
     random_formula,
     rsat_scaled_x,
 )
@@ -167,8 +171,8 @@ def test_solve_exact_examples():
 
 def test_solve_exact_matches_brute_force():
     rng = random.Random(2718)
-    for _ in range(60):
-        f = random_formula(rng, rng.choice([2, 3]), n_max=8, m_max=9)
+    formulas = [random_formula(rng, rng.choice([2, 3]), n_max=8, m_max=9) for _ in range(60)]
+    for f in formulas + edge_formulas(rng):
         best, witness = solve_exact(f)
         assert best == brute_best_scaled_rsat(f)
         assert x_value_scaled(f, witness) == best
@@ -176,19 +180,29 @@ def test_solve_exact_matches_brute_force():
 
 def test_solve_exact_ties_go_to_the_smallest_assignment():
     rng = random.Random(4)
-    for _ in range(60):
-        f = random_formula(rng, rng.choice([2, 3]), n_max=8, m_max=8)
+    formulas = [random_formula(rng, rng.choice([2, 3]), n_max=8, m_max=8) for _ in range(60)]
+    for f in formulas + edge_formulas(rng):
         assert solve_exact(f) == brute_first_best(f.n, lambda a: rsat_scaled_x(f, a))
 
 
 def test_scaled_x_counts_match_x_value_scaled_over_all_assignments():
     rng = random.Random(5)
-    for _ in range(40):
-        f = random_formula(rng, rng.choice([2, 3]), n_max=9, m_max=10)
+    formulas = [random_formula(rng, rng.choice([2, 3]), n_max=9, m_max=10) for _ in range(40)]
+    for f in formulas + edge_formulas(rng):
         counts, multiplier = scaled_x_counts(f)
         expanded = Counter({v: c * multiplier for v, c in counts.items()})
         every = itertools.product((0, 1), repeat=f.n)
         assert expanded == Counter(x_value_scaled(f, z) for z in every)
+
+
+def test_walk_yields_what_the_flip_walker_yields():
+    rng = random.Random(78)
+    formulas = [random_formula(rng, 2 + i % 6, n_max=9, m_max=10) for i in range(1500)]
+    for f in formulas + edge_formulas(rng):
+        variables = f.occurring_variables()
+        m = len(f.clauses)
+        scaled = [m - (u << f.r) for u in flip_walk_rsat(f, variables)]
+        assert list(walk(len(variables), _clause_constraints(f, variables))) == scaled
 
 
 def test_solve_exact_cap_refusal():
