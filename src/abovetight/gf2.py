@@ -1,7 +1,14 @@
-"""Exact linear algebra over GF(2) on rows packed as integers (column j at bit j)."""
+"""Packed-integer code: GF(2) row echelon, and counting over all assignments.
+
+Echelon rows are packed with column j at bit j. The counter is bit-sliced:
+bit z of each packed int belongs to assignment z, which sets variable v to
+bit v of z, and a count is kept as slices, bit z of slices[i] being bit i
+of z's count.
+"""
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable
 
 
@@ -37,3 +44,107 @@ def solve_affine(rows: Iterable[int], rhs: int, cols: int) -> int | None:
         row = ech[p]
         x |= (((row >> cols) ^ (row & x).bit_count()) & 1) << p
     return x
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+# The trie of ``histogram`` gives way to a transpose past this many splits
+# per slice: each split costs one pass over the 2^n bits, and transposing a
+# slice costs about as much as this many passes.
+_SPLITS_PER_SLICE = 64
+
+
+def parity_mask(support: int, parity: int, n: int) -> int:
+    """The assignments z < 2^n under which z & ``support`` has parity ``parity``."""
+    mask, width = parity ^ 1, 1
+    for v in range(n):
+        # Assignments width..2*width-1 repeat 0..width-1 with variable v set.
+        upper = mask ^ ((1 << width) - 1) if (support >> v) & 1 else mask
+        mask |= upper << width
+        width <<= 1
+    return mask
+
+
+def cube_mask(care: int, value: int, n: int) -> int:
+    """The assignments z < 2^n with z & ``care`` == ``value``."""
+    mask = 1
+    for v in range(n):
+        if not (care >> v) & 1:
+            mask |= mask << (1 << v)
+        elif (value >> v) & 1:
+            mask <<= 1 << v
+    return mask
+
+
+def tally(weighted_masks: Iterable[tuple[int, int]]) -> list[int]:
+    """Slices of the total weight of the masks holding each assignment.
+
+    Each mask is ripple-added at its nonnegative integer weight, one weight
+    bit per slice, so long weights cost long carry chains, not repeats.
+    """
+    slices: list[int] = []
+    for mask, weight in weighted_masks:
+        carry, i = 0, 0
+        while weight or carry:
+            add = mask if weight & 1 else 0
+            if i == len(slices):
+                slices.append(0)
+            s = slices[i]
+            slices[i] = s ^ add ^ carry
+            carry = (s & add) | (carry & (s ^ add))
+            weight >>= 1
+            i += 1
+    return slices
+
+
+def top(slices: list[int], n: int) -> tuple[int, int]:
+    """The largest count over the 2^n assignments, and the smallest assignment holding it."""
+    candidates = (1 << (1 << n)) - 1
+    best = 0
+    for i in reversed(range(len(slices))):
+        kept = candidates & slices[i]
+        if kept:
+            candidates = kept
+            best |= 1 << i
+    return best, (candidates & -candidates).bit_length() - 1
+
+
+def histogram(slices: list[int], n: int) -> dict[int, int]:
+    """How many of the 2^n assignments hold each count.
+
+    A trie splits the assignments slice by slice from the top and counts
+    each leaf with ``bit_count``, so its cost follows the number of
+    distinct counts. When they are many, the slices are transposed instead:
+    each becomes one byte per assignment, eight slices share a byte, and
+    the tuples of bytes are counted.
+    """
+    out: dict[int, int] = {}
+    budget = _SPLITS_PER_SLICE * len(slices)
+    stack = [(len(slices), 0, (1 << (1 << n)) - 1)]
+    while stack:
+        i, count, mask = stack.pop()
+        if not i:
+            out[count] = mask.bit_count()
+            continue
+        budget -= 1
+        if budget < 0:
+            return _transposed_histogram(slices, n)
+        i -= 1
+        ones = mask & slices[i]
+        if ones:
+            stack.append((i, count | 1 << i, ones))
+        if ones != mask:
+            stack.append((i, count, mask ^ ones))
+    return out
+
+
+def _transposed_histogram(slices: list[int], n: int) -> dict[int, int]:
+    digits = "0%db" % (1 << n)
+    groups = []
+    for g in range(0, len(slices), 8):
+        lanes = 0
+        for i, s in enumerate(slices[g : g + 8]):
+            # One byte per assignment, 0 or 1, in descending assignment order.
+            lanes |= int.from_bytes(format(s, digits).encode().translate(_BITS), "big") << i
+        groups.append(lanes.to_bytes(1 << n, "big"))
+    counts = Counter(zip(*groups))
+    return {int.from_bytes(bytes(key), "little"): c for key, c in counts.items()}

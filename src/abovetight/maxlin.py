@@ -11,13 +11,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import gf2
 from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict, check_cap
 
 DEFAULT_ASSIGNMENT_CAP = 20
+# Bits of the bit-sliced weight counter (2^n times the length of W): 64 MB.
+COUNTER_BITS = 1 << 29
 
 
 @dataclass(frozen=True)
@@ -204,44 +205,17 @@ def evaluate_x(s: Lin2System, z: Sequence[int]) -> int:
     return total
 
 
-def walk(n: int, constraints: list[tuple[list[tuple[int, bool]], list[int]]]) -> Iterator[int]:
-    """Total score of each assignment 0, 1, ..., 2^n - 1 in order; z sets bit b to (z >> b) & 1.
+def _satisfied_weight(s: Lin2System) -> tuple[list[int], int]:
+    """``gf2.tally`` slices of the satisfied weight Y of each assignment, and W; X = 2Y - W.
 
-    Constraint ``(literals, score)`` scores ``score[c]`` when c of its literals are true;
-    each literal ``(bit, positive)`` is on a distinct bit and true when the bit equals positive.
+    The slices take 2^n times the bit length of W; past COUNTER_BITS the
+    count is refused.
     """
-    # Counting up to z sets the lowest set bit t of z and clears bits 0..t-1:
-    # changes[t] lists each constraint whose true count that step changes, by how much.
-    changes: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for j, (literals, _) in enumerate(constraints):
-        gain = {b: 1 if positive else -1 for b, positive in literals}
-        cleared = 0
-        for t in range(min(gain, default=n), n):
-            d = cleared + gain.get(t, 0)
-            if d:
-                changes[t].append((j, d))
-            cleared -= gain.get(t, 0)
-    scores = [score for _, score in constraints]
-    # Assignment 0 makes exactly the negative literals true.
-    counts = [sum(1 for _, positive in literals if not positive) for literals, _ in constraints]
-    x = sum(score[c] for score, c in zip(scores, counts))
-    yield x
-    for z in range(1, 1 << n):
-        for j, d in changes[(z & -z).bit_length() - 1]:
-            score = scores[j]
-            c = counts[j]
-            x += score[c + d] - score[c]
-            counts[j] = c + d
-        yield x
-
-
-def _parity_constraints(s: Lin2System) -> list[tuple[list[tuple[int, bool]], list[int]]]:
-    """Each equation as a ``walk`` constraint: w when its true count has parity rhs, else -w."""
-    out = []
-    for eq in s.equations:
-        score = [eq.weight * (-1) ** (c + eq.rhs) for c in range(len(eq.variables) + 1)]
-        out.append(([(v, True) for v in eq.variables], score))
-    return out
+    total = sum(eq.weight for eq in s.equations)
+    check_cap("exact solve", total.bit_length() << s.n, "counter bits", COUNTER_BITS)
+    pairs = zip(s.masks(), s.equations)
+    slices = gf2.tally((gf2.parity_mask(mask, eq.rhs, s.n), eq.weight) for mask, eq in pairs)
+    return slices, total
 
 
 def solve_exact(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[int, tuple[int, ...]]:
@@ -251,13 +225,15 @@ def solve_exact(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[int, 
     with more than ``cap`` variables.
     """
     check_cap("exact solve", s.n, "variables", cap)
-    best_z, best_x = max(enumerate(walk(s.n, _parity_constraints(s))), key=itemgetter(1))
-    return best_x, tuple((best_z >> v) & 1 for v in range(s.n))
+    slices, total = _satisfied_weight(s)
+    best_y, z = gf2.top(slices, s.n)
+    return 2 * best_y - total, tuple((z >> v) & 1 for v in range(s.n))
 
 
 def x_distribution_counts(s: Lin2System) -> Counter[int]:
     """Exact multiset of X values over all 2^n assignments."""
-    return Counter(walk(s.n, _parity_constraints(s)))
+    slices, total = _satisfied_weight(s)
+    return Counter({2 * y - total: c for y, c in gf2.histogram(slices, s.n).items()})
 
 
 def occurrence_f(k: int, r: int) -> int:

@@ -3,9 +3,14 @@
 Each sample space is counted completely. The n! vertex orders of a digraph
 are counted by a dynamic program over subsets of its n' non-isolated
 vertices that keeps the exact forward-weight distribution of each subset,
-in O(2^n' * n' * support) time rather than n'!; equation systems and
-formulas enumerate all 2^n assignments. Values are stored at an integer
-scale (2 for orders, 1 for equation systems, 2^r for formulas) and every
+in O(2^n' * n' * support) time rather than n'!. Equation systems (after
+rank reduction) and formulas (over their occurring variables) are counted
+by the bit-sliced counter of ``gf2``: one packed int per bit of the
+satisfied weight or clause count holds that bit for every assignment, and
+the counts are split slice by slice into the number of assignments at each
+value. A multiplier of n!/n'! or 2^(n - counted) turns the counts into the
+full space, and the caps bound what is counted. Values are stored at an
+integer scale (2 for orders, 1 for equation systems, 2^r for formulas) and every
 probability or moment is an exact rational; square roots and other
 irrational thresholds are compared by raising both sides to integer powers,
 so no floating point enters any verification path. A Monte-Carlo estimator
@@ -15,7 +20,6 @@ in assertions.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -28,6 +32,10 @@ from .outcome import check_cap
 from .rsat import ExactCnfFormula
 
 DEFAULT_ORDER_CAP = 9
+# Bits allowed in the count of full orders or assignments that each counted
+# one stands for (n!/n'! or 2^(n - kernel)), so a header declaring millions
+# of unused vertices or variables is refused at once, not multiplied out.
+MULTIPLIER_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -132,11 +140,16 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
     adds to an order of S - v the weight of arcs from S - v into v. Each
     subset keeps a Counter of forward weight over its orders, so the cost is
     O(2^n' * n' * support). Every order of the active vertices accounts for
-    n!/n'! full orders.
+    n!/n'! full orders. ``cap`` bounds n'.
     """
-    check_cap("distribution", g.n, "vertices", cap)
     active, in_arcs = active_in_arcs(g)
     nv = len(active)
+    check_cap("distribution", nv, "active vertices", cap)
+    # n!/n'!, multiplied up so that a long header stops at the budget.
+    multiplier = 1
+    for factor in range(nv + 1, g.n + 1):
+        multiplier *= factor
+        _check_multiplier(multiplier.bit_length())
     full = (1 << nv) - 1
     forward: list[Counter[int]] = [Counter() for _ in range(full + 1)]
     forward[0][0] = 1
@@ -155,22 +168,36 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
                 target[f + gain] += c
     total_weight = sum(w for _, _, w in g.arcs)
     counts = Counter({2 * f - total_weight: c for f, c in forward[full].items()})
-    multiplier = math.factorial(g.n) // math.factorial(nv)
     return ExactDistribution.from_counts(2, counts, multiplier)
 
 
 def dist_lin2(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDistribution:
-    """Exact mass of X over all 2^n assignments (scale 1)."""
-    check_cap("distribution", s.n, "variables", cap)
-    counts = maxlin.x_distribution_counts(s)
-    return ExactDistribution.from_counts(1, counts)
+    """Exact mass of X over all 2^n assignments (scale 1).
+
+    The rank-reduced system is counted: every satisfaction pattern is hit
+    by exactly 2^(n - rank) assignments. ``cap`` bounds the rank.
+    """
+    reduced = maxlin.rank_reduce(s).reduced
+    check_cap("distribution", reduced.n, "kernel variables", cap)
+    _check_multiplier(s.n - reduced.n + 1)
+    counts = maxlin.x_distribution_counts(reduced)
+    return ExactDistribution.from_counts(1, counts, 1 << (s.n - reduced.n))
 
 
 def dist_rsat(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDistribution:
-    """Exact mass of 2^r * X over all 2^n assignments (scale 2^r)."""
-    check_cap("distribution", f.n, "variables", cap)
+    """Exact mass of 2^r * X over all 2^n assignments (scale 2^r).
+
+    The occurring variables are counted; ``cap`` bounds their number.
+    """
+    occurring = len(f.occurring_variables())
+    check_cap("distribution", occurring, "occurring variables", cap)
+    _check_multiplier(f.n - occurring + 1)
     counts, multiplier = rsat.scaled_x_counts(f)
     return ExactDistribution.from_counts(1 << f.r, counts, multiplier)
+
+
+def _check_multiplier(bits: int) -> None:
+    check_cap("distribution", bits, "multiplier bits", MULTIPLIER_BITS)
 
 
 def moment_p(d: ExactDistribution, p: int) -> Fraction:

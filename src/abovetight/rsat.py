@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .maxlin import DEFAULT_ASSIGNMENT_CAP, walk
+from . import gf2
+from .maxlin import DEFAULT_ASSIGNMENT_CAP
 from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict, check_cap
 
 
@@ -110,21 +110,30 @@ def satisfied_count(f: ExactCnfFormula, assignment: Sequence[int]) -> int:
 
 def x_value_scaled(f: ExactCnfFormula, assignment: Sequence[int]) -> int:
     """Balance at scale 2^r: 2^r * m(x) - (2^r - 1) * m."""
-    m = len(f.clauses)
-    return (1 << f.r) * satisfied_count(f, assignment) - ((1 << f.r) - 1) * m
+    return _scaled(f, satisfied_count(f, assignment))
 
 
-def _clause_constraints(
-    f: ExactCnfFormula, variables: list[int]
-) -> list[tuple[list[tuple[int, bool]], list[int]]]:
-    """Each clause as a ``walk`` constraint over bit p = ``variables[p]``.
+def _scaled(f: ExactCnfFormula, satisfied: int) -> int:
+    return (1 << f.r) * satisfied - ((1 << f.r) - 1) * len(f.clauses)
 
-    A clause scores 1 - 2^r with no true literal and 1 otherwise, so the
-    scores sum to the scaled balance 2^r * m(x) - (2^r - 1) * m.
+
+def _satisfied_count(f: ExactCnfFormula, variables: list[int]) -> list[int]:
+    """``gf2.tally`` slices of the satisfied-clause count, over bit p = ``variables[p]``.
+
+    A clause is unsatisfied exactly where each of its variables takes the
+    value that makes its literal false.
     """
     index = {v: p for p, v in enumerate(variables)}
-    score = [1 - (1 << f.r)] + [1] * f.r
-    return [([(index[abs(lit)], lit > 0) for lit in clause], score) for clause in f.clauses]
+    full = (1 << (1 << len(variables))) - 1
+    unsatisfied = (
+        gf2.cube_mask(
+            sum(1 << index[abs(lit)] for lit in clause),
+            sum(1 << index[-lit] for lit in clause if lit < 0),
+            len(variables),
+        )
+        for clause in f.clauses
+    )
+    return gf2.tally((full ^ mask, 1) for mask in unsatisfied)
 
 
 def solve_exact(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[int, tuple[int, ...]]:
@@ -136,12 +145,11 @@ def solve_exact(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[
     """
     variables = f.occurring_variables()
     check_cap("exact solve", len(variables), "occurring variables", cap)
-    scan = walk(len(variables), _clause_constraints(f, variables))
-    best_z, best = max(enumerate(scan), key=itemgetter(1))
+    satisfied, z = gf2.top(_satisfied_count(f, variables), len(variables))
     witness = [0] * f.n
     for p, v in enumerate(variables):
-        witness[v - 1] = (best_z >> p) & 1
-    return best, tuple(witness)
+        witness[v - 1] = (z >> p) & 1
+    return _scaled(f, satisfied), tuple(witness)
 
 
 def scaled_x_counts(f: ExactCnfFormula) -> tuple[Counter[int], int]:
@@ -151,8 +159,8 @@ def scaled_x_counts(f: ExactCnfFormula) -> tuple[Counter[int], int]:
     2^n assignments.
     """
     variables = f.occurring_variables()
-    counts = Counter(walk(len(variables), _clause_constraints(f, variables)))
-    return counts, 1 << (f.n - len(variables))
+    counts = gf2.histogram(_satisfied_count(f, variables), len(variables))
+    return Counter({_scaled(f, c): k for c, k in counts.items()}), 1 << (f.n - len(variables))
 
 
 def conflict_bound(f: ExactCnfFormula) -> int:

@@ -11,8 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
+from typing import Iterator
 
 from abovetight.linord import LinearOrder, WeightedDigraph
 from abovetight.maxlin import Lin2Equation, Lin2System
@@ -132,6 +135,59 @@ def flip_walk_rsat(f: ExactCnfFormula, variables: list[int]):
                 if true_counts[j] == 0:
                     unsat += 1
         yield unsat
+
+
+def walk(n: int, constraints: list[tuple[list[tuple[int, bool]], list[int]]]) -> Iterator[int]:
+    """Total score of each assignment 0, 1, ..., 2^n - 1 in order; z sets bit b to (z >> b) & 1.
+
+    Constraint ``(literals, score)`` scores ``score[c]`` when c of its literals are true;
+    each literal ``(bit, positive)`` is on a distinct bit and true when the bit equals positive.
+    """
+    # Counting up to z sets the lowest set bit t of z and clears bits 0..t-1:
+    # changes[t] lists each constraint whose true count that step changes, by how much.
+    changes: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for j, (literals, _) in enumerate(constraints):
+        gain = {b: 1 if positive else -1 for b, positive in literals}
+        cleared = 0
+        for t in range(min(gain, default=n), n):
+            d = cleared + gain.get(t, 0)
+            if d:
+                changes[t].append((j, d))
+            cleared -= gain.get(t, 0)
+    scores = [score for _, score in constraints]
+    # Assignment 0 makes exactly the negative literals true.
+    counts = [sum(1 for _, positive in literals if not positive) for literals, _ in constraints]
+    x = sum(score[c] for score, c in zip(scores, counts))
+    yield x
+    for z in range(1, 1 << n):
+        for j, d in changes[(z & -z).bit_length() - 1]:
+            score = scores[j]
+            c = counts[j]
+            x += score[c + d] - score[c]
+            counts[j] = c + d
+        yield x
+
+
+def parity_constraints(s: Lin2System) -> list[tuple[list[tuple[int, bool]], list[int]]]:
+    """Each equation as a ``walk`` constraint: w when its true count has parity rhs, else -w."""
+    out = []
+    for eq in s.equations:
+        score = [eq.weight * (-1) ** (c + eq.rhs) for c in range(len(eq.variables) + 1)]
+        out.append(([(v, True) for v in eq.variables], score))
+    return out
+
+
+def clause_constraints(
+    f: ExactCnfFormula, variables: list[int]
+) -> list[tuple[list[tuple[int, bool]], list[int]]]:
+    """Each clause as a ``walk`` constraint over bit p = ``variables[p]``.
+
+    A clause scores 1 - 2^r with no true literal and 1 otherwise, so the
+    scores sum to the scaled balance 2^r * m(x) - (2^r - 1) * m.
+    """
+    index = {v: p for p, v in enumerate(variables)}
+    score = [1 - (1 << f.r)] + [1] * f.r
+    return [([(index[abs(lit)], lit > 0) for lit in clause], score) for clause in f.clauses]
 
 
 def brute_independent_columns(rows: list[int], cols: int) -> list[int]:
@@ -375,6 +431,20 @@ def random_restricted_formula(
         f = random_formula(rng, r, n_max=n_max, m_max=m_max)
         if conflict_number(f) <= conflict_bound(f):
             return f
+
+
+def roadmap_instance(label: str):
+    """The instance ``perfbench/roadmap_sizes.py`` times under ``label``."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import abovetight
+    import roadmap_sizes
+
+    for name, _, _, instance in roadmap_sizes.cases(abovetight, random.Random("roadmap")):
+        if name == label:
+            return instance
+    raise KeyError(label)
 
 
 def order_of(sequence: list[int]) -> LinearOrder:

@@ -181,6 +181,36 @@ def test_moments_cap_exceeded_is_error(tmp_path):
     assert "cap" in result.error
 
 
+def test_moments_cap_counts_what_is_enumerated(tmp_path):
+    # Two active of 10 declared vertices: 10!/2! orders per order of the pair.
+    result = run(["moments", write(tmp_path, "g.txt", "p digraph 10 1\na 1 2 1\n")])
+    assert result.verdict == "OK"
+    assert result.diagnostics["total"] == 3628800
+    assert result.diagnostics["second_moment_holds"] is True
+
+
+def test_moments_refuses_a_long_header_fast(tmp_path):
+    # One arc, equation or clause under a header whose n!/n'! or 2^(n - kernel)
+    # multiplier would pass the bit budget: refused before it is multiplied out.
+    cases = [
+        "p digraph 3000000 1\na 1 2 1\n",
+        "p lin2 1000000 1\ne 1 1 1 1000000\n",
+        "p ecnf 1000000 1 2\n1 -1000000 0\n",
+    ]
+    for i, text in enumerate(cases):
+        path = write(tmp_path, "in%d.txt" % i, text)
+        started = time.perf_counter()
+        result = run(["moments", path, "--b", "64"])
+        elapsed = time.perf_counter() - started
+        assert result.verdict == "ERROR"
+        assert "multiplier bits exceed cap %d" % moments.MULTIPLIER_BITS in result.error
+        assert elapsed < 1.0, "%s took %.2f s" % (text.split("\n")[0], elapsed)
+    # Just inside the budget the exact total is reported.
+    result = run(["moments", write(tmp_path, "f.txt", "p ecnf 1000 1 2\n1 -1000 0\n")])
+    assert result.verdict == "OK"
+    assert "total %d" % (1 << 1000) in result.lines()
+
+
 def test_moments_cap_zero_is_error(tmp_path):
     unmerged = write(tmp_path, "s.txt", "p lin2 2 2\ne 1 1 1 2\ne 2 0 1 2\n")
     for path in (unmerged, write(tmp_path, "g.txt", THREE_CYCLE)):

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abovetight import gf2
 from abovetight.gf2 import echelon, solve_affine
 from helpers import brute_first_solution, brute_independent_columns
 
@@ -171,3 +173,47 @@ def test_rank_invariant_under_row_operations(data):
         added = list(masks)
         added[dst] ^= added[src]
         assert rank(added) == base
+
+
+def count_of(slices, z):
+    """Bit z of each slice, read back as a number."""
+    return sum(((s >> z) & 1) << i for i, s in enumerate(slices))
+
+
+def test_masks_hold_the_assignments_they_describe():
+    rng = random.Random(12)
+    for n in range(9):
+        for _ in range(20):
+            support, care, value = (rng.getrandbits(n) for _ in range(3))
+            value &= care
+            parity = rng.randint(0, 1)
+            even_or_odd = gf2.parity_mask(support, parity, n)
+            cube = gf2.cube_mask(care, value, n)
+            for z in range(1 << n):
+                assert (even_or_odd >> z) & 1 == ((z & support).bit_count() % 2 == parity)
+                assert (cube >> z) & 1 == (z & care == value)
+            assert even_or_odd >> (1 << n) == 0 and cube >> (1 << n) == 0
+
+
+def test_tally_top_and_histogram_match_a_count_of_each_assignment():
+    rng = random.Random(13)
+    seen_transposed = 0
+    for trial in range(400):
+        n = rng.randint(0, 10)
+        weights = [1, 2, 3, rng.getrandbits(16) + 1]
+        masks = [(rng.getrandbits(1 << n), rng.choice(weights)) for _ in range(rng.randint(0, 12))]
+        if trial % 4 == 0:
+            # A distinct weight per variable gives a distinct count per assignment.
+            masks = [(gf2.parity_mask(1 << v, 1, n), (1 << v) + rng.getrandbits(v)) for v in range(n)]
+        slices = gf2.tally(masks)
+        counts = [sum(w for mask, w in masks if (mask >> z) & 1) for z in range(1 << n)]
+        assert [count_of(slices, z) for z in range(1 << n)] == counts
+        best = max(counts)
+        assert gf2.top(slices, n) == (best, counts.index(best))
+        hist = dict(Counter(counts))
+        assert gf2.histogram(slices, n) == hist
+        if slices:
+            assert gf2._transposed_histogram(slices, n) == hist
+        # More leaves than the trie may split: the transpose answers.
+        seen_transposed += len(hist) > gf2._SPLITS_PER_SLICE * len(slices)
+    assert seen_transposed > 10

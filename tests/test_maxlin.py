@@ -1,6 +1,9 @@
 import itertools
 import random
+import time
+import tracemalloc
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,6 @@ from abovetight.maxlin import (
     CaseKind,
     Lin2Equation,
     Lin2System,
-    _parity_constraints,
     decide_linalb,
     evaluate_x,
     find_odd_set,
@@ -21,7 +23,6 @@ from abovetight.maxlin import (
     rank_reduce,
     solve_exact,
     system_stats,
-    walk,
     x_distribution_counts,
 )
 from abovetight.outcome import CapExceeded, RestrictionViolated, Verdict
@@ -34,7 +35,10 @@ from helpers import (
     edge_lin2_systems,
     flip_walk_lin2,
     lin2_x,
+    parity_constraints,
     random_lin2,
+    roadmap_instance,
+    walk,
 )
 
 
@@ -221,7 +225,63 @@ def test_walk_yields_what_the_flip_walker_yields():
     rng = random.Random(77)
     systems = [random_lin2(rng, n_max=8, m_max=10) for _ in range(2000)]
     for s in systems + edge_lin2_systems(rng):
-        assert list(walk(s.n, _parity_constraints(s))) == list(flip_walk_lin2(s))
+        assert list(walk(s.n, parity_constraints(s))) == list(flip_walk_lin2(s))
+
+
+def counter_edge_systems(rng):
+    """Weights past 2^12, a distinct X per assignment, and systems on which every X ties."""
+    s = random_lin2(rng, n_min=6, n_max=8, m_max=8)
+    long_carry = tuple(
+        Lin2Equation(eq.variables, eq.rhs, (1 << 12) - 1 + eq.weight) for eq in s.equations
+    )
+    return [
+        Lin2System(s.n, long_carry),
+        # Weights 1, 2, 4, ...: every assignment has its own X.
+        Lin2System.from_tuples(10, [((v,), v % 2, 1 << v) for v in range(10)]),
+        Lin2System.from_tuples(10, [((v, 9 - v), 1, 3**v) for v in range(5)]),
+        # Each equation beside its negation: X is 0 everywhere.
+        Lin2System.from_tuples(4, [((0, 2), 0, 5), ((0, 2), 1, 5), ((1, 3), 1, 2), ((1, 3), 0, 2)]),
+        Lin2System.from_tuples(3, []),
+    ]
+
+
+def test_bit_sliced_counter_matches_the_walker():
+    rng = random.Random(77)
+    systems = [random_lin2(rng, n_max=8, m_max=10) for _ in range(2000)]
+    for s in systems + edge_lin2_systems(rng) + counter_edge_systems(rng):
+        scan = list(walk(s.n, parity_constraints(s)))
+        # max keeps the first maximum: ties go to the smallest assignment.
+        best_z, best_x = max(enumerate(scan), key=itemgetter(1))
+        assert solve_exact(s) == (best_x, tuple((best_z >> v) & 1 for v in range(s.n)))
+        assert x_distribution_counts(s) == Counter(scan)
+
+
+def test_solve_exact_at_twenty_variables_within_budget():
+    s = roadmap_instance("maxlin.solve_exact n=20")
+    started = time.perf_counter()
+    best, witness = solve_exact(s)
+    elapsed = time.perf_counter() - started
+    assert evaluate_x(s, witness) == best
+    assert elapsed < 1.0, "took %.2f s" % elapsed
+    tracemalloc.start()
+    try:
+        solve_exact(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, "peak %.1f MB" % (peak / 2**20)
+
+
+def test_solve_exact_refuses_a_counter_past_its_budget():
+    # 605 weight bits per assignment at n = 20 pass the 2^29-bit budget.
+    s = sys2(20, [((v,), 0, 1 << 600) for v in range(20)])
+    started = time.perf_counter()
+    with pytest.raises(CapExceeded, match="counter bits"):
+        solve_exact(s)
+    with pytest.raises(CapExceeded, match="counter bits"):
+        x_distribution_counts(s)
+    assert decide_linalb(s, 1, CaseKind.GENERAL).verdict is Verdict.KERNEL
+    assert time.perf_counter() - started < 1.0
 
 
 def test_solve_exact_cap_refusal():

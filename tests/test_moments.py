@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -27,6 +28,7 @@ from abovetight.rsat import ExactCnfFormula, overlap_histogram
 from helpers import (
     brute_dist_linord,
     brute_pair_expectation,
+    lin2_x,
     random_digraph,
     random_lin2,
     random_restricted_formula,
@@ -54,8 +56,12 @@ def test_dist_linord_empty_graph():
 
 
 def test_dist_linord_cap():
+    path = WeightedDigraph.from_arcs(10, [(v, v + 1, 1) for v in range(9)])
     with pytest.raises(CapExceeded):
-        dist_linord(WeightedDigraph(10, ()), cap=9)
+        dist_linord(path, cap=9)
+    # The cap counts the active vertices, not the declared ones.
+    d = dist_linord(WeightedDigraph.from_arcs(12, [(0, 1, 1)]), cap=2)
+    assert d.mass == ((-1, 239500800), (1, 239500800))
 
 
 def test_dist_linord_matches_permutation_oracle():
@@ -85,6 +91,20 @@ def test_dist_lin2_examples():
     assert d.mass == ((-3, 1), (-1, 1), (1, 1), (3, 1))
     d = dist_lin2(Lin2System(0, ()))
     assert d.mass == ((0, 1),) and d.total == 1
+
+
+def test_dist_lin2_counts_the_rank_reduced_system():
+    rng = random.Random(21)
+    # Few equations over many variables: the rank is mostly below n.
+    for s in [random_lin2(rng, n_min=3, n_max=10, m_max=4) for _ in range(60)]:
+        every = itertools.product((0, 1), repeat=s.n)
+        mass = tuple(sorted(Counter(lin2_x(s, z) for z in every).items()))
+        assert dist_lin2(s).mass == mass
+    # The cap bounds the rank, 2 here, not the 30 declared variables.
+    d = dist_lin2(Lin2System.from_tuples(30, [((0, 29), 1, 2), ((5,), 0, 1)]), cap=2)
+    assert d.mass == ((-3, 1 << 28), (-1, 1 << 28), (1, 1 << 28), (3, 1 << 28))
+    with pytest.raises(CapExceeded):
+        dist_lin2(Lin2System.from_tuples(30, [((0, 29), 1, 2), ((5,), 0, 1)]), cap=1)
 
 
 def test_dist_rsat_single_clause():

@@ -1,17 +1,17 @@
 import itertools
 import random
+import time
 import tracemalloc
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abovetight.maxlin import walk
 from abovetight.outcome import CapExceeded, RestrictionViolated, Verdict
 from abovetight.rsat import (
     ExactCnfFormula,
-    _clause_constraints,
     conflict_bound,
     conflict_number,
     decide_rsatalb,
@@ -26,10 +26,13 @@ from helpers import (
     brute_best_scaled_rsat,
     brute_first_best,
     brute_overlap_histogram,
+    clause_constraints,
     edge_formulas,
     flip_walk_rsat,
     random_formula,
+    roadmap_instance,
     rsat_scaled_x,
+    walk,
 )
 
 
@@ -202,7 +205,40 @@ def test_walk_yields_what_the_flip_walker_yields():
         variables = f.occurring_variables()
         m = len(f.clauses)
         scaled = [m - (u << f.r) for u in flip_walk_rsat(f, variables)]
-        assert list(walk(len(variables), _clause_constraints(f, variables))) == scaled
+        assert list(walk(len(variables), clause_constraints(f, variables))) == scaled
+
+
+def test_bit_sliced_counter_matches_the_walker():
+    rng = random.Random(78)
+    formulas = [random_formula(rng, 2 + i % 6, n_max=9, m_max=10) for i in range(1500)]
+    # 600 copies of one clause carry the count past 2^9; every assignment ties
+    # on the complete formula.
+    edges = [ExactCnfFormula(5, 2, ((-1, 3),) * 600 + ((2, -5),)), complete_formula(3, base=1)]
+    for f in formulas + edge_formulas(rng) + edges:
+        variables = f.occurring_variables()
+        scan = list(walk(len(variables), clause_constraints(f, variables)))
+        best_z, best = max(enumerate(scan), key=itemgetter(1))
+        witness = [0] * f.n
+        for p, v in enumerate(variables):
+            witness[v - 1] = (best_z >> p) & 1
+        assert solve_exact(f) == (best, tuple(witness))
+        assert scaled_x_counts(f) == (Counter(scan), 1 << (f.n - len(variables)))
+
+
+def test_solve_exact_at_twenty_variables_within_budget():
+    s = roadmap_instance("rsat.solve_exact n=20 m=17")
+    started = time.perf_counter()
+    best, witness = solve_exact(s)
+    elapsed = time.perf_counter() - started
+    assert x_value_scaled(s, witness) == best
+    assert elapsed < 1.0, "took %.2f s" % elapsed
+    tracemalloc.start()
+    try:
+        solve_exact(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, "peak %.1f MB" % (peak / 2**20)
 
 
 def test_solve_exact_cap_refusal():
