@@ -8,7 +8,10 @@ of z's count.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from itertools import repeat
+from operator import add, lshift
 from typing import Iterable
 
 
@@ -47,10 +50,13 @@ def solve_affine(rows: Iterable[int], rhs: int, cols: int) -> int | None:
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
-# The trie of ``histogram`` gives way to a transpose past this many splits
-# per slice: each split costs one pass over the 2^n bits, and transposing a
-# slice costs about as much as this many passes.
-_SPLITS_PER_SLICE = 64
+# Native unsigned integer formats by width in bytes, for memoryview.cast.
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# Splits per slice after which the trie of ``histogram`` gives way to the
+# transpose. Of the budgets timed at n = 16 and 20 in BENCH_8.json
+# ``histogram_switch``, this one kept ``histogram`` within about 2x of the
+# faster path on every case.
+_TRIE_SPLITS_PER_SLICE = 32
 
 
 def parity_mask(support: int, parity: int, n: int) -> int:
@@ -108,26 +114,26 @@ def top(slices: list[int], n: int) -> tuple[int, int]:
     return best, (candidates & -candidates).bit_length() - 1
 
 
-def histogram(slices: list[int], n: int) -> dict[int, int]:
-    """How many of the 2^n assignments hold each count.
+def histogram(slices: list[int], n: int, shift: int = 0, offset: int = 0) -> Counter[int]:
+    """How many of the 2^n assignments hold each value (count << ``shift``) + ``offset``.
 
     A trie splits the assignments slice by slice from the top and counts
     each leaf with ``bit_count``, so its cost follows the number of
-    distinct counts. When they are many, the slices are transposed instead:
-    each becomes one byte per assignment, eight slices share a byte, and
-    the tuples of bytes are counted.
+    distinct counts. When the splits outgrow what a transpose costs, it
+    stops, and every assignment's count is read whole from a transposed
+    copy of the slices instead.
     """
-    out: dict[int, int] = {}
-    budget = _SPLITS_PER_SLICE * len(slices)
+    out: Counter[int] = Counter()
+    budget = _TRIE_SPLITS_PER_SLICE * len(slices)
     stack = [(len(slices), 0, (1 << (1 << n)) - 1)]
     while stack:
         i, count, mask = stack.pop()
         if not i:
-            out[count] = mask.bit_count()
+            out[(count << shift) + offset] = mask.bit_count()
             continue
         budget -= 1
         if budget < 0:
-            return _transposed_histogram(slices, n)
+            return _transposed_histogram(slices, n, shift, offset)
         i -= 1
         ones = mask & slices[i]
         if ones:
@@ -137,14 +143,31 @@ def histogram(slices: list[int], n: int) -> dict[int, int]:
     return out
 
 
-def _transposed_histogram(slices: list[int], n: int) -> dict[int, int]:
-    digits = "0%db" % (1 << n)
-    groups = []
+def _transposed_histogram(slices: list[int], n: int, shift: int, offset: int) -> Counter[int]:
+    """``histogram`` read from fixed-width native words, one run of words per assignment.
+
+    Slice i becomes bit i % 8 of byte i // 8 of each assignment's count.
+    The bytes are padded to one word of 1, 2, 4 or 8 bytes, or to several
+    8-byte words past 64 slices, and read through a memoryview.
+    """
+    size = 1 << n
+    count_bytes = max(1, -(-len(slices) // 8))
+    word = 1 << (min(count_bytes, 8) - 1).bit_length()
+    words = -(-count_bytes // word)
+    stride = word * words
+    lanes = bytearray(stride * size)
+    digits = "0%db" % size
     for g in range(0, len(slices), 8):
-        lanes = 0
+        group = 0
         for i, s in enumerate(slices[g : g + 8]):
-            # One byte per assignment, 0 or 1, in descending assignment order.
-            lanes |= int.from_bytes(format(s, digits).encode().translate(_BITS), "big") << i
-        groups.append(lanes.to_bytes(1 << n, "big"))
-    counts = Counter(zip(*groups))
-    return {int.from_bytes(bytes(key), "little"): c for key, c in counts.items()}
+            # One byte per assignment, 0 or 1, assignment z at byte z.
+            group |= int.from_bytes(format(s, digits).encode().translate(_BITS), "big") << i
+        b = g // 8
+        if sys.byteorder == "big":
+            b += word - 1 - 2 * (b % word)
+        lanes[b::stride] = group.to_bytes(size, "little")
+    view = memoryview(lanes).cast(_WORDS[word])
+    counts: Iterable[int] = view[::words]
+    for j in range(1, words):
+        counts = map(add, counts, map(lshift, view[j::words], repeat(64 * j)))
+    return Counter(map(add, map(lshift, counts, repeat(shift)), repeat(offset)))

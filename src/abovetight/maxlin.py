@@ -18,6 +18,8 @@ from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict,
 
 DEFAULT_ASSIGNMENT_CAP = 20
 # Bits of the bit-sliced weight counter (2^n times the length of W): 64 MB.
+# A distribution's transposed copy of the counter takes at most twice that
+# once W has 8 bits or more (one byte per 8 bits, padded to a native word).
 COUNTER_BITS = 1 << 29
 
 
@@ -205,14 +207,14 @@ def evaluate_x(s: Lin2System, z: Sequence[int]) -> int:
     return total
 
 
-def _satisfied_weight(s: Lin2System) -> tuple[list[int], int]:
+def _satisfied_weight(s: Lin2System, refused: str) -> tuple[list[int], int]:
     """``gf2.tally`` slices of the satisfied weight Y of each assignment, and W; X = 2Y - W.
 
     The slices take 2^n times the bit length of W; past COUNTER_BITS the
-    count is refused.
+    count is refused, reported as ``refused``.
     """
     total = sum(eq.weight for eq in s.equations)
-    check_cap("exact solve", total.bit_length() << s.n, "counter bits", COUNTER_BITS)
+    check_cap(refused, total.bit_length() << s.n, "counter bits", COUNTER_BITS)
     pairs = zip(s.masks(), s.equations)
     slices = gf2.tally((gf2.parity_mask(mask, eq.rhs, s.n), eq.weight) for mask, eq in pairs)
     return slices, total
@@ -222,18 +224,18 @@ def solve_exact(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[int, 
     """Exhaustive optimum of X with a witness assignment.
 
     Deterministic: maximum X, smallest assignment on ties. Refuses systems
-    with more than ``cap`` variables.
+    with more than ``cap`` variables or a counter past COUNTER_BITS.
     """
     check_cap("exact solve", s.n, "variables", cap)
-    slices, total = _satisfied_weight(s)
+    slices, total = _satisfied_weight(s, "exact solve")
     best_y, z = gf2.top(slices, s.n)
     return 2 * best_y - total, tuple((z >> v) & 1 for v in range(s.n))
 
 
 def x_distribution_counts(s: Lin2System) -> Counter[int]:
-    """Exact multiset of X values over all 2^n assignments."""
-    slices, total = _satisfied_weight(s)
-    return Counter({2 * y - total: c for y, c in gf2.histogram(slices, s.n).items()})
+    """Exact multiset of X values over all 2^n assignments; refused past COUNTER_BITS."""
+    slices, total = _satisfied_weight(s, "distribution")
+    return gf2.histogram(slices, s.n, 1, -total)
 
 
 def occurrence_f(k: int, r: int) -> int:
@@ -304,6 +306,8 @@ def decide_linalb(
     ties going to odd set, then arity, then occurrence. Large systems are
     YES outright at the case's threshold; otherwise the rank-reduced kernel
     is solved exhaustively and a witness is lifted back by zero-padding.
+    A kernel with more than ``cap`` variables, or whose weight counter
+    passes COUNTER_BITS, is returned as KERNEL; the diagnostics name which.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -331,8 +335,12 @@ def decide_linalb(
     diag["kernel_eqs"] = len(reduction.reduced.equations)
     try:
         best, y = solve_exact(reduction.reduced, cap=cap)
-    except CapExceeded:
-        diag["cap"] = cap
+    except CapExceeded as exc:
+        if reduction.reduced.n > cap:
+            diag["cap"] = cap
+        else:
+            diag["counter_bits"] = exc.needed
+            diag["counter_cap"] = COUNTER_BITS
         return DecisionOutcome(Verdict.KERNEL, kernel=reduction.reduced, diagnostics=diag)
     diag["best_x"] = best
     diag["target_x"] = 2 * k

@@ -159,8 +159,9 @@ def scaled_x_counts(f: ExactCnfFormula) -> tuple[Counter[int], int]:
     2^n assignments.
     """
     variables = f.occurring_variables()
-    counts = gf2.histogram(_satisfied_count(f, variables), len(variables))
-    return Counter({_scaled(f, c): k for c, k in counts.items()}), 1 << (f.n - len(variables))
+    slices = _satisfied_count(f, variables)
+    counts = gf2.histogram(slices, len(variables), f.r, _scaled(f, 0))
+    return counts, 1 << (f.n - len(variables))
 
 
 def conflict_bound(f: ExactCnfFormula) -> int:

@@ -11,10 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterator
 
 from abovetight.linord import LinearOrder, WeightedDigraph
@@ -342,9 +340,10 @@ def random_lin2(
     wmax: int = 3,
     r_max: int | None = None,
     n_min: int = 1,
+    m_min: int = 0,
 ) -> Lin2System:
     n = rng.randint(n_min, n_max)
-    m = rng.randint(0, m_max)
+    m = rng.randint(m_min, m_max)
     cap = n if r_max is None else min(r_max, n)
     eqs = []
     for _ in range(m):
@@ -399,9 +398,10 @@ def random_formula(
     n_max: int = 10,
     m_max: int = 12,
     n_min: int | None = None,
+    m_min: int = 1,
 ) -> ExactCnfFormula:
     n = rng.randint(max(r, n_min or r), n_max)
-    m = rng.randint(1, m_max)
+    m = rng.randint(m_min, m_max)
     clauses = []
     for _ in range(m):
         variables = rng.sample(range(1, n + 1), r)
@@ -431,20 +431,6 @@ def random_restricted_formula(
         f = random_formula(rng, r, n_max=n_max, m_max=m_max)
         if conflict_number(f) <= conflict_bound(f):
             return f
-
-
-def roadmap_instance(label: str):
-    """The instance ``perfbench/roadmap_sizes.py`` times under ``label``."""
-    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
-    if perfbench not in sys.path:
-        sys.path.insert(0, perfbench)
-    import abovetight
-    import roadmap_sizes
-
-    for name, _, _, instance in roadmap_sizes.cases(abovetight, random.Random("roadmap")):
-        if name == label:
-            return instance
-    raise KeyError(label)
 
 
 def order_of(sequence: list[int]) -> LinearOrder:

@@ -211,6 +211,20 @@ def test_moments_refuses_a_long_header_fast(tmp_path):
     assert "total %d" % (1 << 1000) in result.lines()
 
 
+def test_a_counter_past_its_budget_is_named_in_the_refusal(tmp_path):
+    # 20 equations of weight 2^600 on one variable each: the kernel is inside
+    # the variable cap, but its weight counter needs 605 bits per assignment.
+    eqs = "".join("e %d 0 %d\n" % (1 << 600, v) for v in range(1, 21))
+    path = write(tmp_path, "s.txt", "p lin2 20 20\n" + eqs)
+    result = run(["moments", path])
+    assert result.verdict == "ERROR"
+    assert "distribution refused: %d counter bits exceed cap" % (605 << 20) in result.error
+    result = run(["linalb", path, "--k", "1", "--case", "general"])
+    assert result.verdict == "KERNEL"
+    assert result.diagnostics["counter_bits"] == 605 << 20
+    assert "cap" not in result.diagnostics
+
+
 def test_moments_cap_zero_is_error(tmp_path):
     unmerged = write(tmp_path, "s.txt", "p lin2 2 2\ne 1 1 1 2\ne 2 0 1 2\n")
     for path in (unmerged, write(tmp_path, "g.txt", THREE_CYCLE)):

@@ -198,9 +198,10 @@ def test_masks_hold_the_assignments_they_describe():
 def test_tally_top_and_histogram_match_a_count_of_each_assignment():
     rng = random.Random(13)
     seen_transposed = 0
+    widths = set()
     for trial in range(400):
         n = rng.randint(0, 10)
-        weights = [1, 2, 3, rng.getrandbits(16) + 1]
+        weights = [1, 2, 3, rng.getrandbits(rng.choice((16, 30, 60, 70, 140))) + 1]
         masks = [(rng.getrandbits(1 << n), rng.choice(weights)) for _ in range(rng.randint(0, 12))]
         if trial % 4 == 0:
             # A distinct weight per variable gives a distinct count per assignment.
@@ -210,10 +211,13 @@ def test_tally_top_and_histogram_match_a_count_of_each_assignment():
         assert [count_of(slices, z) for z in range(1 << n)] == counts
         best = max(counts)
         assert gf2.top(slices, n) == (best, counts.index(best))
-        hist = dict(Counter(counts))
-        assert gf2.histogram(slices, n) == hist
-        if slices:
-            assert gf2._transposed_histogram(slices, n) == hist
+        shift, offset = rng.randint(0, 3), rng.randint(-(1 << 80), 1 << 80) >> rng.randint(0, 80)
+        hist = Counter((c << shift) + offset for c in counts)
+        assert gf2.histogram(slices, n, shift, offset) == hist
+        assert gf2._transposed_histogram(slices, n, shift, offset) == hist
+        # Counts of up to 8, 16, 32 and 64 bits, and of two and three 8-byte words.
+        widths.add(min(max(3, (len(slices) - 1).bit_length()), 8))
         # More leaves than the trie may split: the transpose answers.
-        seen_transposed += len(hist) > gf2._SPLITS_PER_SLICE * len(slices)
+        seen_transposed += len(hist) > gf2._TRIE_SPLITS_PER_SLICE * len(slices)
     assert seen_transposed > 10
+    assert widths == {3, 4, 5, 6, 7, 8}

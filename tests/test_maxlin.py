@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abovetight.maxlin import (
+    COUNTER_BITS,
     CaseKind,
     Lin2Equation,
     Lin2System,
@@ -37,7 +38,6 @@ from helpers import (
     lin2_x,
     parity_constraints,
     random_lin2,
-    roadmap_instance,
     walk,
 )
 
@@ -257,7 +257,7 @@ def test_bit_sliced_counter_matches_the_walker():
 
 
 def test_solve_exact_at_twenty_variables_within_budget():
-    s = roadmap_instance("maxlin.solve_exact n=20")
+    s = random_lin2(random.Random(20), n_min=20, n_max=20, m_min=30, m_max=30, wmax=4, r_max=3)
     started = time.perf_counter()
     best, witness = solve_exact(s)
     elapsed = time.perf_counter() - started
@@ -272,15 +272,40 @@ def test_solve_exact_at_twenty_variables_within_budget():
     assert peak < 16 << 20, "peak %.1f MB" % (peak / 2**20)
 
 
+@pytest.mark.parametrize("extra_bits, limit_mb", [(0, 8), (84, 10)])
+def test_distribution_memory_with_a_distinct_x_per_assignment(extra_bits, limit_mb):
+    # Weight 2^v (times 2^extra_bits, plus noise summing below that) on x_v
+    # alone: every assignment has its own X, so there are 2^16 values.
+    rng = random.Random(16)
+    scale = 1 << extra_bits
+    eqs = [((v,), 0, (scale << v) + rng.getrandbits(max(0, extra_bits - 4))) for v in range(16)]
+    s = sys2(16, eqs)
+    tracemalloc.start()
+    try:
+        counts = x_distribution_counts(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == 1 << 16 and set(counts.values()) == {1}
+    assert peak < limit_mb << 20, "peak %.1f MB" % (peak / 2**20)
+
+
 def test_solve_exact_refuses_a_counter_past_its_budget():
     # 605 weight bits per assignment at n = 20 pass the 2^29-bit budget.
     s = sys2(20, [((v,), 0, 1 << 600) for v in range(20)])
     started = time.perf_counter()
-    with pytest.raises(CapExceeded, match="counter bits"):
+    with pytest.raises(CapExceeded, match="exact solve refused: .* counter bits"):
         solve_exact(s)
-    with pytest.raises(CapExceeded, match="counter bits"):
+    with pytest.raises(CapExceeded, match="distribution refused: .* counter bits"):
         x_distribution_counts(s)
-    assert decide_linalb(s, 1, CaseKind.GENERAL).verdict is Verdict.KERNEL
+    outcome = decide_linalb(s, 1, CaseKind.GENERAL)
+    assert outcome.verdict is Verdict.KERNEL
+    # The kernel is inside the variable cap: the counter refused it.
+    assert outcome.diagnostics["kernel_vars"] == 20
+    assert outcome.diagnostics["counter_bits"] == 605 << 20
+    assert outcome.diagnostics["counter_cap"] == COUNTER_BITS
+    assert "cap" not in outcome.diagnostics
+    assert decide_linalb(s, 1, CaseKind.GENERAL, cap=19).diagnostics["cap"] == 19
     assert time.perf_counter() - started < 1.0
 
 

@@ -30,7 +30,6 @@ from helpers import (
     edge_formulas,
     flip_walk_rsat,
     random_formula,
-    roadmap_instance,
     rsat_scaled_x,
     walk,
 )
@@ -226,7 +225,10 @@ def test_bit_sliced_counter_matches_the_walker():
 
 
 def test_solve_exact_at_twenty_variables_within_budget():
-    s = roadmap_instance("rsat.solve_exact n=20 m=17")
+    rng = random.Random(20)
+    s = random_formula(rng, 3, n_min=20, n_max=20, m_min=17, m_max=17)
+    while len(s.occurring_variables()) < 20:
+        s = random_formula(rng, 3, n_min=20, n_max=20, m_min=17, m_max=17)
     started = time.perf_counter()
     best, witness = solve_exact(s)
     elapsed = time.perf_counter() - started

@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ["scripts/tight_families.py"],
         ["scripts/verify_bounds.py", "--trials", "5", "--seed", "1"],
+        ["scripts/histogram_switch.py", "--n", "8", "--reps", "1", "--budgets", "32"],
         # The benchmark builds its instances through the package's public names.
         ["perfbench/smoke.py"],
     ],
