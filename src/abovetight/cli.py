@@ -17,6 +17,10 @@ from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated
 from .rsat import ExactCnfFormula
 
 DECISION_VERDICTS = {"YES_BY_BOUND", "YES_WITNESS", "NO", "KERNEL"}
+# Every size some generator kind reads, in table order; each is a gen flag.
+GEN_SIZES = tuple(
+    dict.fromkeys(name for sizes in instances.GENERATOR_SIZES.values() for name in sizes)
+)
 
 
 @dataclass
@@ -107,19 +111,23 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--b", default=None, help="fourth-moment ratio bound, e.g. 8 or 3/2")
     p.add_argument("--estimate", type=int, default=None, help="Monte-Carlo sample count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="--estimate sampling seed (default 0)")
 
     p = sub.add_parser("gen", help="write a seeded instance of a named family")
-    p.add_argument("kind", choices=list(instances.GENERATOR_KINDS))
+    p.add_argument("kind", choices=instances.GENERATOR_KINDS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--blocks", type=int, default=None)
-    p.add_argument("--wmax", type=int, default=None)
+    for name in GEN_SIZES:
+        readers = [
+            "%s (%s)" % (kind, "derived" if sizes[name] is None else sizes[name])
+            for kind, sizes in instances.GENERATOR_SIZES.items()
+            if name in sizes
+        ]
+        p.add_argument("--" + name, type=int, default=None, help="read by " + ", ".join(readers))
     p.add_argument("--emit", default=None, help="write the instance here instead of stdout")
     return parser
+
+
+_PARSER = build_parser()
 
 
 def _witness_tokens(witness: Any) -> list[int]:
@@ -149,7 +157,7 @@ def _from_outcome(outcome: DecisionOutcome) -> RunResult:
     )
 
 
-def _load(path: str, expected: type) -> Any:
+def _load(path: str, expected: type = object) -> Any:
     with open(path, "r", encoding="utf-8") as handle:
         instance = instances.parse_instance(handle.read())
     if not isinstance(instance, expected):
@@ -162,14 +170,12 @@ def _load(path: str, expected: type) -> Any:
 def _run_moments(args: argparse.Namespace) -> RunResult:
     if args.estimate is not None and (args.b is not None or args.cap is not None):
         raise ValueError("--estimate samples without enumerating; it takes neither --b nor --cap")
-    with open(args.file, "r", encoding="utf-8") as handle:
-        instance = instances.parse_instance(handle.read())
-    diag: dict[str, Any] = {}
+    if args.estimate is None and args.seed is not None:
+        raise ValueError("--seed seeds the --estimate sampling; it needs --estimate")
+    instance = _load(args.file)
     if args.estimate is not None:
-        est = moments.estimate_moments(instance, samples=args.estimate, seed=args.seed)
-        for key, value in est.items():
-            diag[key] = value
-        return RunResult(verdict="OK", diagnostics=diag)
+        est = moments.estimate_moments(instance, samples=args.estimate, seed=args.seed or 0)
+        return RunResult(verdict="OK", diagnostics=dict(est))
     if isinstance(instance, WeightedDigraph):
         dist = moments.dist_linord(instance, **_cap_kw(args))
     elif isinstance(instance, Lin2System):
@@ -177,6 +183,7 @@ def _run_moments(args: argparse.Namespace) -> RunResult:
     else:
         dist = moments.dist_rsat(instance, **_cap_kw(args))
     report = moments.moment_report(dist)
+    diag: dict[str, Any] = {}
     diag["e1"] = report.e1
     diag["e2"] = report.e2
     diag["e4"] = report.e4
@@ -205,7 +212,7 @@ def _run_moments(args: argparse.Namespace) -> RunResult:
 
 def run(argv: Sequence[str]) -> RunResult:
     """Execute one command and return its structured result."""
-    args = build_parser().parse_args(list(argv))
+    args = _PARSER.parse_args(list(argv))
     started = time.perf_counter()
     try:
         if args.command == "loalb":
@@ -230,27 +237,17 @@ def run(argv: Sequence[str]) -> RunResult:
         elif args.command == "moments":
             result = _run_moments(args)
         elif args.command == "gen":
-            out = instances.gen_instance(
-                args.kind,
-                seed=args.seed,
-                n=args.n,
-                m=args.m,
-                r=args.r,
-                pairs=args.pairs,
-                blocks=args.blocks,
-                wmax=args.wmax,
-            )
-            if args.emit:
-                with open(args.emit, "w", encoding="utf-8") as handle:
-                    handle.write(out.text)
+            sizes = {name: getattr(args, name) for name in GEN_SIZES}
+            out = instances.gen_instance(args.kind, seed=args.seed, **sizes)
             result = RunResult(
                 verdict="OK",
                 diagnostics={"kind": args.kind, "seed": args.seed, "format": out.format},
             )
-            if not args.emit:
+            if args.emit:
+                with open(args.emit, "w", encoding="utf-8") as handle:
+                    handle.write(out.text)
+            else:
                 result.diagnostics["text"] = out.text
-            result.time_ms = (time.perf_counter() - started) * 1000
-            return result
         else:  # pragma: no cover - argparse rejects unknown commands
             raise ValueError("unknown command %r" % args.command)
     except RestrictionViolated as exc:
@@ -258,7 +255,7 @@ def run(argv: Sequence[str]) -> RunResult:
     except (OSError, ValueError, CapExceeded) as exc:
         result = RunResult(verdict="ERROR", error=str(exc))
     result.time_ms = (time.perf_counter() - started) * 1000
-    if getattr(args, "emit", None) and args.command != "gen":
+    if args.emit and args.command != "gen":
         with open(args.emit, "w", encoding="utf-8") as handle:
             handle.write(result.to_json() + "\n")
     return result

@@ -12,6 +12,13 @@ lin2      header ``p lin2 <n> <m>``, then m lines ``e <w> <b> <i1> ... <it>``
           1-based variable indices.
 ecnf      header ``p ecnf <n> <m> <r>``, then m clause lines of exactly r
           nonzero signed literals terminated by ``0``.
+
+``gen_instance`` writes a seeded instance of one of seven named families.
+``GENERATOR_SIZES`` lists the sizes each family reads and their defaults;
+a size the family does not read is refused rather than dropped, and the
+command line's ``gen`` flags are built from the same table. Every family
+takes a seed; the three deterministic ones (``complete-rcnf``,
+``disjoint-complete-rcnf``, ``remark2``) give the same text for any seed.
 """
 
 from __future__ import annotations
@@ -25,15 +32,18 @@ from .rsat import ExactCnfFormula
 
 Instance = WeightedDigraph | Lin2System | ExactCnfFormula
 
-GENERATOR_KINDS = (
-    "symmetric-digraph",
-    "random-oriented",
-    "cancelling-pairs-lin2",
-    "random-lin2",
-    "complete-rcnf",
-    "disjoint-complete-rcnf",
-    "remark2",
-)
+# The sizes each generator kind reads, with their defaults; None where the
+# default is derived from other sizes (m from n).
+GENERATOR_SIZES: dict[str, dict[str, int | None]] = {
+    "symmetric-digraph": {"n": 4, "m": None, "wmax": 4},
+    "random-oriented": {"n": 6, "m": None, "wmax": 4},
+    "cancelling-pairs-lin2": {"n": 6, "pairs": 3, "wmax": 4},
+    "random-lin2": {"n": 6, "m": None, "r": 3, "wmax": 4},
+    "complete-rcnf": {"r": 2},
+    "disjoint-complete-rcnf": {"r": 2, "blocks": 2},
+    "remark2": {"n": 3},
+}
+GENERATOR_KINDS = tuple(GENERATOR_SIZES)
 
 
 class ParseError(ValueError):
@@ -202,27 +212,27 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def gen_instance(
-    kind: str,
-    seed: int = 0,
-    n: int | None = None,
-    m: int | None = None,
-    r: int | None = None,
-    pairs: int | None = None,
-    blocks: int | None = None,
-    wmax: int | None = None,
-) -> InstanceFile:
+def gen_instance(kind: str, seed: int = 0, **sizes: int | None) -> InstanceFile:
     """Build a seeded instance of the given kind and serialize it.
 
-    The tight families (symmetric digraphs, cancelling equation pairs,
-    complete and disjoint-complete width-r formulas) meet their lower bound
-    exactly and decide NO at every positive parameter value.
+    ``sizes`` may name only the sizes the kind reads in ``GENERATOR_SIZES``;
+    the rest, and any given as None, take the table's defaults. The tight
+    families (symmetric digraphs, cancelling equation pairs, complete and
+    disjoint-complete width-r formulas) meet their lower bound exactly and
+    decide NO at every positive parameter value.
     """
+    if kind not in GENERATOR_SIZES:
+        raise ValueError("unknown generator kind %r" % kind)
+    values = dict(GENERATOR_SIZES[kind])
+    for name, value in sizes.items():
+        if value is not None:
+            _require(name in values, "%s does not read --%s" % (kind, name))
+            values[name] = value
+    n, m, r = values.get("n"), values.get("m"), values.get("r")
+    pairs, blocks, wmax = values.get("pairs"), values.get("blocks"), values.get("wmax")
     rng = random.Random(seed)
-    wmax = 4 if wmax is None else wmax
-    _require(wmax >= 1, "wmax must be positive")
+    _require(wmax is None or wmax >= 1, "wmax must be positive")
     if kind == "symmetric-digraph":
-        n = 4 if n is None else n
         _require(2 <= n <= 64, "n must be in 2..64")
         m = n if m is None else m
         all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -235,7 +245,6 @@ def gen_instance(
             arcs.append((v, u, w))
         return serialize_instance(WeightedDigraph.from_arcs(n, arcs))
     if kind == "random-oriented":
-        n = 6 if n is None else n
         _require(2 <= n <= 64, "n must be in 2..64")
         all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         m = min(2 * n, len(all_pairs)) if m is None else m
@@ -250,9 +259,7 @@ def gen_instance(
                 arcs.append((v, u, w))
         return serialize_instance(WeightedDigraph.from_arcs(n, arcs))
     if kind == "cancelling-pairs-lin2":
-        n = 6 if n is None else n
         _require(1 <= n <= 30, "n must be in 1..30")
-        pairs = 3 if pairs is None else pairs
         _require(1 <= pairs <= (1 << n) - 1, "pairs must be in 1..2^n-1")
         subset_masks = rng.sample(range(1, 1 << n), pairs)
         eqs = []
@@ -263,11 +270,10 @@ def gen_instance(
             eqs.append(Lin2Equation(variables, 0, w))
         return serialize_instance(Lin2System(n, tuple(eqs)))
     if kind == "random-lin2":
-        n = 6 if n is None else n
         _require(1 <= n <= 30, "n must be in 1..30")
         m = 2 * n if m is None else m
         _require(0 <= m <= 4096, "m must be in 0..4096")
-        rmax = min(r, n) if r is not None else min(3, n)
+        rmax = min(r, n)
         _require(rmax >= 1, "r must be positive")
         eqs = []
         for _ in range(m):
@@ -276,7 +282,6 @@ def gen_instance(
             eqs.append(Lin2Equation(variables, rng.randint(0, 1), rng.randint(1, wmax)))
         return serialize_instance(Lin2System(n, tuple(eqs)))
     if kind == "complete-rcnf":
-        r = 2 if r is None else r
         _require(2 <= r <= 6, "r must be in 2..6")
         clauses = []
         for signs in range(1 << r):
@@ -286,9 +291,7 @@ def gen_instance(
             clauses.append(clause)
         return serialize_instance(ExactCnfFormula(r, r, tuple(clauses)))
     if kind == "disjoint-complete-rcnf":
-        r = 2 if r is None else r
         _require(2 <= r <= 6, "r must be in 2..6")
-        blocks = 2 if blocks is None else blocks
         _require(1 <= blocks <= 8, "blocks must be in 1..8")
         clauses = []
         for block in range(blocks):
@@ -300,10 +303,7 @@ def gen_instance(
                 )
                 clauses.append(clause)
         return serialize_instance(ExactCnfFormula(blocks * r, r, tuple(clauses)))
-    if kind == "remark2":
-        from .moments import all_subsets_system
+    # remark2
+    from .moments import all_subsets_system
 
-        n = 3 if n is None else n
-        system = all_subsets_system(n)
-        return serialize_instance(system)
-    raise ValueError("unknown generator kind %r" % kind)
+    return serialize_instance(all_subsets_system(n))

@@ -185,6 +185,11 @@ def exact_max_acyclic(
     return dp[size - 1], LinearOrder.from_sequence(seq)
 
 
+def loalb_threshold(k: int) -> int:
+    """12k^2: a 2-cycle-free graph with W2, or as many arcs, this large is YES."""
+    return 12 * k * k
+
+
 def decide_loalb(
     g: WeightedDigraph, k: int, cap: int = DEFAULT_VERTEX_CAP
 ) -> DecisionOutcome:
@@ -197,7 +202,7 @@ def decide_loalb(
         raise ValueError("k must be a positive integer")
     reduced = reduce_two_cycles(g)
     st = digraph_stats(reduced)
-    threshold = 12 * k * k
+    threshold = loalb_threshold(k)
     diag = {
         "k": k,
         "w2": st.W2,
@@ -236,7 +241,7 @@ def solve_loalb_faithful(
     if k < 1:
         raise ValueError("k must be a positive integer")
     reduced = reduce_two_cycles(g)
-    threshold = 12 * k * k
+    threshold = loalb_threshold(k)
     wm = dict(reduced.weight_map())
     # Isolated vertices stay out of the deletion scan. From 12k^2 arcs on,
     # each would be deleted first, in index order, and so come back in

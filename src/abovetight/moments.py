@@ -73,10 +73,6 @@ class ExactDistribution:
         table = dict(self.mass)
         return all(table.get(-v, 0) == c for v, c in self.mass)
 
-    def probability(self, value_scaled: int) -> Fraction:
-        table = dict(self.mass)
-        return Fraction(table.get(value_scaled, 0), self.total)
-
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -99,8 +95,6 @@ class SymmetryCheck:
 
     symmetric: bool
     holds: bool | None
-    event_count: int
-    total: int
     e2: Fraction
 
 
@@ -117,14 +111,12 @@ class TailCheck:
     failed_precondition: str | None
     holds: bool | None
     probability: Fraction
-    b: Fraction
 
 
 @dataclass(frozen=True)
 class SecondMomentCheck:
     """Second-moment identity or lower bound for one instance kind."""
 
-    kind: str
     e1: Fraction
     e2: Fraction
     target: Fraction
@@ -235,9 +227,7 @@ def verify_symmetric_tail(d: ExactDistribution) -> SymmetryCheck:
         elif v == 0 and s2 == 0:
             event += c
     holds = event > 0 if symmetric else None
-    return SymmetryCheck(
-        symmetric=symmetric, holds=holds, event_count=event, total=d.total, e2=e2
-    )
+    return SymmetryCheck(symmetric=symmetric, holds=holds, e2=e2)
 
 
 def verify_fourth_moment_tail(d: ExactDistribution, b: Fraction | int) -> TailCheck:
@@ -257,7 +247,7 @@ def verify_fourth_moment_tail(d: ExactDistribution, b: Fraction | int) -> TailCh
     elif b.denominator * s4 * d.total > b.numerator * s2 * s2:
         failed = "E(X^4) = %s exceeds b E(X^2)^2" % moment_p(d, 4)
     if failed is not None:
-        return TailCheck(False, failed, None, Fraction(0), b)
+        return TailCheck(False, failed, None, Fraction(0))
     # X > sigma/(4 sqrt(b))  <=>  v > 0 and 16 num(b) total v^2 > den(b) s2.
     event = sum(
         c
@@ -268,7 +258,7 @@ def verify_fourth_moment_tail(d: ExactDistribution, b: Fraction | int) -> TailCh
     # Prob >= 4^(-4/3)/b  <=>  256 (Prob b)^3 >= 1.
     lhs = 256 * (event * b.numerator) ** 3
     rhs = (d.total * b.denominator) ** 3
-    return TailCheck(True, None, lhs >= rhs, prob, b)
+    return TailCheck(True, None, lhs >= rhs, prob)
 
 
 def pairwise_second_moment(f: ExactCnfFormula) -> Fraction:
@@ -310,14 +300,14 @@ def verify_second_moment_claims(
         e1 = moment_p(dist, 1)
         e2 = moment_p(dist, 2)
         target = Fraction(st.W2, 12)
-        return SecondMomentCheck("linord", e1, e2, target, e1 == 0 and e2 >= target)
+        return SecondMomentCheck(e1, e2, target, e1 == 0 and e2 >= target)
     if isinstance(instance, Lin2System):
         if not instance.is_merge_normalized():
             raise ValueError("system must be merge-normalized")
         e1 = moment_p(dist, 1)
         e2 = moment_p(dist, 2)
         target = Fraction(sum(eq.weight**2 for eq in instance.equations))
-        return SecondMomentCheck("lin2", e1, e2, target, e1 == 0 and e2 == target)
+        return SecondMomentCheck(e1, e2, target, e1 == 0 and e2 == target)
     if isinstance(instance, ExactCnfFormula):
         # One pass over clause pairs serves the restriction and the closed form.
         conflicts, shared_counts = rsat.overlap_histogram(instance)
@@ -330,7 +320,7 @@ def verify_second_moment_claims(
         pairwise = _pairwise_e2(instance, conflicts, shared_counts)
         target = Fraction(len(instance.clauses), 4**instance.r)
         holds = e1 == 0 and e2 == pairwise and e2 >= target
-        return SecondMomentCheck("rsat", e1, e2, target, holds, pairwise_e2=pairwise)
+        return SecondMomentCheck(e1, e2, target, holds, pairwise_e2=pairwise)
     raise TypeError("unsupported instance type: %r" % type(instance))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import time
@@ -6,7 +7,7 @@ import pytest
 
 from abovetight import maxlin, moments, rsat
 from abovetight.cli import main, run
-from abovetight.instances import gen_instance
+from abovetight.instances import GENERATOR_KINDS, gen_instance
 
 THREE_CYCLE = "p digraph 3 3\na 1 2 1\na 2 3 1\na 3 1 1\n"
 SINGLE_ARC = "p digraph 2 1\na 1 2 2\n"
@@ -166,6 +167,20 @@ def test_moments_estimate_refuses_b_and_cap(tmp_path):
         assert result.verdict == "ERROR"
         assert result.exit_code == 2
         assert "--estimate" in result.error
+
+
+def test_moments_seed_without_estimate_is_error(tmp_path):
+    result = run(["moments", write(tmp_path, "g.txt", THREE_CYCLE), "--seed", "3"])
+    assert result.verdict == "ERROR"
+    assert "--seed" in result.error
+
+
+def test_moments_estimate_without_seed_samples_with_seed_zero(tmp_path):
+    path = write(tmp_path, "g.txt", THREE_CYCLE)
+    plain = run(["moments", path, "--estimate", "50"])
+    seeded = run(["moments", path, "--estimate", "50", "--seed", "0"])
+    assert plain.verdict == "OK"
+    assert plain.diagnostics == seeded.diagnostics
 
 
 def test_moments_skips_claim_for_unrestricted_formula(tmp_path):
@@ -353,6 +368,40 @@ def test_gen_to_stdout():
     result = run(["gen", "remark2", "--n", "3"])
     assert result.verdict == "OK"
     assert result.diagnostics["text"].startswith("p lin2 3 7")
+
+
+def test_gen_refuses_a_size_its_kind_does_not_read():
+    result = run(["gen", "complete-rcnf", "--n", "5"])
+    assert result.verdict == "ERROR"
+    assert "--n" in result.error
+    result = run(["gen", "complete-rcnf", "--r", "3", "--pairs", "9"])
+    assert result.verdict == "ERROR"
+    assert "--pairs" in result.error
+
+
+def test_every_generator_kind_takes_a_seed():
+    for kind in GENERATOR_KINDS:
+        result = run(["gen", kind, "--seed", "3"])
+        assert result.verdict == "OK", (kind, result.error)
+        assert result.diagnostics["seed"] == 3
+        assert result.diagnostics["text"] == gen_instance(kind, seed=3).text
+
+
+def test_run_builds_no_parser(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run() built an ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert run(["loalb", write(tmp_path, "g.txt", THREE_CYCLE), "--k", "1"]).verdict == "NO"
+    assert run(["gen", "remark2"]).verdict == "OK"
+
+
+def test_flags_do_not_leak_between_calls(tmp_path):
+    path = write(tmp_path, "s.txt", ODD_SET_FOUR)
+    general = run(["linalb", path, "--k", "1", "--case", "general"])
+    assert general.diagnostics["case"] == "general"
+    result = run(["linalb", path, "--k", "1"])
+    assert result.diagnostics["case"] == "odd-set"
 
 
 def test_workers_flag_is_rejected(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from abovetight.instances import (
     GENERATOR_KINDS,
+    GENERATOR_SIZES,
     ParseError,
     gen_instance,
     parse_instance,
@@ -124,6 +126,92 @@ def test_generators_are_seed_deterministic():
         b = gen_instance(kind, seed=7)
         assert a.text == b.text
     assert gen_instance("random-lin2", seed=1).text != gen_instance("random-lin2", seed=2).text
+
+
+def test_generator_refuses_sizes_its_kind_does_not_read():
+    with pytest.raises(ValueError, match="--pairs"):
+        gen_instance("random-oriented", pairs=3)
+    with pytest.raises(ValueError, match="--wmax"):
+        gen_instance("complete-rcnf", wmax=2)
+    with pytest.raises(ValueError, match="--n"):
+        gen_instance("disjoint-complete-rcnf", n=4)
+
+
+def test_generator_defaults_come_from_the_table():
+    assert GENERATOR_KINDS == tuple(GENERATOR_SIZES)
+    for kind, sizes in GENERATOR_SIZES.items():
+        given = {name: value for name, value in sizes.items() if value is not None}
+        assert gen_instance(kind, seed=7).text == gen_instance(kind, seed=7, **given).text
+
+
+# sha256 over the texts for seeds 0, 1 and 7 of each (kind, sizes), taken
+# before the size table replaced per-kind keyword defaults. Generated
+# instances feed the benchmark's expected records, so a changed draw order
+# fails here first.
+GENERATOR_PINS = [
+    ("symmetric-digraph", {},
+     "ff635060b18985c7b04ac92e816f7cc26a28f80d41dca5e3eb943b1a49d06d4d"),
+    ("symmetric-digraph", {"n": 5},
+     "6be637c008d273146afb7ede7183c1b11b6167c75b83a1f303e7d1f8dc0a795e"),
+    ("symmetric-digraph", {"n": 7, "m": 12, "wmax": 9},
+     "7565c5b9e856adb819f4db17baee5609b9d1f595185c984750b273098af32f6d"),
+    ("symmetric-digraph", {"n": 3, "m": 0},
+     "70da444553eebd172968d5b268a05d76249068d9ed370dc01b72b76ce3540af8"),
+    ("random-oriented", {},
+     "1d0ea3e32d0a457cc294b1b0f8d5385689008f4b592ca9a520c80ecf747c17c0"),
+    ("random-oriented", {"n": 8},
+     "e7892814b8f043b59d1cfe379a712ef4d107e87cfb30156b778a9564d34f6bce"),
+    ("random-oriented", {"n": 5, "m": 4, "wmax": 1},
+     "7c048a4a7c793e9ebeb63c784f14fe29d1160367de728ac1876b8b179a0c327e"),
+    ("random-oriented", {"n": 10, "wmax": 20},
+     "349278d0861db7c1efe46d857d5fc2b7bf5c1c16fdc8887fddefb387a48020ca"),
+    ("cancelling-pairs-lin2", {},
+     "8486c7825ab292b810a2372659c65c76aea66c625655d571f37b13add3c1ae18"),
+    ("cancelling-pairs-lin2", {"n": 4},
+     "c2399837099be8b940be9cc502356dc7656d279ffc6578d89ea6bce617d19611"),
+    ("cancelling-pairs-lin2", {"n": 8, "pairs": 20, "wmax": 7},
+     "18a46c4030c026acc177f97e3a79f53590ef5d2513583dc1fba41654e02215a4"),
+    ("cancelling-pairs-lin2", {"n": 1, "pairs": 1},
+     "27c06afae877533751c03b3d1d08bbff7bd8711cd8ec1f63ac5ac1f0fe893f3a"),
+    ("random-lin2", {},
+     "38f7aa4a6c0cd8e6d5c2d9959035cd7b1d43560537fc5fae63a9d7d17831822f"),
+    ("random-lin2", {"n": 3},
+     "9613e0ee2474ad7725f1bec0385bfb27039a648a084954dde43da27f9591e4ee"),
+    ("random-lin2", {"n": 10, "m": 15, "r": 5, "wmax": 9},
+     "a4948f773be5d474aa7503ae9daa79f14010de66e672b3fa2774f0d857b94ff0"),
+    ("random-lin2", {"n": 2, "r": 4},
+     "e7a87b876000436559fefb5f68f30cd2f0ce1ba2e2c5d0724244f86b763b6c34"),
+    ("random-lin2", {"m": 0},
+     "b2eff02ddcf4361fb6ac5ba892ba27b7f268f71773f1e03a7379fd2070e11166"),
+    ("complete-rcnf", {},
+     "84d0da74df5bbb8b6358688e86872b4d62f2fc6128151cc72b90f94132c51045"),
+    ("complete-rcnf", {"r": 3},
+     "92f8ef838c74c2ea2b2918f2b708a3800208ac80c3a0ab69aaf62d0e2a2e06b5"),
+    ("complete-rcnf", {"r": 6},
+     "ff30c8649aa83407fee1f080278d42a2fbe46cc936af2321c63efc79d4172b8c"),
+    ("disjoint-complete-rcnf", {},
+     "6c00cfcf6b4b5d97a42cb59387d57d8ceccffec900ef54fde68381bb47850004"),
+    ("disjoint-complete-rcnf", {"r": 3, "blocks": 1},
+     "92f8ef838c74c2ea2b2918f2b708a3800208ac80c3a0ab69aaf62d0e2a2e06b5"),
+    ("disjoint-complete-rcnf", {"r": 2, "blocks": 8},
+     "99a9dbedd60fdb197a86139a9d0e9bb32f9098dddb394b731b5d586775df2002"),
+    ("disjoint-complete-rcnf", {"blocks": 3},
+     "6fafc99cc5d7fa72afe0a67493fe4ef867cfc861ddb266026d8441ecae8c3c28"),
+    ("remark2", {},
+     "ac1c62cc94200d26393d7db455bd8bf0186333894b8f0cc2ae743e5e5a9eef43"),
+    ("remark2", {"n": 4},
+     "225c54e0b76fde9f4f2df379df882a1543104c0dbbdb7071b5e533f4656c8652"),
+    ("remark2", {"n": 6},
+     "c0cf73acd5f4e5b300516067bcfb87180b638e04eee0e32d205a45a3608fc4fd"),
+]
+
+
+@pytest.mark.parametrize("kind,sizes,digest", GENERATOR_PINS)
+def test_generator_output_is_pinned(kind, sizes, digest):
+    h = hashlib.sha256()
+    for seed in (0, 1, 7):
+        h.update(gen_instance(kind, seed=seed, **sizes).text.encode())
+    assert h.hexdigest() == digest
 
 
 def test_generator_rejects_out_of_range_parameters():
