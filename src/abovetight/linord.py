@@ -142,47 +142,129 @@ def active_in_arcs(g: WeightedDigraph) -> tuple[list[int], list[list[tuple[int, 
     return active, in_arcs
 
 
+def _strong_components(out_masks: list[int]) -> list[int]:
+    """Vertex masks of the strongly connected components, in topological order.
+
+    ``out_masks[i]`` holds the heads of the arcs out of vertex i. After the
+    bitmask transitive closure ``reach[i]`` holds every vertex i reaches,
+    itself included, so two vertices share a component exactly when they
+    reach the same set. A component that reaches another reaches a strict
+    superset of what that one reaches, so sorting by descending reach size
+    puts every arc between components forward.
+    """
+    reach = [out | 1 << i for i, out in enumerate(out_masks)]
+    for k in range(len(reach)):
+        bit, via = 1 << k, reach[k]
+        for i, r in enumerate(reach):
+            if r & bit:
+                reach[i] = r | via
+    components: dict[int, int] = {}
+    for i, r in enumerate(reach):
+        components[r] = components.get(r, 0) | 1 << i
+    return [components[r] for r in sorted(components, key=int.bit_count, reverse=True)]
+
+
+def _subset_sums(weights: list[int]) -> list[int]:
+    """Total weight of every subset of range(len(weights)), indexed by its mask."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
+def _best_order(in_arcs: list[list[tuple[int, int]]]) -> tuple[int, list[int]]:
+    """Maximum forward weight over the orders of vertices 0..m-1, with an order attaining it.
+
+    ``in_arcs[i]`` lists the arcs into i as (tail, weight). Dynamic program
+    over subsets: the best order of a set S extends by a new last vertex i,
+    gaining the weight of arcs from S into i. That gain is read as
+    ``lo[i][S & low] + hi[i][S >> h]`` from tables over the low h and the high
+    m - h vertices. The order is recovered by walking back from the full set
+    to a predecessor whose value plus gain gives the current value.
+    """
+    m = len(in_arcs)
+    h = m // 2
+    lo, hi = [], []
+    for arcs in in_arcs:
+        weights = [0] * m
+        for tail, w in arcs:
+            weights[tail] += w
+        lo.append(_subset_sums(weights[:h]))
+        hi.append(_subset_sums(weights[h:]))
+    low = (1 << h) - 1
+    size = 1 << m
+    # The vertices each half of a set leaves out, with their gain from that half.
+    lo_moves = [[(1 << i, lo[i][s], hi[i]) for i in range(h) if not s >> i & 1] for s in range(low + 1)]
+    hi_moves = [
+        [(1 << i, hi[i][s], lo[i]) for i in range(h, m) if not s >> (i - h) & 1]
+        for s in range(size >> h)
+    ]
+    dp = [0] * size
+    for mask in range(size):
+        base = dp[mask]
+        sl = mask & low
+        sh = mask >> h
+        for bit, gain, table in lo_moves[sl]:
+            val = base + gain + table[sh]
+            if val > dp[mask | bit]:
+                dp[mask | bit] = val
+        for bit, gain, table in hi_moves[sh]:
+            val = base + gain + table[sl]
+            if val > dp[mask | bit]:
+                dp[mask | bit] = val
+    order = []
+    mask = size - 1
+    while mask:
+        for i in range(m):
+            prev = mask ^ 1 << i
+            if prev < mask and dp[prev] + lo[i][prev & low] + hi[i][prev >> h] == dp[mask]:
+                break
+        order.append(i)
+        mask = prev
+    order.reverse()
+    return dp[size - 1], order
+
+
 def exact_max_acyclic(
     g: WeightedDigraph, cap: int = DEFAULT_VERTEX_CAP
 ) -> tuple[int, LinearOrder]:
     """Maximum forward weight over all linear orders, with an order attaining it.
 
-    Dynamic program over subsets of the non-isolated vertices: the best order
-    of a set S extends by appending a new last vertex v, gaining the weight of
-    arcs from S into v. Refuses instances with more than ``cap`` non-isolated
-    vertices.
+    Each strongly connected component of the non-isolated vertices is solved
+    on its own by a subset dynamic program (``_best_order``). An arc between
+    components is forward in the topological order of the condensation, so
+    the optimum is the sum of the components' optima plus the weight of
+    every arc between components, attained by laying the components' orders
+    end to end in that order; isolated vertices trail. Refuses instances with
+    more than ``cap`` non-isolated vertices before any work.
     """
-    active, in_arcs = active_in_arcs(g)
-    nv = len(active)
-    check_cap("exact solve", nv, "non-isolated vertices", cap)
-    size = 1 << nv
-    dp = [-1] * size
-    dp[0] = 0
-    choice = [-1] * size
-    for mask in range(size):
-        base = dp[mask]
-        for i in range(nv):
-            bit = 1 << i
-            if mask & bit:
-                continue
-            gain = 0
-            for ubit, w in in_arcs[i]:
-                if mask & ubit:
-                    gain += w
-            target = mask | bit
-            if base + gain > dp[target]:
-                dp[target] = base + gain
-                choice[target] = i
-    seq_rev = []
-    mask = size - 1
-    while mask:
-        i = choice[mask]
-        seq_rev.append(active[i])
-        mask ^= 1 << i
-    seq = list(reversed(seq_rev))
+    active = sorted({v for arc in g.arcs for v in arc[:2]})
+    check_cap("exact solve", len(active), "non-isolated vertices", cap)
+    index = {v: i for i, v in enumerate(active)}
+    out_masks = [0] * len(active)
+    for u, v, _ in g.arcs:
+        out_masks[index[u]] |= 1 << index[v]
+    components = [
+        [v for v in active if comp >> index[v] & 1] for comp in _strong_components(out_masks)
+    ]
+    where = {v: (c, j) for c, members in enumerate(components) for j, v in enumerate(members)}
+    in_arcs = [[[] for _ in members] for members in components]
+    value = 0
+    for u, v, w in g.arcs:
+        cu, ju = where[u]
+        cv, jv = where[v]
+        if cu == cv:
+            in_arcs[cv][jv].append((ju, w))
+        else:
+            value += w
+    seq = []
+    for members, arcs in zip(components, in_arcs):
+        best, order = _best_order(arcs)
+        value += best
+        seq.extend(members[j] for j in order)
     used = set(active)
     seq.extend(v for v in range(g.n) if v not in used)
-    return dp[size - 1], LinearOrder.from_sequence(seq)
+    return value, LinearOrder.from_sequence(seq)
 
 
 def loalb_threshold(k: int) -> int:

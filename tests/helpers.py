@@ -15,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
-from abovetight.linord import LinearOrder, WeightedDigraph
+from abovetight.linord import LinearOrder, WeightedDigraph, active_in_arcs
 from abovetight.maxlin import Lin2Equation, Lin2System
 from abovetight.moments import ExactDistribution
 from abovetight.rsat import ExactCnfFormula
@@ -38,6 +38,44 @@ def brute_max_forward_weight(g: WeightedDigraph) -> int:
         if forward > best:
             best = forward
     return best
+
+
+def subset_dp_max_forward(g: WeightedDigraph) -> tuple[int, LinearOrder]:
+    """Best forward weight and an order attaining it, by one subset DP over all active vertices.
+
+    The package's monolithic solver before it split the graph into strongly
+    connected components; kept as an oracle for the per-component one.
+    """
+    active, in_arcs = active_in_arcs(g)
+    nv = len(active)
+    size = 1 << nv
+    dp = [-1] * size
+    dp[0] = 0
+    choice = [-1] * size
+    for mask in range(size):
+        base = dp[mask]
+        for i in range(nv):
+            bit = 1 << i
+            if mask & bit:
+                continue
+            gain = 0
+            for ubit, w in in_arcs[i]:
+                if mask & ubit:
+                    gain += w
+            target = mask | bit
+            if base + gain > dp[target]:
+                dp[target] = base + gain
+                choice[target] = i
+    seq_rev = []
+    mask = size - 1
+    while mask:
+        i = choice[mask]
+        seq_rev.append(active[i])
+        mask ^= 1 << i
+    seq = list(reversed(seq_rev))
+    used = set(active)
+    seq.extend(v for v in range(g.n) if v not in used)
+    return dp[size - 1], LinearOrder.from_sequence(seq)
 
 
 def brute_dist_linord(g: WeightedDigraph) -> ExactDistribution:

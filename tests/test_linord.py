@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,12 @@ from abovetight.linord import (
 )
 from abovetight.outcome import CapExceeded, Verdict
 
-from helpers import brute_decide_loalb, brute_max_forward_weight, random_digraph
+from helpers import (
+    brute_decide_loalb,
+    brute_max_forward_weight,
+    random_digraph,
+    subset_dp_max_forward,
+)
 
 
 def test_two_cycle_rule_symmetric_pair_cancels():
@@ -176,6 +182,111 @@ def test_subset_dp_matches_permutation_enumeration():
         assert value == brute_max_forward_weight(g)
         total = sum(w for _, _, w in g.arcs)
         assert 2 * value - total == x_value(g, order)
+
+
+def strongly_connected_arcs(rng: random.Random, vertices: list[int], wmax: int = 4):
+    """A cycle through every vertex plus about as many random arcs, 2-cycles included."""
+    if len(vertices) < 2:
+        return []
+    cycle = rng.sample(vertices, len(vertices))
+    arcs = [(u, v, rng.randint(1, wmax)) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    for _ in range(len(vertices)):
+        u, v = rng.sample(vertices, 2)
+        arcs.append((u, v, rng.randint(1, wmax)))
+    return arcs
+
+
+def component_corpus(rng: random.Random, count: int):
+    """Digraphs on 0-11 active vertices, cycling through five shapes.
+
+    DAGs (every component a singleton), strongly connected graphs, blocks
+    joined by arcs that all run one way, dense graphs with 2-cycles, and
+    sparse graphs with isolated vertices under a larger declared n.
+    """
+    for i in range(count):
+        n = rng.randint(0, 11)
+        shape = i % 5
+        if shape == 0:
+            rank = list(range(n))
+            rng.shuffle(rank)
+            arcs = [
+                (u, v, rng.randint(1, 4))
+                for u in range(n)
+                for v in range(n)
+                if rank[u] < rank[v] and rng.random() < 0.4
+            ]
+        elif shape == 1:
+            arcs = strongly_connected_arcs(rng, list(range(n)))
+        elif shape == 2:
+            cuts = sorted(rng.sample(range(1, n), min(3, n - 1))) if n > 1 else []
+            blocks = [list(range(a, b)) for a, b in zip([0] + cuts, cuts + [n])]
+            rng.shuffle(blocks)
+            arcs = [arc for block in blocks for arc in strongly_connected_arcs(rng, block)]
+            for a in range(len(blocks)):
+                for b in range(a + 1, len(blocks)):
+                    for _ in range(rng.randint(0, 2)):
+                        arcs.append((rng.choice(blocks[a]), rng.choice(blocks[b]), rng.randint(1, 4)))
+        elif shape == 3:
+            yield random_digraph(rng, n_max=n, n_min=n, wmax=4, allow_two_cycles=True)
+            continue
+        else:
+            arcs = [
+                (u, v, rng.randint(1, 3))
+                for u in range(n)
+                for v in range(n)
+                if u != v and rng.random() < 0.12
+            ]
+            n += rng.randint(1, 4)
+        yield WeightedDigraph.from_arcs(n, arcs)
+
+
+def test_component_split_matches_the_monolithic_subset_dp():
+    rng = random.Random(1010)
+    for g in component_corpus(rng, 2000):
+        value, order = exact_max_acyclic(g)
+        want, _ = subset_dp_max_forward(g)
+        assert value == want, g
+        assert len(order.positions) == g.n
+        total = sum(w for _, _, w in g.arcs)
+        assert x_value(g, order) == 2 * value - total, g
+
+
+def test_matching_at_the_vertex_cap_is_solved_at_once():
+    # 12 disjoint arcs: 24 active vertices, exactly the cap, in 24 components.
+    g = WeightedDigraph.from_arcs(24, [(2 * i, 2 * i + 1, 1) for i in range(12)])
+    started = time.perf_counter()
+    out = decide_loalb(g, 2)
+    elapsed = time.perf_counter() - started
+    assert out.verdict is Verdict.YES_WITNESS
+    assert x_value(g, out.witness) == 12
+    assert elapsed < 1.0, "took %.2f s" % elapsed
+
+
+def test_faithful_on_a_large_matching_solves_a_residual_at_the_cap():
+    # Deletions stop at 12 arcs, leaving a 24-vertex residual of 12 components.
+    g = WeightedDigraph.from_arcs(2000, [(2 * i, 2 * i + 1, 1) for i in range(1000)])
+    started = time.perf_counter()
+    order = solve_loalb_faithful(g, 1)
+    elapsed = time.perf_counter() - started
+    assert order is not None
+    assert x_value(g, order) == 1000
+    assert elapsed < 1.0, "took %.2f s" % elapsed
+
+
+def test_subset_dp_memory_holds_one_value_per_subset():
+    # One strongly connected 16-vertex graph (a Hamiltonian cycle plus random
+    # arcs): the DP keeps its 2^16 values and half-width gain tables, and no
+    # per-subset choice list. Peaks: 1.00 MB with a choice list beside the
+    # values (subset_dp_max_forward), 0.77 MB without.
+    rng = random.Random(16)
+    g = WeightedDigraph.from_arcs(16, strongly_connected_arcs(rng, list(range(16))))
+    tracemalloc.start()
+    try:
+        exact_max_acyclic(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.9 * 2**20, "peak %.2f MB" % (peak / 2**20)
 
 
 def test_faithful_small_yes_instance_without_deletions():
