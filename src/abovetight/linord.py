@@ -8,6 +8,7 @@ the integer 2X = 2*(forward weight) - W, so the target reads 2X >= 2k.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .outcome import CapExceeded, DecisionOutcome, Verdict, check_cap
@@ -337,19 +338,22 @@ def solve_loalb_faithful(
         out_adj[u][v] = w
         in_adj[v][u] = w
 
+    def degree(v: int) -> int:
+        return len(out_adj[v]) + len(in_adj[v])
+
+    # Least (degree, vertex) first. Degrees only fall, so an entry whose
+    # degree is no longer the vertex's own is stale and skipped.
+    heap = [(degree(v), v) for v in alive]
+    heapq.heapify(heap)
     snapshots: list[tuple[int, list[tuple[int, int]], list[tuple[int, int]]]] = []
-    while True:
-        arc_count = len(wm)
-        best = None
-        for v in alive:
-            deg = len(out_adj[v]) + len(in_adj[v])
-            if arc_count - threshold >= deg:
-                key = (deg, v)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+    while heap:
+        deg, v = heap[0]
+        if v not in alive or deg != degree(v):
+            heapq.heappop(heap)
+            continue
+        if len(wm) - threshold < deg:
             break
-        v = best[1]
+        heapq.heappop(heap)
         outs = sorted(out_adj[v].items())
         ins = sorted(in_adj[v].items())
         snapshots.append((v, outs, ins))
@@ -362,6 +366,8 @@ def solve_loalb_faithful(
         del out_adj[v]
         del in_adj[v]
         alive.remove(v)
+        for j, _ in outs + ins:
+            heapq.heappush(heap, (degree(j), j))
 
     remaining = sorted(alive)
     index = {v: i for i, v in enumerate(remaining)}
