@@ -133,7 +133,7 @@ def active_in_arcs(g: WeightedDigraph) -> tuple[list[int], list[list[tuple[int, 
 
     ``in_arcs[i]`` lists the arcs into ``active[i]`` as (tail bit, weight),
     where the bit of a vertex is 1 << its position in ``active``: the input
-    of both subset dynamic programs over vertex orders.
+    of the subset dynamic programs over vertex orders.
     """
     active = sorted({v for arc in g.arcs for v in arc[:2]})
     index = {v: i for i, v in enumerate(active)}
@@ -239,30 +239,27 @@ def exact_max_acyclic(
     end to end in that order; isolated vertices trail. Refuses instances with
     more than ``cap`` non-isolated vertices before any work.
     """
-    active = sorted({v for arc in g.arcs for v in arc[:2]})
+    active, in_arcs = active_in_arcs(g)
     check_cap("exact solve", len(active), "non-isolated vertices", cap)
-    index = {v: i for i, v in enumerate(active)}
     out_masks = [0] * len(active)
-    for u, v, _ in g.arcs:
-        out_masks[index[u]] |= 1 << index[v]
-    components = [
-        [v for v in active if comp >> index[v] & 1] for comp in _strong_components(out_masks)
-    ]
-    where = {v: (c, j) for c, members in enumerate(components) for j, v in enumerate(members)}
-    in_arcs = [[[] for _ in members] for members in components]
+    for i, arcs in enumerate(in_arcs):
+        for ubit, _ in arcs:
+            out_masks[ubit.bit_length() - 1] |= 1 << i
     value = 0
-    for u, v, w in g.arcs:
-        cu, ju = where[u]
-        cv, jv = where[v]
-        if cu == cv:
-            in_arcs[cv][jv].append((ju, w))
-        else:
-            value += w
     seq = []
-    for members, arcs in zip(components, in_arcs):
-        best, order = _best_order(arcs)
+    for comp in _strong_components(out_masks):
+        members = [i for i in range(len(active)) if comp >> i & 1]
+        local = {1 << i: j for j, i in enumerate(members)}
+        inner: list[list[tuple[int, int]]] = [[] for _ in members]
+        for j, i in enumerate(members):
+            for ubit, w in in_arcs[i]:
+                if comp & ubit:
+                    inner[j].append((local[ubit], w))
+                else:
+                    value += w
+        best, order = _best_order(inner)
         value += best
-        seq.extend(members[j] for j in order)
+        seq.extend(active[members[j]] for j in order)
     used = set(active)
     seq.extend(v for v in range(g.n) if v not in used)
     return value, LinearOrder.from_sequence(seq)
