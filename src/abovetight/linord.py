@@ -173,25 +173,20 @@ def _subset_sums(weights: list[int]) -> list[int]:
     return sums
 
 
-def _best_order(in_arcs: list[list[tuple[int, int]]]) -> tuple[int, list[int]]:
+def _best_order(in_weights: list[list[int]]) -> tuple[int, list[int]]:
     """Maximum forward weight over the orders of vertices 0..m-1, with an order attaining it.
 
-    ``in_arcs[i]`` lists the arcs into i as (tail, weight). Dynamic program
+    ``in_weights[i][t]`` is the weight of the arc from t into i. Dynamic program
     over subsets: the best order of a set S extends by a new last vertex i,
     gaining the weight of arcs from S into i. That gain is read as
     ``lo[i][S & low] + hi[i][S >> h]`` from tables over the low h and the high
     m - h vertices. The order is recovered by walking back from the full set
     to a predecessor whose value plus gain gives the current value.
     """
-    m = len(in_arcs)
+    m = len(in_weights)
     h = m // 2
-    lo, hi = [], []
-    for arcs in in_arcs:
-        weights = [0] * m
-        for tail, w in arcs:
-            weights[tail] += w
-        lo.append(_subset_sums(weights[:h]))
-        hi.append(_subset_sums(weights[h:]))
+    lo = [_subset_sums(row[:h]) for row in in_weights]
+    hi = [_subset_sums(row[h:]) for row in in_weights]
     low = (1 << h) - 1
     size = 1 << m
     # The vertices each half of a set leaves out, with their gain from that half.
@@ -250,11 +245,11 @@ def exact_max_acyclic(
     for comp in _strong_components(out_masks):
         members = [i for i in range(len(active)) if comp >> i & 1]
         local = {1 << i: j for j, i in enumerate(members)}
-        inner: list[list[tuple[int, int]]] = [[] for _ in members]
+        inner = [[0] * len(members) for _ in members]
         for j, i in enumerate(members):
             for ubit, w in in_arcs[i]:
                 if comp & ubit:
-                    inner[j].append((local[ubit], w))
+                    inner[j][local[ubit]] = w
                 else:
                     value += w
         best, order = _best_order(inner)
