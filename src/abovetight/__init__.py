@@ -27,7 +27,6 @@ from .maxlin import (
     find_odd_set,
     lift_assignment,
     merge_duplicates,
-    occurrence_reduce,
     rank_reduce,
     system_stats,
 )

@@ -87,10 +87,6 @@ class LinearOrder:
     def sequence(self) -> tuple[int, ...]:
         return tuple(sorted(range(len(self.positions)), key=self.positions.__getitem__))
 
-    def reversed(self) -> LinearOrder:
-        n = len(self.positions)
-        return LinearOrder(tuple(n + 1 - p for p in self.positions))
-
 
 def digraph_stats(g: WeightedDigraph) -> DigraphStats:
     wm = g.weight_map()
@@ -128,19 +124,25 @@ def x_value(g: WeightedDigraph, order: LinearOrder) -> int:
     return 2 * forward - total
 
 
-def active_in_arcs(g: WeightedDigraph) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """Non-isolated vertices in increasing order, and the in-arcs of each.
+def active_arcs(g: WeightedDigraph) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Non-isolated vertices in increasing order, and the arcs renumbered over them.
 
-    ``in_arcs[i]`` lists the arcs into ``active[i]`` as (tail bit, weight),
-    where the bit of a vertex is 1 << its position in ``active``: the input
-    of the subset dynamic programs over vertex orders.
+    Arc (i, j, w) runs from ``active[i]`` to ``active[j]``. The subset
+    dynamic programs over vertex orders and the order sampler work on these
+    indices, so their cost follows the arcs rather than the declared vertex
+    count.
     """
     active = sorted({v for arc in g.arcs for v in arc[:2]})
     index = {v: i for i, v in enumerate(active)}
-    in_arcs: list[list[tuple[int, int]]] = [[] for _ in active]
-    for u, v, w in g.arcs:
-        in_arcs[index[v]].append((1 << index[u], w))
-    return active, in_arcs
+    return active, [(index[u], index[v], w) for u, v, w in g.arcs]
+
+
+def in_weight_matrix(m: int, arcs: list[tuple[int, int, int]]) -> list[list[int]]:
+    """``matrix[i][t]`` is the weight of the arc from t into i over vertices 0..m-1, or 0."""
+    matrix = [[0] * m for _ in range(m)]
+    for u, v, w in arcs:
+        matrix[v][u] = w
+    return matrix
 
 
 def _strong_components(out_masks: list[int]) -> list[int]:
@@ -173,20 +175,29 @@ def _subset_sums(weights: list[int]) -> list[int]:
     return sums
 
 
+def gain_tables(in_weights: list[list[int]]) -> tuple[int, list[list[int]], list[list[int]]]:
+    """Half-width tables of the weight of the arcs from a vertex set S into each vertex i.
+
+    That weight is ``lo[i][S & low] + hi[i][S >> h]``, with h = m // 2 and
+    ``low = (1 << h) - 1``: about 2m * 2^(m/2) table entries, not m * 2^m.
+    """
+    h = len(in_weights) // 2
+    lo = [_subset_sums(row[:h]) for row in in_weights]
+    hi = [_subset_sums(row[h:]) for row in in_weights]
+    return h, lo, hi
+
+
 def _best_order(in_weights: list[list[int]]) -> tuple[int, list[int]]:
     """Maximum forward weight over the orders of vertices 0..m-1, with an order attaining it.
 
     ``in_weights[i][t]`` is the weight of the arc from t into i. Dynamic program
     over subsets: the best order of a set S extends by a new last vertex i,
-    gaining the weight of arcs from S into i. That gain is read as
-    ``lo[i][S & low] + hi[i][S >> h]`` from tables over the low h and the high
-    m - h vertices. The order is recovered by walking back from the full set
-    to a predecessor whose value plus gain gives the current value.
+    gaining the weight of arcs from S into i, read from ``gain_tables``. The
+    order is recovered by walking back from the full set to a predecessor
+    whose value plus gain gives the current value.
     """
     m = len(in_weights)
-    h = m // 2
-    lo = [_subset_sums(row[:h]) for row in in_weights]
-    hi = [_subset_sums(row[h:]) for row in in_weights]
+    h, lo, hi = gain_tables(in_weights)
     low = (1 << h) - 1
     size = 1 << m
     # The vertices each half of a set leaves out, with their gain from that half.
@@ -227,33 +238,28 @@ def exact_max_acyclic(
     """Maximum forward weight over all linear orders, with an order attaining it.
 
     Each strongly connected component of the non-isolated vertices is solved
-    on its own by a subset dynamic program (``_best_order``). An arc between
-    components is forward in the topological order of the condensation, so
-    the optimum is the sum of the components' optima plus the weight of
-    every arc between components, attained by laying the components' orders
-    end to end in that order; isolated vertices trail. Refuses instances with
-    more than ``cap`` non-isolated vertices before any work.
+    on its own by a subset dynamic program (``_best_order``) over its block of
+    the in-weight matrix, the matrix ``moments.dist_linord`` counts orders
+    with. An arc between components is forward in the topological order of
+    the condensation, so the optimum is the sum of the components' optima
+    plus the weight of every arc between components, attained by laying the
+    components' orders end to end in that order; isolated vertices trail.
+    Refuses instances with more than ``cap`` non-isolated vertices before any
+    search.
     """
-    active, in_arcs = active_in_arcs(g)
-    check_cap("exact solve", len(active), "non-isolated vertices", cap)
-    out_masks = [0] * len(active)
-    for i, arcs in enumerate(in_arcs):
-        for ubit, _ in arcs:
-            out_masks[ubit.bit_length() - 1] |= 1 << i
-    value = 0
+    active, arcs = active_arcs(g)
+    m = len(active)
+    check_cap("exact solve", m, "non-isolated vertices", cap)
+    matrix = in_weight_matrix(m, arcs)
+    out_masks = [sum(1 << i for i, row in enumerate(matrix) if row[t]) for t in range(m)]
+    value = sum(w for _, _, w in arcs)
     seq = []
     for comp in _strong_components(out_masks):
-        members = [i for i in range(len(active)) if comp >> i & 1]
-        local = {1 << i: j for j, i in enumerate(members)}
-        inner = [[0] * len(members) for _ in members]
-        for j, i in enumerate(members):
-            for ubit, w in in_arcs[i]:
-                if comp & ubit:
-                    inner[j][local[ubit]] = w
-                else:
-                    value += w
+        members = [i for i in range(m) if comp >> i & 1]
+        inner = [[matrix[i][t] for t in members] for i in members]
         best, order = _best_order(inner)
-        value += best
+        # The arcs inside the component count only as far as its order keeps them forward.
+        value += best - sum(map(sum, inner))
         seq.extend(active[members[j]] for j in order)
     used = set(active)
     seq.extend(v for v in range(g.n) if v not in used)

@@ -243,38 +243,6 @@ def occurrence_f(k: int, r: int) -> int:
     return 16 * (2 * k - 1) ** 2 * 64**r
 
 
-def occurrence_reduce(s: Lin2System, k: int, r: int) -> Lin2System:
-    """Remove every equation containing a rarely occurring variable.
-
-    While some variable occurs in at most m - f(k, r) of the current m
-    equations, all equations containing it are dropped (least occurrences
-    first, ties by variable index). The survivor count never falls below
-    f(k, r), so removal preserves the decision, and a solution of the result
-    extends to the input by assigning 0 to the variables that disappeared.
-    Expects a merge-normalized system with arity at most r.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if not s.is_merge_normalized():
-        raise ValueError("system must be merge-normalized first")
-    stats = system_stats(s)
-    if stats.r > r:
-        raise ValueError("system arity %d exceeds the declared bound %d" % (stats.r, r))
-    f = occurrence_f(k, r)
-    eqs = list(s.equations)
-    while True:
-        m = len(eqs)
-        occ: Counter[int] = Counter()
-        for eq in eqs:
-            occ.update(eq.variables)
-        candidates = [v for v, c in occ.items() if c <= m - f]
-        if not candidates:
-            break
-        victim = min(candidates, key=lambda v: (occ[v], v))
-        eqs = [eq for eq in eqs if victim not in eq.variables]
-    return Lin2System(s.n, tuple(eqs))
-
-
 def case_threshold(case: CaseKind, k: int, stats: SystemStats) -> int | None:
     """Equation count at which the case certifies YES outright.
 

@@ -3,7 +3,9 @@
 Each sample space is counted completely. The n! vertex orders of a digraph
 are counted by a dynamic program over subsets of its n' non-isolated
 vertices that keeps the exact forward-weight distribution of each subset,
-in O(2^n' * n' * support) time rather than n'!. Equation systems (after
+in O(2^n' * n' * support) time rather than n'!; it reads the graph as the
+same in-weight matrix, and each move's gain from the same half-width gain
+tables, as the exact solver in ``linord``. Equation systems (after
 rank reduction) and formulas (over their occurring variables) are counted
 by the bit-sliced counter of ``gf2``: one packed int per bit of the
 satisfied weight or clause count holds that bit for every assignment, and
@@ -26,7 +28,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import maxlin, rsat
-from .linord import LinearOrder, WeightedDigraph, active_in_arcs, digraph_stats, x_value
+from .linord import (
+    LinearOrder,
+    WeightedDigraph,
+    active_arcs,
+    digraph_stats,
+    gain_tables,
+    in_weight_matrix,
+    x_value,
+)
 from .maxlin import DEFAULT_ASSIGNMENT_CAP, Lin2Equation, Lin2System
 from .outcome import check_cap
 from .rsat import ExactCnfFormula
@@ -129,12 +139,14 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
 
     Orders of the n' non-isolated vertices are counted by a dynamic program
     over vertex subsets: the orders of a set S end in some v of S, and each
-    adds to an order of S - v the weight of arcs from S - v into v. Each
-    subset keeps a Counter of forward weight over its orders, so the cost is
-    O(2^n' * n' * support). Every order of the active vertices accounts for
-    n!/n'! full orders. ``cap`` bounds n'.
+    adds to an order of S - v the weight of arcs from S - v into v. That
+    gain is read from the same in-weight matrix and half-width gain tables
+    as ``linord.exact_max_acyclic``'s subset DP. Each subset keeps a Counter
+    of forward weight over its orders, so the cost is O(2^n' * n' * support).
+    Every order of the active vertices accounts for n!/n'! full orders.
+    ``cap`` bounds n'.
     """
-    active, in_arcs = active_in_arcs(g)
+    active, arcs = active_arcs(g)
     nv = len(active)
     check_cap("distribution", nv, "active vertices", cap)
     # n!/n'!, multiplied up so that a long header stops at the budget.
@@ -142,19 +154,20 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
     for factor in range(nv + 1, g.n + 1):
         multiplier *= factor
         _check_multiplier(multiplier.bit_length())
+    h, lo, hi = gain_tables(in_weight_matrix(nv, arcs))
+    low = (1 << h) - 1
     full = (1 << nv) - 1
     forward: list[Counter[int]] = [Counter() for _ in range(full + 1)]
     forward[0][0] = 1
     for mask in range(full):
         base = forward[mask]
+        sl = mask & low
+        sh = mask >> h
         for i in range(nv):
             bit = 1 << i
             if mask & bit:
                 continue
-            gain = 0
-            for ubit, w in in_arcs[i]:
-                if mask & ubit:
-                    gain += w
+            gain = lo[i][sl] + hi[i][sh]
             target = forward[mask | bit]
             for f, c in base.items():
                 target[f + gain] += c
@@ -356,9 +369,8 @@ def estimate_moments(
     if isinstance(instance, WeightedDigraph):
         # The active vertices of a uniform order are in uniform relative order,
         # so X has the same law on the digraph they induce.
-        active, _ = active_in_arcs(instance)
-        index = {v: i for i, v in enumerate(active)}
-        g = WeightedDigraph(len(active), tuple((index[u], index[v], w) for u, v, w in instance.arcs))
+        active, arcs = active_arcs(instance)
+        g = WeightedDigraph(len(active), tuple(arcs))
         vertices = list(range(g.n))
         for _ in range(samples):
             rng.shuffle(vertices)

@@ -15,8 +15,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
-from abovetight.linord import LinearOrder, WeightedDigraph, active_in_arcs
-from abovetight.maxlin import Lin2Equation, Lin2System
+from abovetight.linord import LinearOrder, WeightedDigraph
+from abovetight.maxlin import Lin2Equation, Lin2System, occurrence_f, system_stats
 from abovetight.moments import ExactDistribution
 from abovetight.rsat import ExactCnfFormula
 
@@ -46,7 +46,12 @@ def subset_dp_max_forward(g: WeightedDigraph) -> tuple[int, LinearOrder]:
     The package's monolithic solver before it split the graph into strongly
     connected components; kept as an oracle for the per-component one.
     """
-    active, in_arcs = active_in_arcs(g)
+    active = sorted({v for u, v2, _ in g.arcs for v in (u, v2)})
+    index = {v: i for i, v in enumerate(active)}
+    # The arcs into each active vertex, as (tail bit, weight).
+    in_arcs: list[list[tuple[int, int]]] = [[] for _ in active]
+    for u, v, w in g.arcs:
+        in_arcs[index[v]].append((1 << index[u], w))
     nv = len(active)
     size = 1 << nv
     dp = [-1] * size
@@ -287,6 +292,43 @@ def brute_patterns_lin2(s: Lin2System) -> set[frozenset[int]]:
                 satisfied.append(j)
         patterns.add(frozenset(satisfied))
     return patterns
+
+
+def occurrence_reduce(s: Lin2System, k: int, r: int) -> Lin2System:
+    """Remove every equation containing a rarely occurring variable: the paper's occurrence rule.
+
+    No decider applies the rule. It only fires when some variable occurs
+    at most m - f(k, r) times, so m > f(k, r), and at that size the arity
+    case has already answered YES_BY_BOUND. It is kept here as an oracle
+    for the paper's reduction.
+
+    While some variable occurs in at most m - f(k, r) of the current m
+    equations, all equations containing it are dropped (least occurrences
+    first, ties by variable index). The survivor count never falls below
+    f(k, r), so removal preserves the decision, and a solution of the result
+    extends to the input by assigning 0 to the variables that disappeared.
+    Expects a merge-normalized system with arity at most r.
+    """
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if not s.is_merge_normalized():
+        raise ValueError("system must be merge-normalized first")
+    stats = system_stats(s)
+    if stats.r > r:
+        raise ValueError("system arity %d exceeds the declared bound %d" % (stats.r, r))
+    f = occurrence_f(k, r)
+    eqs = list(s.equations)
+    while True:
+        m = len(eqs)
+        occ: Counter[int] = Counter()
+        for eq in eqs:
+            occ.update(eq.variables)
+        candidates = [v for v, c in occ.items() if c <= m - f]
+        if not candidates:
+            break
+        victim = min(candidates, key=lambda v: (occ[v], v))
+        eqs = [eq for eq in eqs if victim not in eq.variables]
+    return Lin2System(s.n, tuple(eqs))
 
 
 def rsat_scaled_x(f: ExactCnfFormula, assignment) -> int:

@@ -27,7 +27,6 @@ from abovetight.maxlin import (
     evaluate_x,
     merge_duplicates,
     occurrence_f,
-    occurrence_reduce,
     rank_reduce,
     solve_exact,
     system_stats,
@@ -52,6 +51,7 @@ from helpers import (
     brute_max_forward_weight,
     brute_pair_expectation,
     brute_patterns_lin2,
+    occurrence_reduce,
     random_digraph,
     random_formula,
     random_lin2,

@@ -20,7 +20,6 @@ from abovetight.maxlin import (
     lift_assignment,
     merge_duplicates,
     occurrence_f,
-    occurrence_reduce,
     rank_reduce,
     solve_exact,
     system_stats,
@@ -36,6 +35,7 @@ from helpers import (
     edge_lin2_systems,
     flip_walk_lin2,
     lin2_x,
+    occurrence_reduce,
     parity_constraints,
     random_lin2,
     walk,

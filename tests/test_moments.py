@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -82,6 +83,26 @@ def test_dist_linord_matches_permutation_oracle():
             seen_padding |= g.n > active_count
             assert dist_linord(g) == brute_dist_linord(g)
     assert seen_two_cycle and seen_padding
+
+
+def test_dist_linord_handles_huge_weights():
+    # Weights up to 10^9: nearly every order has its own forward weight, so
+    # a counter whose size grew with the total weight W would not fit.
+    big = 10**9
+    cycle = WeightedDigraph.from_arcs(3, [(0, 1, big), (1, 2, 1), (2, 0, 1)])
+    start = time.perf_counter()
+    d = dist_linord(cycle)
+    assert time.perf_counter() - start < 0.1
+    assert d == brute_dist_linord(cycle)
+    rng = random.Random(1_000_000_007)
+    for active_count in range(2, 8):
+        for _ in range(3):
+            n = active_count + rng.randint(0, 2)
+            active = rng.sample(range(n), active_count)
+            arcs = {(active[j], active[j + 1]) for j in range(active_count - 1)}
+            arcs |= {(u, v) for u in active for v in active if u != v and rng.random() < 0.4}
+            g = WeightedDigraph.from_arcs(n, [(u, v, rng.choice((big, rng.randint(1, big)))) for u, v in sorted(arcs)])
+            assert dist_linord(g) == brute_dist_linord(g)
 
 
 def test_dist_lin2_examples():
