@@ -13,12 +13,18 @@ lin2      header ``p lin2 <n> <m>``, then m lines ``e <w> <b> <i1> ... <it>``
 ecnf      header ``p ecnf <n> <m> <r>``, then m clause lines of exactly r
           nonzero signed literals terminated by ``0``.
 
+``_HEADER_FIELDS`` holds each dialect's header field names, in the order
+n, m[, r], and its record noun; one header check reads and validates all
+three, and ``serialize_instance`` writes the ``p`` line from a format name
+and a size tuple in the same order.
+
 ``gen_instance`` writes a seeded instance of one of seven named families.
 ``GENERATOR_SIZES`` lists the sizes each family reads and their defaults;
 a size the family does not read is refused rather than dropped, and the
 command line's ``gen`` flags are built from the same table. Every family
 takes a seed; the three deterministic ones (``complete-rcnf``,
 ``disjoint-complete-rcnf``, ``remark2``) give the same text for any seed.
+``complete-rcnf`` is the one-block ``disjoint-complete-rcnf``.
 """
 
 from __future__ import annotations
@@ -28,9 +34,16 @@ from dataclasses import dataclass
 
 from .linord import WeightedDigraph
 from .maxlin import Lin2Equation, Lin2System
+from .moments import all_subsets_system
 from .rsat import ExactCnfFormula
 
 Instance = WeightedDigraph | Lin2System | ExactCnfFormula
+
+_HEADER_FIELDS: dict[str, tuple[tuple[str, ...], str]] = {
+    "digraph": (("vertex count", "arc count"), "arcs"),
+    "lin2": (("variable count", "equation count"), "equations"),
+    "ecnf": (("variable count", "clause count", "clause width"), "clauses"),
+}
 
 # The sizes each generator kind reads, with their defaults; None where the
 # default is derived from other sizes (m from n).
@@ -56,15 +69,10 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class InstanceFile:
-    """A serialized instance: format name, header line, record lines."""
+    """A serialized instance: format name and full text."""
 
     format: str
-    header: str
-    body: tuple[str, ...]
-
-    @property
-    def text(self) -> str:
-        return "\n".join((self.header,) + self.body) + "\n"
+    text: str
 
 
 def _significant_lines(text: str) -> list[tuple[int, list[str]]]:
@@ -93,16 +101,22 @@ def parse_instance(text: str) -> Instance:
     if header[0] != "p" or len(header) < 2:
         raise ParseError(header_no, "expected a 'p <format> ...' header")
     fmt = header[1]
+    if fmt not in _HEADER_FIELDS:
+        raise ParseError(header_no, "unknown format %r" % fmt)
+    fields, noun = _HEADER_FIELDS[fmt]
+    if len(header) != 2 + len(fields):
+        usage = " ".join("<%s>" % name for name in "nmr"[: len(fields)])
+        raise ParseError(header_no, "%s header needs 'p %s %s'" % (fmt, fmt, usage))
+    sizes = [_int(tok, header_no, what) for tok, what in zip(header[2:], fields)]
+    n, m = sizes[0], sizes[1]
+    if n < 0 or m < 0:
+        raise ParseError(header_no, "counts must be nonnegative")
+    if fmt == "ecnf" and sizes[2] < 2:
+        raise ParseError(header_no, "clause width must be at least 2")
     records = lines[1:]
+    if len(records) != m:
+        raise ParseError(header_no, "header announces %d %s, found %d" % (m, noun, len(records)))
     if fmt == "digraph":
-        if len(header) != 4:
-            raise ParseError(header_no, "digraph header needs 'p digraph <n> <m>'")
-        n = _int(header[2], header_no, "vertex count")
-        m = _int(header[3], header_no, "arc count")
-        if n < 0 or m < 0:
-            raise ParseError(header_no, "counts must be nonnegative")
-        if len(records) != m:
-            raise ParseError(header_no, "header announces %d arcs, found %d" % (m, len(records)))
         arcs = []
         for line_no, rec in records:
             if len(rec) != 4 or rec[0] != "a":
@@ -119,16 +133,6 @@ def parse_instance(text: str) -> Instance:
             arcs.append((u - 1, v - 1, w))
         return WeightedDigraph.from_arcs(n, arcs)
     if fmt == "lin2":
-        if len(header) != 4:
-            raise ParseError(header_no, "lin2 header needs 'p lin2 <n> <m>'")
-        n = _int(header[2], header_no, "variable count")
-        m = _int(header[3], header_no, "equation count")
-        if n < 0 or m < 0:
-            raise ParseError(header_no, "counts must be nonnegative")
-        if len(records) != m:
-            raise ParseError(
-                header_no, "header announces %d equations, found %d" % (m, len(records))
-            )
         eqs = []
         for line_no, rec in records:
             if len(rec) < 4 or rec[0] != "e":
@@ -146,65 +150,44 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, "repeated variable in the equation")
             eqs.append(Lin2Equation(tuple(sorted(i - 1 for i in indices)), b, w))
         return Lin2System(n, tuple(eqs))
-    if fmt == "ecnf":
-        if len(header) != 5:
-            raise ParseError(header_no, "ecnf header needs 'p ecnf <n> <m> <r>'")
-        n = _int(header[2], header_no, "variable count")
-        m = _int(header[3], header_no, "clause count")
-        r = _int(header[4], header_no, "clause width")
-        if n < 0 or m < 0:
-            raise ParseError(header_no, "counts must be nonnegative")
-        if r < 2:
-            raise ParseError(header_no, "clause width must be at least 2")
-        if len(records) != m:
-            raise ParseError(
-                header_no, "header announces %d clauses, found %d" % (m, len(records))
-            )
-        clauses = []
-        for line_no, rec in records:
-            lits = [_int(tok, line_no, "literal") for tok in rec]
-            if not lits or lits[-1] != 0:
-                raise ParseError(line_no, "clause line must end with 0")
-            lits = lits[:-1]
-            if any(lit == 0 for lit in lits):
-                raise ParseError(line_no, "literal 0 inside a clause")
-            if len(lits) != r:
-                raise ParseError(line_no, "clause width %d, expected %d" % (len(lits), r))
-            variables = [abs(lit) for lit in lits]
-            if any(not 1 <= v <= n for v in variables):
-                raise ParseError(line_no, "variable out of range 1..%d" % n)
-            if len(set(variables)) != r:
-                raise ParseError(line_no, "clause repeats a variable or has complementary literals")
-            clauses.append(tuple(sorted(lits, key=abs)))
-        return ExactCnfFormula(n, r, tuple(clauses))
-    raise ParseError(header_no, "unknown format %r" % fmt)
+    r = sizes[2]
+    clauses = []
+    for line_no, rec in records:
+        lits = [_int(tok, line_no, "literal") for tok in rec]
+        if not lits or lits[-1] != 0:
+            raise ParseError(line_no, "clause line must end with 0")
+        lits = lits[:-1]
+        if any(lit == 0 for lit in lits):
+            raise ParseError(line_no, "literal 0 inside a clause")
+        if len(lits) != r:
+            raise ParseError(line_no, "clause width %d, expected %d" % (len(lits), r))
+        variables = [abs(lit) for lit in lits]
+        if any(not 1 <= v <= n for v in variables):
+            raise ParseError(line_no, "variable out of range 1..%d" % n)
+        if len(set(variables)) != r:
+            raise ParseError(line_no, "clause repeats a variable or has complementary literals")
+        clauses.append(tuple(sorted(lits, key=abs)))
+    return ExactCnfFormula(n, r, tuple(clauses))
 
 
 def serialize_instance(instance: Instance) -> InstanceFile:
     """Render an instance in its dialect; parse(serialize(x)) == x."""
     if isinstance(instance, WeightedDigraph):
-        body = tuple("a %d %d %d" % (u + 1, v + 1, w) for u, v, w in instance.arcs)
-        return InstanceFile(
-            "digraph", "p digraph %d %d" % (instance.n, len(instance.arcs)), body
-        )
-    if isinstance(instance, Lin2System):
-        body = tuple(
+        fmt, sizes = "digraph", (instance.n, len(instance.arcs))
+        body = ["a %d %d %d" % (u + 1, v + 1, w) for u, v, w in instance.arcs]
+    elif isinstance(instance, Lin2System):
+        fmt, sizes = "lin2", (instance.n, len(instance.equations))
+        body = [
             "e %d %d %s" % (eq.weight, eq.rhs, " ".join(str(v + 1) for v in eq.variables))
             for eq in instance.equations
-        )
-        return InstanceFile(
-            "lin2", "p lin2 %d %d" % (instance.n, len(instance.equations)), body
-        )
-    if isinstance(instance, ExactCnfFormula):
-        body = tuple(
-            " ".join(str(lit) for lit in clause) + " 0" for clause in instance.clauses
-        )
-        return InstanceFile(
-            "ecnf",
-            "p ecnf %d %d %d" % (instance.n, len(instance.clauses), instance.r),
-            body,
-        )
-    raise TypeError("unsupported instance type: %r" % type(instance))
+        ]
+    elif isinstance(instance, ExactCnfFormula):
+        fmt, sizes = "ecnf", (instance.n, len(instance.clauses), instance.r)
+        body = [" ".join(str(lit) for lit in clause) + " 0" for clause in instance.clauses]
+    else:
+        raise TypeError("unsupported instance type: %r" % type(instance))
+    header = ("p %s" + " %d" * len(sizes)) % (fmt, *sizes)
+    return InstanceFile(fmt, "\n".join([header, *body]) + "\n")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -229,34 +212,23 @@ def gen_instance(kind: str, seed: int = 0, **sizes: int | None) -> InstanceFile:
             _require(name in values, "%s does not read --%s" % (kind, name))
             values[name] = value
     n, m, r = values.get("n"), values.get("m"), values.get("r")
-    pairs, blocks, wmax = values.get("pairs"), values.get("blocks"), values.get("wmax")
+    pairs, blocks, wmax = values.get("pairs"), values.get("blocks", 1), values.get("wmax")
     rng = random.Random(seed)
     _require(wmax is None or wmax >= 1, "wmax must be positive")
-    if kind == "symmetric-digraph":
-        _require(2 <= n <= 64, "n must be in 2..64")
-        m = n if m is None else m
-        all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        _require(0 <= m <= len(all_pairs), "m must be at most n(n-1)/2")
-        chosen = rng.sample(all_pairs, m)
-        arcs = []
-        for u, v in sorted(chosen):
-            w = rng.randint(1, wmax)
-            arcs.append((u, v, w))
-            arcs.append((v, u, w))
-        return serialize_instance(WeightedDigraph.from_arcs(n, arcs))
-    if kind == "random-oriented":
+    if kind in ("symmetric-digraph", "random-oriented"):
+        symmetric = kind == "symmetric-digraph"
         _require(2 <= n <= 64, "n must be in 2..64")
         all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        m = min(2 * n, len(all_pairs)) if m is None else m
+        if m is None:
+            m = n if symmetric else min(2 * n, len(all_pairs))
         _require(0 <= m <= len(all_pairs), "m must be at most n(n-1)/2")
-        chosen = rng.sample(all_pairs, m)
         arcs = []
-        for u, v in sorted(chosen):
+        for u, v in sorted(rng.sample(all_pairs, m)):
             w = rng.randint(1, wmax)
-            if rng.random() < 0.5:
-                arcs.append((u, v, w))
+            if symmetric:
+                arcs += [(u, v, w), (v, u, w)]
             else:
-                arcs.append((v, u, w))
+                arcs.append((u, v, w) if rng.random() < 0.5 else (v, u, w))
         return serialize_instance(WeightedDigraph.from_arcs(n, arcs))
     if kind == "cancelling-pairs-lin2":
         _require(1 <= n <= 30, "n must be in 1..30")
@@ -281,16 +253,7 @@ def gen_instance(kind: str, seed: int = 0, **sizes: int | None) -> InstanceFile:
             variables = tuple(sorted(rng.sample(range(n), size)))
             eqs.append(Lin2Equation(variables, rng.randint(0, 1), rng.randint(1, wmax)))
         return serialize_instance(Lin2System(n, tuple(eqs)))
-    if kind == "complete-rcnf":
-        _require(2 <= r <= 6, "r must be in 2..6")
-        clauses = []
-        for signs in range(1 << r):
-            clause = tuple(
-                (v + 1) if (signs >> v) & 1 else -(v + 1) for v in range(r)
-            )
-            clauses.append(clause)
-        return serialize_instance(ExactCnfFormula(r, r, tuple(clauses)))
-    if kind == "disjoint-complete-rcnf":
+    if kind in ("complete-rcnf", "disjoint-complete-rcnf"):
         _require(2 <= r <= 6, "r must be in 2..6")
         _require(1 <= blocks <= 8, "blocks must be in 1..8")
         clauses = []
@@ -304,6 +267,4 @@ def gen_instance(kind: str, seed: int = 0, **sizes: int | None) -> InstanceFile:
                 clauses.append(clause)
         return serialize_instance(ExactCnfFormula(blocks * r, r, tuple(clauses)))
     # remark2
-    from .moments import all_subsets_system
-
     return serialize_instance(all_subsets_system(n))

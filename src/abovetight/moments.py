@@ -157,10 +157,11 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
     h, lo, hi = gain_tables(in_weight_matrix(nv, arcs))
     low = (1 << h) - 1
     full = (1 << nv) - 1
-    forward: list[Counter[int]] = [Counter() for _ in range(full + 1)]
+    forward: list[Counter[int] | None] = [Counter() for _ in range(full + 1)]
     forward[0][0] = 1
     for mask in range(full):
-        base = forward[mask]
+        # Each subset's Counter is read only here, so drop it once read.
+        base, forward[mask] = forward[mask], None
         sl = mask & low
         sh = mask >> h
         for i in range(nv):

@@ -57,6 +57,16 @@ def test_parse_ecnf():
         ("p ecnf 2 1 1\n1 0\n", 1, "at least 2"),
         ("p nonsense 1 1\n", 1, "unknown format"),
         ("", 1, "empty"),
+        ("p digraph 2\n", 1, "header needs"),
+        ("p ecnf 2 1\n", 1, "header needs"),
+        ("p lin2 2 1 3\n", 1, "header needs"),
+        ("p digraph -1 0\n", 1, "nonnegative"),
+        ("p lin2 2 -1\n", 1, "nonnegative"),
+        ("p ecnf 2 x 2\n", 1, "clause count"),
+        ("p lin2 2 2\ne 1 1 1\n", 1, "announces"),
+        ("p ecnf 2 2 2\n1 2 0\n", 1, "announces"),
+        ("x lin2 1 1\n", 1, "header"),
+        ("p digraph 2 1\nb 1 2 1\n", 2, "expected 'a"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, needle):
@@ -135,6 +145,8 @@ def test_generator_refuses_sizes_its_kind_does_not_read():
         gen_instance("complete-rcnf", wmax=2)
     with pytest.raises(ValueError, match="--n"):
         gen_instance("disjoint-complete-rcnf", n=4)
+    with pytest.raises(ValueError, match="--blocks"):
+        gen_instance("complete-rcnf", blocks=2)
 
 
 def test_generator_defaults_come_from_the_table():
