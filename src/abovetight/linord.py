@@ -124,17 +124,15 @@ def x_value(g: WeightedDigraph, order: LinearOrder) -> int:
     return 2 * forward - total
 
 
-def active_arcs(g: WeightedDigraph) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """Non-isolated vertices in increasing order, and the arcs renumbered over them.
+def active_vertices(g: WeightedDigraph) -> list[int]:
+    """Non-isolated vertices in increasing order: what the order caps, DPs and sampler see."""
+    return sorted({v for arc in g.arcs for v in arc[:2]})
 
-    Arc (i, j, w) runs from ``active[i]`` to ``active[j]``. The subset
-    dynamic programs over vertex orders and the order sampler work on these
-    indices, so their cost follows the arcs rather than the declared vertex
-    count.
-    """
-    active = sorted({v for arc in g.arcs for v in arc[:2]})
+
+def active_arcs(g: WeightedDigraph, active: list[int]) -> list[tuple[int, int, int]]:
+    """The arcs renumbered over ``active``: arc (i, j, w) runs from ``active[i]`` to ``active[j]``."""
     index = {v: i for i, v in enumerate(active)}
-    return active, [(index[u], index[v], w) for u, v, w in g.arcs]
+    return [(index[u], index[v], w) for u, v, w in g.arcs]
 
 
 def in_weight_matrix(m: int, arcs: list[tuple[int, int, int]]) -> list[list[int]]:
@@ -247,9 +245,10 @@ def exact_max_acyclic(
     Refuses instances with more than ``cap`` non-isolated vertices before any
     search.
     """
-    active, arcs = active_arcs(g)
+    active = active_vertices(g)
     m = len(active)
     check_cap("exact solve", m, "non-isolated vertices", cap)
+    arcs = active_arcs(g, active)
     matrix = in_weight_matrix(m, arcs)
     out_masks = [sum(1 << i for i, row in enumerate(matrix) if row[t]) for t in range(m)]
     value = sum(w for _, _, w in arcs)

@@ -2,36 +2,40 @@
 
 Each sample space is counted completely. The n! vertex orders of a digraph
 are counted by a dynamic program over subsets of its n' non-isolated
-vertices that keeps the exact forward-weight distribution of each subset,
-in O(2^n' * n' * support) time rather than n'!; it reads the graph as the
-same in-weight matrix, and each move's gain from the same half-width gain
-tables, as the exact solver in ``linord``. Equation systems (after
-rank reduction) and formulas (over their occurring variables) are counted
-by the bit-sliced counter of ``gf2``: one packed int per bit of the
-satisfied weight or clause count holds that bit for every assignment, and
-the counts are split slice by slice into the number of assignments at each
-value. A multiplier of n!/n'! or 2^(n - counted) turns the counts into the
-full space, and the caps bound what is counted. Values are stored at an
-integer scale (2 for orders, 1 for equation systems, 2^r for formulas) and every
-probability or moment is an exact rational; square roots and other
-irrational thresholds are compared by raising both sides to integer powers,
-so no floating point enters any verification path. A Monte-Carlo estimator
-exists for larger instances but is labeled as an estimate and is never used
-in assertions.
+vertices, in 2^n' * n' big-int steps rather than n'!: each subset's
+forward-weight distribution is one packed int with a digit per weight, or a
+Counter where those digits would pass a memory budget (large weights). It
+reads the graph as the same in-weight matrix and half-width gain tables as
+the exact solver in ``linord``. Equation systems (after rank reduction) and
+formulas (over their occurring variables) are counted by the bit-sliced
+counter of ``gf2``: one packed int per bit of the satisfied weight or clause
+count holds that bit for every assignment, and the counts are split slice by
+slice into the number of assignments at each value. A multiplier of n!/n'!
+or 2^(n - counted) turns the counts into the full space, and the caps bound
+what is counted. Values are stored at an integer scale (2 for orders, 1 for
+equation systems, 2^r for formulas) and every probability or moment is an
+exact rational; square roots and other irrational thresholds are compared by
+raising both sides to integer powers, so no floating point enters any
+verification path. A Monte-Carlo estimator for larger instances is labeled
+as an estimate and is never used in assertions.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from . import maxlin, rsat
 from .linord import (
     LinearOrder,
     WeightedDigraph,
     active_arcs,
+    active_vertices,
     digraph_stats,
     gain_tables,
     in_weight_matrix,
@@ -46,6 +50,8 @@ DEFAULT_ORDER_CAP = 9
 # one stands for (n!/n'! or 2^(n - kernel)), so a header declaring millions
 # of unused vertices or variables is refused at once, not multiplied out.
 MULTIPLIER_BITS = 1024
+# dist_linord packs its counts while 2^n' subsets of (W + 1) digits fit in this many bytes.
+PACKED_BUDGET_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -139,14 +145,18 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
 
     Orders of the n' non-isolated vertices are counted by a dynamic program
     over vertex subsets: the orders of a set S end in some v of S, and each
-    adds to an order of S - v the weight of arcs from S - v into v. That
-    gain is read from the same in-weight matrix and half-width gain tables
-    as ``linord.exact_max_acyclic``'s subset DP. Each subset keeps a Counter
-    of forward weight over its orders, so the cost is O(2^n' * n' * support).
-    Every order of the active vertices accounts for n!/n'! full orders.
-    ``cap`` bounds n'.
+    adds to an order of S - v the weight of arcs from S - v into v, read
+    from the same in-weight matrix and half-width gain tables as
+    ``linord.exact_max_acyclic``'s subset DP. Each subset keeps its orders'
+    forward weights as one packed int whose digit f counts the orders of
+    weight f, so a move that gains g is one shift by g digits and one add:
+    O(2^n' * n') big-int steps on at most W + 1 digits, W the total weight.
+    Past ``PACKED_BUDGET_BYTES`` each subset keeps a Counter instead, at
+    O(2^n' * n' * support) dict updates, which follows the distinct forward
+    weights rather than W. Every order of the active vertices accounts for
+    n!/n'! full orders. ``cap`` bounds n'.
     """
-    active, arcs = active_arcs(g)
+    active = active_vertices(g)
     nv = len(active)
     check_cap("distribution", nv, "active vertices", cap)
     # n!/n'!, multiplied up so that a long header stops at the budget.
@@ -154,26 +164,47 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
     for factor in range(nv + 1, g.n + 1):
         multiplier *= factor
         _check_multiplier(multiplier.bit_length())
-    h, lo, hi = gain_tables(in_weight_matrix(nv, arcs))
+    h, lo, hi = gain_tables(in_weight_matrix(nv, active_arcs(g, active)))
     low = (1 << h) - 1
     full = (1 << nv) - 1
-    forward: list[Counter[int] | None] = [Counter() for _ in range(full + 1)]
-    forward[0][0] = 1
-    for mask in range(full):
-        # Each subset's Counter is read only here, so drop it once read.
-        base, forward[mask] = forward[mask], None
-        sl = mask & low
-        sh = mask >> h
-        for i in range(nv):
-            bit = 1 << i
-            if mask & bit:
-                continue
-            gain = lo[i][sl] + hi[i][sh]
-            target = forward[mask | bit]
-            for f, c in base.items():
-                target[f + gain] += c
     total_weight = sum(w for _, _, w in g.arcs)
-    counts = Counter({2 * f - total_weight: c for f, c in forward[full].items()})
+    # Digits of 1, 2, 4 or 8 bytes hold n'! for n' <= 20; a larger n' always fails the budget.
+    digit_bytes = 1 << (-(-math.factorial(nv).bit_length() // 8) - 1).bit_length()
+    if (total_weight + 1) * digit_bytes << nv <= PACKED_BUDGET_BYTES:
+        shift = 8 * digit_bytes
+        # Each vertex's bit and its gain tables, scaled from digits to bits.
+        moves = [(1 << i, [x * shift for x in lo[i]], [x * shift for x in hi[i]]) for i in range(nv)]
+        poly = [1] + [0] * full
+        for mask in range(full):
+            # Each subset's polynomial is read only here, so drop it once read.
+            base, poly[mask] = poly[mask], 0
+            sl, sh = mask & low, mask >> h
+            for bit, lo_shift, hi_shift in moves:
+                if not mask & bit:
+                    poly[mask | bit] += base << lo_shift[sl] + hi_shift[sh]
+        raw = poly[full].to_bytes((total_weight + 1) * digit_bytes, sys.byteorder)
+        digits = memoryview(raw).cast("BHIQ"[digit_bytes.bit_length() - 1])
+        if sys.byteorder == "big":
+            digits = digits[::-1]
+        forward = compress(enumerate(digits), digits)
+    else:
+        counters: list[Counter[int] | None] = [Counter() for _ in range(full + 1)]
+        counters[0][0] = 1
+        for mask in range(full):
+            # Each subset's Counter is read only here, so drop it once read.
+            base, counters[mask] = counters[mask], None
+            sl = mask & low
+            sh = mask >> h
+            for i in range(nv):
+                bit = 1 << i
+                if mask & bit:
+                    continue
+                gain = lo[i][sl] + hi[i][sh]
+                target = counters[mask | bit]
+                for f, c in base.items():
+                    target[f + gain] += c
+        forward = counters[full].items()
+    counts = Counter({2 * f - total_weight: c for f, c in forward})
     return ExactDistribution.from_counts(2, counts, multiplier)
 
 
@@ -370,8 +401,8 @@ def estimate_moments(
     if isinstance(instance, WeightedDigraph):
         # The active vertices of a uniform order are in uniform relative order,
         # so X has the same law on the digraph they induce.
-        active, arcs = active_arcs(instance)
-        g = WeightedDigraph(len(active), tuple(arcs))
+        active = active_vertices(instance)
+        g = WeightedDigraph(len(active), tuple(active_arcs(instance, active)))
         vertices = list(range(g.n))
         for _ in range(samples):
             rng.shuffle(vertices)

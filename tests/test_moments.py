@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from abovetight import moments
 from abovetight.linord import WeightedDigraph, digraph_stats
 from abovetight.maxlin import Lin2System, merge_duplicates, system_stats
 from abovetight.moments import (
@@ -103,6 +104,29 @@ def test_dist_linord_handles_huge_weights():
             arcs |= {(u, v) for u in active for v in active if u != v and rng.random() < 0.4}
             g = WeightedDigraph.from_arcs(n, [(u, v, rng.choice((big, rng.randint(1, big)))) for u, v in sorted(arcs)])
             assert dist_linord(g) == brute_dist_linord(g)
+
+
+def test_dist_linord_paths_agree_on_each_side_of_the_packed_budget(monkeypatch):
+    # Four active vertices take one-byte digits, so the packed form holds
+    # (W + 1) << 4 bytes and the budget falls between W = 2^22 - 1 and 2^22.
+    budget = moments.PACKED_BUDGET_BYTES
+    at_budget = (budget >> 4) - 1
+    packed_calls = []
+    real_compress = moments.compress
+    monkeypatch.setattr(moments, "compress", lambda *a: packed_calls.append(a) or real_compress(*a))
+    for total, packed in ((at_budget, True), (at_budget + 1, False)):
+        g = WeightedDigraph.from_arcs(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 2, 1), (3, 0, total - 7)])
+        assert digraph_stats(g).W == total
+        packed_calls.clear()
+        d = dist_linord(g)
+        assert bool(packed_calls) == packed
+        assert d == brute_dist_linord(g)
+        # Move the budget to the other side of this W: the other path agrees.
+        monkeypatch.setattr(moments, "PACKED_BUDGET_BYTES", total << 4 if packed else (total + 1) << 4)
+        packed_calls.clear()
+        assert dist_linord(g) == d
+        assert bool(packed_calls) != packed
+        monkeypatch.setattr(moments, "PACKED_BUDGET_BYTES", budget)
 
 
 def test_dist_lin2_examples():
