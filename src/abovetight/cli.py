@@ -132,7 +132,8 @@ _PARSER = build_parser()
 
 def _witness_tokens(witness: Any) -> list[int]:
     if isinstance(witness, LinearOrder):
-        return [v + 1 for v in witness.sequence()]
+        # Each 1-based vertex v + 1, sorted by v's rank: one sort, no loop per vertex.
+        return sorted(range(1, len(witness.positions) + 1), key=(0, *witness.positions).__getitem__)
     return [int(b) for b in witness]
 
 

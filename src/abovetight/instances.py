@@ -6,7 +6,10 @@ line; lines starting with ``c`` are comments and blank lines are ignored.
 digraph   header ``p digraph <n> <m>``, then m arc lines ``a <u> <v> <w>``
           with 1-based endpoints and positive integer weights. Parallel
           same-direction arcs are merged by summing weights; loops are
-          rejected.
+          rejected. Arc lines are read by columns and checked once, by
+          the ``WeightedDigraph`` constructor; only input that this
+          refuses is walked line by line, and the error names the first
+          bad line.
 lin2      header ``p lin2 <n> <m>``, then m lines ``e <w> <b> <i1> ... <it>``
           listing an equation of weight w, right side b and distinct
           1-based variable indices.
@@ -75,13 +78,13 @@ class InstanceFile:
     text: str
 
 
-def _significant_lines(text: str) -> list[tuple[int, list[str]]]:
+def _significant_lines(lines: list[str], first_no: int) -> list[tuple[int, list[str]]]:
+    """Line number and tokens of each line that is neither blank nor a comment."""
     out = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        out.append((line_no, stripped.split()))
+    for line_no, raw in enumerate(lines, start=first_no):
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("c"):
+            out.append((line_no, tokens))
     return out
 
 
@@ -92,12 +95,56 @@ def _int(token: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, "%s is not an integer: %r" % (what, token)) from None
 
 
+def _digraph_by_columns(n: int, records: list[str]) -> WeightedDigraph:
+    """The digraph whose arc lines are ``records``, read a column at a time.
+
+    Raises ValueError on any fault, without saying where. The records must
+    each start with the letter ``a``, which no integer does; so if their
+    tokens also number 4m, with ``a`` at every fourth place and integers
+    elsewhere, each record's first token sits at a multiple of 4, and each
+    record is exactly ``a <u> <v> <w>``.
+    """
+    m = len(records)
+    body = "\n" + "\n".join(records)
+    tokens = body.split()
+    if body.count("\na") != m or len(tokens) != 4 * m or tokens[0::4].count("a") != m:
+        raise ValueError("records are not all 'a <u> <v> <w>'")
+    tails, heads = (map((-1).__add__, map(int, tokens[i::4])) for i in (1, 2))
+    return WeightedDigraph.from_arcs(n, zip(tails, heads, map(int, tokens[3::4])))
+
+
+def _first_bad_arc_line(n: int, records: list[tuple[int, list[str]]]) -> ParseError:
+    """The error for the first arc line that breaks the digraph dialect."""
+    for line_no, rec in records:
+        if len(rec) != 4 or rec[0] != "a":
+            return ParseError(line_no, "expected 'a <u> <v> <w>'")
+        u = _int(rec[1], line_no, "tail")
+        v = _int(rec[2], line_no, "head")
+        w = _int(rec[3], line_no, "weight")
+        if not (1 <= u <= n and 1 <= v <= n):
+            return ParseError(line_no, "vertex out of range 1..%d" % n)
+        if u == v:
+            return ParseError(line_no, "loop arcs are not allowed")
+        if w < 1:
+            return ParseError(line_no, "weights must be positive")
+    raise AssertionError("the column pass refused arc lines that each pass the line checks")
+
+
 def parse_instance(text: str) -> Instance:
-    """Parse one instance in any of the three dialects."""
-    lines = _significant_lines(text)
-    if not lines:
+    """Parse one instance in any of the three dialects.
+
+    Digraph arc lines are read by columns (``_digraph_by_columns``); only if
+    that pass or the ``WeightedDigraph`` constructor refuses them are they
+    walked line by line, to name the first bad one. Equation and clause
+    lines vary in width and are checked one line at a time.
+    """
+    lines = text.splitlines()
+    for header_no, raw in enumerate(lines, start=1):
+        header = raw.split()
+        if header and not header[0].startswith("c"):
+            break
+    else:
         raise ParseError(1, "empty instance")
-    header_no, header = lines[0]
     if header[0] != "p" or len(header) < 2:
         raise ParseError(header_no, "expected a 'p <format> ...' header")
     fmt = header[1]
@@ -113,25 +160,18 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(header_no, "counts must be nonnegative")
     if fmt == "ecnf" and sizes[2] < 2:
         raise ParseError(header_no, "clause width must be at least 2")
-    records = lines[1:]
+    body = lines[header_no:]
+    if fmt == "digraph":
+        records = [s for s in map(str.strip, body) if s and s[0] != "c"]
+    else:
+        records = _significant_lines(body, header_no + 1)
     if len(records) != m:
         raise ParseError(header_no, "header announces %d %s, found %d" % (m, noun, len(records)))
     if fmt == "digraph":
-        arcs = []
-        for line_no, rec in records:
-            if len(rec) != 4 or rec[0] != "a":
-                raise ParseError(line_no, "expected 'a <u> <v> <w>'")
-            u = _int(rec[1], line_no, "tail")
-            v = _int(rec[2], line_no, "head")
-            w = _int(rec[3], line_no, "weight")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(line_no, "vertex out of range 1..%d" % n)
-            if u == v:
-                raise ParseError(line_no, "loop arcs are not allowed")
-            if w < 1:
-                raise ParseError(line_no, "weights must be positive")
-            arcs.append((u - 1, v - 1, w))
-        return WeightedDigraph.from_arcs(n, arcs)
+        try:
+            return _digraph_by_columns(n, records)
+        except ValueError:
+            raise _first_bad_arc_line(n, _significant_lines(body, header_no + 1)) from None
     if fmt == "lin2":
         eqs = []
         for line_no, rec in records:

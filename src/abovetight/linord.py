@@ -9,16 +9,28 @@ the integer 2X = 2*(forward weight) - W, so the target reads 2X >= 2k.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 from .outcome import CapExceeded, DecisionOutcome, Verdict, check_cap
 
 DEFAULT_VERTEX_CAP = 24
 
 
+class _ParallelArcs(ValueError):
+    """The one constructor fault that ``WeightedDigraph.from_arcs`` repairs."""
+
+
 @dataclass(frozen=True)
 class WeightedDigraph:
-    """Loop-free digraph with positive integer arc weights, vertices 0..n-1."""
+    """Loop-free digraph with positive integer arc weights, vertices 0..n-1.
+
+    The constructor is the one place that checks arcs. It reads them as
+    three columns and reports the first fault kind present, in the order
+    endpoint, loop, weight, parallel arc; with several faults it does not
+    say which arc carries them.
+    """
 
     n: int
     arcs: tuple[tuple[int, int, int], ...]
@@ -26,30 +38,39 @@ class WeightedDigraph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen = set()
-        for tail, head, weight in self.arcs:
-            if not (0 <= tail < self.n and 0 <= head < self.n):
-                raise ValueError("arc endpoint out of range")
-            if tail == head:
-                raise ValueError("loops are not allowed")
-            if weight < 1:
-                raise ValueError("arc weights must be positive integers")
-            if (tail, head) in seen:
-                raise ValueError("parallel arcs must be merged before construction")
-            seen.add((tail, head))
+        if not self.arcs:
+            return
+        tails, heads, weights = zip(*self.arcs)
+        if min(tails) < 0 or min(heads) < 0 or max(tails) >= self.n or max(heads) >= self.n:
+            raise ValueError("arc endpoint out of range")
+        if any(map(operator.eq, tails, heads)):
+            raise ValueError("loops are not allowed")
+        if min(weights) < 1:
+            raise ValueError("arc weights must be positive integers")
+        # Each pair as the int tail * n + head: ints, unlike pair tuples, are
+        # not tracked by the cyclic collector.
+        pairs = map(operator.add, map(operator.mul, tails, repeat(self.n)), heads)
+        if len(set(pairs)) < len(self.arcs):
+            raise _ParallelArcs("parallel arcs must be merged before construction")
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> WeightedDigraph:
-        """Build a digraph, merging parallel same-direction arcs by weight sum."""
+        """Build a digraph with sorted arcs, merging parallel same-direction arcs by weight sum.
+
+        The arcs are merged only when the constructor finds parallel ones.
+        It checks for them last, so by then every unmerged arc has passed
+        the endpoint, loop and weight checks: a bad weight cannot hide in a
+        sum.
+        """
+        arcs = tuple(sorted(arcs))
+        try:
+            return cls(n, arcs)
+        except _ParallelArcs:
+            pass
         merged: dict[tuple[int, int], int] = {}
         for tail, head, weight in arcs:
-            if tail == head:
-                raise ValueError("loops are not allowed")
-            if weight < 1:
-                raise ValueError("arc weights must be positive integers")
             merged[(tail, head)] = merged.get((tail, head), 0) + weight
-        out = tuple((u, v, w) for (u, v), w in sorted(merged.items()))
-        return cls(n, out)
+        return cls(n, tuple((u, v, w) for (u, v), w in merged.items()))
 
     def weight_map(self) -> dict[tuple[int, int], int]:
         return {(u, v): w for u, v, w in self.arcs}
@@ -72,8 +93,8 @@ class LinearOrder:
     positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.positions)
-        if sorted(self.positions) != list(range(1, n + 1)):
+        p = self.positions
+        if p and (min(p) != 1 or max(p) != len(p) or len(set(p)) != len(p)):
             raise ValueError("positions must be a permutation of 1..n")
 
     @classmethod
@@ -90,10 +111,14 @@ class LinearOrder:
 
 def digraph_stats(g: WeightedDigraph) -> DigraphStats:
     wm = g.weight_map()
-    oriented = all((v, u) not in wm for (u, v) in wm)
-    total = sum(wm.values())
-    total_sq = sum(w * w for w in wm.values())
-    return DigraphStats(W=total, W2=total_sq, arc_count=len(wm), oriented=oriented)
+    oriented = all((v, u) not in wm for u, v in wm)
+    weights = wm.values()
+    return DigraphStats(
+        W=sum(weights),
+        W2=sum(map(operator.mul, weights, weights)),
+        arc_count=len(wm),
+        oriented=oriented,
+    )
 
 
 def reduce_two_cycles(g: WeightedDigraph) -> WeightedDigraph:
@@ -103,14 +128,8 @@ def reduce_two_cycles(g: WeightedDigraph) -> WeightedDigraph:
     decision-equivalent to the input for every k: any order's forward weight
     changes by the same constant as W/2 does.
     """
-    wm = g.weight_map()
-    kept = []
-    for (u, v), w in wm.items():
-        rw = wm.get((v, u))
-        if rw is None:
-            kept.append((u, v, w))
-        elif w > rw:
-            kept.append((u, v, w - rw))
+    get = g.weight_map().get
+    kept = [(u, v, d) for u, v, w in g.arcs if (d := w - get((v, u), 0)) > 0]
     return WeightedDigraph(g.n, tuple(sorted(kept)))
 
 
@@ -232,8 +251,8 @@ def _best_order(in_weights: list[list[int]]) -> tuple[int, list[int]]:
 
 def exact_max_acyclic(
     g: WeightedDigraph, cap: int = DEFAULT_VERTEX_CAP
-) -> tuple[int, LinearOrder]:
-    """Maximum forward weight over all linear orders, with an order attaining it.
+) -> tuple[int, list[int]]:
+    """Maximum forward weight over all orders, and the non-isolated vertices in an order attaining it.
 
     Each strongly connected component of the non-isolated vertices is solved
     on its own by a subset dynamic program (``_best_order``) over its block of
@@ -241,9 +260,9 @@ def exact_max_acyclic(
     with. An arc between components is forward in the topological order of
     the condensation, so the optimum is the sum of the components' optima
     plus the weight of every arc between components, attained by laying the
-    components' orders end to end in that order; isolated vertices trail.
-    Refuses instances with more than ``cap`` non-isolated vertices before any
-    search.
+    components' orders end to end in that order. Isolated vertices are left
+    out: they can go anywhere, and ``with_isolated`` appends them. Refuses
+    instances with more than ``cap`` non-isolated vertices before any search.
     """
     active = active_vertices(g)
     m = len(active)
@@ -260,9 +279,30 @@ def exact_max_acyclic(
         # The arcs inside the component count only as far as its order keeps them forward.
         value += best - sum(map(sum, inner))
         seq.extend(active[members[j]] for j in order)
-    used = set(active)
-    seq.extend(v for v in range(g.n) if v not in used)
-    return value, LinearOrder.from_sequence(seq)
+    return value, seq
+
+
+def with_isolated(seq: list[int], n: int, lead: bool = False) -> LinearOrder:
+    """The order of 0..n-1 listing ``seq``, then (or first, with ``lead``) the other vertices by index.
+
+    The other vertices' ranks are laid down one ``range`` per gap between
+    consecutive members of ``seq``, so the Python-level work follows
+    len(seq), not n.
+    """
+    k = len(seq)
+    rank = {v: r for r, v in enumerate(seq, start=n - k + 1 if lead else 1)}
+    if len(rank) != k or (seq and (min(seq) < 0 or max(seq) >= n)):
+        raise ValueError("sequence must list distinct vertices of 0..n-1")
+    positions: list[int] = []
+    next_rank, prev = (1 if lead else k + 1), -1
+    for v in [*sorted(seq), n]:
+        gap = v - prev - 1
+        positions += range(next_rank, next_rank + gap)
+        next_rank += gap
+        if v < n:
+            positions.append(rank[v])
+        prev = v
+    return LinearOrder(tuple(positions))
 
 
 def loalb_threshold(k: int) -> int:
@@ -301,7 +341,8 @@ def decide_loalb(
     diag["best_2x"] = doubled
     diag["target_2x"] = 2 * k
     if doubled >= 2 * k:
-        return DecisionOutcome(Verdict.YES_WITNESS, witness=order, diagnostics=diag)
+        witness = with_isolated(order, reduced.n)
+        return DecisionOutcome(Verdict.YES_WITNESS, witness=witness, diagnostics=diag)
     return DecisionOutcome(Verdict.NO, diagnostics=diag)
 
 
@@ -327,7 +368,6 @@ def solve_loalb_faithful(
     # each would be deleted first, in index order, and so come back in
     # front; below that they trail the residual's order.
     alive = {v for arc in wm for v in arc}
-    isolated = [v for v in range(reduced.n) if v not in alive]
     isolated_first = len(wm) >= threshold
     out_adj: dict[int, dict[int, int]] = {v: {} for v in alive}
     in_adj: dict[int, dict[int, int]] = {v: {} for v in alive}
@@ -379,7 +419,9 @@ def solve_loalb_faithful(
         # optimum means no deletion ever fired and the instance is NO.
         assert not snapshots
         return None
-    seq = [remaining[v] for v in order.sequence()]
+    # The residual's isolated vertices trail its order.
+    placed = set(order)
+    seq = [remaining[i] for i in order] + [v for i, v in enumerate(remaining) if i not in placed]
     for v, outs, ins in reversed(snapshots):
         out_weight = sum(w for _, w in outs)
         in_weight = sum(w for _, w in ins)
@@ -387,8 +429,7 @@ def solve_loalb_faithful(
             seq.insert(0, v)
         else:
             seq.append(v)
-    seq = isolated + seq if isolated_first else seq + isolated
-    return LinearOrder.from_sequence(seq)
+    return with_isolated(seq, reduced.n, lead=isolated_first)
 
 
 def decide_fas_below(

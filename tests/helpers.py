@@ -15,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
+from abovetight.instances import ParseError
 from abovetight.linord import LinearOrder, WeightedDigraph
 from abovetight.maxlin import Lin2Equation, Lin2System, occurrence_f, system_stats
 from abovetight.moments import ExactDistribution
@@ -384,6 +385,126 @@ def brute_overlap_histogram(f: ExactCnfFormula) -> tuple[int, Counter[int]]:
         elif kind == "overlap":
             shared_counts[shared] += 1
     return conflicts, shared_counts
+
+
+def reduce_two_cycles_by_dict(g: WeightedDigraph) -> WeightedDigraph:
+    """2-cycle cancelling by a walk over the weight map: the package's rule before it became one comprehension."""
+    wm = g.weight_map()
+    kept = []
+    for (u, v), w in wm.items():
+        rw = wm.get((v, u))
+        if rw is None:
+            kept.append((u, v, w))
+        elif w > rw:
+            kept.append((u, v, w - rw))
+    return WeightedDigraph(g.n, tuple(sorted(kept)))
+
+
+def _numbered_tokens(text: str) -> list[tuple[int, list[str]]]:
+    out = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        out.append((line_no, stripped.split()))
+    return out
+
+
+def _int_at(token: str, line_no: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(line_no, "%s is not an integer: %r" % (what, token)) from None
+
+
+_HEADER_FIELDS = {
+    "digraph": (("vertex count", "arc count"), "arcs"),
+    "lin2": (("variable count", "equation count"), "equations"),
+    "ecnf": (("variable count", "clause count", "clause width"), "clauses"),
+}
+
+
+def parse_instance_by_lines(text: str):
+    """Parse any dialect one tokenized line at a time, checking every arc as it is read.
+
+    The package's parser before digraph arcs were read by columns; kept as an
+    oracle for its instances and for the line number and text of each
+    ``ParseError``.
+    """
+    lines = _numbered_tokens(text)
+    if not lines:
+        raise ParseError(1, "empty instance")
+    header_no, header = lines[0]
+    if header[0] != "p" or len(header) < 2:
+        raise ParseError(header_no, "expected a 'p <format> ...' header")
+    fmt = header[1]
+    if fmt not in _HEADER_FIELDS:
+        raise ParseError(header_no, "unknown format %r" % fmt)
+    fields, noun = _HEADER_FIELDS[fmt]
+    if len(header) != 2 + len(fields):
+        usage = " ".join("<%s>" % name for name in "nmr"[: len(fields)])
+        raise ParseError(header_no, "%s header needs 'p %s %s'" % (fmt, fmt, usage))
+    sizes = [_int_at(tok, header_no, what) for tok, what in zip(header[2:], fields)]
+    n, m = sizes[0], sizes[1]
+    if n < 0 or m < 0:
+        raise ParseError(header_no, "counts must be nonnegative")
+    if fmt == "ecnf" and sizes[2] < 2:
+        raise ParseError(header_no, "clause width must be at least 2")
+    records = lines[1:]
+    if len(records) != m:
+        raise ParseError(header_no, "header announces %d %s, found %d" % (m, noun, len(records)))
+    if fmt == "digraph":
+        merged: dict[tuple[int, int], int] = {}
+        for line_no, rec in records:
+            if len(rec) != 4 or rec[0] != "a":
+                raise ParseError(line_no, "expected 'a <u> <v> <w>'")
+            u = _int_at(rec[1], line_no, "tail")
+            v = _int_at(rec[2], line_no, "head")
+            w = _int_at(rec[3], line_no, "weight")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(line_no, "vertex out of range 1..%d" % n)
+            if u == v:
+                raise ParseError(line_no, "loop arcs are not allowed")
+            if w < 1:
+                raise ParseError(line_no, "weights must be positive")
+            merged[(u - 1, v - 1)] = merged.get((u - 1, v - 1), 0) + w
+        return WeightedDigraph(n, tuple((u, v, w) for (u, v), w in sorted(merged.items())))
+    if fmt == "lin2":
+        eqs = []
+        for line_no, rec in records:
+            if len(rec) < 4 or rec[0] != "e":
+                raise ParseError(line_no, "expected 'e <w> <b> <i1> ...'")
+            w = _int_at(rec[1], line_no, "weight")
+            b = _int_at(rec[2], line_no, "right side")
+            if w < 1:
+                raise ParseError(line_no, "weights must be positive")
+            if b not in (0, 1):
+                raise ParseError(line_no, "right side must be 0 or 1")
+            indices = [_int_at(tok, line_no, "variable index") for tok in rec[3:]]
+            if any(not 1 <= i <= n for i in indices):
+                raise ParseError(line_no, "variable index out of range 1..%d" % n)
+            if len(set(indices)) != len(indices):
+                raise ParseError(line_no, "repeated variable in the equation")
+            eqs.append(Lin2Equation(tuple(sorted(i - 1 for i in indices)), b, w))
+        return Lin2System(n, tuple(eqs))
+    r = sizes[2]
+    clauses = []
+    for line_no, rec in records:
+        lits = [_int_at(tok, line_no, "literal") for tok in rec]
+        if not lits or lits[-1] != 0:
+            raise ParseError(line_no, "clause line must end with 0")
+        lits = lits[:-1]
+        if any(lit == 0 for lit in lits):
+            raise ParseError(line_no, "literal 0 inside a clause")
+        if len(lits) != r:
+            raise ParseError(line_no, "clause width %d, expected %d" % (len(lits), r))
+        variables = [abs(lit) for lit in lits]
+        if any(not 1 <= v <= n for v in variables):
+            raise ParseError(line_no, "variable out of range 1..%d" % n)
+        if len(set(variables)) != r:
+            raise ParseError(line_no, "clause repeats a variable or has complementary literals")
+        clauses.append(tuple(sorted(lits, key=abs)))
+    return ExactCnfFormula(n, r, tuple(clauses))
 
 
 def random_digraph(

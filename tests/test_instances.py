@@ -18,7 +18,7 @@ from abovetight.maxlin import CaseKind, Lin2System, decide_linalb, merge_duplica
 from abovetight.outcome import Verdict
 from abovetight.rsat import ExactCnfFormula, decide_rsatalb
 
-from helpers import random_digraph, random_formula, random_lin2
+from helpers import parse_instance_by_lines, random_digraph, random_formula, random_lin2
 
 
 def test_parse_digraph():
@@ -128,6 +128,94 @@ def test_parse_rejects_or_round_trips_any_text(text):
     except ParseError:
         return
     assert parse_instance(serialize_instance(instance).text) == instance
+
+
+def _parsed(parse, text):
+    """What ``parse`` returns for ``text``, or the line number and text of its ParseError."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.line_no, str(exc)
+
+
+def _noisy_digraph_text(rng: random.Random) -> str:
+    """A serialized random digraph with parallel and reversed arcs, rewritten with legal noise.
+
+    Comments (before the header too), blank lines, tabs and runs of blanks,
+    CRLF line ends and ``+`` signs all leave the instance unchanged. One
+    text in three then has one token replaced, dropped or doubled, so the
+    parsers also meet loops, zero weights, vertices out of range, words
+    where integers belong and records of the wrong width.
+    """
+    g = random_digraph(rng, n_max=6, n_min=0, wmax=3, allow_two_cycles=True)
+    arcs = list(g.arcs)
+    for u, v, w in rng.sample(arcs, min(len(arcs), rng.randint(0, 3))):
+        arcs.append((u, v, rng.randint(1, 3)) if rng.random() < 0.5 else (v, u, w))
+    rng.shuffle(arcs)
+    records = [["a", str(u + 1), str(v + 1), str(w)] for u, v, w in arcs]
+    header = ["p", "digraph", str(g.n), str(len(records))]
+    if records and rng.random() < 1 / 3:
+        rec = rng.choice(records)
+        j = rng.randrange(4)
+        fault = rng.choice(["0", "-1", str(g.n + 1), rec[1], "x", "a", "1.5", None, "dup"])
+        if fault is None:
+            del rec[j]
+        elif fault == "dup":
+            rec.insert(j, rec[j])
+        else:
+            rec[j] = fault
+    lines = []
+    for tokens in [header, *records]:
+        while rng.random() < 0.2:
+            lines.append(rng.choice(["", "   ", "\t", "c", "c a 1 2 3", "comment 7"]))
+        if rng.random() < 0.3:
+            tokens = [("+" + t) if t.isdigit() and rng.random() < 0.5 else t for t in tokens]
+        seps = [rng.choice([" ", "  ", "\t", " \t "]) for _ in tokens]
+        line = "".join(sep + t for sep, t in zip(seps, tokens))
+        lines.append(line if rng.random() < 0.5 else line.strip())
+    end = rng.choice(["\n", "\r\n"])
+    return end.join(lines) + rng.choice(["", end, end + end])
+
+
+def test_digraph_parse_matches_the_line_oracle_on_noisy_files():
+    rng = random.Random(1414)
+    errors = instances = 0
+    for _ in range(1500):
+        text = _noisy_digraph_text(rng)
+        got = _parsed(parse_instance, text)
+        assert got == _parsed(parse_instance_by_lines, text), text
+        if isinstance(got, tuple):
+            errors += 1
+        else:
+            instances += 1
+    assert errors > 200 and instances > 800
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p digraph 0 0\n",
+        "p digraph 5 0\n",
+        "c before\n\np digraph 3 0\nc after\n",
+        "p digraph 3 2\r\na +1 +2 +3\r\na 2\t1\t1\r\n",
+        "p digraph 3 3\na 1 2 1\na 2 1 4\na 1 2 2\n",
+        "p digraph 2 1\na 1 2 1 0\n",
+        "p digraph 2 2\na 1 2\na 2 1 1 1\n",
+        "p digraph 2 2\na 1 2 1 a\n1 2 1\n",
+        "p digraph 2 2\na 1 2 1\nab 2 1 1\n",
+        "p digraph 2 2\na 1 2 -1\na 1 2 2\n",
+        "p digraph 3 2\na 1 3 1\na 1 1 x\n",
+        "p digraph 2 1\na 1 2 %s\n" % ("9" * 5000),
+    ],
+)
+def test_digraph_parse_matches_the_line_oracle_on_edge_cases(text):
+    assert _parsed(parse_instance, text) == _parsed(parse_instance_by_lines, text)
+
+
+@given(_TEXT)
+@settings(max_examples=1000, deadline=None)
+def test_parse_matches_the_line_oracle_on_any_text(text):
+    assert _parsed(parse_instance, text) == _parsed(parse_instance_by_lines, text)
 
 
 def test_generators_are_seed_deterministic():

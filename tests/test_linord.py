@@ -10,20 +10,24 @@ from hypothesis import strategies as st
 from abovetight.linord import (
     LinearOrder,
     WeightedDigraph,
+    active_vertices,
     decide_fas_below,
     decide_loalb,
     digraph_stats,
     exact_max_acyclic,
     reduce_two_cycles,
     solve_loalb_faithful,
+    with_isolated,
     x_value,
 )
+from abovetight import cli
 from abovetight.outcome import CapExceeded, Verdict
 
 from helpers import (
     brute_decide_loalb,
     brute_max_forward_weight,
     random_digraph,
+    reduce_two_cycles_by_dict,
     subset_dp_max_forward,
 )
 
@@ -69,6 +73,59 @@ def test_loops_rejected():
         WeightedDigraph.from_arcs(2, [(0, 0, 1)])
 
 
+@pytest.mark.parametrize(
+    "n,arcs,message",
+    [
+        (-1, (), "vertex count must be nonnegative"),
+        (2, ((0, 2, 1),), "arc endpoint out of range"),
+        (2, ((0, 1, 1), (-1, 0, 1)), "arc endpoint out of range"),
+        (0, ((0, 1, 1),), "arc endpoint out of range"),
+        (3, ((0, 1, 1), (2, 2, 1)), "loops are not allowed"),
+        (2, ((0, 1, 1), (1, 0, 0)), "arc weights must be positive integers"),
+        (3, ((0, 1, 1), (1, 2, 1), (0, 1, 2)), "parallel arcs must be merged before construction"),
+        # Several faults: the first kind in the order endpoint, loop, weight,
+        # parallel is named, whichever arc carries it.
+        (3, ((1, 1, 0), (0, 1, 1), (0, 1, 1), (0, 3, 1)), "arc endpoint out of range"),
+        (3, ((0, 1, 0), (2, 2, 1)), "loops are not allowed"),
+    ],
+)
+def test_constructor_names_each_fault(n, arcs, message):
+    with pytest.raises(ValueError) as info:
+        WeightedDigraph(n, arcs)
+    assert str(info.value) == message
+
+
+def test_constructor_accepts_an_empty_arc_tuple():
+    for n in (0, 1, 5):
+        g = WeightedDigraph(n, ())
+        assert g.arcs == ()
+        assert reduce_two_cycles(g) == g
+        assert WeightedDigraph.from_arcs(n, []) == g
+        st_ = digraph_stats(g)
+        assert (st_.W, st_.W2, st_.arc_count, st_.oriented) == (0, 0, 0, True)
+
+
+def test_from_arcs_merges_only_arcs_that_pass_every_other_check():
+    # -1 + 2 would merge to a positive weight; the unmerged arc is refused.
+    with pytest.raises(ValueError, match="positive"):
+        WeightedDigraph.from_arcs(2, [(0, 1, -1), (0, 1, 2)])
+    g = WeightedDigraph.from_arcs(3, [(2, 1, 1), (0, 1, 2), (2, 1, 4), (0, 1, 3)])
+    assert g.arcs == ((0, 1, 5), (2, 1, 5))
+
+
+def test_reduce_two_cycles_matches_the_dict_walk():
+    rng = random.Random(2718)
+    equal_pairs = 0
+    for _ in range(400):
+        g = random_digraph(rng, n_max=8, wmax=rng.choice([1, 2, 5]), allow_two_cycles=True)
+        reduced = reduce_two_cycles(g)
+        assert reduced == reduce_two_cycles_by_dict(g), g
+        assert digraph_stats(reduced).oriented
+        wm = g.weight_map()
+        equal_pairs += sum(1 for (u, v), w in wm.items() if wm.get((v, u)) == w)
+    assert equal_pairs > 100
+
+
 def test_exact_single_arc():
     value, _ = exact_max_acyclic(WeightedDigraph.from_arcs(2, [(0, 1, 2)]))
     assert value == 2
@@ -78,13 +135,14 @@ def test_exact_three_cycle():
     g = WeightedDigraph.from_arcs(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
     value, order = exact_max_acyclic(g)
     assert value == 2
-    assert 2 * value - 3 == x_value(g, order)
+    assert 2 * value - 3 == x_value(g, with_isolated(order, 3))
 
 
 def test_exact_empty_graph():
     value, order = exact_max_acyclic(WeightedDigraph(3, ()))
     assert value == 0
-    assert sorted(order.sequence()) == [0, 1, 2]
+    assert order == []
+    assert with_isolated(order, 3).sequence() == (0, 1, 2)
 
 
 def test_exact_cap_refusal():
@@ -181,7 +239,7 @@ def test_subset_dp_matches_permutation_enumeration():
         value, order = exact_max_acyclic(g)
         assert value == brute_max_forward_weight(g)
         total = sum(w for _, _, w in g.arcs)
-        assert 2 * value - total == x_value(g, order)
+        assert 2 * value - total == x_value(g, with_isolated(order, g.n))
 
 
 def strongly_connected_arcs(rng: random.Random, vertices: list[int], wmax: int = 4):
@@ -246,9 +304,9 @@ def test_component_split_matches_the_monolithic_subset_dp():
         value, order = exact_max_acyclic(g)
         want, _ = subset_dp_max_forward(g)
         assert value == want, g
-        assert len(order.positions) == g.n
+        assert sorted(order) == active_vertices(g), g
         total = sum(w for _, _, w in g.arcs)
-        assert x_value(g, order) == 2 * value - total, g
+        assert x_value(g, with_isolated(order, g.n)) == 2 * value - total, g
 
 
 def test_matching_at_the_vertex_cap_is_solved_at_once():
@@ -346,6 +404,39 @@ def test_faithful_cost_follows_the_arcs_not_the_header():
     elapsed = time.perf_counter() - started
     assert order.sequence() == tuple(range(14, n)) + tuple(range(14))
     assert elapsed < 1.0, "took %.2f s" % elapsed
+
+
+def test_loalb_and_fas_cost_follows_the_active_vertices_not_the_header(tmp_path):
+    # One arc under a 3,000,000-vertex header: NO, with no order over the
+    # header's vertices ever built.
+    path = tmp_path / "g.txt"
+    path.write_text("p digraph 3000000 1\na 1 2 1\n")
+    for command in ("loalb", "fas"):
+        started = time.perf_counter()
+        result = cli.run([command, str(path), "--k", "1"])
+        elapsed = time.perf_counter() - started
+        assert result.verdict == "NO"
+        assert result.witness is None
+        assert elapsed < 1.0, "%s took %.2f s" % (command, elapsed)
+
+
+def test_witness_lists_isolated_vertices_last_in_index_order():
+    # Vertex 4 -> 1 is the only arc; 0, 2, 3 and 5 trail the solved order.
+    g = WeightedDigraph.from_arcs(6, [(4, 1, 2)])
+    out = decide_loalb(g, 1)
+    assert out.verdict is Verdict.YES_WITNESS
+    assert out.witness.sequence() == (4, 1, 0, 2, 3, 5)
+    assert cli._witness_tokens(out.witness) == [5, 2, 1, 3, 4, 6]
+
+
+def test_with_isolated_places_the_other_vertices_in_index_order():
+    assert with_isolated([4, 1], 6).sequence() == (4, 1, 0, 2, 3, 5)
+    assert with_isolated([4, 1], 6, lead=True).sequence() == (0, 2, 3, 5, 4, 1)
+    assert with_isolated([], 3).sequence() == (0, 1, 2)
+    assert with_isolated([2, 0, 1], 3, lead=True).sequence() == (2, 0, 1)
+    for seq in ([1, 1], [3], [-1]):
+        with pytest.raises(ValueError):
+            with_isolated(seq, 3)
 
 
 def test_fas_requires_unit_weights():
