@@ -132,8 +132,7 @@ _PARSER = build_parser()
 
 def _witness_tokens(witness: Any) -> list[int]:
     if isinstance(witness, LinearOrder):
-        # Each 1-based vertex v + 1, sorted by v's rank: one sort, no loop per vertex.
-        return sorted(range(1, len(witness.positions) + 1), key=(0, *witness.positions).__getitem__)
+        return [v + 1 for v in witness.vertices]
     return [int(b) for b in witness]
 
 
@@ -216,13 +215,9 @@ def run(argv: Sequence[str]) -> RunResult:
     args = _PARSER.parse_args(list(argv))
     started = time.perf_counter()
     try:
-        if args.command == "loalb":
-            g = _load(args.file, WeightedDigraph)
-            outcome = decide_loalb(g, args.k, **_cap_kw(args))
-            result = _from_outcome(outcome)
-        elif args.command == "fas":
-            g = _load(args.file, WeightedDigraph)
-            outcome = decide_fas_below(g, args.k, **_cap_kw(args))
+        if args.command in ("loalb", "fas"):
+            decide = decide_loalb if args.command == "loalb" else decide_fas_below
+            outcome = decide(_load(args.file, WeightedDigraph), args.k, **_cap_kw(args))
             result = _from_outcome(outcome)
         elif args.command == "linalb":
             system = _load(args.file, Lin2System)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 from .outcome import CapExceeded, DecisionOutcome, Verdict, check_cap
 
@@ -26,8 +26,9 @@ class _ParallelArcs(ValueError):
 class WeightedDigraph:
     """Loop-free digraph with positive integer arc weights, vertices 0..n-1.
 
-    The constructor is the one place that checks arcs. It reads them as
-    three columns and reports the first fault kind present, in the order
+    The constructor is the one place that checks arcs; only arcs derived
+    from a checked digraph skip it (``_unchecked``). It reads them as three
+    columns and reports the first fault kind present, in the order
     endpoint, loop, weight, parallel arc; with several faults it does not
     say which arc carries them.
     """
@@ -72,6 +73,16 @@ class WeightedDigraph:
             merged[(tail, head)] = merged.get((tail, head), 0) + weight
         return cls(n, tuple((u, v, w) for (u, v), w in merged.items()))
 
+    @classmethod
+    def _unchecked(cls, n: int, arcs: tuple[tuple[int, int, int], ...]) -> WeightedDigraph:
+        """Skip the constructor's checks, for arcs derived from a checked digraph's.
+
+        Such arcs are distinct loop-free pairs in range with positive weights.
+        """
+        g = object.__new__(cls)
+        vars(g).update(n=n, arcs=arcs)
+        return g
+
     def weight_map(self) -> dict[tuple[int, int], int]:
         return {(u, v): w for u, v, w in self.arcs}
 
@@ -88,25 +99,20 @@ class DigraphStats:
 
 @dataclass(frozen=True)
 class LinearOrder:
-    """Bijection from vertices to ranks 1..n; positions[v] is v's rank."""
+    """An order of the vertices 0..n-1, held as its sequence: ``vertices[r]`` has rank r + 1."""
 
-    positions: tuple[int, ...]
+    vertices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        p = self.positions
-        if p and (min(p) != 1 or max(p) != len(p) or len(set(p)) != len(p)):
-            raise ValueError("positions must be a permutation of 1..n")
+        if not all(map(operator.eq, sorted(self.vertices), range(len(self.vertices)))):
+            raise ValueError("sequence must be a permutation of 0..n-1")
 
     @classmethod
     def from_sequence(cls, seq) -> LinearOrder:
-        seq = list(seq)
-        positions = [0] * len(seq)
-        for rank_, v in enumerate(seq, start=1):
-            positions[v] = rank_
-        return cls(tuple(positions))
+        return cls(tuple(seq))
 
     def sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(range(len(self.positions)), key=self.positions.__getitem__))
+        return self.vertices
 
 
 def digraph_stats(g: WeightedDigraph) -> DigraphStats:
@@ -130,14 +136,14 @@ def reduce_two_cycles(g: WeightedDigraph) -> WeightedDigraph:
     """
     get = g.weight_map().get
     kept = [(u, v, d) for u, v, w in g.arcs if (d := w - get((v, u), 0)) > 0]
-    return WeightedDigraph(g.n, tuple(sorted(kept)))
+    return WeightedDigraph._unchecked(g.n, tuple(sorted(kept)))
 
 
 def x_value(g: WeightedDigraph, order: LinearOrder) -> int:
     """Doubled balance 2X = 2*(forward weight) - W of the order on g."""
-    if len(order.positions) != g.n:
+    if len(order.vertices) != g.n:
         raise ValueError("order must cover all vertices of the graph")
-    pos = order.positions
+    pos = dict(zip(order.vertices, range(g.n)))
     forward = sum(w for u, v, w in g.arcs if pos[u] < pos[v])
     total = sum(w for _, _, w in g.arcs)
     return 2 * forward - total
@@ -145,7 +151,7 @@ def x_value(g: WeightedDigraph, order: LinearOrder) -> int:
 
 def active_vertices(g: WeightedDigraph) -> list[int]:
     """Non-isolated vertices in increasing order: what the order caps, DPs and sampler see."""
-    return sorted({v for arc in g.arcs for v in arc[:2]})
+    return sorted({*map(operator.itemgetter(0), g.arcs), *map(operator.itemgetter(1), g.arcs)})
 
 
 def active_arcs(g: WeightedDigraph, active: list[int]) -> list[tuple[int, int, int]]:
@@ -285,24 +291,17 @@ def exact_max_acyclic(
 def with_isolated(seq: list[int], n: int, lead: bool = False) -> LinearOrder:
     """The order of 0..n-1 listing ``seq``, then (or first, with ``lead``) the other vertices by index.
 
-    The other vertices' ranks are laid down one ``range`` per gap between
+    The other vertices are laid down one ``range`` per gap between
     consecutive members of ``seq``, so the Python-level work follows
-    len(seq), not n.
+    len(seq), not n. The gaps hold every vertex ``seq`` misses, so n
+    vertices in all means ``seq`` lists distinct ones of 0..n-1.
     """
-    k = len(seq)
-    rank = {v: r for r, v in enumerate(seq, start=n - k + 1 if lead else 1)}
-    if len(rank) != k or (seq and (min(seq) < 0 or max(seq) >= n)):
+    bounds = [-1, *sorted(seq), n]
+    others = chain.from_iterable(map(range, [b + 1 for b in bounds], bounds[1:]))
+    vertices = tuple(chain(others, seq) if lead else chain(seq, others))
+    if len(vertices) != n:
         raise ValueError("sequence must list distinct vertices of 0..n-1")
-    positions: list[int] = []
-    next_rank, prev = (1 if lead else k + 1), -1
-    for v in [*sorted(seq), n]:
-        gap = v - prev - 1
-        positions += range(next_rank, next_rank + gap)
-        next_rank += gap
-        if v < n:
-            positions.append(rank[v])
-        prev = v
-    return LinearOrder(tuple(positions))
+    return LinearOrder(vertices)
 
 
 def loalb_threshold(k: int) -> int:
@@ -321,15 +320,16 @@ def decide_loalb(
     if k < 1:
         raise ValueError("k must be a positive integer")
     reduced = reduce_two_cycles(g)
-    st = digraph_stats(reduced)
+    weights = list(map(operator.itemgetter(2), reduced.arcs))
+    w2 = sum(map(operator.mul, weights, weights))
     threshold = loalb_threshold(k)
     diag = {
         "k": k,
-        "w2": st.W2,
+        "w2": w2,
         "w2_threshold": threshold,
-        "kernel_arcs": st.arc_count,
+        "kernel_arcs": len(weights),
     }
-    if st.W2 >= threshold:
+    if w2 >= threshold:
         return DecisionOutcome(Verdict.YES_BY_BOUND, diagnostics=diag)
     try:
         value, order = exact_max_acyclic(reduced, cap=cap)
@@ -337,7 +337,7 @@ def decide_loalb(
         diag["cap"] = cap
         diag["kernel_vertices"] = exc.needed
         return DecisionOutcome(Verdict.KERNEL, kernel=reduced, diagnostics=diag)
-    doubled = 2 * value - st.W
+    doubled = 2 * value - sum(weights)
     diag["best_2x"] = doubled
     diag["target_2x"] = 2 * k
     if doubled >= 2 * k:
@@ -408,7 +408,7 @@ def solve_loalb_faithful(
 
     remaining = sorted(alive)
     index = {v: i for i, v in enumerate(remaining)}
-    residual = WeightedDigraph(
+    residual = WeightedDigraph._unchecked(
         len(remaining),
         tuple(sorted((index[u], index[v], w) for (u, v), w in wm.items())),
     )
@@ -420,8 +420,7 @@ def solve_loalb_faithful(
         assert not snapshots
         return None
     # The residual's isolated vertices trail its order.
-    placed = set(order)
-    seq = [remaining[i] for i in order] + [v for i, v in enumerate(remaining) if i not in placed]
+    seq = [remaining[i] for i in with_isolated(order, len(remaining)).vertices]
     for v, outs, ins in reversed(snapshots):
         out_weight = sum(w for _, w in outs)
         in_weight = sum(w for _, w in ins)

@@ -50,8 +50,11 @@ DEFAULT_ORDER_CAP = 9
 # one stands for (n!/n'! or 2^(n - kernel)), so a header declaring millions
 # of unused vertices or variables is refused at once, not multiplied out.
 MULTIPLIER_BITS = 1024
-# dist_linord packs its counts while 2^n' subsets of (W + 1) digits fit in this many bytes.
+# dist_linord packs its counts while 2^n' subsets of (W + 1) digits fit in this many bytes,
 PACKED_BUDGET_BYTES = 1 << 26
+# and in this many per order of the n' vertices; past that the Counter DP, whose work
+# follows the at most n'! distinct forward weights, measured faster (scripts/order_switch.py).
+PACKED_BYTES_PER_ORDER = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -151,10 +154,10 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
     forward weights as one packed int whose digit f counts the orders of
     weight f, so a move that gains g is one shift by g digits and one add:
     O(2^n' * n') big-int steps on at most W + 1 digits, W the total weight.
-    Past ``PACKED_BUDGET_BYTES`` each subset keeps a Counter instead, at
-    O(2^n' * n' * support) dict updates, which follows the distinct forward
-    weights rather than W. Every order of the active vertices accounts for
-    n!/n'! full orders. ``cap`` bounds n'.
+    Past ``PACKED_BUDGET_BYTES`` or ``PACKED_BYTES_PER_ORDER`` * n'! bytes each
+    subset keeps a Counter instead, at O(2^n' * n' * support) dict updates,
+    which follows the distinct forward weights rather than W. Every order of
+    the active vertices accounts for n!/n'! full orders. ``cap`` bounds n'.
     """
     active = active_vertices(g)
     nv = len(active)
@@ -169,8 +172,9 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
     full = (1 << nv) - 1
     total_weight = sum(w for _, _, w in g.arcs)
     # Digits of 1, 2, 4 or 8 bytes hold n'! for n' <= 20; a larger n' always fails the budget.
-    digit_bytes = 1 << (-(-math.factorial(nv).bit_length() // 8) - 1).bit_length()
-    if (total_weight + 1) * digit_bytes << nv <= PACKED_BUDGET_BYTES:
+    orders = math.factorial(nv)
+    digit_bytes = 1 << (-(-orders.bit_length() // 8) - 1).bit_length()
+    if (total_weight + 1) * digit_bytes << nv <= min(PACKED_BUDGET_BYTES, PACKED_BYTES_PER_ORDER * orders):
         shift = 8 * digit_bytes
         # Each vertex's bit and its gain tables, scaled from digits to bits.
         moves = [(1 << i, [x * shift for x in lo[i]], [x * shift for x in hi[i]]) for i in range(nv)]

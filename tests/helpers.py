@@ -400,6 +400,39 @@ def reduce_two_cycles_by_dict(g: WeightedDigraph) -> WeightedDigraph:
     return WeightedDigraph(g.n, tuple(sorted(kept)))
 
 
+def with_isolated_by_ranks(seq: list[int], n: int, lead: bool = False) -> tuple[int, ...]:
+    """The order listing ``seq``, then (or first, with ``lead``) the other vertices by index.
+
+    The package's rule before orders were held as sequences: each vertex's
+    rank is laid down, one ``range`` per gap between members of ``seq``,
+    and the ranks are sorted back into the sequence.
+    """
+    k = len(seq)
+    rank = {v: r for r, v in enumerate(seq, start=n - k + 1 if lead else 1)}
+    if len(rank) != k or (seq and (min(seq) < 0 or max(seq) >= n)):
+        raise ValueError("sequence must list distinct vertices of 0..n-1")
+    positions: list[int] = []
+    next_rank, prev = (1 if lead else k + 1), -1
+    for v in [*sorted(seq), n]:
+        gap = v - prev - 1
+        positions += range(next_rank, next_rank + gap)
+        next_rank += gap
+        if v < n:
+            positions.append(rank[v])
+        prev = v
+    return tuple(sorted(range(n), key=positions.__getitem__))
+
+
+def witness_balance(g: WeightedDigraph, tokens: list[int]) -> int | None:
+    """2X of a 1-based witness over g, or None unless it lists 1..g.n once each."""
+    if len(tokens) != g.n or sorted(tokens) != list(range(1, g.n + 1)):
+        return None
+    ends = {v + 1 for u, v2, _ in g.arcs for v in (u, v2)}
+    pos = {v: i for i, v in enumerate(tokens) if v in ends}
+    forward = sum(w for u, v, w in g.arcs if pos[u + 1] < pos[v + 1])
+    return 2 * forward - sum(w for _, _, w in g.arcs)
+
+
 def _numbered_tokens(text: str) -> list[tuple[int, list[str]]]:
     out = []
     for line_no, raw in enumerate(text.splitlines(), start=1):

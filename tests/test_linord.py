@@ -21,6 +21,7 @@ from abovetight.linord import (
     x_value,
 )
 from abovetight import cli
+from abovetight.instances import serialize_instance
 from abovetight.outcome import CapExceeded, Verdict
 
 from helpers import (
@@ -29,6 +30,8 @@ from helpers import (
     random_digraph,
     reduce_two_cycles_by_dict,
     subset_dp_max_forward,
+    witness_balance,
+    with_isolated_by_ranks,
 )
 
 
@@ -113,17 +116,39 @@ def test_from_arcs_merges_only_arcs_that_pass_every_other_check():
     assert g.arcs == ((0, 1, 5), (2, 1, 5))
 
 
+def check_each_fact_once(g: WeightedDigraph) -> None:
+    """What the decide path no longer recomputes still holds on g."""
+    reduced = reduce_two_cycles(g)
+    assert reduced == reduce_two_cycles_by_dict(g), g
+    # The constructor check that reduce_two_cycles skips would have passed.
+    assert WeightedDigraph(g.n, reduced.arcs) == reduced
+    st_ = digraph_stats(reduced)
+    assert st_.oriented
+    diag = decide_loalb(g, 1).diagnostics
+    assert (diag["w2"], diag["kernel_arcs"]) == (st_.W2, st_.arc_count)
+    _, order = exact_max_acyclic(reduced)
+    for lead in (False, True):
+        assert with_isolated(order, g.n, lead).sequence() == with_isolated_by_ranks(order, g.n, lead)
+
+
 def test_reduce_two_cycles_matches_the_dict_walk():
     rng = random.Random(2718)
     equal_pairs = 0
     for _ in range(400):
         g = random_digraph(rng, n_max=8, wmax=rng.choice([1, 2, 5]), allow_two_cycles=True)
-        reduced = reduce_two_cycles(g)
-        assert reduced == reduce_two_cycles_by_dict(g), g
-        assert digraph_stats(reduced).oriented
+        check_each_fact_once(g)
         wm = g.weight_map()
         equal_pairs += sum(1 for (u, v), w in wm.items() if wm.get((v, u)) == w)
     assert equal_pairs > 100
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_each_fact_once_on_drawn_digraphs(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    g = random_digraph(rng, n_max=9, wmax=data.draw(st.sampled_from([1, 3, 100])), n_min=0)
+    padded = WeightedDigraph(g.n + data.draw(st.integers(0, 5)), g.arcs)
+    check_each_fact_once(padded)
 
 
 def test_exact_single_arc():
@@ -420,6 +445,38 @@ def test_loalb_and_fas_cost_follows_the_active_vertices_not_the_header(tmp_path)
         assert elapsed < 1.0, "%s took %.2f s" % (command, elapsed)
 
 
+def test_loalb_and_fas_witness_cost_follows_the_active_vertices(tmp_path):
+    # Three arcs under a 3,000,000-vertex header, each instance YES: the
+    # witness lists every declared vertex, and nothing else is built per vertex.
+    n = 3_000_000
+    for command, arcs in (("loalb", [(0, 1, 2), (1, 2, 1), (2, 0, 1)]), ("fas", [(0, 1, 1), (1, 2, 1), (0, 2, 1)])):
+        g = WeightedDigraph.from_arcs(n, arcs)
+        path = tmp_path / ("%s.txt" % command)
+        path.write_text(serialize_instance(g).text)
+        started = time.perf_counter()
+        result = cli.run([command, str(path), "--k", "1"])
+        elapsed = time.perf_counter() - started
+        assert result.verdict == "YES_WITNESS", result.error
+        assert elapsed < 1.0, "%s took %.2f s" % (command, elapsed)
+        assert witness_balance(g, result.witness) >= 2
+        del result
+    # The same calls at 200,000 vertices under tracemalloc, whose own
+    # bookkeeping per allocation would dwarf the program at 3,000,000: the
+    # witness's ints and list take 36 bytes a vertex, and the order's as many.
+    n = 200_000
+    for command, arcs in (("loalb", [(0, 1, 2), (1, 2, 1), (2, 0, 1)]), ("fas", [(0, 1, 1), (1, 2, 1), (0, 2, 1)])):
+        path = tmp_path / ("%s-small.txt" % command)
+        path.write_text(serialize_instance(WeightedDigraph.from_arcs(n, arcs)).text)
+        tracemalloc.start()
+        try:
+            result = cli.run([command, str(path), "--k", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.verdict == "YES_WITNESS"
+        assert peak < 96 * n, "%s peaked at %d bytes" % (command, peak)
+
+
 def test_witness_lists_isolated_vertices_last_in_index_order():
     # Vertex 4 -> 1 is the only arc; 0, 2, 3 and 5 trail the solved order.
     g = WeightedDigraph.from_arcs(6, [(4, 1, 2)])
@@ -434,9 +491,21 @@ def test_with_isolated_places_the_other_vertices_in_index_order():
     assert with_isolated([4, 1], 6, lead=True).sequence() == (0, 2, 3, 5, 4, 1)
     assert with_isolated([], 3).sequence() == (0, 1, 2)
     assert with_isolated([2, 0, 1], 3, lead=True).sequence() == (2, 0, 1)
-    for seq in ([1, 1], [3], [-1]):
-        with pytest.raises(ValueError):
-            with_isolated(seq, 3)
+    for seq in ([1, 1], [3], [-1], [0, 5], [2, 2, 0]):
+        for lead in (False, True):
+            with pytest.raises(ValueError):
+                with_isolated(seq, 3, lead)
+            with pytest.raises(ValueError):
+                with_isolated_by_ranks(seq, 3, lead)
+
+
+def test_linear_order_holds_a_permutation():
+    order = LinearOrder.from_sequence([2, 0, 1])
+    assert order.sequence() == (2, 0, 1)
+    assert LinearOrder(()).sequence() == ()
+    for seq in ([0, 0], [1, 2], [-1, 0], [0, 2]):
+        with pytest.raises(ValueError, match="permutation"):
+            LinearOrder.from_sequence(seq)
 
 
 def test_fas_requires_unit_weights():
@@ -461,7 +530,7 @@ def test_fas_witness_backward_arcs_form_small_feedback_set():
     g = WeightedDigraph.from_arcs(4, arcs)
     out = decide_fas_below(g, 3)
     assert out.verdict is Verdict.YES_WITNESS
-    pos = out.witness.positions
+    pos = {v: r for r, v in enumerate(out.witness.sequence())}
     backward = sum(1 for u, v, _ in g.arcs if pos[u] > pos[v])
     assert backward <= len(g.arcs) / 2 - 3
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -109,6 +110,8 @@ def test_dist_linord_handles_huge_weights():
 def test_dist_linord_paths_agree_on_each_side_of_the_packed_budget(monkeypatch):
     # Four active vertices take one-byte digits, so the packed form holds
     # (W + 1) << 4 bytes and the budget falls between W = 2^22 - 1 and 2^22.
+    # The per-order limit is lifted so that the memory budget alone decides.
+    monkeypatch.setattr(moments, "PACKED_BYTES_PER_ORDER", 1 << 62)
     budget = moments.PACKED_BUDGET_BYTES
     at_budget = (budget >> 4) - 1
     packed_calls = []
@@ -127,6 +130,53 @@ def test_dist_linord_paths_agree_on_each_side_of_the_packed_budget(monkeypatch):
         assert dist_linord(g) == d
         assert bool(packed_calls) != packed
         monkeypatch.setattr(moments, "PACKED_BUDGET_BYTES", budget)
+
+
+def test_dist_linord_paths_agree_on_each_side_of_the_per_order_limit(monkeypatch):
+    # n' = 5 takes one-byte digits, so the packed form holds (W + 1) << 5
+    # bytes, and the limit of PACKED_BYTES_PER_ORDER * 5! bytes falls
+    # between the last packed W and the next one.
+    per_order = moments.PACKED_BYTES_PER_ORDER
+    last_packed = (per_order * math.factorial(5) >> 5) - 1
+    packed_calls = []
+    real_compress = moments.compress
+    monkeypatch.setattr(moments, "compress", lambda *a: packed_calls.append(a) or real_compress(*a))
+    rng = random.Random(120)
+    for total, packed in ((last_packed, True), (last_packed + 1, False)):
+        pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in itertools.combinations(range(5), 2)]
+        weights = [rng.randint(1, total // 10) for _ in range(9)]
+        weights.append(total - sum(weights))
+        g = WeightedDigraph.from_arcs(6, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+        assert digraph_stats(g).W == total
+        packed_calls.clear()
+        d = dist_linord(g)
+        assert bool(packed_calls) == packed
+        assert d == brute_dist_linord(g)
+        # Lift or lower the limit: the other path agrees.
+        monkeypatch.setattr(moments, "PACKED_BYTES_PER_ORDER", 0 if packed else 1 << 62)
+        packed_calls.clear()
+        assert dist_linord(g) == d
+        assert bool(packed_calls) != packed
+        monkeypatch.setattr(moments, "PACKED_BYTES_PER_ORDER", per_order)
+
+
+def test_dist_linord_heavy_three_cycle_takes_the_counter_dp():
+    # Inside the memory budget ((W + 1) << 3 = 2^26 bytes), but a few
+    # distinct forward weights: the packed path would shift millions of
+    # digits where the Counter DP makes a handful of dict updates.
+    cycle = WeightedDigraph.from_arcs(3, [(0, 1, 2**23 - 3), (1, 2, 1), (2, 0, 1)])
+    assert (digraph_stats(cycle).W + 1) << 3 == moments.PACKED_BUDGET_BYTES
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        d = dist_linord(cycle)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.05, "took %.3f s" % elapsed
+    assert peak < 1 << 20, "peak %d bytes" % peak
+    assert d == brute_dist_linord(cycle)
 
 
 def test_dist_lin2_examples():

@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ["scripts/tight_families.py"],
         ["scripts/verify_bounds.py", "--trials", "5", "--seed", "1"],
         ["scripts/histogram_switch.py", "--n", "8", "--reps", "1", "--budgets", "32"],
+        ["scripts/order_switch.py", "--n", "3", "4", "--reps", "1"],
         # The benchmark builds its instances through the package's public names.
         ["perfbench/smoke.py"],
     ],
