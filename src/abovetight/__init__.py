@@ -4,6 +4,7 @@ above W/2, weighted GF(2) equation satisfaction above W/2, and exact-width
 CNF satisfaction above (1 - 2^-r)m."""
 
 from .gf2 import echelon, solve_affine
+from .instances import all_subsets_system
 from .linord import (
     DigraphStats,
     LinearOrder,
@@ -33,7 +34,6 @@ from .maxlin import (
 from .moments import (
     ExactDistribution,
     MomentReport,
-    all_subsets_system,
     dist_lin2,
     dist_linord,
     dist_rsat,

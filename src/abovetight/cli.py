@@ -16,7 +16,6 @@ from .maxlin import CaseKind, Lin2System
 from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated
 from .rsat import ExactCnfFormula
 
-DECISION_VERDICTS = {"YES_BY_BOUND", "YES_WITNESS", "NO", "KERNEL"}
 # Every size some generator kind reads, in table order; each is a gen flag.
 GEN_SIZES = tuple(
     dict.fromkeys(name for sizes in instances.GENERATOR_SIZES.values() for name in sizes)
@@ -36,7 +35,7 @@ class RunResult:
 
     @property
     def exit_code(self) -> int:
-        return 0 if self.verdict in DECISION_VERDICTS or self.verdict == "OK" else 2
+        return 2 if self.verdict in ("REFUSED", "ERROR") else 0
 
     def lines(self) -> list[str]:
         out = ["verdict %s" % self.verdict]

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 from .linord import WeightedDigraph
 from .maxlin import Lin2Equation, Lin2System
-from .moments import all_subsets_system
 from .rsat import ExactCnfFormula
 
 Instance = WeightedDigraph | Lin2System | ExactCnfFormula
@@ -233,6 +232,22 @@ def serialize_instance(instance: Instance) -> InstanceFile:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+def all_subsets_system(n: int) -> Lin2System:
+    """Unit-weight system with one equation sum = 1 per nonempty variable subset.
+
+    The family has m = 2^n - 1 equations, each variable occurring 2^(n-1)
+    times, and its fourth-moment-to-second-moment ratio grows with n, which
+    rules the fourth-moment tail route out for unrestricted systems.
+    """
+    if not 3 <= n <= 6:
+        raise ValueError("n must be between 3 and 6")
+    eqs = []
+    for mask in range(1, 1 << n):
+        variables = tuple(v for v in range(n) if (mask >> v) & 1)
+        eqs.append(Lin2Equation(variables, 1, 1))
+    return Lin2System(n, tuple(eqs))
 
 
 def gen_instance(kind: str, seed: int = 0, **sizes: int | None) -> InstanceFile:

@@ -107,13 +107,6 @@ class LinearOrder:
         if not all(map(operator.eq, sorted(self.vertices), range(len(self.vertices)))):
             raise ValueError("sequence must be a permutation of 0..n-1")
 
-    @classmethod
-    def from_sequence(cls, seq) -> LinearOrder:
-        return cls(tuple(seq))
-
-    def sequence(self) -> tuple[int, ...]:
-        return self.vertices
-
 
 def digraph_stats(g: WeightedDigraph) -> DigraphStats:
     wm = g.weight_map()
@@ -355,23 +348,23 @@ def solve_loalb_faithful(
     vertices of small degree are deleted (minimum degree first, ties by index)
     and later reinserted in reverse order: a vertex goes before everything
     present if its outgoing weight to present vertices is at least its incoming
-    weight, and after everything otherwise. Each reinsertion keeps 2X intact or
-    improves it. May raise CapExceeded if the residual graph is still too large
-    to solve exactly.
+    weight, and after everything otherwise, which keeps 2X intact or improves
+    it. The leading vertices thus come in deletion order and the trailing ones
+    in reverse. May raise CapExceeded if the residual graph is still too
+    large to solve exactly.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     reduced = reduce_two_cycles(g)
     threshold = loalb_threshold(k)
-    wm = dict(reduced.weight_map())
+    arcs = len(reduced.arcs)
     # Isolated vertices stay out of the deletion scan. From 12k^2 arcs on,
     # each would be deleted first, in index order, and so come back in
     # front; below that they trail the residual's order.
-    alive = {v for arc in wm for v in arc}
-    isolated_first = len(wm) >= threshold
-    out_adj: dict[int, dict[int, int]] = {v: {} for v in alive}
-    in_adj: dict[int, dict[int, int]] = {v: {} for v in alive}
-    for (u, v), w in wm.items():
+    isolated_first = arcs >= threshold
+    out_adj: dict[int, dict[int, int]] = {v: {} for v in active_vertices(reduced)}
+    in_adj: dict[int, dict[int, int]] = {v: {} for v in out_adj}
+    for u, v, w in reduced.arcs:
         out_adj[u][v] = w
         in_adj[v][u] = w
 
@@ -380,55 +373,41 @@ def solve_loalb_faithful(
 
     # Least (degree, vertex) first. Degrees only fall, so an entry whose
     # degree is no longer the vertex's own is stale and skipped.
-    heap = [(degree(v), v) for v in alive]
+    heap = [(degree(v), v) for v in out_adj]
     heapq.heapify(heap)
-    snapshots: list[tuple[int, list[tuple[int, int]], list[tuple[int, int]]]] = []
+    # Each deleted vertex, and whether it leads: its weight out to the vertices
+    # present, which are present again when it returns, is at least its weight in.
+    deleted: list[tuple[int, bool]] = []
     while heap:
-        deg, v = heap[0]
-        if v not in alive or deg != degree(v):
-            heapq.heappop(heap)
+        deg, v = heapq.heappop(heap)
+        if v not in out_adj or deg != degree(v):
             continue
-        if len(wm) - threshold < deg:
+        if arcs - threshold < deg:
             break
-        heapq.heappop(heap)
-        outs = sorted(out_adj[v].items())
-        ins = sorted(in_adj[v].items())
-        snapshots.append((v, outs, ins))
-        for j, _ in outs:
+        outs, ins = out_adj.pop(v), in_adj.pop(v)
+        for j in outs:
             del in_adj[j][v]
-            del wm[(v, j)]
-        for j, _ in ins:
+        for j in ins:
             del out_adj[j][v]
-            del wm[(j, v)]
-        del out_adj[v]
-        del in_adj[v]
-        alive.remove(v)
-        for j, _ in outs + ins:
+        arcs -= deg
+        deleted.append((v, sum(outs.values()) >= sum(ins.values())))
+        for j in chain(outs, ins):
             heapq.heappush(heap, (degree(j), j))
 
-    remaining = sorted(alive)
-    index = {v: i for i, v in enumerate(remaining)}
+    # Every vertex left keeps an arc: with none it would have been deleted,
+    # since deletions run only while at least 12k^2 arcs remain.
     residual = WeightedDigraph._unchecked(
-        len(remaining),
-        tuple(sorted((index[u], index[v], w) for (u, v), w in wm.items())),
+        reduced.n, tuple(a for a in reduced.arcs if a[0] in out_adj and a[1] in out_adj)
     )
     value, order = exact_max_acyclic(residual, cap=cap)
-    res_total = sum(w for _, _, w in residual.arcs)
-    if 2 * value - res_total < 2 * k:
+    if 2 * value - sum(w for _, _, w in residual.arcs) < 2 * k:
         # Deletions preserve the bound-certified YES, so a short residual
         # optimum means no deletion ever fired and the instance is NO.
-        assert not snapshots
+        assert not deleted
         return None
-    # The residual's isolated vertices trail its order.
-    seq = [remaining[i] for i in with_isolated(order, len(remaining)).vertices]
-    for v, outs, ins in reversed(snapshots):
-        out_weight = sum(w for _, w in outs)
-        in_weight = sum(w for _, w in ins)
-        if out_weight >= in_weight:
-            seq.insert(0, v)
-        else:
-            seq.append(v)
-    return with_isolated(seq, reduced.n, lead=isolated_first)
+    leading = [v for v, leads in deleted if leads]
+    trailing = [v for v, leads in reversed(deleted) if not leads]
+    return with_isolated(leading + order + trailing, reduced.n, lead=isolated_first)
 
 
 def decide_fas_below(

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Sequence
 
 from . import gf2
@@ -58,14 +59,17 @@ class Lin2System:
 
     @classmethod
     def from_tuples(cls, n: int, eqs: Iterable[tuple[Sequence[int], int, int]]) -> Lin2System:
-        """Build from (variables, rhs, weight) triples; variable sets are sorted."""
-        out = []
-        for variables, rhs, weight in eqs:
-            out.append(Lin2Equation(tuple(sorted(set(variables))), rhs, weight))
-        return cls(n, tuple(out))
+        """Build from (variables, rhs, weight) triples; variables are sorted and may not repeat."""
+        return cls(n, tuple(Lin2Equation(tuple(sorted(vs)), rhs, w) for vs, rhs, w in eqs))
 
-    def masks(self) -> list[int]:
-        return [sum(1 << v for v in eq.variables) for eq in self.equations]
+    def occurring_masks(self) -> tuple[list[int], list[int]]:
+        """The occurring variables in increasing order and each equation's mask, bit i for the i-th.
+
+        Row operations on these cost what the equations hold, not the highest index.
+        """
+        occurring = sorted(set().union(*(eq.variables for eq in self.equations)))
+        position = {v: i for i, v in enumerate(occurring)}
+        return occurring, [sum(1 << position[v] for v in eq.variables) for eq in self.equations]
 
     def is_merge_normalized(self) -> bool:
         keys = [eq.variables for eq in self.equations]
@@ -110,18 +114,13 @@ def merge_duplicates(s: Lin2System) -> Lin2System:
     survives with the weight difference; exact ties cancel and disappear.
     X is preserved pointwise, so decisions agree for every k.
     """
-    order: list[tuple[int, ...]] = []
+    # Keys in first-seen order. Positive sign tallies rhs=0 weight, negative tallies rhs=1.
     signed: dict[tuple[int, ...], int] = {}
     for eq in s.equations:
         key = eq.variables
-        if key not in signed:
-            signed[key] = 0
-            order.append(key)
-        # Positive sign tallies rhs=0 weight, negative tallies rhs=1.
-        signed[key] += eq.weight if eq.rhs == 0 else -eq.weight
+        signed[key] = signed.get(key, 0) + (eq.weight if eq.rhs == 0 else -eq.weight)
     out = []
-    for key in order:
-        net = signed[key]
+    for key, net in signed.items():
         if net > 0:
             out.append(Lin2Equation(key, 0, net))
         elif net < 0:
@@ -147,24 +146,19 @@ def find_odd_set(s: Lin2System) -> frozenset[int] | None:
     Exists iff the system with every right side replaced by 1 is solvable;
     the set is the support of that solution. Returns None otherwise.
     """
-    masks = s.masks()
-    # The right side sits just above the highest occurring variable, not at
-    # the declared n, so row operations cost what the equations hold.
-    x = gf2.solve_affine(masks, (1 << len(masks)) - 1, max(masks, default=0).bit_length())
+    occurring, masks = s.occurring_masks()
+    x = gf2.solve_affine(masks, (1 << len(masks)) - 1, len(occurring))
     if x is None:
         return None
-    support = []
-    while x:
-        low = x & -x
-        support.append(low.bit_length() - 1)
-        x ^= low
-    return frozenset(support)
+    # Bit i of x, the digit at i from the right, is the value of occurring[i].
+    return frozenset(compress(occurring, map(int, reversed(format(x, "b")))))
 
 
 def rank_reduce(s: Lin2System) -> RankReduction:
     """Drop every variable outside the greedy-leftmost independent column basis.
 
-    The basis is the pivot set of one row echelon of the equation masks.
+    The basis is the pivot set of one row echelon of the equation masks over
+    the occurring variables, numbered in increasing order.
 
     Each equation keeps only its basis variables (renumbered by basis
     position). The eliminated columns lie in the basis span, so every
@@ -172,7 +166,8 @@ def rank_reduce(s: Lin2System) -> RankReduction:
     achievable in the reduction and vice versa; no equation loses all of
     its variables.
     """
-    basis = sorted(gf2.echelon(s.masks()))
+    occurring, masks = s.occurring_masks()
+    basis = [occurring[p] for p in sorted(gf2.echelon(masks))]
     position = {v: i for i, v in enumerate(basis)}
     new_eqs = []
     for eq in s.equations:
@@ -215,7 +210,7 @@ def _satisfied_weight(s: Lin2System, refused: str) -> tuple[list[int], int]:
     """
     total = sum(eq.weight for eq in s.equations)
     check_cap(refused, total.bit_length() << s.n, "counter bits", COUNTER_BITS)
-    pairs = zip(s.masks(), s.equations)
+    pairs = ((sum(1 << v for v in eq.variables), eq) for eq in s.equations)
     slices = gf2.tally((gf2.parity_mask(mask, eq.rhs, s.n), eq.weight) for mask, eq in pairs)
     return slices, total
 

@@ -41,7 +41,7 @@ from .linord import (
     in_weight_matrix,
     x_value,
 )
-from .maxlin import DEFAULT_ASSIGNMENT_CAP, Lin2Equation, Lin2System
+from .maxlin import DEFAULT_ASSIGNMENT_CAP, Lin2System
 from .outcome import check_cap
 from .rsat import ExactCnfFormula
 
@@ -114,7 +114,6 @@ class SymmetryCheck:
 
     symmetric: bool
     holds: bool | None
-    e2: Fraction
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,6 @@ class TailCheck:
 class SecondMomentCheck:
     """Second-moment identity or lower bound for one instance kind."""
 
-    e1: Fraction
     e2: Fraction
     target: Fraction
     holds: bool
@@ -265,7 +263,6 @@ def verify_symmetric_tail(d: ExactDistribution) -> SymmetryCheck:
     v^2 * total >= sum(count * value^2); the value 0 qualifies only when the
     second moment vanishes.
     """
-    e2 = moment_p(d, 2)
     s2 = sum(c * v * v for v, c in d.mass)  # total * scale^2 * E(X^2)
     symmetric = d.is_symmetric()
     event = 0
@@ -276,7 +273,7 @@ def verify_symmetric_tail(d: ExactDistribution) -> SymmetryCheck:
         elif v == 0 and s2 == 0:
             event += c
     holds = event > 0 if symmetric else None
-    return SymmetryCheck(symmetric=symmetric, holds=holds, e2=e2)
+    return SymmetryCheck(symmetric=symmetric, holds=holds)
 
 
 def verify_fourth_moment_tail(d: ExactDistribution, b: Fraction | int) -> TailCheck:
@@ -349,14 +346,14 @@ def verify_second_moment_claims(
         e1 = moment_p(dist, 1)
         e2 = moment_p(dist, 2)
         target = Fraction(st.W2, 12)
-        return SecondMomentCheck(e1, e2, target, e1 == 0 and e2 >= target)
+        return SecondMomentCheck(e2, target, e1 == 0 and e2 >= target)
     if isinstance(instance, Lin2System):
         if not instance.is_merge_normalized():
             raise ValueError("system must be merge-normalized")
         e1 = moment_p(dist, 1)
         e2 = moment_p(dist, 2)
         target = Fraction(sum(eq.weight**2 for eq in instance.equations))
-        return SecondMomentCheck(e1, e2, target, e1 == 0 and e2 == target)
+        return SecondMomentCheck(e2, target, e1 == 0 and e2 == target)
     if isinstance(instance, ExactCnfFormula):
         # One pass over clause pairs serves the restriction and the closed form.
         conflicts, shared_counts = rsat.overlap_histogram(instance)
@@ -369,24 +366,8 @@ def verify_second_moment_claims(
         pairwise = _pairwise_e2(instance, conflicts, shared_counts)
         target = Fraction(len(instance.clauses), 4**instance.r)
         holds = e1 == 0 and e2 == pairwise and e2 >= target
-        return SecondMomentCheck(e1, e2, target, holds, pairwise_e2=pairwise)
+        return SecondMomentCheck(e2, target, holds, pairwise_e2=pairwise)
     raise TypeError("unsupported instance type: %r" % type(instance))
-
-
-def all_subsets_system(n: int) -> Lin2System:
-    """Unit-weight system with one equation sum = 1 per nonempty variable subset.
-
-    The family has m = 2^n - 1 equations, each variable occurring 2^(n-1)
-    times, and its fourth-moment-to-second-moment ratio grows with n, which
-    rules the fourth-moment tail route out for unrestricted systems.
-    """
-    if not 3 <= n <= 6:
-        raise ValueError("n must be between 3 and 6")
-    eqs = []
-    for mask in range(1, 1 << n):
-        variables = tuple(v for v in range(n) if (mask >> v) & 1)
-        eqs.append(Lin2Equation(variables, 1, 1))
-    return Lin2System(n, tuple(eqs))
 
 
 def estimate_moments(
@@ -410,7 +391,7 @@ def estimate_moments(
         vertices = list(range(g.n))
         for _ in range(samples):
             rng.shuffle(vertices)
-            values.append(x_value(g, LinearOrder.from_sequence(vertices)) / 2)
+            values.append(x_value(g, LinearOrder(tuple(vertices))) / 2)
     elif isinstance(instance, Lin2System):
         # Every satisfaction pattern is hit by 2^(n - rank) assignments, so X
         # has the same law on the rank-reduced system.

@@ -47,14 +47,7 @@ class ExactCnfFormula:
     @classmethod
     def from_clauses(cls, n: int, r: int, clauses: Iterable[Sequence[int]]) -> ExactCnfFormula:
         """Build a formula, sorting each clause's literals by variable index."""
-        canon = []
-        for clause in clauses:
-            lits = sorted(clause, key=abs)
-            variables = {abs(lit) for lit in lits}
-            if len(variables) != len(lits):
-                raise ValueError("clause contains a variable twice")
-            canon.append(tuple(lits))
-        return cls(n, r, tuple(canon))
+        return cls(n, r, tuple(tuple(sorted(clause, key=abs)) for clause in clauses))
 
     def occurring_variables(self) -> list[int]:
         seen = {abs(lit) for clause in self.clauses for lit in clause}

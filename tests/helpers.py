@@ -8,6 +8,7 @@ route.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -15,10 +16,26 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
+from abovetight.gf2 import echelon, solve_affine
 from abovetight.instances import ParseError
-from abovetight.linord import LinearOrder, WeightedDigraph
-from abovetight.maxlin import Lin2Equation, Lin2System, occurrence_f, system_stats
+from abovetight.linord import (
+    DEFAULT_VERTEX_CAP,
+    LinearOrder,
+    WeightedDigraph,
+    exact_max_acyclic,
+    loalb_threshold,
+    reduce_two_cycles,
+    with_isolated,
+)
+from abovetight.maxlin import (
+    Lin2Equation,
+    Lin2System,
+    RankReduction,
+    occurrence_f,
+    system_stats,
+)
 from abovetight.moments import ExactDistribution
+from abovetight.outcome import CapExceeded
 from abovetight.rsat import ExactCnfFormula
 
 
@@ -81,7 +98,7 @@ def subset_dp_max_forward(g: WeightedDigraph) -> tuple[int, LinearOrder]:
     seq = list(reversed(seq_rev))
     used = set(active)
     seq.extend(v for v in range(g.n) if v not in used)
-    return dp[size - 1], LinearOrder.from_sequence(seq)
+    return dp[size - 1], LinearOrder(tuple(seq))
 
 
 def brute_dist_linord(g: WeightedDigraph) -> ExactDistribution:
@@ -423,6 +440,119 @@ def with_isolated_by_ranks(seq: list[int], n: int, lead: bool = False) -> tuple[
     return tuple(sorted(range(n), key=positions.__getitem__))
 
 
+def solve_loalb_faithful_by_snapshots(
+    g: WeightedDigraph, k: int, cap: int = DEFAULT_VERTEX_CAP
+) -> LinearOrder | None:
+    """The package's faithful lifting before it kept one bit per deleted vertex.
+
+    It snapshots each deleted vertex's sorted neighbour lists, keeps its own
+    copy of the weight map, renumbers the residual over the vertices left and
+    maps its order back, and reinserts vertices one list insert at a time.
+    """
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    reduced = reduce_two_cycles(g)
+    threshold = loalb_threshold(k)
+    wm = dict(reduced.weight_map())
+    alive = {v for arc in wm for v in arc}
+    isolated_first = len(wm) >= threshold
+    out_adj: dict[int, dict[int, int]] = {v: {} for v in alive}
+    in_adj: dict[int, dict[int, int]] = {v: {} for v in alive}
+    for (u, v), w in wm.items():
+        out_adj[u][v] = w
+        in_adj[v][u] = w
+
+    def degree(v: int) -> int:
+        return len(out_adj[v]) + len(in_adj[v])
+
+    heap = [(degree(v), v) for v in alive]
+    heapq.heapify(heap)
+    snapshots: list[tuple[int, list[tuple[int, int]], list[tuple[int, int]]]] = []
+    while heap:
+        deg, v = heap[0]
+        if v not in alive or deg != degree(v):
+            heapq.heappop(heap)
+            continue
+        if len(wm) - threshold < deg:
+            break
+        heapq.heappop(heap)
+        outs = sorted(out_adj[v].items())
+        ins = sorted(in_adj[v].items())
+        snapshots.append((v, outs, ins))
+        for j, _ in outs:
+            del in_adj[j][v]
+            del wm[(v, j)]
+        for j, _ in ins:
+            del out_adj[j][v]
+            del wm[(j, v)]
+        del out_adj[v]
+        del in_adj[v]
+        alive.remove(v)
+        for j, _ in outs + ins:
+            heapq.heappush(heap, (degree(j), j))
+
+    remaining = sorted(alive)
+    index = {v: i for i, v in enumerate(remaining)}
+    residual = WeightedDigraph(
+        len(remaining),
+        tuple(sorted((index[u], index[v], w) for (u, v), w in wm.items())),
+    )
+    value, order = exact_max_acyclic(residual, cap=cap)
+    res_total = sum(w for _, _, w in residual.arcs)
+    if 2 * value - res_total < 2 * k:
+        assert not snapshots
+        return None
+    seq = [remaining[i] for i in with_isolated(order, len(remaining)).vertices]
+    for v, outs, ins in reversed(snapshots):
+        out_weight = sum(w for _, w in outs)
+        in_weight = sum(w for _, w in ins)
+        if out_weight >= in_weight:
+            seq.insert(0, v)
+        else:
+            seq.append(v)
+    return with_isolated(seq, reduced.n, lead=isolated_first)
+
+
+def faithful_outcome(solve, g: WeightedDigraph, k: int):
+    """``solve(g, k, cap=10)``'s order as a sequence, None, or the refusal message."""
+    try:
+        order = solve(g, k, cap=10)
+    except CapExceeded as exc:
+        return str(exc)
+    return None if order is None else order.vertices
+
+
+def lin2_masks(s: Lin2System) -> list[int]:
+    """Each equation's variables as one mask with bit v for variable v."""
+    return [sum(1 << v for v in eq.variables) for eq in s.equations]
+
+
+def find_odd_set_wide(s: Lin2System) -> frozenset[int] | None:
+    """``find_odd_set`` with masks as wide as the highest variable index, as the package had it."""
+    masks = lin2_masks(s)
+    x = solve_affine(masks, (1 << len(masks)) - 1, max(masks, default=0).bit_length())
+    if x is None:
+        return None
+    support = []
+    while x:
+        low = x & -x
+        support.append(low.bit_length() - 1)
+        x ^= low
+    return frozenset(support)
+
+
+def rank_reduce_wide(s: Lin2System) -> RankReduction:
+    """``rank_reduce`` with masks as wide as the highest variable index, as the package had it."""
+    basis = sorted(echelon(lin2_masks(s)))
+    position = {v: i for i, v in enumerate(basis)}
+    new_eqs = []
+    for eq in s.equations:
+        kept = tuple(sorted(position[v] for v in eq.variables if v in position))
+        new_eqs.append(Lin2Equation(kept, eq.rhs, eq.weight))
+    reduced = Lin2System(len(basis), tuple(new_eqs))
+    return RankReduction(reduced=reduced, basis=tuple(basis), original_n=s.n)
+
+
 def witness_balance(g: WeightedDigraph, tokens: list[int]) -> int | None:
     """2X of a 1-based witness over g, or None unless it lists 1..g.n once each."""
     if len(tokens) != g.n or sorted(tokens) != list(range(1, g.n + 1)):
@@ -668,4 +798,4 @@ def random_restricted_formula(
 
 
 def order_of(sequence: list[int]) -> LinearOrder:
-    return LinearOrder.from_sequence(sequence)
+    return LinearOrder(tuple(sequence))

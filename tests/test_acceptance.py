@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from abovetight.instances import gen_instance, parse_instance
+from abovetight.instances import all_subsets_system, gen_instance, parse_instance
 from abovetight.linord import (
     WeightedDigraph,
     decide_loalb,
@@ -33,7 +33,6 @@ from abovetight.maxlin import (
     system_stats,
 )
 from abovetight.moments import (
-    all_subsets_system,
     dist_lin2,
     dist_linord,
     dist_rsat,

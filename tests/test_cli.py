@@ -2,6 +2,7 @@ import argparse
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -353,6 +354,24 @@ def test_linalb_odd_set_cost_follows_the_equations_not_the_header(tmp_path):
     assert result.verdict == "YES_BY_BOUND"
     assert result.diagnostics["odd_set_size"] == 100
     assert elapsed < 1.0, "took %.2f s" % elapsed
+
+
+def test_linalb_cost_follows_the_variables_present_not_the_highest_index(tmp_path):
+    # Four one-variable equations near index 2 * 10^8: the odd-set and rank
+    # masks must be four bits wide, not 2 * 10^8.
+    n = 200_000_000
+    body = "".join("e 1 1 %d\n" % (n - i) for i in range(4))
+    path = write(tmp_path, "s.txt", "p lin2 %d 4\n%s" % (n, body))
+    tracemalloc.start()
+    try:
+        result = run(["linalb", path, "--k", "3"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.verdict == "NO"
+    assert (result.diagnostics["kernel_vars"], result.diagnostics["best_x"]) == (4, 4)
+    assert peak < 5 * 2**20, "peak %.1f MB" % (peak / 2**20)
+    assert run(["linalb", path, "--k", "1"]).verdict == "YES_BY_BOUND"
 
 
 def test_gen_round_trips_through_cli(tmp_path):

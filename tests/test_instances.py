@@ -368,7 +368,7 @@ def test_complete_formula_families_are_tight():
 
 
 def test_remark2_generator_matches_library_family():
-    from abovetight.moments import all_subsets_system
+    from abovetight.instances import all_subsets_system
 
     s = parse_instance(gen_instance("remark2", n=4).text)
     assert s == all_subsets_system(4)

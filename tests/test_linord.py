@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +28,10 @@ from abovetight.outcome import CapExceeded, Verdict
 from helpers import (
     brute_decide_loalb,
     brute_max_forward_weight,
+    faithful_outcome,
     random_digraph,
     reduce_two_cycles_by_dict,
+    solve_loalb_faithful_by_snapshots,
     subset_dp_max_forward,
     witness_balance,
     with_isolated_by_ranks,
@@ -128,7 +131,7 @@ def check_each_fact_once(g: WeightedDigraph) -> None:
     assert (diag["w2"], diag["kernel_arcs"]) == (st_.W2, st_.arc_count)
     _, order = exact_max_acyclic(reduced)
     for lead in (False, True):
-        assert with_isolated(order, g.n, lead).sequence() == with_isolated_by_ranks(order, g.n, lead)
+        assert with_isolated(order, g.n, lead).vertices == with_isolated_by_ranks(order, g.n, lead)
 
 
 def test_reduce_two_cycles_matches_the_dict_walk():
@@ -167,7 +170,7 @@ def test_exact_empty_graph():
     value, order = exact_max_acyclic(WeightedDigraph(3, ()))
     assert value == 0
     assert order == []
-    assert with_isolated(order, 3).sequence() == (0, 1, 2)
+    assert with_isolated(order, 3).vertices == (0, 1, 2)
 
 
 def test_exact_cap_refusal():
@@ -178,8 +181,8 @@ def test_exact_cap_refusal():
 
 def test_x_value_single_arc():
     g = WeightedDigraph.from_arcs(2, [(0, 1, 2)])
-    assert x_value(g, LinearOrder.from_sequence([0, 1])) == 2
-    assert x_value(g, LinearOrder.from_sequence([1, 0])) == -2
+    assert x_value(g, LinearOrder((0, 1))) == 2
+    assert x_value(g, LinearOrder((1, 0))) == -2
 
 
 def test_x_value_three_cycle_is_odd_unit():
@@ -187,7 +190,7 @@ def test_x_value_three_cycle_is_odd_unit():
     import itertools
 
     for perm in itertools.permutations(range(3)):
-        assert x_value(g, LinearOrder.from_sequence(perm)) in (-1, 1)
+        assert x_value(g, LinearOrder(tuple(perm))) in (-1, 1)
 
 
 @given(st.data())
@@ -196,8 +199,8 @@ def test_x_value_negates_under_reversal_on_oriented_graphs(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     g = random_digraph(rng, n_max=6, allow_two_cycles=False)
     perm = data.draw(st.permutations(range(g.n)))
-    order = LinearOrder.from_sequence(perm)
-    assert x_value(g, LinearOrder.from_sequence(reversed(perm))) == -x_value(g, order)
+    order = LinearOrder(tuple(perm))
+    assert x_value(g, LinearOrder(tuple(reversed(perm)))) == -x_value(g, order)
 
 
 def test_decide_symmetric_pair_is_no():
@@ -392,7 +395,7 @@ def test_faithful_star_forty_leaves():
     order = solve_loalb_faithful(g, 1)
     assert order is not None
     assert x_value(g, order) == 40  # forward weight 40 = W, so 2X = 40
-    seq = order.sequence()
+    seq = order.vertices
     assert seq.index(0) < min(seq.index(v) for v in range(1, 41))
 
 
@@ -405,7 +408,7 @@ def test_faithful_reinsertion_prefers_heavier_side():
     assert len(g.arcs) == 23
     order = solve_loalb_faithful(g, 1)
     assert order is not None
-    assert order.sequence()[0] == 7
+    assert order.vertices[0] == 7
     assert x_value(g, order) >= 2
 
 
@@ -416,7 +419,7 @@ def test_faithful_isolated_vertices_lead_at_12k2_arcs_and_trail_below():
         g = WeightedDigraph.from_arcs(path[-1] + 3, [(u, v, 1) for u, v in zip(path, path[1:])])
         isolated = [v for v in range(g.n) if v % 2 == 0 or v > path[-1]]
         want = isolated + path if isolated_first else path + isolated
-        assert list(solve_loalb_faithful(g, 1).sequence()) == want
+        assert list(solve_loalb_faithful(g, 1).vertices) == want
 
 
 def test_faithful_cost_follows_the_arcs_not_the_header():
@@ -427,8 +430,26 @@ def test_faithful_cost_follows_the_arcs_not_the_header():
     started = time.perf_counter()
     order = solve_loalb_faithful(g, 1)
     elapsed = time.perf_counter() - started
-    assert order.sequence() == tuple(range(14, n)) + tuple(range(14))
+    assert order.vertices == tuple(range(14, n)) + tuple(range(14))
     assert elapsed < 1.0, "took %.2f s" % elapsed
+
+
+def test_faithful_lifting_matches_the_snapshot_oracle():
+    # The same order, refusal or None as the oracle that snapshots neighbour
+    # lists and renumbers the residual.
+    rng = random.Random(1729)
+    outcomes = Counter()
+    for _ in range(3000):
+        n = rng.randint(2, 40)
+        wmax = rng.choice((1, 3, 50))
+        pairs = rng.sample(range(n * n), rng.randint(0, min(4 * n, n * n)))
+        arcs = [(p // n, p % n, rng.randint(1, wmax)) for p in pairs if p // n != p % n]
+        g = WeightedDigraph.from_arcs(n + rng.choice((0, 0, 3)), arcs)
+        k = rng.choice((1, 1, 2))
+        got = faithful_outcome(solve_loalb_faithful, g, k)
+        assert got == faithful_outcome(solve_loalb_faithful_by_snapshots, g, k), (g, k)
+        outcomes[type(got)] += 1
+    assert outcomes[tuple] > 1500 and outcomes[str] > 500 and outcomes[type(None)] > 100, outcomes
 
 
 def test_loalb_and_fas_cost_follows_the_active_vertices_not_the_header(tmp_path):
@@ -482,15 +503,15 @@ def test_witness_lists_isolated_vertices_last_in_index_order():
     g = WeightedDigraph.from_arcs(6, [(4, 1, 2)])
     out = decide_loalb(g, 1)
     assert out.verdict is Verdict.YES_WITNESS
-    assert out.witness.sequence() == (4, 1, 0, 2, 3, 5)
+    assert out.witness.vertices == (4, 1, 0, 2, 3, 5)
     assert cli._witness_tokens(out.witness) == [5, 2, 1, 3, 4, 6]
 
 
 def test_with_isolated_places_the_other_vertices_in_index_order():
-    assert with_isolated([4, 1], 6).sequence() == (4, 1, 0, 2, 3, 5)
-    assert with_isolated([4, 1], 6, lead=True).sequence() == (0, 2, 3, 5, 4, 1)
-    assert with_isolated([], 3).sequence() == (0, 1, 2)
-    assert with_isolated([2, 0, 1], 3, lead=True).sequence() == (2, 0, 1)
+    assert with_isolated([4, 1], 6).vertices == (4, 1, 0, 2, 3, 5)
+    assert with_isolated([4, 1], 6, lead=True).vertices == (0, 2, 3, 5, 4, 1)
+    assert with_isolated([], 3).vertices == (0, 1, 2)
+    assert with_isolated([2, 0, 1], 3, lead=True).vertices == (2, 0, 1)
     for seq in ([1, 1], [3], [-1], [0, 5], [2, 2, 0]):
         for lead in (False, True):
             with pytest.raises(ValueError):
@@ -500,12 +521,12 @@ def test_with_isolated_places_the_other_vertices_in_index_order():
 
 
 def test_linear_order_holds_a_permutation():
-    order = LinearOrder.from_sequence([2, 0, 1])
-    assert order.sequence() == (2, 0, 1)
-    assert LinearOrder(()).sequence() == ()
+    order = LinearOrder((2, 0, 1))
+    assert order.vertices == (2, 0, 1)
+    assert LinearOrder(()).vertices == ()
     for seq in ([0, 0], [1, 2], [-1, 0], [0, 2]):
         with pytest.raises(ValueError, match="permutation"):
-            LinearOrder.from_sequence(seq)
+            LinearOrder(tuple(seq))
 
 
 def test_fas_requires_unit_weights():
@@ -530,7 +551,7 @@ def test_fas_witness_backward_arcs_form_small_feedback_set():
     g = WeightedDigraph.from_arcs(4, arcs)
     out = decide_fas_below(g, 3)
     assert out.verdict is Verdict.YES_WITNESS
-    pos = {v: r for r, v in enumerate(out.witness.sequence())}
+    pos = {v: r for r, v in enumerate(out.witness.vertices)}
     backward = sum(1 for u, v, _ in g.arcs if pos[u] > pos[v])
     assert backward <= len(g.arcs) / 2 - 3
 

@@ -27,17 +27,21 @@ from abovetight.maxlin import (
 )
 from abovetight.outcome import CapExceeded, RestrictionViolated, Verdict
 
+from abovetight import maxlin
+
 from helpers import (
     brute_best_x_lin2,
     brute_decide_lin2,
     brute_first_best,
     brute_patterns_lin2,
     edge_lin2_systems,
+    find_odd_set_wide,
     flip_walk_lin2,
     lin2_x,
     occurrence_reduce,
     parity_constraints,
     random_lin2,
+    rank_reduce_wide,
     walk,
 )
 
@@ -82,7 +86,7 @@ def test_stats_empty_system():
 
 
 def test_stats_all_subsets_three_variables():
-    from abovetight.moments import all_subsets_system
+    from abovetight.instances import all_subsets_system
 
     stats = system_stats(all_subsets_system(3))
     assert (stats.m, stats.r, stats.rho) == (7, 3, 4)
@@ -152,6 +156,50 @@ def test_rank_reduce_preserves_satisfaction_patterns():
         s = random_lin2(rng, n_max=6, m_max=6)
         red = rank_reduce(s)
         assert brute_patterns_lin2(s) == brute_patterns_lin2(red.reduced)
+
+
+def spread_variables(rng: random.Random, s: Lin2System, extra: int) -> Lin2System:
+    """s with its variables moved by an increasing map into n + extra variables."""
+    n = s.n + extra
+    new = sorted(rng.sample(range(n), s.n))
+    eqs = [(tuple(new[v] for v in eq.variables), eq.rhs, eq.weight) for eq in s.equations]
+    return Lin2System.from_tuples(n, eqs)
+
+
+def test_occurring_masks_match_the_wide_oracles(monkeypatch):
+    # Masks over the occurring variables against masks as wide as the highest
+    # index: the same odd set, basis and reduction, and the same decision.
+    rng = random.Random(8128)
+    systems, decided = [], []
+    for _ in range(4000):
+        s = random_lin2(rng, n_max=9, m_max=12)
+        if rng.random() < 0.7:
+            s = spread_variables(rng, s, rng.randint(1, 80))
+        if s.equations and rng.random() < 0.3:
+            s = Lin2System(s.n, s.equations + tuple(rng.choices(s.equations, k=3)))
+        assert find_odd_set(s) == find_odd_set_wide(s), s
+        assert rank_reduce(s) == rank_reduce_wide(s), s
+        case = rng.choice((None, CaseKind.ODD_SET, CaseKind.GENERAL))
+        systems.append((s, rng.randint(1, 3), case))
+        decided.append(_decision(*systems[-1]))
+    monkeypatch.setattr(maxlin, "find_odd_set", find_odd_set_wide)
+    monkeypatch.setattr(maxlin, "rank_reduce", rank_reduce_wide)
+    assert [_decision(*args) for args in systems] == decided
+    assert {out.verdict for out in decided if not isinstance(out, str)} == set(Verdict)
+
+
+def _decision(s: Lin2System, k: int, case: CaseKind | None):
+    try:
+        return decide_linalb(s, k, case, cap=6)
+    except RestrictionViolated as exc:
+        return str(exc)
+
+
+def test_from_tuples_refuses_a_repeated_variable():
+    # x0 + x0 + x1 = 1 is x1 = 1 over GF(2); dropping the repeat would make it x0 + x1 = 1.
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Lin2System.from_tuples(2, [((0, 0, 1), 1, 1)])
+    assert Lin2System.from_tuples(2, [((1, 0), 1, 1)]) == Lin2System(2, (Lin2Equation((0, 1), 1, 1),))
 
 
 def test_lift_assignment_round_trip():

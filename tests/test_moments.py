@@ -9,11 +9,11 @@ from fractions import Fraction
 import pytest
 
 from abovetight import moments
+from abovetight.instances import all_subsets_system
 from abovetight.linord import WeightedDigraph, digraph_stats
 from abovetight.maxlin import Lin2System, merge_duplicates, system_stats
 from abovetight.moments import (
     ExactDistribution,
-    all_subsets_system,
     dist_lin2,
     dist_linord,
     dist_rsat,

@@ -307,3 +307,9 @@ def test_conflict_and_overlap_counts_are_even(seed):
     assert conflicts % 2 == 0
     assert all(count % 2 == 0 for count in shared_counts.values())
     assert conflict_number(f) == conflicts - sum(shared_counts.values())
+
+
+def test_from_clauses_leaves_the_distinct_variable_check_to_the_constructor():
+    for clause in ((1, 1), (2, -2)):
+        with pytest.raises(ValueError, match="clause variables must be distinct"):
+            ExactCnfFormula.from_clauses(2, 2, [clause])
