@@ -52,19 +52,11 @@ class RunResult:
         return out
 
     def to_json(self) -> str:
-        payload = {
-            "verdict": self.verdict,
-            # bool is an int; Fraction and float diagnostics are written with str().
-            "diagnostics": {
-                k: v if isinstance(v, (int, str)) else str(v)
-                for k, v in self.diagnostics.items()
-            },
-            "witness": self.witness,
-            "kernel": self.kernel,
-            "time_ms": self.time_ms,
-            "error": self.error,
+        # bool is an int; Fraction and float diagnostics are written with str().
+        diagnostics = {
+            k: v if isinstance(v, (int, str)) else str(v) for k, v in self.diagnostics.items()
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(dict(vars(self), diagnostics=diagnostics), indent=2, sort_keys=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,31 +66,21 @@ def build_parser() -> argparse.ArgumentParser:
         "above tight lower bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("file", help="instance file path")
+    instance.add_argument("--cap", type=int, default=None, help="exact-solve size cap")
+    instance.add_argument("--emit", default=None, help="write a JSON result here")
+    target = argparse.ArgumentParser(add_help=False, parents=[instance])
+    target.add_argument("--k", type=int, required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("file", help="instance file path")
-        p.add_argument("--cap", type=int, default=None, help="exact-solve size cap")
-        p.add_argument("--emit", default=None, help="write a JSON result here")
+    sub.add_parser("loalb", parents=[target], help="acyclic-subdigraph weight above W/2 + k")
+    sub.add_parser("fas", parents=[target], help="feedback arc set below |A|/2 - k (unit weights)")
+    p = sub.add_parser("linalb", parents=[target], help="satisfied equation weight above W/2 + k")
+    p.add_argument("--case", choices=["auto", *(c.value for c in CaseKind)], default="auto")
 
-    p = sub.add_parser("loalb", help="acyclic-subdigraph weight above W/2 + k")
-    add_common(p)
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("fas", help="feedback arc set below |A|/2 - k (unit weights)")
-    add_common(p)
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("linalb", help="satisfied equation weight above W/2 + k")
-    add_common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--case",
-        choices=["auto", "odd-set", "arity", "occurrence", "general"],
-        default="auto",
+    p = sub.add_parser(
+        "rsat", parents=[instance], help="satisfied clauses above (1-2^-r)m + k_num/2^r"
     )
-
-    p = sub.add_parser("rsat", help="satisfied clauses above (1-2^-r)m + k_num/2^r")
-    add_common(p)
     p.add_argument("--k-num", type=int, required=True, dest="k_num")
     p.add_argument(
         "--diagnostic",
@@ -106,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve exactly even when the conflict-number restriction fails",
     )
 
-    p = sub.add_parser("moments", help="exact moment report for an instance")
-    add_common(p)
+    p = sub.add_parser("moments", parents=[instance], help="exact moment report for an instance")
     p.add_argument("--b", default=None, help="fourth-moment ratio bound, e.g. 8 or 3/2")
     p.add_argument("--estimate", type=int, default=None, help="Monte-Carlo sample count")
     p.add_argument("--seed", type=int, default=None, help="--estimate sampling seed (default 0)")
@@ -181,12 +162,7 @@ def _run_moments(args: argparse.Namespace) -> RunResult:
         dist = moments.dist_lin2(instance, **_cap_kw(args))
     else:
         dist = moments.dist_rsat(instance, **_cap_kw(args))
-    report = moments.moment_report(dist)
-    diag: dict[str, Any] = {}
-    diag["e1"] = report.e1
-    diag["e2"] = report.e2
-    diag["e4"] = report.e4
-    diag["symmetric"] = report.symmetric
+    diag: dict[str, Any] = dict(vars(moments.moment_report(dist)))
     diag["scale"] = dist.scale
     diag["total"] = dist.total
     try:

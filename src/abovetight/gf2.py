@@ -50,8 +50,11 @@ def solve_affine(rows: Iterable[int], rhs: int, cols: int) -> int | None:
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
+# Bytes an exact count may hold: the bit-sliced counter of ``maxlin`` and the
+# packed order polynomials of ``moments.dist_linord`` (64 MiB).
+COUNT_BUDGET_BYTES = 1 << 26
 # Native unsigned integer formats by width in bytes, for memoryview.cast.
-_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # Splits per slice after which the trie of ``histogram`` gives way to the
 # transpose. Of the budgets timed at n = 16 and 20 in BENCH_8.json
 # ``histogram_switch``, this one kept ``histogram`` within about 2x of the
@@ -166,7 +169,7 @@ def _transposed_histogram(slices: list[int], n: int, shift: int, offset: int) ->
         if sys.byteorder == "big":
             b += word - 1 - 2 * (b % word)
         lanes[b::stride] = group.to_bytes(size, "little")
-    view = memoryview(lanes).cast(_WORDS[word])
+    view = memoryview(lanes).cast(WORDS[word])
     counts: Iterable[int] = view[::words]
     for j in range(1, words):
         counts = map(add, counts, map(lshift, view[j::words], repeat(64 * j)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 
 from .outcome import CapExceeded, DecisionOutcome, Verdict, check_cap
@@ -425,4 +425,4 @@ def decide_fas_below(
     diag = dict(out.diagnostics)
     diag["arc_count"] = len(g.arcs)
     diag["fas_bound_doubled"] = len(g.arcs) - 2 * k
-    return DecisionOutcome(out.verdict, witness=out.witness, kernel=out.kernel, diagnostics=diag)
+    return replace(out, diagnostics=diag)

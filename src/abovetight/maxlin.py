@@ -18,10 +18,10 @@ from . import gf2
 from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict, check_cap
 
 DEFAULT_ASSIGNMENT_CAP = 20
-# Bits of the bit-sliced weight counter (2^n times the length of W): 64 MB.
+# Bits of the bit-sliced weight counter (2^n times the length of W).
 # A distribution's transposed copy of the counter takes at most twice that
 # once W has 8 bits or more (one byte per 8 bits, padded to a native word).
-COUNTER_BITS = 1 << 29
+COUNTER_BITS = 8 * gf2.COUNT_BUDGET_BYTES
 
 
 @dataclass(frozen=True)
@@ -233,9 +233,14 @@ def x_distribution_counts(s: Lin2System) -> Counter[int]:
     return gf2.histogram(slices, s.n, 1, -total)
 
 
+def fourth_moment_threshold(t: int, r: int) -> int:
+    """16 t^2 64^r: the fourth-moment tail bound with b = 64^r, shared by lin2 and rsat."""
+    return 16 * t * t * 64**r
+
+
 def occurrence_f(k: int, r: int) -> int:
     """Equation-count threshold 16(2k-1)^2 64^r of the arity case and the occurrence rule."""
-    return 16 * (2 * k - 1) ** 2 * 64**r
+    return fourth_moment_threshold(2 * k - 1, r)
 
 
 def case_threshold(case: CaseKind, k: int, stats: SystemStats) -> int | None:

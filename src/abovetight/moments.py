@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
-from . import maxlin, rsat
+from . import gf2, maxlin, rsat
 from .linord import (
     LinearOrder,
     WeightedDigraph,
@@ -51,7 +51,7 @@ DEFAULT_ORDER_CAP = 9
 # of unused vertices or variables is refused at once, not multiplied out.
 MULTIPLIER_BITS = 1024
 # dist_linord packs its counts while 2^n' subsets of (W + 1) digits fit in this many bytes,
-PACKED_BUDGET_BYTES = 1 << 26
+PACKED_BUDGET_BYTES = gf2.COUNT_BUDGET_BYTES
 # and in this many per order of the n' vertices; past that the Counter DP, whose work
 # follows the at most n'! distinct forward weights, measured faster (scripts/order_switch.py).
 PACKED_BYTES_PER_ORDER = 1 << 10
@@ -185,7 +185,7 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
                 if not mask & bit:
                     poly[mask | bit] += base << lo_shift[sl] + hi_shift[sh]
         raw = poly[full].to_bytes((total_weight + 1) * digit_bytes, sys.byteorder)
-        digits = memoryview(raw).cast("BHIQ"[digit_bytes.bit_length() - 1])
+        digits = memoryview(raw).cast(gf2.WORDS[digit_bytes])
         if sys.byteorder == "big":
             digits = digits[::-1]
         forward = compress(enumerate(digits), digits)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import gf2
-from .maxlin import DEFAULT_ASSIGNMENT_CAP
+from .maxlin import DEFAULT_ASSIGNMENT_CAP, fourth_moment_threshold
 from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict, check_cap
 
 
@@ -185,7 +185,7 @@ def decide_rsatalb(
     if not restricted and not diagnostic:
         raise RestrictionViolated("conflict number %d exceeds (2^r - 2)m = %d" % (cn, bound))
     if restricted:
-        threshold = 16 * 64**f.r * k_num * k_num
+        threshold = fourth_moment_threshold(k_num, f.r)
         diag["m_threshold"] = threshold
         if m >= threshold:
             return DecisionOutcome(Verdict.YES_BY_BOUND, diagnostics=diag)

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from abovetight import maxlin, moments, rsat
-from abovetight.cli import main, run
+from abovetight.cli import _PARSER, main, run
 from abovetight.instances import GENERATOR_KINDS, gen_instance
 
 THREE_CYCLE = "p digraph 3 3\na 1 2 1\na 2 3 1\na 3 1 1\n"
@@ -421,6 +421,44 @@ def test_flags_do_not_leak_between_calls(tmp_path):
     assert general.diagnostics["case"] == "general"
     result = run(["linalb", path, "--k", "1"])
     assert result.diagnostics["case"] == "odd-set"
+
+
+# The flags each command that reads an instance file requires besides the file.
+REQUIRED_FLAGS = {
+    "loalb": ["--k", "1"],
+    "fas": ["--k", "1"],
+    "linalb": ["--k", "1"],
+    "rsat": ["--k-num", "1"],
+    "moments": [],
+}
+
+
+def test_flag_set_of_every_command(capsys):
+    for command, required in REQUIRED_FLAGS.items():
+        args = _PARSER.parse_args([command, "in.txt", *required, "--cap", "3", "--emit", "out"])
+        assert (args.command, args.file, args.cap, args.emit) == (command, "in.txt", 3, "out")
+        args = _PARSER.parse_args([command, "in.txt", *required])
+        assert (args.cap, args.emit) == (None, None)
+        if required:
+            with pytest.raises(SystemExit):
+                _PARSER.parse_args([command, "in.txt"])
+            assert "required: " + required[0] in capsys.readouterr().err
+    # --k belongs to the three deciders only (in rsat it abbreviates --k-num).
+    with pytest.raises(SystemExit):
+        _PARSER.parse_args(["moments", "in.txt", "--k", "1"])
+    assert _PARSER.parse_args(["linalb", "in.txt", "--k", "1"]).case == "auto"
+    (commands,) = [a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    (case,) = [a for a in commands.choices["linalb"]._actions if a.dest == "case"]
+    assert list(case.choices) == ["auto", "odd-set", "arity", "occurrence", "general"]
+    assert case.default == "auto"
+    # gen takes no instance file and no --cap, and its --emit writes the instance.
+    assert _PARSER.parse_args(["gen", "remark2", "--emit", "out"]).emit == "out"
+    (emit,) = [a for a in commands.choices["gen"]._actions if a.dest == "emit"]
+    assert emit.help == "write the instance here instead of stdout"
+    for extra in (["in.txt"], ["--cap", "3"]):
+        with pytest.raises(SystemExit):
+            _PARSER.parse_args(["gen", "remark2", *extra])
+    capsys.readouterr()
 
 
 def test_workers_flag_is_rejected(tmp_path):
