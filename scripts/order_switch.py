@@ -1,12 +1,12 @@
-"""Time dist_linord's packed and Counter paths on each side of the switch between them.
+"""Time the packed and Counter paths of the order DP on each side of the switch between them.
 
 For each n', a cycle (few distinct forward weights, the Counter DP's best
 case) and a tournament with random weights (up to n'! distinct forward
 weights, its worst case) are built at total weights W where the packed
 ints take ``PACKED_BYTES_PER_ORDER`` * n'! * f bytes, for each factor f
-given. Each graph is counted by both paths, forced by moving the module
-constants, and by ``dist_linord`` as committed. Prints one JSON row per
-graph: W, the path taken, and each path's fastest time.
+given. Each graph is counted by both paths, forced by moving ``linord``'s
+constants, and by ``moments.dist_linord`` as committed. Prints one JSON
+row per graph: W, the path taken, and each path's fastest time.
 
     python3 scripts/order_switch.py --n 3 4 5 6 7 8 --factors 0.25 1 4
 """
@@ -23,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from abovetight import moments  # noqa: E402
+from abovetight import linord, moments  # noqa: E402
 from abovetight.linord import WeightedDigraph  # noqa: E402
 
 
@@ -41,8 +41,8 @@ def tournament(n: int, total: int, rng: random.Random) -> WeightedDigraph:
 
 def fastest(g: WeightedDigraph, reps: int, budget: int, per_order: int) -> tuple[float, object]:
     """Fastest of ``reps`` calls with the switch constants set to the given values."""
-    saved = moments.PACKED_BUDGET_BYTES, moments.PACKED_BYTES_PER_ORDER
-    moments.PACKED_BUDGET_BYTES, moments.PACKED_BYTES_PER_ORDER = budget, per_order
+    saved = linord.PACKED_BUDGET_BYTES, linord.PACKED_BYTES_PER_ORDER
+    linord.PACKED_BUDGET_BYTES, linord.PACKED_BYTES_PER_ORDER = budget, per_order
     try:
         best, dist = math.inf, None
         for _ in range(reps):
@@ -50,7 +50,7 @@ def fastest(g: WeightedDigraph, reps: int, budget: int, per_order: int) -> tuple
             dist = moments.dist_linord(g)
             best = min(best, time.perf_counter() - started)
     finally:
-        moments.PACKED_BUDGET_BYTES, moments.PACKED_BYTES_PER_ORDER = saved
+        linord.PACKED_BUDGET_BYTES, linord.PACKED_BYTES_PER_ORDER = saved
     return best, dist
 
 
@@ -64,16 +64,16 @@ def main(argv=None) -> int:
         rng = random.Random(n)
         orders = math.factorial(n)
         digit_bytes = 1 << (-(-orders.bit_length() // 8) - 1).bit_length()
-        limit = min(moments.PACKED_BUDGET_BYTES, moments.PACKED_BYTES_PER_ORDER * orders)
+        limit = min(linord.PACKED_BUDGET_BYTES, linord.PACKED_BYTES_PER_ORDER * orders)
         for factor in args.factors:
             # The W whose packed ints take factor * PACKED_BYTES_PER_ORDER * n'! bytes.
-            total = int(factor * moments.PACKED_BYTES_PER_ORDER * orders) // (digit_bytes << n) - 1
+            total = int(factor * linord.PACKED_BYTES_PER_ORDER * orders) // (digit_bytes << n) - 1
             if total < n * (n - 1) // 2:
                 continue
             for label, g in (("cycle", cycle(n, total)), ("tournament", tournament(n, total, rng))):
                 packed_s, packed = fastest(g, args.reps, 1 << 62, 1 << 62)
                 counter_s, counter = fastest(g, args.reps, 0, 0)
-                committed_s, committed = fastest(g, args.reps, moments.PACKED_BUDGET_BYTES, moments.PACKED_BYTES_PER_ORDER)
+                committed_s, committed = fastest(g, args.reps, linord.PACKED_BUDGET_BYTES, linord.PACKED_BYTES_PER_ORDER)
                 if not packed == counter == committed:
                     raise AssertionError("the paths disagree on %s:%d:%d" % (label, n, total))
                 row = {

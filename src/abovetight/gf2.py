@@ -51,7 +51,7 @@ def solve_affine(rows: Iterable[int], rhs: int, cols: int) -> int | None:
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
 # Bytes an exact count may hold: the bit-sliced counter of ``maxlin`` and the
-# packed order polynomials of ``moments.dist_linord`` (64 MiB).
+# packed order polynomials of ``linord.forward_weight_counts`` (64 MiB).
 COUNT_BUDGET_BYTES = 1 << 26
 # Native unsigned integer formats by width in bytes, for memoryview.cast.
 WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}

@@ -9,13 +9,22 @@ the integer 2X = 2*(forward weight) - W, so the target reads 2X >= 2k.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
+import sys
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 
+from . import gf2
 from .outcome import CapExceeded, DecisionOutcome, Verdict, check_cap
 
 DEFAULT_VERTEX_CAP = 24
+# forward_weight_counts packs its counts while 2^n' subsets of (W + 1) digits fit in this many bytes,
+PACKED_BUDGET_BYTES = gf2.COUNT_BUDGET_BYTES
+# and in this many per order of the n' vertices; past that the Counter DP, whose work
+# follows the at most n'! distinct forward weights, measured faster (scripts/order_switch.py).
+PACKED_BYTES_PER_ORDER = 1 << 10
 
 
 class _ParallelArcs(ValueError):
@@ -153,10 +162,10 @@ def active_arcs(g: WeightedDigraph, active: list[int]) -> list[tuple[int, int, i
     return [(index[u], index[v], w) for u, v, w in g.arcs]
 
 
-def in_weight_matrix(m: int, arcs: list[tuple[int, int, int]]) -> list[list[int]]:
-    """``matrix[i][t]`` is the weight of the arc from t into i over vertices 0..m-1, or 0."""
-    matrix = [[0] * m for _ in range(m)]
-    for u, v, w in arcs:
+def _in_weights(g: WeightedDigraph, active: list[int]) -> list[list[int]]:
+    """``matrix[i][t]`` is the weight of the arc from ``active[t]`` into ``active[i]``, or 0."""
+    matrix = [[0] * len(active) for _ in active]
+    for u, v, w in active_arcs(g, active):
         matrix[v][u] = w
     return matrix
 
@@ -191,7 +200,7 @@ def _subset_sums(weights: list[int]) -> list[int]:
     return sums
 
 
-def gain_tables(in_weights: list[list[int]]) -> tuple[int, list[list[int]], list[list[int]]]:
+def _gain_tables(in_weights: list[list[int]]) -> tuple[int, list[list[int]], list[list[int]]]:
     """Half-width tables of the weight of the arcs from a vertex set S into each vertex i.
 
     That weight is ``lo[i][S & low] + hi[i][S >> h]``, with h = m // 2 and
@@ -208,12 +217,12 @@ def _best_order(in_weights: list[list[int]]) -> tuple[int, list[int]]:
 
     ``in_weights[i][t]`` is the weight of the arc from t into i. Dynamic program
     over subsets: the best order of a set S extends by a new last vertex i,
-    gaining the weight of arcs from S into i, read from ``gain_tables``. The
+    gaining the weight of arcs from S into i, read from ``_gain_tables``. The
     order is recovered by walking back from the full set to a predecessor
     whose value plus gain gives the current value.
     """
     m = len(in_weights)
-    h, lo, hi = gain_tables(in_weights)
+    h, lo, hi = _gain_tables(in_weights)
     low = (1 << h) - 1
     size = 1 << m
     # The vertices each half of a set leaves out, with their gain from that half.
@@ -248,6 +257,62 @@ def _best_order(in_weights: list[list[int]]) -> tuple[int, list[int]]:
     return dp[size - 1], order
 
 
+def forward_weight_counts(g: WeightedDigraph, active: list[int]) -> dict[int, int]:
+    """The number of orders of ``active``, the non-isolated vertices, at each forward weight they reach.
+
+    Dynamic program over subsets, like ``_best_order`` and on the same
+    in-weight matrix and gain tables: the orders of a set S end in some v
+    of S, and each adds to an order of S - v the weight of arcs from S - v
+    into v. Each subset keeps its orders' forward weights as one packed int
+    whose digit f counts the orders of weight f, so a move that gains g is
+    one shift by g digits and one add: O(2^n' * n') big-int steps on at most
+    W + 1 digits, W the total weight. Past ``PACKED_BUDGET_BYTES`` or
+    ``PACKED_BYTES_PER_ORDER`` * n'! bytes each subset keeps a Counter
+    instead, at O(2^n' * n' * support) dict updates, which follows the
+    distinct forward weights rather than W.
+    """
+    nv = len(active)
+    h, lo, hi = _gain_tables(_in_weights(g, active))
+    low = (1 << h) - 1
+    full = (1 << nv) - 1
+    total_weight = sum(w for _, _, w in g.arcs)
+    # Digits of 1, 2, 4 or 8 bytes hold n'! for n' <= 20; a larger n' always fails the budget.
+    orders = math.factorial(nv)
+    digit_bytes = 1 << (-(-orders.bit_length() // 8) - 1).bit_length()
+    if (total_weight + 1) * digit_bytes << nv <= min(PACKED_BUDGET_BYTES, PACKED_BYTES_PER_ORDER * orders):
+        shift = 8 * digit_bytes
+        # Each vertex's bit and its gain tables, scaled from digits to bits.
+        moves = [(1 << i, [x * shift for x in lo[i]], [x * shift for x in hi[i]]) for i in range(nv)]
+        poly = [1] + [0] * full
+        for mask in range(full):
+            # Each subset's polynomial is read only here, so drop it once read.
+            base, poly[mask] = poly[mask], 0
+            sl, sh = mask & low, mask >> h
+            for bit, lo_shift, hi_shift in moves:
+                if not mask & bit:
+                    poly[mask | bit] += base << lo_shift[sl] + hi_shift[sh]
+        raw = poly[full].to_bytes((total_weight + 1) * digit_bytes, sys.byteorder)
+        digits = memoryview(raw).cast(gf2.WORDS[digit_bytes])
+        if sys.byteorder == "big":
+            digits = digits[::-1]
+        return dict(compress(enumerate(digits), digits))
+    counters: list[Counter[int] | None] = [Counter() for _ in range(full + 1)]
+    counters[0][0] = 1
+    for mask in range(full):
+        # Each subset's Counter is read only here, so drop it once read.
+        base, counters[mask] = counters[mask], None
+        sl, sh = mask & low, mask >> h
+        for i in range(nv):
+            bit = 1 << i
+            if mask & bit:
+                continue
+            gain = lo[i][sl] + hi[i][sh]
+            target = counters[mask | bit]
+            for f, c in base.items():
+                target[f + gain] += c
+    return counters[full]
+
+
 def exact_max_acyclic(
     g: WeightedDigraph, cap: int = DEFAULT_VERTEX_CAP
 ) -> tuple[int, list[int]]:
@@ -255,7 +320,7 @@ def exact_max_acyclic(
 
     Each strongly connected component of the non-isolated vertices is solved
     on its own by a subset dynamic program (``_best_order``) over its block of
-    the in-weight matrix, the matrix ``moments.dist_linord`` counts orders
+    the in-weight matrix, the matrix ``forward_weight_counts`` counts orders
     with. An arc between components is forward in the topological order of
     the condensation, so the optimum is the sum of the components' optima
     plus the weight of every arc between components, attained by laying the
@@ -266,10 +331,9 @@ def exact_max_acyclic(
     active = active_vertices(g)
     m = len(active)
     check_cap("exact solve", m, "non-isolated vertices", cap)
-    arcs = active_arcs(g, active)
-    matrix = in_weight_matrix(m, arcs)
+    matrix = _in_weights(g, active)
     out_masks = [sum(1 << i for i, row in enumerate(matrix) if row[t]) for t in range(m)]
-    value = sum(w for _, _, w in arcs)
+    value = sum(w for _, _, w in g.arcs)
     seq = []
     for comp in _strong_components(out_masks):
         members = [i for i in range(m) if comp >> i & 1]

@@ -1,20 +1,15 @@
 """Exact distributions of the three balance variables and their moment checks.
 
-Each sample space is counted completely. The n! vertex orders of a digraph
-are counted by a dynamic program over subsets of its n' non-isolated
-vertices, in 2^n' * n' big-int steps rather than n'!: each subset's
-forward-weight distribution is one packed int with a digit per weight, or a
-Counter where those digits would pass a memory budget (large weights). It
-reads the graph as the same in-weight matrix and half-width gain tables as
-the exact solver in ``linord``. Equation systems (after rank reduction) and
-formulas (over their occurring variables) are counted by the bit-sliced
-counter of ``gf2``: one packed int per bit of the satisfied weight or clause
-count holds that bit for every assignment, and the counts are split slice by
-slice into the number of assignments at each value. A multiplier of n!/n'!
-or 2^(n - counted) turns the counts into the full space, and the caps bound
-what is counted. Values are stored at an integer scale (2 for orders, 1 for
-equation systems, 2^r for formulas) and every probability or moment is an
-exact rational; square roots and other irrational thresholds are compared by
+Each sample space is counted completely. The orders of a digraph's n'
+non-isolated vertices are counted by forward weight in ``linord``, beside
+the exact solver that shares their subset DP. Equation systems (after rank
+reduction) and formulas (over their occurring variables) are counted by the
+bit-sliced counter of ``gf2``, through ``maxlin`` and ``rsat``. This module
+applies the caps on what is counted, and the multiplier of n!/n'!,
+2^(n - rank) or 2^(n - occurring) that turns the counts into the full
+space. Values are stored at an integer scale (2 for orders, 1 for equation
+systems, 2^r for formulas) and every probability or moment is an exact
+rational; square roots and other irrational thresholds are compared by
 raising both sides to integer powers, so no floating point enters any
 verification path. A Monte-Carlo estimator for larger instances is labeled
 as an estimate and is never used in assertions.
@@ -22,23 +17,19 @@ as an estimate and is never used in assertions.
 
 from __future__ import annotations
 
-import math
 import random
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
-from . import gf2, maxlin, rsat
+from . import maxlin, rsat
 from .linord import (
     LinearOrder,
     WeightedDigraph,
     active_arcs,
     active_vertices,
     digraph_stats,
-    gain_tables,
-    in_weight_matrix,
+    forward_weight_counts,
     x_value,
 )
 from .maxlin import DEFAULT_ASSIGNMENT_CAP, Lin2System
@@ -50,11 +41,6 @@ DEFAULT_ORDER_CAP = 9
 # one stands for (n!/n'! or 2^(n - kernel)), so a header declaring millions
 # of unused vertices or variables is refused at once, not multiplied out.
 MULTIPLIER_BITS = 1024
-# dist_linord packs its counts while 2^n' subsets of (W + 1) digits fit in this many bytes,
-PACKED_BUDGET_BYTES = gf2.COUNT_BUDGET_BYTES
-# and in this many per order of the n' vertices; past that the Counter DP, whose work
-# follows the at most n'! distinct forward weights, measured faster (scripts/order_switch.py).
-PACKED_BYTES_PER_ORDER = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -144,18 +130,9 @@ class SecondMomentCheck:
 def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistribution:
     """Exact mass of 2X over all n! vertex orders (scale 2).
 
-    Orders of the n' non-isolated vertices are counted by a dynamic program
-    over vertex subsets: the orders of a set S end in some v of S, and each
-    adds to an order of S - v the weight of arcs from S - v into v, read
-    from the same in-weight matrix and half-width gain tables as
-    ``linord.exact_max_acyclic``'s subset DP. Each subset keeps its orders'
-    forward weights as one packed int whose digit f counts the orders of
-    weight f, so a move that gains g is one shift by g digits and one add:
-    O(2^n' * n') big-int steps on at most W + 1 digits, W the total weight.
-    Past ``PACKED_BUDGET_BYTES`` or ``PACKED_BYTES_PER_ORDER`` * n'! bytes each
-    subset keeps a Counter instead, at O(2^n' * n' * support) dict updates,
-    which follows the distinct forward weights rather than W. Every order of
-    the active vertices accounts for n!/n'! full orders. ``cap`` bounds n'.
+    ``linord.forward_weight_counts`` counts the orders of the n'
+    non-isolated vertices by forward weight f. Each has 2X = 2f - W and
+    stands for n!/n'! full orders. ``cap`` bounds n'.
     """
     active = active_vertices(g)
     nv = len(active)
@@ -165,48 +142,8 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
     for factor in range(nv + 1, g.n + 1):
         multiplier *= factor
         _check_multiplier(multiplier.bit_length())
-    h, lo, hi = gain_tables(in_weight_matrix(nv, active_arcs(g, active)))
-    low = (1 << h) - 1
-    full = (1 << nv) - 1
     total_weight = sum(w for _, _, w in g.arcs)
-    # Digits of 1, 2, 4 or 8 bytes hold n'! for n' <= 20; a larger n' always fails the budget.
-    orders = math.factorial(nv)
-    digit_bytes = 1 << (-(-orders.bit_length() // 8) - 1).bit_length()
-    if (total_weight + 1) * digit_bytes << nv <= min(PACKED_BUDGET_BYTES, PACKED_BYTES_PER_ORDER * orders):
-        shift = 8 * digit_bytes
-        # Each vertex's bit and its gain tables, scaled from digits to bits.
-        moves = [(1 << i, [x * shift for x in lo[i]], [x * shift for x in hi[i]]) for i in range(nv)]
-        poly = [1] + [0] * full
-        for mask in range(full):
-            # Each subset's polynomial is read only here, so drop it once read.
-            base, poly[mask] = poly[mask], 0
-            sl, sh = mask & low, mask >> h
-            for bit, lo_shift, hi_shift in moves:
-                if not mask & bit:
-                    poly[mask | bit] += base << lo_shift[sl] + hi_shift[sh]
-        raw = poly[full].to_bytes((total_weight + 1) * digit_bytes, sys.byteorder)
-        digits = memoryview(raw).cast(gf2.WORDS[digit_bytes])
-        if sys.byteorder == "big":
-            digits = digits[::-1]
-        forward = compress(enumerate(digits), digits)
-    else:
-        counters: list[Counter[int] | None] = [Counter() for _ in range(full + 1)]
-        counters[0][0] = 1
-        for mask in range(full):
-            # Each subset's Counter is read only here, so drop it once read.
-            base, counters[mask] = counters[mask], None
-            sl = mask & low
-            sh = mask >> h
-            for i in range(nv):
-                bit = 1 << i
-                if mask & bit:
-                    continue
-                gain = lo[i][sl] + hi[i][sh]
-                target = counters[mask | bit]
-                for f, c in base.items():
-                    target[f + gain] += c
-        forward = counters[full].items()
-    counts = Counter({2 * f - total_weight: c for f, c in forward})
+    counts = Counter({2 * f - total_weight: c for f, c in forward_weight_counts(g, active).items()})
     return ExactDistribution.from_counts(2, counts, multiplier)
 
 
@@ -231,8 +168,8 @@ def dist_rsat(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDis
     occurring = len(f.occurring_variables())
     check_cap("distribution", occurring, "occurring variables", cap)
     _check_multiplier(f.n - occurring + 1)
-    counts, multiplier = rsat.scaled_x_counts(f)
-    return ExactDistribution.from_counts(1 << f.r, counts, multiplier)
+    counts = rsat.scaled_x_counts(f)
+    return ExactDistribution.from_counts(1 << f.r, counts, 1 << (f.n - occurring))
 
 
 def _check_multiplier(bits: int) -> None:

@@ -145,16 +145,11 @@ def solve_exact(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[
     return _scaled(f, satisfied), tuple(witness)
 
 
-def scaled_x_counts(f: ExactCnfFormula) -> tuple[Counter[int], int]:
-    """Scaled-balance multiset over the occurring variables plus a multiplier.
-
-    The multiplier 2^(n - occurring) turns the counts into the mass over all
-    2^n assignments.
-    """
+def scaled_x_counts(f: ExactCnfFormula) -> Counter[int]:
+    """Exact multiset of scaled-balance values over the assignments of the occurring variables."""
     variables = f.occurring_variables()
     slices = _satisfied_count(f, variables)
-    counts = gf2.histogram(slices, len(variables), f.r, _scaled(f, 0))
-    return counts, 1 << (f.n - len(variables))
+    return gf2.histogram(slices, len(variables), f.r, _scaled(f, 0))
 
 
 def conflict_bound(f: ExactCnfFormula) -> int:

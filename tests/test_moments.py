@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from abovetight import moments
+from abovetight import linord
 from abovetight.instances import all_subsets_system
 from abovetight.linord import WeightedDigraph, digraph_stats
 from abovetight.maxlin import Lin2System, merge_duplicates, system_stats
@@ -26,13 +26,14 @@ from abovetight.moments import (
     verify_symmetric_tail,
 )
 from abovetight.outcome import CapExceeded
-from abovetight.rsat import ExactCnfFormula, overlap_histogram
+from abovetight.rsat import ExactCnfFormula, overlap_histogram, x_value_scaled
 
 from helpers import (
     brute_dist_linord,
     brute_pair_expectation,
     lin2_x,
     random_digraph,
+    random_formula,
     random_lin2,
     random_restricted_formula,
 )
@@ -111,12 +112,12 @@ def test_dist_linord_paths_agree_on_each_side_of_the_packed_budget(monkeypatch):
     # Four active vertices take one-byte digits, so the packed form holds
     # (W + 1) << 4 bytes and the budget falls between W = 2^22 - 1 and 2^22.
     # The per-order limit is lifted so that the memory budget alone decides.
-    monkeypatch.setattr(moments, "PACKED_BYTES_PER_ORDER", 1 << 62)
-    budget = moments.PACKED_BUDGET_BYTES
+    monkeypatch.setattr(linord, "PACKED_BYTES_PER_ORDER", 1 << 62)
+    budget = linord.PACKED_BUDGET_BYTES
     at_budget = (budget >> 4) - 1
     packed_calls = []
-    real_compress = moments.compress
-    monkeypatch.setattr(moments, "compress", lambda *a: packed_calls.append(a) or real_compress(*a))
+    real_compress = linord.compress
+    monkeypatch.setattr(linord, "compress", lambda *a: packed_calls.append(a) or real_compress(*a))
     for total, packed in ((at_budget, True), (at_budget + 1, False)):
         g = WeightedDigraph.from_arcs(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 2, 1), (3, 0, total - 7)])
         assert digraph_stats(g).W == total
@@ -125,22 +126,22 @@ def test_dist_linord_paths_agree_on_each_side_of_the_packed_budget(monkeypatch):
         assert bool(packed_calls) == packed
         assert d == brute_dist_linord(g)
         # Move the budget to the other side of this W: the other path agrees.
-        monkeypatch.setattr(moments, "PACKED_BUDGET_BYTES", total << 4 if packed else (total + 1) << 4)
+        monkeypatch.setattr(linord, "PACKED_BUDGET_BYTES", total << 4 if packed else (total + 1) << 4)
         packed_calls.clear()
         assert dist_linord(g) == d
         assert bool(packed_calls) != packed
-        monkeypatch.setattr(moments, "PACKED_BUDGET_BYTES", budget)
+        monkeypatch.setattr(linord, "PACKED_BUDGET_BYTES", budget)
 
 
 def test_dist_linord_paths_agree_on_each_side_of_the_per_order_limit(monkeypatch):
     # n' = 5 takes one-byte digits, so the packed form holds (W + 1) << 5
     # bytes, and the limit of PACKED_BYTES_PER_ORDER * 5! bytes falls
     # between the last packed W and the next one.
-    per_order = moments.PACKED_BYTES_PER_ORDER
+    per_order = linord.PACKED_BYTES_PER_ORDER
     last_packed = (per_order * math.factorial(5) >> 5) - 1
     packed_calls = []
-    real_compress = moments.compress
-    monkeypatch.setattr(moments, "compress", lambda *a: packed_calls.append(a) or real_compress(*a))
+    real_compress = linord.compress
+    monkeypatch.setattr(linord, "compress", lambda *a: packed_calls.append(a) or real_compress(*a))
     rng = random.Random(120)
     for total, packed in ((last_packed, True), (last_packed + 1, False)):
         pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in itertools.combinations(range(5), 2)]
@@ -153,11 +154,11 @@ def test_dist_linord_paths_agree_on_each_side_of_the_per_order_limit(monkeypatch
         assert bool(packed_calls) == packed
         assert d == brute_dist_linord(g)
         # Lift or lower the limit: the other path agrees.
-        monkeypatch.setattr(moments, "PACKED_BYTES_PER_ORDER", 0 if packed else 1 << 62)
+        monkeypatch.setattr(linord, "PACKED_BYTES_PER_ORDER", 0 if packed else 1 << 62)
         packed_calls.clear()
         assert dist_linord(g) == d
         assert bool(packed_calls) != packed
-        monkeypatch.setattr(moments, "PACKED_BYTES_PER_ORDER", per_order)
+        monkeypatch.setattr(linord, "PACKED_BYTES_PER_ORDER", per_order)
 
 
 def test_dist_linord_heavy_three_cycle_takes_the_counter_dp():
@@ -165,7 +166,7 @@ def test_dist_linord_heavy_three_cycle_takes_the_counter_dp():
     # distinct forward weights: the packed path would shift millions of
     # digits where the Counter DP makes a handful of dict updates.
     cycle = WeightedDigraph.from_arcs(3, [(0, 1, 2**23 - 3), (1, 2, 1), (2, 0, 1)])
-    assert (digraph_stats(cycle).W + 1) << 3 == moments.PACKED_BUDGET_BYTES
+    assert (digraph_stats(cycle).W + 1) << 3 == linord.PACKED_BUDGET_BYTES
     tracemalloc.start()
     try:
         started = time.perf_counter()
@@ -224,6 +225,15 @@ def test_dist_rsat_counts_unused_variables():
     # doubles per unused variable.
     d = dist_rsat(ExactCnfFormula.from_clauses(4, 2, [(1, 2)]))
     assert d.mass == ((-3, 4), (1, 12)) and d.total == 16
+
+
+def test_dist_rsat_counts_the_occurring_variables():
+    rng = random.Random(22)
+    # Few clauses over many variables: most formulas leave some unused.
+    for f in [random_formula(rng, rng.choice([2, 3]), n_max=9, m_max=3) for _ in range(60)]:
+        every = itertools.product((0, 1), repeat=f.n)
+        mass = tuple(sorted(Counter(x_value_scaled(f, z) for z in every).items()))
+        assert dist_rsat(f).mass == mass
 
 
 def test_moment_p_examples():

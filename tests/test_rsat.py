@@ -191,10 +191,10 @@ def test_scaled_x_counts_match_x_value_scaled_over_all_assignments():
     rng = random.Random(5)
     formulas = [random_formula(rng, rng.choice([2, 3]), n_max=9, m_max=10) for _ in range(40)]
     for f in formulas + edge_formulas(rng):
-        counts, multiplier = scaled_x_counts(f)
-        expanded = Counter({v: c * multiplier for v, c in counts.items()})
-        every = itertools.product((0, 1), repeat=f.n)
-        assert expanded == Counter(x_value_scaled(f, z) for z in every)
+        every = Counter(x_value_scaled(f, z) for z in itertools.product((0, 1), repeat=f.n))
+        # Each assignment of the occurring variables extends to 2^(n - occurring) of these.
+        free = f.n - len(f.occurring_variables())
+        assert scaled_x_counts(f) == Counter({v: c >> free for v, c in every.items()})
 
 
 def test_walk_yields_what_the_flip_walker_yields():
@@ -221,7 +221,7 @@ def test_bit_sliced_counter_matches_the_walker():
         for p, v in enumerate(variables):
             witness[v - 1] = (best_z >> p) & 1
         assert solve_exact(f) == (best, tuple(witness))
-        assert scaled_x_counts(f) == (Counter(scan), 1 << (f.n - len(variables)))
+        assert scaled_x_counts(f) == Counter(scan)
 
 
 def test_solve_exact_at_twenty_variables_within_budget():
