@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -60,12 +61,14 @@ class RunResult:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # No parser takes an abbreviated flag: "--k" is not "--k-num", nor "--ca" "--cap".
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="abovetight",
         description="Deciders and moment verifiers for problems parameterized "
         "above tight lower bounds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
     instance = argparse.ArgumentParser(add_help=False)
     instance.add_argument("file", help="instance file path")
     instance.add_argument("--cap", type=int, default=None, help="exact-solve size cap")
@@ -121,9 +124,7 @@ def _kernel_stats(kernel: Any) -> dict[str, int]:
         return {"n": kernel.n, "arcs": len(kernel.arcs)}
     if isinstance(kernel, Lin2System):
         return {"n": kernel.n, "m": len(kernel.equations)}
-    if isinstance(kernel, ExactCnfFormula):
-        return {"n": kernel.n, "m": len(kernel.clauses)}
-    return {}
+    return {"n": kernel.n, "m": len(kernel.clauses)}
 
 
 def _from_outcome(outcome: DecisionOutcome) -> RunResult:
@@ -207,7 +208,7 @@ def run(argv: Sequence[str]) -> RunResult:
             result = _from_outcome(outcome)
         elif args.command == "moments":
             result = _run_moments(args)
-        elif args.command == "gen":
+        else:  # gen, the last command the parser accepts
             sizes = {name: getattr(args, name) for name in GEN_SIZES}
             out = instances.gen_instance(args.kind, seed=args.seed, **sizes)
             result = RunResult(
@@ -219,8 +220,6 @@ def run(argv: Sequence[str]) -> RunResult:
                     handle.write(out.text)
             else:
                 result.diagnostics["text"] = out.text
-        else:  # pragma: no cover - argparse rejects unknown commands
-            raise ValueError("unknown command %r" % args.command)
     except RestrictionViolated as exc:
         result = RunResult(verdict="REFUSED", error=str(exc))
     except (OSError, ValueError, CapExceeded) as exc:

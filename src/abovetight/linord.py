@@ -55,7 +55,8 @@ class WeightedDigraph:
             raise ValueError("arc endpoint out of range")
         if any(map(operator.eq, tails, heads)):
             raise ValueError("loops are not allowed")
-        if min(weights) < 1:
+        # A sum of ints is an int; any other weight type makes it something else.
+        if min(weights) < 1 or type(sum(weights)) is not int:
             raise ValueError("arc weights must be positive integers")
         # Each pair as the int tail * n + head: ints, unlike pair tuples, are
         # not tracked by the cyclic collector.

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, Sequence
 
@@ -39,7 +40,7 @@ class Lin2Equation:
             raise ValueError("variables must be strictly increasing")
         if self.rhs not in (0, 1):
             raise ValueError("right-hand side must be 0 or 1")
-        if self.weight < 1:
+        if not isinstance(self.weight, int) or self.weight < 1:
             raise ValueError("weights must be positive integers")
 
 
@@ -54,18 +55,22 @@ class Lin2System:
         if self.n < 0:
             raise ValueError("variable count must be nonnegative")
         for eq in self.equations:
-            if eq.variables[-1] >= self.n:
-                raise ValueError("equation references a variable beyond n")
+            # Variables are strictly increasing, so the ends bound them all.
+            if eq.variables[0] < 0 or eq.variables[-1] >= self.n:
+                raise ValueError("equation references a variable outside 0..n-1")
 
     @classmethod
     def from_tuples(cls, n: int, eqs: Iterable[tuple[Sequence[int], int, int]]) -> Lin2System:
         """Build from (variables, rhs, weight) triples; variables are sorted and may not repeat."""
         return cls(n, tuple(Lin2Equation(tuple(sorted(vs)), rhs, w) for vs, rhs, w in eqs))
 
+    @cached_property
     def occurring_masks(self) -> tuple[list[int], list[int]]:
         """The occurring variables in increasing order and each equation's mask, bit i for the i-th.
 
         Row operations on these cost what the equations hold, not the highest index.
+        Built once per system, so ``find_odd_set`` and ``rank_reduce`` on one merged
+        system share it; neither modifies the lists.
         """
         occurring = sorted(set().union(*(eq.variables for eq in self.equations)))
         position = {v: i for i, v in enumerate(occurring)}
@@ -146,7 +151,7 @@ def find_odd_set(s: Lin2System) -> frozenset[int] | None:
     Exists iff the system with every right side replaced by 1 is solvable;
     the set is the support of that solution. Returns None otherwise.
     """
-    occurring, masks = s.occurring_masks()
+    occurring, masks = s.occurring_masks
     x = gf2.solve_affine(masks, (1 << len(masks)) - 1, len(occurring))
     if x is None:
         return None
@@ -166,7 +171,7 @@ def rank_reduce(s: Lin2System) -> RankReduction:
     achievable in the reduction and vice versa; no equation loses all of
     its variables.
     """
-    occurring, masks = s.occurring_masks()
+    occurring, masks = s.occurring_masks
     basis = [occurring[p] for p in sorted(gf2.echelon(masks))]
     position = {v: i for i, v in enumerate(basis)}
     new_eqs = []

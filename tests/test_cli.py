@@ -129,6 +129,11 @@ def test_moments_command_tail_flag(tmp_path):
     result = run(["moments", write(tmp_path, "s.txt", ODD_SET_FOUR), "--b", "64"])
     assert result.verdict == "OK"
     assert result.diagnostics["tail_holds"] is True
+    # With no equations X is 0 everywhere, so the tail check does not apply.
+    result = run(["moments", write(tmp_path, "e.txt", "p lin2 3 0\n"), "--b", "64"])
+    assert result.verdict == "OK"
+    assert result.diagnostics["tail_skipped"] == "E(X^2) is zero"
+    assert "tail_holds" not in result.diagnostics
 
 
 def test_moments_command_estimate(tmp_path):
@@ -443,9 +448,16 @@ def test_flag_set_of_every_command(capsys):
             with pytest.raises(SystemExit):
                 _PARSER.parse_args([command, "in.txt"])
             assert "required: " + required[0] in capsys.readouterr().err
-    # --k belongs to the three deciders only (in rsat it abbreviates --k-num).
-    with pytest.raises(SystemExit):
-        _PARSER.parse_args(["moments", "in.txt", "--k", "1"])
+    # --k belongs to the three deciders only, and no flag may be abbreviated.
+    for argv in (
+        ["moments", "in.txt", "--k", "1"],
+        ["rsat", "in.txt", "--k", "1"],
+        ["moments", "in.txt", "--est", "3"],
+        ["loalb", "in.txt", "--k", "1", "--ca", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            _PARSER.parse_args(argv)
+        assert exc.value.code == 2
     assert _PARSER.parse_args(["linalb", "in.txt", "--k", "1"]).case == "auto"
     (commands,) = [a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)]
     (case,) = [a for a in commands.choices["linalb"]._actions if a.dest == "case"]

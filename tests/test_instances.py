@@ -54,6 +54,7 @@ def test_parse_ecnf():
         ("p ecnf 2 1 2\n1 2\n", 2, "end with 0"),
         ("p ecnf 2 1 2\n1 2 1 0\n", 2, "width"),
         ("p ecnf 2 1 2\n1 -1 0\n", 2, "repeats"),
+        ("p ecnf 2 1 2\n1 3 0\n", 2, "variable out of range 1..2"),
         ("p ecnf 2 1 1\n1 0\n", 1, "at least 2"),
         ("p nonsense 1 1\n", 1, "unknown format"),
         ("", 1, "empty"),
@@ -74,6 +75,11 @@ def test_parse_errors_carry_line_numbers(text, line, needle):
         parse_instance(text)
     assert info.value.line_no == line
     assert needle in str(info.value)
+
+
+def test_serialize_refuses_other_objects():
+    with pytest.raises(TypeError, match="unsupported instance type"):
+        serialize_instance((3, ()))
 
 
 def test_round_trip_random_instances():

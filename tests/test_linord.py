@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 from collections import Counter
 
 import pytest
@@ -23,7 +24,7 @@ from abovetight.linord import (
 )
 from abovetight import cli
 from abovetight.instances import serialize_instance
-from abovetight.outcome import CapExceeded, Verdict
+from abovetight.outcome import CapExceeded, DecisionOutcome, Verdict
 
 from helpers import (
     brute_decide_loalb,
@@ -93,6 +94,9 @@ def test_loops_rejected():
         # parallel is named, whichever arc carries it.
         (3, ((1, 1, 0), (0, 1, 1), (0, 1, 1), (0, 3, 1)), "arc endpoint out of range"),
         (3, ((0, 1, 0), (2, 2, 1)), "loops are not allowed"),
+        # A weight that is not an int, though positive.
+        (3, ((0, 1, 2.5), (1, 2, 1)), "arc weights must be positive integers"),
+        (3, ((0, 1, 1), (1, 2, Fraction(3, 2))), "arc weights must be positive integers"),
     ],
 )
 def test_constructor_names_each_fault(n, arcs, message):
@@ -234,6 +238,23 @@ def test_decide_rejects_nonpositive_k():
     g = WeightedDigraph.from_arcs(2, [(0, 1, 2)])
     with pytest.raises(ValueError):
         decide_loalb(g, 0)
+    with pytest.raises(ValueError, match="positive integer"):
+        solve_loalb_faithful(g, 0)
+
+
+def test_x_value_needs_an_order_of_every_vertex():
+    g = WeightedDigraph.from_arcs(3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="cover all vertices"):
+        x_value(g, LinearOrder((1, 0)))
+
+
+def test_decision_outcome_refuses_mismatched_payloads():
+    with pytest.raises(ValueError, match="witness must be present"):
+        DecisionOutcome(Verdict.YES_WITNESS)
+    with pytest.raises(ValueError, match="witness must be present"):
+        DecisionOutcome(Verdict.NO, witness=LinearOrder((0,)))
+    with pytest.raises(ValueError, match="kernel payload"):
+        DecisionOutcome(Verdict.NO, kernel=WeightedDigraph(1, ()))
 
 
 def test_decide_bound_verdict_on_heavy_graph():

@@ -188,11 +188,52 @@ def test_occurring_masks_match_the_wide_oracles(monkeypatch):
     assert {out.verdict for out in decided if not isinstance(out, str)} == set(Verdict)
 
 
+def test_auto_case_builds_the_masks_once(monkeypatch):
+    # The odd-set search and the rank reduction both read the merged system's masks.
+    calls = []
+    masks = vars(Lin2System)["occurring_masks"]
+    for owner, name in ((masks, "func"), (maxlin, "find_odd_set"), (maxlin, "rank_reduce")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda s, f=original, n=name: calls.append(n) or f(s))
+    out = decide_linalb(sys2(4, [((0, 1), 1, 1), ((1, 2), 0, 1), ((2, 3), 1, 2)]), 1)
+    assert out.verdict is Verdict.YES_WITNESS and "kernel_vars" in out.diagnostics
+    assert sorted(calls) == ["find_odd_set", "func", "rank_reduce"]
+
+
 def _decision(s: Lin2System, k: int, case: CaseKind | None):
     try:
         return decide_linalb(s, k, case, cap=6)
     except RestrictionViolated as exc:
         return str(exc)
+
+
+@pytest.mark.parametrize(
+    "cls,args,message",
+    [
+        (Lin2Equation, ((), 0, 1), "equations must involve at least one variable"),
+        (Lin2Equation, ((0,), 2, 1), "right-hand side must be 0 or 1"),
+        (Lin2Equation, ((0,), 1, 0), "weights must be positive integers"),
+        (Lin2Equation, ((0,), 1, 1.5), "weights must be positive integers"),
+        (Lin2System, (-1, ()), "variable count must be nonnegative"),
+        (Lin2System, (2, (Lin2Equation((0, 2), 1, 1),)), "equation references a variable outside 0..n-1"),
+        # Index -1 would silently stand for the last variable.
+        (Lin2System, (3, (Lin2Equation((-1,), 1, 5),)), "equation references a variable outside 0..n-1"),
+    ],
+)
+def test_constructors_name_each_fault(cls, args, message):
+    with pytest.raises(ValueError) as info:
+        cls(*args)
+    assert str(info.value) == message
+
+
+def test_assignment_helpers_refuse_bad_assignments():
+    reduction = rank_reduce(sys2(3, [((0, 2), 1, 1)]))
+    with pytest.raises(ValueError, match="basis size"):
+        lift_assignment(reduction, (1, 0))
+    with pytest.raises(ValueError, match="0 or 1"):
+        lift_assignment(reduction, (2,))
+    with pytest.raises(ValueError, match="cover all variables"):
+        evaluate_x(reduction.reduced, (0, 1))
 
 
 def test_from_tuples_refuses_a_repeated_variable():

@@ -462,3 +462,31 @@ def test_distribution_validation():
         ExactDistribution(scale=0, mass=((0, 1),), total=1)
     with pytest.raises(ValueError):
         ExactDistribution(scale=1, mass=((1, 1), (0, 1)), total=2)
+    with pytest.raises(ValueError, match="total must be positive"):
+        ExactDistribution(scale=1, mass=(), total=0)
+    with pytest.raises(ValueError, match="counts must be positive"):
+        ExactDistribution(scale=1, mass=((0, 0), (1, 1)), total=1)
+
+
+def test_moment_functions_refuse_bad_input():
+    d = dist_linord(three_cycle())
+    with pytest.raises(ValueError, match="moment order"):
+        moment_p(d, 0)
+    for b in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="b must be positive"):
+            verify_fourth_moment_tail(d, b)
+    with pytest.raises(ValueError, match="samples must be positive"):
+        estimate_moments(three_cycle(), samples=0)
+    with pytest.raises(TypeError, match="unsupported instance type"):
+        verify_second_moment_claims((3, ()), d)
+    with pytest.raises(TypeError, match="unsupported instance type"):
+        estimate_moments((3, ()))
+
+
+def test_fourth_moment_tail_needs_mean_zero():
+    # A hand-built law with E(X) = 1/2: no sample space gives it, but the check must say so.
+    d = ExactDistribution(scale=2, mass=((-1, 1), (3, 1)), total=2)
+    tail = verify_fourth_moment_tail(d, 64)
+    assert not tail.preconditions_ok
+    assert tail.failed_precondition == "E(X) = 1/2 is not zero"
+    assert tail.holds is None and tail.probability == 0

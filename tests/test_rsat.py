@@ -53,6 +53,12 @@ def test_formula_validation():
         ExactCnfFormula(2, 2, ((1, 3),))
     with pytest.raises(ValueError):
         ExactCnfFormula(2, 1, ((1,),))
+    with pytest.raises(ValueError, match="nonnegative"):
+        ExactCnfFormula(-1, 2, ())
+    with pytest.raises(ValueError, match="sorted by variable"):
+        ExactCnfFormula(2, 2, ((2, -1),))
+    with pytest.raises(ValueError, match="cover all variables"):
+        satisfied_count(ExactCnfFormula(2, 2, ((1, 2),)), [1])
 
 
 def pair_histogram(r: int, y: tuple[int, ...], z: tuple[int, ...]):

@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ["scripts/verify_bounds.py", "--trials", "5", "--seed", "1"],
         ["scripts/histogram_switch.py", "--n", "8", "--reps", "1", "--budgets", "32"],
         ["scripts/order_switch.py", "--n", "3", "4", "--reps", "1"],
+        ["scripts/line_count.py"],
         # The benchmark builds its instances through the package's public names.
         ["perfbench/smoke.py"],
     ],
