@@ -304,6 +304,9 @@ def decide_linalb(
         if stats.m >= threshold:
             return DecisionOutcome(Verdict.YES_BY_BOUND, diagnostics=diag)
     reduction = rank_reduce(merged)
+    # Free the merged system and its cached masks before the kernel is solved: held
+    # through the solve, they raised perfbench's kernelize peak RSS by 1.6 MB (5%).
+    del merged
     diag["kernel_vars"] = reduction.reduced.n
     diag["kernel_eqs"] = len(reduction.reduced.equations)
     try:
