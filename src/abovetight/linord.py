@@ -4,6 +4,9 @@ An instance is an arc-weighted loop-free digraph and a positive integer k;
 the question is whether some linear order of the vertices keeps forward
 arcs of total weight at least W/2 + k. The balance of an order is kept as
 the integer 2X = 2*(forward weight) - W, so the target reads 2X >= 2k.
+Beside the exact solver's subset DP, a second one on the same tables counts
+the orders by forward weight; ``moments`` turns those counts into the exact
+distribution of 2X.
 """
 
 from __future__ import annotations
