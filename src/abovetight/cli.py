@@ -114,14 +114,21 @@ _PARSER = build_parser()
 
 
 def _witness_tokens(witness: Any) -> list[int]:
-    if isinstance(witness, LinearOrder):
-        return [v + 1 for v in witness.vertices]
-    return [int(b) for b in witness]
+    if not isinstance(witness, LinearOrder):
+        return [int(b) for b in witness]
+    # The tokens are the order's own int objects, not n new ones. Sorted, the
+    # order holds v at index v, so index v of the shifted copy holds v + 1. A
+    # witness order is the solved vertices, then runs of the others in index
+    # order, so the sort merges a few runs.
+    shifted = sorted(witness.vertices)
+    shifted.append(len(shifted))
+    del shifted[0]
+    return list(map(shifted.__getitem__, witness.vertices))
 
 
 def _kernel_stats(kernel: Any) -> dict[str, int]:
     if isinstance(kernel, WeightedDigraph):
-        return {"n": kernel.n, "arcs": len(kernel.arcs)}
+        return {"n": kernel.n, "arcs": len(kernel.weights)}
     if isinstance(kernel, Lin2System):
         return {"n": kernel.n, "m": len(kernel.equations)}
     return {"n": kernel.n, "m": len(kernel.clauses)}

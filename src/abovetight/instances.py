@@ -6,15 +6,21 @@ line; lines starting with ``c`` are comments and blank lines are ignored.
 digraph   header ``p digraph <n> <m>``, then m arc lines ``a <u> <v> <w>``
           with 1-based endpoints and positive integer weights. Parallel
           same-direction arcs are merged by summing weights; loops are
-          rejected. Arc lines are read by columns and checked once, by
-          the ``WeightedDigraph`` constructor; only input that this
-          refuses is walked line by line, and the error names the first
-          bad line.
+          rejected.
 lin2      header ``p lin2 <n> <m>``, then m lines ``e <w> <b> <i1> ... <it>``
           listing an equation of weight w, right side b and distinct
           1-based variable indices.
 ecnf      header ``p ecnf <n> <m> <r>``, then m clause lines of exactly r
           nonzero signed literals terminated by ``0``.
+
+Arc and clause lines have a fixed width, so they are read by columns: the
+int columns go to the ``WeightedDigraph`` or ``ExactCnfFormula`` column
+constructor, which checks them once. A digraph keeps its columns; a
+formula's clause tuples are built from its columns after the check. Only
+input that a column pass refuses is walked line by line, and the error
+names the first bad line; clauses whose literals are out of variable order
+take the same walk, which sorts them. Equation lines vary in width and are
+always walked.
 
 ``_HEADER_FIELDS`` holds each dialect's header field names, in the order
 n, m[, r], and its record noun; one header check reads and validates all
@@ -32,8 +38,10 @@ takes a seed; the three deterministic ones (``complete-rcnf``,
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .linord import WeightedDigraph
 from .maxlin import Lin2Equation, Lin2System
@@ -101,15 +109,16 @@ def _digraph_by_columns(n: int, records: list[str]) -> WeightedDigraph:
     each start with the letter ``a``, which no integer does; so if their
     tokens also number 4m, with ``a`` at every fourth place and integers
     elsewhere, each record's first token sits at a multiple of 4, and each
-    record is exactly ``a <u> <v> <w>``.
+    record is exactly ``a <u> <v> <w>``. The int columns go to the digraph
+    as they are; no arc triple is built.
     """
     m = len(records)
     body = "\n" + "\n".join(records)
     tokens = body.split()
     if body.count("\na") != m or len(tokens) != 4 * m or tokens[0::4].count("a") != m:
         raise ValueError("records are not all 'a <u> <v> <w>'")
-    tails, heads = (map((-1).__add__, map(int, tokens[i::4])) for i in (1, 2))
-    return WeightedDigraph.from_arcs(n, zip(tails, heads, map(int, tokens[3::4])))
+    tails, heads = (list(map(operator.sub, map(int, tokens[i::4]), repeat(1))) for i in (1, 2))
+    return WeightedDigraph.from_columns(n, tails, heads, list(map(int, tokens[3::4])))
 
 
 def _first_bad_arc_line(n: int, records: list[tuple[int, list[str]]]) -> ParseError:
@@ -129,13 +138,79 @@ def _first_bad_arc_line(n: int, records: list[tuple[int, list[str]]]) -> ParseEr
     raise AssertionError("the column pass refused arc lines that each pass the line checks")
 
 
+def _formula_by_columns(n: int, r: int, records: list[str]) -> ExactCnfFormula:
+    """The formula whose clause lines are ``records``, read a column at a time.
+
+    Raises ValueError on any fault, without saying where, and also when a
+    clause lists its literals out of variable order. Each record must be
+    exactly r + 1 tokens, so token i of every record is one column: the
+    last must be all zeros, and ``ExactCnfFormula.from_columns`` checks the
+    r literal columns for range and strictly increasing variables.
+    """
+    rows = list(map(str.split, records))
+    if not set(map(len, rows)) <= {r + 1}:
+        raise ValueError("records are not all r literals and 0")
+    tokens = list(chain.from_iterable(rows))
+    if any(map(int, tokens[r :: r + 1])):
+        raise ValueError("a record does not end with 0")
+    columns = [list(map(int, tokens[i :: r + 1])) for i in range(r)]
+    return ExactCnfFormula.from_columns(n, r, columns)
+
+
+def _formula_by_lines(n: int, r: int, records: list[tuple[int, list[str]]]) -> ExactCnfFormula:
+    """The formula whose numbered clause lines are ``records``, checked and sorted line by line."""
+    clauses = []
+    for line_no, rec in records:
+        lits = [_int(tok, line_no, "literal") for tok in rec]
+        if not lits or lits[-1] != 0:
+            raise ParseError(line_no, "clause line must end with 0")
+        lits = lits[:-1]
+        if any(lit == 0 for lit in lits):
+            raise ParseError(line_no, "literal 0 inside a clause")
+        if len(lits) != r:
+            raise ParseError(line_no, "clause width %d, expected %d" % (len(lits), r))
+        variables = [abs(lit) for lit in lits]
+        if any(not 1 <= v <= n for v in variables):
+            raise ParseError(line_no, "variable out of range 1..%d" % n)
+        if len(set(variables)) != r:
+            raise ParseError(line_no, "clause repeats a variable or has complementary literals")
+        clauses.append(tuple(sorted(lits, key=abs)))
+    return ExactCnfFormula(n, r, tuple(clauses))
+
+
+def _lin2_by_lines(n: int, records: list[tuple[int, list[str]]]) -> Lin2System:
+    """The system whose numbered equation lines are ``records``, checked one line at a time.
+
+    The line checks are the constructors' and more, so the equations and the
+    system are built without them.
+    """
+    eqs = []
+    for line_no, rec in records:
+        if len(rec) < 4 or rec[0] != "e":
+            raise ParseError(line_no, "expected 'e <w> <b> <i1> ...'")
+        w = _int(rec[1], line_no, "weight")
+        b = _int(rec[2], line_no, "right side")
+        if w < 1:
+            raise ParseError(line_no, "weights must be positive")
+        if b not in (0, 1):
+            raise ParseError(line_no, "right side must be 0 or 1")
+        indices = [_int(tok, line_no, "variable index") for tok in rec[3:]]
+        if any(not 1 <= i <= n for i in indices):
+            raise ParseError(line_no, "variable index out of range 1..%d" % n)
+        if len(set(indices)) != len(indices):
+            raise ParseError(line_no, "repeated variable in the equation")
+        eqs.append(Lin2Equation._unchecked(tuple(sorted(i - 1 for i in indices)), b, w))
+    return Lin2System._unchecked(n, tuple(eqs))
+
+
 def parse_instance(text: str) -> Instance:
     """Parse one instance in any of the three dialects.
 
-    Digraph arc lines are read by columns (``_digraph_by_columns``); only if
-    that pass or the ``WeightedDigraph`` constructor refuses them are they
-    walked line by line, to name the first bad one. Equation and clause
-    lines vary in width and are checked one line at a time.
+    Arc and clause lines, fixed-width records, are read by columns
+    (``_digraph_by_columns``, ``_formula_by_columns``); only if that pass
+    or the constructor's check refuses them are they walked line by line,
+    which names the first bad line or, for clauses out of variable order,
+    sorts them. Equation lines vary in width and are always walked.
     """
     lines = text.splitlines()
     for header_no, raw in enumerate(lines, start=1):
@@ -160,53 +235,24 @@ def parse_instance(text: str) -> Instance:
     if fmt == "ecnf" and sizes[2] < 2:
         raise ParseError(header_no, "clause width must be at least 2")
     body = lines[header_no:]
-    if fmt == "digraph":
-        records = [s for s in map(str.strip, body) if s and s[0] != "c"]
-    else:
+    if fmt == "lin2":
         records = _significant_lines(body, header_no + 1)
+    else:
+        records = [s for s in map(str.strip, body) if s and s[0] != "c"]
     if len(records) != m:
         raise ParseError(header_no, "header announces %d %s, found %d" % (m, noun, len(records)))
-    if fmt == "digraph":
-        try:
-            return _digraph_by_columns(n, records)
-        except ValueError:
-            raise _first_bad_arc_line(n, _significant_lines(body, header_no + 1)) from None
     if fmt == "lin2":
-        eqs = []
-        for line_no, rec in records:
-            if len(rec) < 4 or rec[0] != "e":
-                raise ParseError(line_no, "expected 'e <w> <b> <i1> ...'")
-            w = _int(rec[1], line_no, "weight")
-            b = _int(rec[2], line_no, "right side")
-            if w < 1:
-                raise ParseError(line_no, "weights must be positive")
-            if b not in (0, 1):
-                raise ParseError(line_no, "right side must be 0 or 1")
-            indices = [_int(tok, line_no, "variable index") for tok in rec[3:]]
-            if any(not 1 <= i <= n for i in indices):
-                raise ParseError(line_no, "variable index out of range 1..%d" % n)
-            if len(set(indices)) != len(indices):
-                raise ParseError(line_no, "repeated variable in the equation")
-            eqs.append(Lin2Equation(tuple(sorted(i - 1 for i in indices)), b, w))
-        return Lin2System(n, tuple(eqs))
-    r = sizes[2]
-    clauses = []
-    for line_no, rec in records:
-        lits = [_int(tok, line_no, "literal") for tok in rec]
-        if not lits or lits[-1] != 0:
-            raise ParseError(line_no, "clause line must end with 0")
-        lits = lits[:-1]
-        if any(lit == 0 for lit in lits):
-            raise ParseError(line_no, "literal 0 inside a clause")
-        if len(lits) != r:
-            raise ParseError(line_no, "clause width %d, expected %d" % (len(lits), r))
-        variables = [abs(lit) for lit in lits]
-        if any(not 1 <= v <= n for v in variables):
-            raise ParseError(line_no, "variable out of range 1..%d" % n)
-        if len(set(variables)) != r:
-            raise ParseError(line_no, "clause repeats a variable or has complementary literals")
-        clauses.append(tuple(sorted(lits, key=abs)))
-    return ExactCnfFormula(n, r, tuple(clauses))
+        return _lin2_by_lines(n, records)
+    try:
+        if fmt == "digraph":
+            return _digraph_by_columns(n, records)
+        return _formula_by_columns(n, sizes[2], records)
+    except ValueError:
+        pass
+    numbered = _significant_lines(body, header_no + 1)
+    if fmt == "digraph":
+        raise _first_bad_arc_line(n, numbered)
+    return _formula_by_lines(n, sizes[2], numbered)
 
 
 def serialize_instance(instance: Instance) -> InstanceFile:

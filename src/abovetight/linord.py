@@ -16,7 +16,8 @@ import math
 import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain, compress, repeat
 
 from . import gf2
@@ -31,73 +32,139 @@ PACKED_BYTES_PER_ORDER = 1 << 10
 
 
 class _ParallelArcs(ValueError):
-    """The one constructor fault that ``WeightedDigraph.from_arcs`` repairs."""
+    """The one constructor fault that ``WeightedDigraph.from_columns`` repairs."""
 
 
-@dataclass(frozen=True)
+def _pair_keys(n: int, tails, heads) -> list[int]:
+    """Each arc's (tail, head) pair as the int tail * n + head, which orders arcs as the pairs do.
+
+    Ints, unlike pair tuples, are not tracked by the cyclic collector.
+    """
+    return list(map(operator.add, map(operator.mul, tails, repeat(n)), heads))
+
+
+def _checked_columns(n: int, tails, heads, weights) -> list:
+    """The arcs' tail, head, weight and pair-key columns in (tail, head) order, once they pass the checks.
+
+    Reports the first fault kind present, in the order endpoint, loop,
+    weight, parallel arc; with several faults it does not say which arc
+    carries them. The columns are sorted only when their pairs are not
+    already ascending.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if not tails:
+        return [(), (), (), ()]
+    if min(tails) < 0 or min(heads) < 0 or max(tails) >= n or max(heads) >= n:
+        raise ValueError("arc endpoint out of range")
+    if any(map(operator.eq, tails, heads)):
+        raise ValueError("loops are not allowed")
+    # A sum of ints is an int; any other weight type makes it something else.
+    if min(weights) < 1 or type(sum(weights)) is not int:
+        raise ValueError("arc weights must be positive integers")
+    keys = _pair_keys(n, tails, heads)
+    columns = [tails, heads, weights, keys]
+    if all(map(operator.lt, keys, keys[1:])):
+        return columns
+    if len(set(keys)) < len(keys):
+        raise _ParallelArcs("parallel arcs must be merged before construction")
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [list(map(column.__getitem__, order)) for column in columns]
+
+
+def _columns(arcs) -> tuple[tuple, tuple, tuple]:
+    """The tail, head and weight columns of (tail, head, weight) triples."""
+    tails, heads, weights = list(zip(*arcs)) or ((), (), ())
+    return tails, heads, weights
+
+
+@dataclass(frozen=True, init=False)
 class WeightedDigraph:
     """Loop-free digraph with positive integer arc weights, vertices 0..n-1.
 
-    The constructor is the one place that checks arcs; only arcs derived
-    from a checked digraph skip it (``_unchecked``). It reads them as three
-    columns and reports the first fault kind present, in the order
-    endpoint, loop, weight, parallel arc; with several faults it does not
-    say which arc carries them.
+    The arcs are held as three columns, ``tails``, ``heads`` and
+    ``weights``, ordered by (tail, head), beside ``pair_keys``, each arc's
+    tail * n + head; ``arcs`` is the same arcs as a sorted tuple of
+    triples, built on first use. Every constructor checks its arcs in one
+    place (``_checked_columns``); only columns derived from a checked
+    digraph skip it (``_unchecked``).
     """
 
     n: int
-    arcs: tuple[tuple[int, int, int], ...]
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    weights: tuple[int, ...]
+    # Derived from n, tails and heads, so it takes no part in == or the repr.
+    pair_keys: tuple[int, ...] = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if not self.arcs:
-            return
-        tails, heads, weights = zip(*self.arcs)
-        if min(tails) < 0 or min(heads) < 0 or max(tails) >= self.n or max(heads) >= self.n:
-            raise ValueError("arc endpoint out of range")
-        if any(map(operator.eq, tails, heads)):
-            raise ValueError("loops are not allowed")
-        # A sum of ints is an int; any other weight type makes it something else.
-        if min(weights) < 1 or type(sum(weights)) is not int:
-            raise ValueError("arc weights must be positive integers")
-        # Each pair as the int tail * n + head: ints, unlike pair tuples, are
-        # not tracked by the cyclic collector.
-        pairs = map(operator.add, map(operator.mul, tails, repeat(self.n)), heads)
-        if len(set(pairs)) < len(self.arcs):
-            raise _ParallelArcs("parallel arcs must be merged before construction")
+    def __init__(self, n: int, arcs) -> None:
+        self._fill(n, *_checked_columns(n, *_columns(arcs)))
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> WeightedDigraph:
-        """Build a digraph with sorted arcs, merging parallel same-direction arcs by weight sum.
-
-        The arcs are merged only when the constructor finds parallel ones.
-        It checks for them last, so by then every unmerged arc has passed
-        the endpoint, loop and weight checks: a bad weight cannot hide in a
-        sum.
-        """
-        arcs = tuple(sorted(arcs))
-        try:
-            return cls(n, arcs)
-        except _ParallelArcs:
-            pass
-        merged: dict[tuple[int, int], int] = {}
-        for tail, head, weight in arcs:
-            merged[(tail, head)] = merged.get((tail, head), 0) + weight
-        return cls(n, tuple((u, v, w) for (u, v), w in merged.items()))
+        """Build a digraph from (tail, head, weight) triples, merging parallel arcs by weight sum."""
+        return cls.from_columns(n, *_columns(arcs))
 
     @classmethod
-    def _unchecked(cls, n: int, arcs: tuple[tuple[int, int, int], ...]) -> WeightedDigraph:
-        """Skip the constructor's checks, for arcs derived from a checked digraph's.
+    def from_columns(cls, n: int, tails, heads, weights) -> WeightedDigraph:
+        """``from_arcs`` on the arcs' tail, head and weight columns.
 
-        Such arcs are distinct loop-free pairs in range with positive weights.
+        The arcs are merged only when the check finds parallel ones. It
+        checks for them last, so by then every unmerged arc has passed the
+        endpoint, loop and weight checks: a bad weight cannot hide in a sum.
+        """
+        try:
+            return cls._unchecked(n, *_checked_columns(n, tails, heads, weights))
+        except _ParallelArcs:
+            pass
+        merged: dict[int, int] = {}
+        for key, weight in zip(_pair_keys(n, tails, heads), weights):
+            merged[key] = merged.get(key, 0) + weight
+        keys = sorted(merged)
+        return cls._unchecked(
+            n,
+            list(map(operator.floordiv, keys, repeat(n))),
+            list(map(operator.mod, keys, repeat(n))),
+            list(map(merged.__getitem__, keys)),
+            keys,
+        )
+
+    @classmethod
+    def _unchecked(cls, n: int, tails, heads, weights, pair_keys) -> WeightedDigraph:
+        """Skip the checks, for columns derived from a checked digraph's.
+
+        Such columns hold distinct loop-free pairs in range, ordered by
+        (tail, head), with positive weights and their pair keys.
         """
         g = object.__new__(cls)
-        vars(g).update(n=n, arcs=arcs)
+        g._fill(n, tails, heads, weights, pair_keys)
         return g
 
+    def _fill(self, n: int, tails, heads, weights, pair_keys) -> None:
+        # The columns come as sequences, not iterators: tuple() of an iterator grows
+        # and then shrinks the tuple, which in CPython 3.11 moves small tuples between
+        # the per-size free lists; over a thousand small digraphs that held 0.3 MB more.
+        vars(self).update(
+            n=n,
+            tails=tuple(tails),
+            heads=tuple(heads),
+            weights=tuple(weights),
+            pair_keys=tuple(pair_keys),
+        )
+
+    def _subgraph(self, kept, weights=None) -> WeightedDigraph:
+        """The arcs whose flag in ``kept`` is true, at their weight in ``weights`` if given; no check."""
+        weights = self.weights if weights is None else weights
+        columns = self.tails, self.heads, weights, self.pair_keys
+        return self._unchecked(self.n, *(list(compress(column, kept)) for column in columns))
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int, int], ...]:
+        # From a list, for the reason given in _fill.
+        return tuple(list(zip(self.tails, self.heads, self.weights)))
+
     def weight_map(self) -> dict[tuple[int, int], int]:
-        return {(u, v): w for u, v, w in self.arcs}
+        return dict(zip(zip(self.tails, self.heads), self.weights))
 
 
 @dataclass(frozen=True)
@@ -120,16 +187,21 @@ class LinearOrder:
         if not all(map(operator.eq, sorted(self.vertices), range(len(self.vertices)))):
             raise ValueError("sequence must be a permutation of 0..n-1")
 
+    @classmethod
+    def _unchecked(cls, vertices: tuple[int, ...]) -> LinearOrder:
+        """Skip the permutation check, for a sequence already proved to be one."""
+        order = object.__new__(cls)
+        vars(order)["vertices"] = vertices
+        return order
+
 
 def digraph_stats(g: WeightedDigraph) -> DigraphStats:
     wm = g.weight_map()
-    oriented = all((v, u) not in wm for u, v in wm)
-    weights = wm.values()
     return DigraphStats(
-        W=sum(weights),
-        W2=sum(map(operator.mul, weights, weights)),
-        arc_count=len(wm),
-        oriented=oriented,
+        W=sum(g.weights),
+        W2=sum(map(operator.mul, g.weights, g.weights)),
+        arc_count=len(g.weights),
+        oriented=all((v, u) not in wm for u, v in wm),
     )
 
 
@@ -140,9 +212,12 @@ def reduce_two_cycles(g: WeightedDigraph) -> WeightedDigraph:
     decision-equivalent to the input for every k: any order's forward weight
     changes by the same constant as W/2 does.
     """
-    get = g.weight_map().get
-    kept = [(u, v, d) for u, v, w in g.arcs if (d := w - get((v, u), 0)) > 0]
-    return WeightedDigraph._unchecked(g.n, tuple(sorted(kept)))
+    weight = dict(zip(g.pair_keys, g.weights))
+    reverse = list(map(weight.get, _pair_keys(g.n, g.heads, g.tails), repeat(0)))
+    if not any(reverse):
+        return g
+    reduced = list(map(operator.sub, g.weights, reverse))
+    return g._subgraph(list(map((0).__lt__, reduced)), reduced)
 
 
 def x_value(g: WeightedDigraph, order: LinearOrder) -> int:
@@ -150,20 +225,19 @@ def x_value(g: WeightedDigraph, order: LinearOrder) -> int:
     if len(order.vertices) != g.n:
         raise ValueError("order must cover all vertices of the graph")
     pos = dict(zip(order.vertices, range(g.n)))
-    forward = sum(w for u, v, w in g.arcs if pos[u] < pos[v])
-    total = sum(w for _, _, w in g.arcs)
-    return 2 * forward - total
+    forward = sum(w for u, v, w in zip(g.tails, g.heads, g.weights) if pos[u] < pos[v])
+    return 2 * forward - sum(g.weights)
 
 
 def active_vertices(g: WeightedDigraph) -> list[int]:
     """Non-isolated vertices in increasing order: what the order caps, DPs and sampler see."""
-    return sorted({*map(operator.itemgetter(0), g.arcs), *map(operator.itemgetter(1), g.arcs)})
+    return sorted({*g.tails, *g.heads})
 
 
 def active_arcs(g: WeightedDigraph, active: list[int]) -> list[tuple[int, int, int]]:
     """The arcs renumbered over ``active``: arc (i, j, w) runs from ``active[i]`` to ``active[j]``."""
-    index = {v: i for i, v in enumerate(active)}
-    return [(index[u], index[v], w) for u, v, w in g.arcs]
+    index = dict(zip(active, range(len(active))))
+    return list(zip(map(index.__getitem__, g.tails), map(index.__getitem__, g.heads), g.weights))
 
 
 def _in_weights(g: WeightedDigraph, active: list[int]) -> list[list[int]]:
@@ -279,7 +353,7 @@ def forward_weight_counts(g: WeightedDigraph, active: list[int]) -> dict[int, in
     h, lo, hi = _gain_tables(_in_weights(g, active))
     low = (1 << h) - 1
     full = (1 << nv) - 1
-    total_weight = sum(w for _, _, w in g.arcs)
+    total_weight = sum(g.weights)
     # Digits of 1, 2, 4 or 8 bytes hold n'! for n' <= 20; a larger n' always fails the budget.
     orders = math.factorial(nv)
     digit_bytes = 1 << (-(-orders.bit_length() // 8) - 1).bit_length()
@@ -337,7 +411,7 @@ def exact_max_acyclic(
     check_cap("exact solve", m, "non-isolated vertices", cap)
     matrix = _in_weights(g, active)
     out_masks = [sum(1 << i for i, row in enumerate(matrix) if row[t]) for t in range(m)]
-    value = sum(w for _, _, w in g.arcs)
+    value = sum(g.weights)
     seq = []
     for comp in _strong_components(out_masks):
         members = [i for i in range(m) if comp >> i & 1]
@@ -362,7 +436,7 @@ def with_isolated(seq: list[int], n: int, lead: bool = False) -> LinearOrder:
     vertices = tuple(chain(others, seq) if lead else chain(seq, others))
     if len(vertices) != n:
         raise ValueError("sequence must list distinct vertices of 0..n-1")
-    return LinearOrder(vertices)
+    return LinearOrder._unchecked(vertices)
 
 
 def loalb_threshold(k: int) -> int:
@@ -381,7 +455,7 @@ def decide_loalb(
     if k < 1:
         raise ValueError("k must be a positive integer")
     reduced = reduce_two_cycles(g)
-    weights = list(map(operator.itemgetter(2), reduced.arcs))
+    weights = reduced.weights
     w2 = sum(map(operator.mul, weights, weights))
     threshold = loalb_threshold(k)
     diag = {
@@ -425,14 +499,14 @@ def solve_loalb_faithful(
         raise ValueError("k must be a positive integer")
     reduced = reduce_two_cycles(g)
     threshold = loalb_threshold(k)
-    arcs = len(reduced.arcs)
+    arcs = len(reduced.weights)
     # Isolated vertices stay out of the deletion scan. From 12k^2 arcs on,
     # each would be deleted first, in index order, and so come back in
     # front; below that they trail the residual's order.
     isolated_first = arcs >= threshold
     out_adj: dict[int, dict[int, int]] = {v: {} for v in active_vertices(reduced)}
     in_adj: dict[int, dict[int, int]] = {v: {} for v in out_adj}
-    for u, v, w in reduced.arcs:
+    for u, v, w in zip(reduced.tails, reduced.heads, reduced.weights):
         out_adj[u][v] = w
         in_adj[v][u] = w
 
@@ -464,11 +538,10 @@ def solve_loalb_faithful(
 
     # Every vertex left keeps an arc: with none it would have been deleted,
     # since deletions run only while at least 12k^2 arcs remain.
-    residual = WeightedDigraph._unchecked(
-        reduced.n, tuple(a for a in reduced.arcs if a[0] in out_adj and a[1] in out_adj)
-    )
+    kept = [u in out_adj and v in out_adj for u, v in zip(reduced.tails, reduced.heads)]
+    residual = reduced._subgraph(kept)
     value, order = exact_max_acyclic(residual, cap=cap)
-    if 2 * value - sum(w for _, _, w in residual.arcs) < 2 * k:
+    if 2 * value - sum(residual.weights) < 2 * k:
         # Deletions preserve the bound-certified YES, so a short residual
         # optimum means no deletion ever fired and the instance is NO.
         assert not deleted
@@ -487,10 +560,11 @@ def decide_fas_below(
     set, so the question is the complement of the forward-weight target and
     the verdict mirrors decide_loalb.
     """
-    if any(w != 1 for _, _, w in g.arcs):
+    arc_count = len(g.weights)
+    if g.weights.count(1) != arc_count:
         raise ValueError("feedback arc decision requires unit weights")
     out = decide_loalb(g, k, cap=cap)
     diag = dict(out.diagnostics)
-    diag["arc_count"] = len(g.arcs)
-    diag["fas_bound_doubled"] = len(g.arcs) - 2 * k
+    diag["arc_count"] = arc_count
+    diag["fas_bound_doubled"] = arc_count - 2 * k
     return replace(out, diagnostics=diag)

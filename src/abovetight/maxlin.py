@@ -43,6 +43,17 @@ class Lin2Equation:
         if not isinstance(self.weight, int) or self.weight < 1:
             raise ValueError("weights must be positive integers")
 
+    @classmethod
+    def _unchecked(cls, variables: tuple[int, ...], rhs: int, weight: int) -> Lin2Equation:
+        """Skip the checks, for an equation derived from checked ones or checked while parsed.
+
+        Its variables are nonempty and strictly increasing, rhs is 0 or 1 and
+        weight a positive int.
+        """
+        eq = object.__new__(cls)
+        vars(eq).update(variables=variables, rhs=rhs, weight=weight)
+        return eq
+
 
 @dataclass(frozen=True)
 class Lin2System:
@@ -58,6 +69,13 @@ class Lin2System:
             # Variables are strictly increasing, so the ends bound them all.
             if eq.variables[0] < 0 or eq.variables[-1] >= self.n:
                 raise ValueError("equation references a variable outside 0..n-1")
+
+    @classmethod
+    def _unchecked(cls, n: int, equations: tuple[Lin2Equation, ...]) -> Lin2System:
+        """Skip the check, for equations over variables 0..n-1 derived from checked ones or parsed."""
+        s = object.__new__(cls)
+        vars(s).update(n=n, equations=equations)
+        return s
 
     @classmethod
     def from_tuples(cls, n: int, eqs: Iterable[tuple[Sequence[int], int, int]]) -> Lin2System:
@@ -124,13 +142,14 @@ def merge_duplicates(s: Lin2System) -> Lin2System:
     for eq in s.equations:
         key = eq.variables
         signed[key] = signed.get(key, 0) + (eq.weight if eq.rhs == 0 else -eq.weight)
+    # Each key is a checked equation's variables, and each weight a nonzero difference of ints.
     out = []
     for key, net in signed.items():
         if net > 0:
-            out.append(Lin2Equation(key, 0, net))
+            out.append(Lin2Equation._unchecked(key, 0, net))
         elif net < 0:
-            out.append(Lin2Equation(key, 1, -net))
-    return Lin2System(s.n, tuple(out))
+            out.append(Lin2Equation._unchecked(key, 1, -net))
+    return Lin2System._unchecked(s.n, tuple(out))
 
 
 def system_stats(s: Lin2System) -> SystemStats:
@@ -174,11 +193,15 @@ def rank_reduce(s: Lin2System) -> RankReduction:
     occurring, masks = s.occurring_masks
     basis = [occurring[p] for p in sorted(gf2.echelon(masks))]
     position = {v: i for i, v in enumerate(basis)}
-    new_eqs = []
-    for eq in s.equations:
-        kept = tuple(sorted(position[v] for v in eq.variables if v in position))
-        new_eqs.append(Lin2Equation(kept, eq.rhs, eq.weight))
-    reduced = Lin2System(len(basis), tuple(new_eqs))
+    # Basis positions grow with the variables, so each equation's stay strictly
+    # increasing. Tuples from lists: see WeightedDigraph._fill on tuple() of an iterator.
+    new_eqs = [
+        Lin2Equation._unchecked(
+            tuple([position[v] for v in eq.variables if v in position]), eq.rhs, eq.weight
+        )
+        for eq in s.equations
+    ]
+    reduced = Lin2System._unchecked(len(basis), tuple(new_eqs))
     return RankReduction(reduced=reduced, basis=tuple(basis), original_n=s.n)
 
 

@@ -142,7 +142,7 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
     for factor in range(nv + 1, g.n + 1):
         multiplier *= factor
         _check_multiplier(multiplier.bit_length())
-    total_weight = sum(w for _, _, w in g.arcs)
+    total_weight = sum(g.weights)
     counts = Counter({2 * f - total_weight: c for f, c in forward_weight_counts(g, active).items()})
     return ExactDistribution.from_counts(2, counts, multiplier)
 

@@ -10,6 +10,7 @@ numerator k_num.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -19,30 +20,57 @@ from .maxlin import DEFAULT_ASSIGNMENT_CAP, fourth_moment_threshold
 from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict, check_cap
 
 
+def _check_formula(n: int, r: int, widths: Iterable[int], columns: Sequence[Sequence[int]]) -> None:
+    """Refuse a formula unless r >= 2, n >= 0 and each clause has r increasing variables in 1..n.
+
+    ``widths`` holds the clause widths, and ``columns[i][j]`` is literal i of
+    clause j. Reports the first fault kind present, in the order clause
+    width bound, variable count, clause width, repeated variable, variable
+    order, range; with several faults it does not say which clause carries
+    them.
+    """
+    if r < 2:
+        raise ValueError("clause width must be at least 2")
+    if n < 0:
+        raise ValueError("variable count must be nonnegative")
+    if any(width != r for width in widths):
+        raise ValueError("every clause must have exactly %d literals" % r)
+    variables = [list(map(abs, column)) for column in columns]
+    if not all(all(map(operator.lt, a, b)) for a, b in zip(variables, variables[1:])):
+        if any(len(set(clause)) < r for clause in zip(*variables)):
+            raise ValueError("clause variables must be distinct")
+        raise ValueError("clause literals must be sorted by variable")
+    # Each clause's variables strictly increase, so its first and last bound them all.
+    if variables and variables[0] and (min(variables[0]) < 1 or max(variables[-1]) > n):
+        raise ValueError("literal out of range")
+
+
 @dataclass(frozen=True)
 class ExactCnfFormula:
-    """Multiset of width-r clauses; literals are nonzero ints over vars 1..n."""
+    """Multiset of width-r clauses; literals are nonzero ints over vars 1..n.
+
+    Each clause lists its literals by increasing variable. The constructor
+    checks the clauses a column at a time (``_check_formula``).
+    """
 
     n: int
     r: int
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError("clause width must be at least 2")
-        if self.n < 0:
-            raise ValueError("variable count must be nonnegative")
-        for clause in self.clauses:
-            if len(clause) != self.r:
-                raise ValueError("every clause must have exactly %d literals" % self.r)
-            variables = [abs(lit) for lit in clause]
-            if len(set(variables)) != self.r:
-                raise ValueError("clause variables must be distinct")
-            if variables != sorted(variables):
-                raise ValueError("clause literals must be sorted by variable")
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.n:
-                    raise ValueError("literal out of range")
+        _check_formula(self.n, self.r, map(len, self.clauses), list(zip(*self.clauses)))
+
+    @classmethod
+    def from_columns(cls, n: int, r: int, columns: Sequence[Sequence[int]]) -> ExactCnfFormula:
+        """The formula whose clause j has literal i at ``columns[i][j]``, checked as the constructor does.
+
+        The r columns are of equal length; the clauses are built only after the check.
+        """
+        _check_formula(n, r, (len(columns),), columns)
+        f = object.__new__(cls)
+        # From a list: see WeightedDigraph._fill on tuple() of an iterator.
+        vars(f).update(n=n, r=r, clauses=tuple(list(zip(*columns))))
+        return f
 
     @classmethod
     def from_clauses(cls, n: int, r: int, clauses: Iterable[Sequence[int]]) -> ExactCnfFormula:

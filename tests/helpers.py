@@ -590,9 +590,9 @@ _HEADER_FIELDS = {
 def parse_instance_by_lines(text: str):
     """Parse any dialect one tokenized line at a time, checking every arc as it is read.
 
-    The package's parser before digraph arcs were read by columns; kept as an
-    oracle for its instances and for the line number and text of each
-    ``ParseError``.
+    The package's parser before digraph arcs and clauses were read by
+    columns; kept as an oracle for its instances and for the line number and
+    text of each ``ParseError``.
     """
     lines = _numbered_tokens(text)
     if not lines:

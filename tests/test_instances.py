@@ -197,6 +197,107 @@ def test_digraph_parse_matches_the_line_oracle_on_noisy_files():
     assert errors > 200 and instances > 800
 
 
+def _noisy_ecnf_text(rng: random.Random) -> str:
+    """A serialized random formula of width 2-5, rewritten with legal noise and some faults.
+
+    Comments (before the header too), blank lines, tabs and runs of blanks,
+    CRLF line ends and ``+`` signs leave the formula unchanged, and so does
+    listing a clause's literals out of variable order, which the column
+    pass leaves to the sorting line walk. One text in three then has one
+    fault: a token replaced (by a repeated or complementary variable, a 0
+    inside the clause, a variable out of range or a word), dropped or
+    doubled, a terminator dropped, a terminator moved to a line of its own,
+    or a terminator carried to the front of the next clause line, which
+    keeps every token count and every zero in its column.
+    """
+    r = rng.randint(2, 5)
+    f = random_formula(rng, r, n_max=r + 4, m_max=6, m_min=0)
+    records = [[str(lit) for lit in clause] + ["0"] for clause in f.clauses]
+    for rec in records:
+        if rng.random() < 0.2:
+            body = rec[:-1]
+            rng.shuffle(body)
+            rec[:-1] = body
+    header = ["p", "ecnf", str(f.n), str(len(records)), str(r)]
+    split = None
+    if records and rng.random() < 1 / 3:
+        i = rng.randrange(len(records))
+        rec = records[i]
+        j = rng.randrange(r)
+        faults = ["repeat", "negate", "zero", "range", "x", "drop", "dup", "unterminated", "split", "carry"]
+        fault = rng.choice(faults)
+        if fault == "repeat":
+            rec[j] = rec[(j + 1) % r]
+        elif fault == "negate":
+            rec[j] = str(-int(rec[(j + 1) % r]))
+        elif fault == "zero":
+            rec[j] = rng.choice(["0", "-0", "+0"])
+        elif fault == "range":
+            rec[j] = str(rng.choice([1, -1]) * (f.n + rng.randint(1, 3)))
+        elif fault == "x":
+            rec[j] = rng.choice(["x", "1.5", "a", "c"])
+        elif fault == "drop":
+            del rec[j]
+        elif fault == "dup":
+            rec.insert(j, rec[j])
+        elif fault == "unterminated":
+            del rec[-1]
+        elif fault == "carry" and i + 1 < len(records):
+            records[i + 1].insert(0, rec.pop())
+        elif fault == "split":
+            split = i
+    lines = []
+    for i, tokens in enumerate([header, *records], start=-1):
+        while rng.random() < 0.2:
+            lines.append(rng.choice(["", "   ", "\t", "c", "c 1 2 0", "comment 7"]))
+        if rng.random() < 0.3:
+            tokens = [("+" + t) if t.isdigit() and rng.random() < 0.5 else t for t in tokens]
+        parts = [tokens[:-1], tokens[-1:]] if i == split else [tokens]
+        for part in parts:
+            seps = [rng.choice([" ", "  ", "\t", " \t "]) for _ in part]
+            line = "".join(sep + t for sep, t in zip(seps, part))
+            lines.append(line if rng.random() < 0.5 else line.strip())
+    end = rng.choice(["\n", "\r\n"])
+    return end.join(lines) + rng.choice(["", end, end + end])
+
+
+def test_ecnf_parse_matches_the_line_oracle_on_noisy_files():
+    rng = random.Random(1919)
+    errors = instances = 0
+    for _ in range(1500):
+        text = _noisy_ecnf_text(rng)
+        got = _parsed(parse_instance, text)
+        assert got == _parsed(parse_instance_by_lines, text), text
+        if isinstance(got, tuple):
+            errors += 1
+        else:
+            instances += 1
+    assert errors > 200 and instances > 800
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p ecnf 0 0 2\n",
+        "p ecnf 3 1 2\n1 2\n",
+        # Zeros where the columns expect them, but the first line has no terminator.
+        "p ecnf 4 2 2\n1 2\n0 3 4 0\n",
+        "p ecnf 4 2 2\n1 2 0 3\n4 0\n",
+        "p ecnf 3 2 2\n2 1 0\n-3 1 0\n",
+        "p ecnf 3 2 2\n1 2 0\n2 -2 0\n",
+        "p ecnf 3 2 2\n1 2 0\n0 2 0\n",
+        "p ecnf 3 2 2\n1 2 00\n-1 +3 -0\n",
+        "p ecnf 3 2 2\n1 2 0\n1 4 0\n",
+        "p ecnf 3 2 2\n1 2 0\n1 2 3\n",
+        "p ecnf 3 1 2\n1 x 0\n",
+        "p ecnf 3 1 3\n3 -1 2 0\n",
+        "p ecnf 2 1 2\n1 %s 0\n" % ("9" * 5000),
+    ],
+)
+def test_ecnf_parse_matches_the_line_oracle_on_edge_cases(text):
+    assert _parsed(parse_instance, text) == _parsed(parse_instance_by_lines, text)
+
+
 @pytest.mark.parametrize(
     "text",
     [

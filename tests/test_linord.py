@@ -80,28 +80,41 @@ def test_loops_rejected():
         WeightedDigraph.from_arcs(2, [(0, 0, 1)])
 
 
-@pytest.mark.parametrize(
-    "n,arcs,message",
-    [
-        (-1, (), "vertex count must be nonnegative"),
-        (2, ((0, 2, 1),), "arc endpoint out of range"),
-        (2, ((0, 1, 1), (-1, 0, 1)), "arc endpoint out of range"),
-        (0, ((0, 1, 1),), "arc endpoint out of range"),
-        (3, ((0, 1, 1), (2, 2, 1)), "loops are not allowed"),
-        (2, ((0, 1, 1), (1, 0, 0)), "arc weights must be positive integers"),
-        (3, ((0, 1, 1), (1, 2, 1), (0, 1, 2)), "parallel arcs must be merged before construction"),
-        # Several faults: the first kind in the order endpoint, loop, weight,
-        # parallel is named, whichever arc carries it.
-        (3, ((1, 1, 0), (0, 1, 1), (0, 1, 1), (0, 3, 1)), "arc endpoint out of range"),
-        (3, ((0, 1, 0), (2, 2, 1)), "loops are not allowed"),
-        # A weight that is not an int, though positive.
-        (3, ((0, 1, 2.5), (1, 2, 1)), "arc weights must be positive integers"),
-        (3, ((0, 1, 1), (1, 2, Fraction(3, 2))), "arc weights must be positive integers"),
-    ],
-)
+_CONSTRUCTOR_FAULTS = [
+    (-1, (), "vertex count must be nonnegative"),
+    (2, ((0, 2, 1),), "arc endpoint out of range"),
+    (2, ((0, 1, 1), (-1, 0, 1)), "arc endpoint out of range"),
+    (0, ((0, 1, 1),), "arc endpoint out of range"),
+    (3, ((0, 1, 1), (2, 2, 1)), "loops are not allowed"),
+    (2, ((0, 1, 1), (1, 0, 0)), "arc weights must be positive integers"),
+    (3, ((0, 1, 1), (1, 2, 1), (0, 1, 2)), "parallel arcs must be merged before construction"),
+    # Several faults: the first kind in the order endpoint, loop, weight,
+    # parallel is named, whichever arc carries it.
+    (3, ((1, 1, 0), (0, 1, 1), (0, 1, 1), (0, 3, 1)), "arc endpoint out of range"),
+    (3, ((0, 1, 0), (2, 2, 1)), "loops are not allowed"),
+    # A weight that is not an int, though positive.
+    (3, ((0, 1, 2.5), (1, 2, 1)), "arc weights must be positive integers"),
+    (3, ((0, 1, 1), (1, 2, Fraction(3, 2))), "arc weights must be positive integers"),
+    # A zero weight beside a parallel arc: the weight is named, and not hidden in a sum.
+    (3, ((0, 1, 1), (1, 0, 1), (0, 1, 0)), "arc weights must be positive integers"),
+]
+
+
+@pytest.mark.parametrize("n,arcs,message", _CONSTRUCTOR_FAULTS)
 def test_constructor_names_each_fault(n, arcs, message):
     with pytest.raises(ValueError) as info:
         WeightedDigraph(n, arcs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n,arcs,message", _CONSTRUCTOR_FAULTS)
+def test_column_constructor_names_each_fault_but_merges_parallel_arcs(n, arcs, message):
+    columns = tuple(zip(*arcs)) or ((), (), ())
+    if message.startswith("parallel"):
+        assert WeightedDigraph.from_columns(n, *columns) == WeightedDigraph.from_arcs(n, arcs)
+        return
+    with pytest.raises(ValueError) as info:
+        WeightedDigraph.from_columns(n, *columns)
     assert str(info.value) == message
 
 
@@ -121,6 +134,57 @@ def test_from_arcs_merges_only_arcs_that_pass_every_other_check():
         WeightedDigraph.from_arcs(2, [(0, 1, -1), (0, 1, 2)])
     g = WeightedDigraph.from_arcs(3, [(2, 1, 1), (0, 1, 2), (2, 1, 4), (0, 1, 3)])
     assert g.arcs == ((0, 1, 5), (2, 1, 5))
+
+
+def _random_arcs(rng: random.Random, n: int, m: int, wmax: int) -> list[tuple[int, int, int]]:
+    """m random arcs on n vertices in random order, 2-cycles among them: the shape of the large bound inputs."""
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((u, v))
+    arcs = [(u, v, rng.randint(1, wmax)) for u, v in pairs]
+    rng.shuffle(arcs)
+    return arcs
+
+
+@pytest.mark.parametrize("n,m", [(3, 4), (6, 20), (400, 3000), (1500, 10000), (2500, 15000)])
+def test_columns_are_the_sorted_arcs_however_built(n, m):
+    rng = random.Random(n * m)
+    arcs = _random_arcs(rng, n, m, 4)
+    g = WeightedDigraph.from_arcs(n, arcs)
+    assert g.arcs == tuple(sorted(arcs))
+    assert g.arcs == tuple(zip(g.tails, g.heads, g.weights))
+    assert g.pair_keys == tuple(u * n + v for u, v, _ in g.arcs)
+    for built in (
+        WeightedDigraph(n, arcs),
+        WeightedDigraph(n, g.arcs),
+        WeightedDigraph.from_columns(n, *zip(*arcs)),
+        WeightedDigraph.from_columns(n, g.tails, g.heads, g.weights),
+    ):
+        assert built == g and hash(built) == hash(g)
+        assert built.pair_keys == g.pair_keys
+    # Parallel arcs merge the same way from triples and from columns.
+    parallel = arcs + [(u, v, rng.randint(1, 4)) for u, v, _ in rng.sample(arcs, min(m, 50))]
+    rng.shuffle(parallel)
+    sums: dict[tuple[int, int], int] = {}
+    for u, v, w in parallel:
+        sums[u, v] = sums.get((u, v), 0) + w
+    merged = WeightedDigraph.from_arcs(n, parallel)
+    assert merged.arcs == tuple((u, v, w) for (u, v), w in sorted(sums.items()))
+    assert WeightedDigraph.from_columns(n, *zip(*parallel)) == merged
+    assert merged.pair_keys == tuple(u * n + v for u, v, _ in merged.arcs)
+
+
+@pytest.mark.parametrize("n,m", [(400, 3000), (1500, 10000), (2500, 15000)])
+def test_reduce_two_cycles_matches_the_dict_walk_at_bound_sizes(n, m):
+    rng = random.Random(n + m)
+    for wmax in (1, 4):
+        g = WeightedDigraph.from_arcs(n, _random_arcs(rng, n, m, wmax))
+        reduced = reduce_two_cycles(g)
+        assert reduced == reduce_two_cycles_by_dict(g)
+        assert reduced.pair_keys == tuple(u * n + v for u, v, _ in reduced.arcs)
+        assert len(reduced.weights) < m
 
 
 def check_each_fact_once(g: WeightedDigraph) -> None:
@@ -504,7 +568,8 @@ def test_loalb_and_fas_witness_cost_follows_the_active_vertices(tmp_path):
         del result
     # The same calls at 200,000 vertices under tracemalloc, whose own
     # bookkeeping per allocation would dwarf the program at 3,000,000: the
-    # witness's ints and list take 36 bytes a vertex, and the order's as many.
+    # order's ints and tuple take 36 bytes a vertex, and the witness list and
+    # the sorted copy it is read from 8 each; the witness reuses the order's ints.
     n = 200_000
     for command, arcs in (("loalb", [(0, 1, 2), (1, 2, 1), (2, 0, 1)]), ("fas", [(0, 1, 1), (1, 2, 1), (0, 2, 1)])):
         path = tmp_path / ("%s-small.txt" % command)
@@ -516,7 +581,7 @@ def test_loalb_and_fas_witness_cost_follows_the_active_vertices(tmp_path):
         finally:
             tracemalloc.stop()
         assert result.verdict == "YES_WITNESS"
-        assert peak < 96 * n, "%s peaked at %d bytes" % (command, peak)
+        assert peak < 64 * n, "%s peaked at %d bytes" % (command, peak)
 
 
 def test_witness_lists_isolated_vertices_last_in_index_order():
@@ -528,11 +593,28 @@ def test_witness_lists_isolated_vertices_last_in_index_order():
     assert cli._witness_tokens(out.witness) == [5, 2, 1, 3, 4, 6]
 
 
+def test_witness_tokens_are_the_order_plus_one():
+    rng = random.Random(8)
+    for n in (0, 1, 2, 7, 1000):
+        vertices = list(range(n))
+        rng.shuffle(vertices)
+        order = LinearOrder(tuple(vertices))
+        assert cli._witness_tokens(order) == [v + 1 for v in vertices]
+
+
 def test_with_isolated_places_the_other_vertices_in_index_order():
     assert with_isolated([4, 1], 6).vertices == (4, 1, 0, 2, 3, 5)
     assert with_isolated([4, 1], 6, lead=True).vertices == (0, 2, 3, 5, 4, 1)
     assert with_isolated([], 3).vertices == (0, 1, 2)
     assert with_isolated([2, 0, 1], 3, lead=True).vertices == (2, 0, 1)
+    # The order is built without LinearOrder's own check, which it would pass.
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        seq = rng.sample(range(n), rng.randint(0, n))
+        for lead in (False, True):
+            order = with_isolated(seq, n, lead)
+            assert order == LinearOrder(order.vertices)
     for seq in ([1, 1], [3], [-1], [0, 5], [2, 2, 0]):
         for lead in (False, True):
             with pytest.raises(ValueError):

@@ -158,6 +158,39 @@ def test_rank_reduce_preserves_satisfaction_patterns():
         assert brute_patterns_lin2(s) == brute_patterns_lin2(red.reduced)
 
 
+def _checked_copy(s: Lin2System) -> Lin2System:
+    """s rebuilt through the checked constructors, which refuse any malformed equation or system."""
+    return Lin2System(s.n, tuple(Lin2Equation(eq.variables, eq.rhs, eq.weight) for eq in s.equations))
+
+
+def _bound_size_system(rng: random.Random, n: int, m: int, sizes) -> Lin2System:
+    """m random equations of the given sizes over n variables, with duplicates and opposite sides."""
+    eqs = []
+    for _ in range(m):
+        variables = tuple(sorted(rng.sample(range(n), rng.choice(sizes))))
+        eqs.append(Lin2Equation(variables, rng.randint(0, 1), rng.randint(1, 4)))
+    eqs += rng.sample(eqs, m // 10)
+    eqs += [Lin2Equation(eq.variables, 1 - eq.rhs, eq.weight) for eq in rng.sample(eqs, m // 10)]
+    rng.shuffle(eqs)
+    return Lin2System(n, tuple(eqs))
+
+
+def test_derived_systems_pass_the_checks_they_skip():
+    # merge_duplicates and rank_reduce build their output unchecked; the
+    # checked constructors accept it and build an equal system.
+    rng = random.Random(4141)
+    systems = [random_lin2(rng, n_max=9, m_max=14) for _ in range(300)] + edge_lin2_systems(rng)
+    systems += [
+        _bound_size_system(rng, 300, 1500, (1, 3)),
+        _bound_size_system(rng, 300, 1500, (1, 2, 3)),
+        _bound_size_system(rng, 250, 40, range(1, 21)),
+    ]
+    for s in systems:
+        merged = merge_duplicates(s)
+        for derived in (merged, rank_reduce(merged).reduced, rank_reduce(s).reduced):
+            assert _checked_copy(derived) == derived, s
+
+
 def spread_variables(rng: random.Random, s: Lin2System, extra: int) -> Lin2System:
     """s with its variables moved by an increasing map into n + extra variables."""
     n = s.n + extra

@@ -61,6 +61,45 @@ def test_formula_validation():
         satisfied_count(ExactCnfFormula(2, 2, ((1, 2),)), [1])
 
 
+@pytest.mark.parametrize(
+    "n,r,clauses,message",
+    [
+        (2, 1, ((1,),), "clause width must be at least 2"),
+        (-1, 2, ((1, 2),), "variable count must be nonnegative"),
+        (3, 2, ((1, 2, 3),), "every clause must have exactly 2 literals"),
+        (3, 2, ((1, -1),), "clause variables must be distinct"),
+        (3, 2, ((2, -1),), "clause literals must be sorted by variable"),
+        (2, 2, ((1, 3),), "literal out of range"),
+        (2, 2, ((0, 1),), "literal out of range"),
+        (2, 2, ((-3, 1),), "clause literals must be sorted by variable"),
+        # Several faults: the first kind in the order width bound, variable
+        # count, width, repeated variable, variable order, range is named,
+        # whichever clause carries it.
+        (3, 2, ((1, 5), (2, 1), (1, 2, 3)), "every clause must have exactly 2 literals"),
+        (3, 3, ((1, 5, 6), (3, 2, 1), (1, 2, -2)), "clause variables must be distinct"),
+        (3, 3, ((1, 2, 9), (-3, 2, 1)), "clause literals must be sorted by variable"),
+    ],
+)
+def test_formula_constructor_names_the_first_fault_kind(n, r, clauses, message):
+    with pytest.raises(ValueError) as info:
+        ExactCnfFormula(n, r, clauses)
+    assert str(info.value) == message
+    if all(len(clause) == r for clause in clauses):
+        with pytest.raises(ValueError) as info:
+            ExactCnfFormula.from_columns(n, r, list(zip(*clauses)))
+        assert str(info.value) == message
+
+
+def test_formula_from_columns_is_the_formula_from_clauses():
+    rng = random.Random(77)
+    formulas = [random_formula(rng, rng.randint(2, 6), n_max=9, m_max=10) for _ in range(200)]
+    for f in formulas + edge_formulas(rng):
+        columns = list(zip(*f.clauses)) or [()] * f.r
+        g = ExactCnfFormula.from_columns(f.n, f.r, columns)
+        assert g == f and hash(g) == hash(f)
+        assert ExactCnfFormula(g.n, g.r, g.clauses) == g
+
+
 def pair_histogram(r: int, y: tuple[int, ...], z: tuple[int, ...]):
     n = max(abs(lit) for lit in y + z)
     return overlap_histogram(ExactCnfFormula.from_clauses(n, r, [y, z]))

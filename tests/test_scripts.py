@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ["scripts/histogram_switch.py", "--n", "8", "--reps", "1", "--budgets", "32"],
         ["scripts/order_switch.py", "--n", "3", "4", "--reps", "1"],
         ["scripts/line_count.py"],
+        ["scripts/parse_split.py", "--scale", "0.02", "--reps", "1"],
         # The benchmark builds its instances through the package's public names.
         ["perfbench/smoke.py"],
     ],
