@@ -1,0 +1,122 @@
+"""Check that another checkout gives the same output as this one on every benchmark call.
+
+Builds each workload's call list once per seed, with ``perfbench/workloads.py``
+and this checkout's package, and writes the instance files to a temporary
+directory. Two child processes, one importing this checkout's ``src/`` and
+one ``OTHER_CHECKOUT/src``, then make the same ``cli.run`` calls. Call by
+call the script compares ``perfbench/checks.full_record``, ``to_json()``
+without ``time_ms``, and the file each ``gen`` call writes. On the first
+difference it prints the call's label and exits 1; otherwise it prints the
+number of calls compared.
+
+    python3 scripts/compare_outputs.py ../parent --seeds 0 7
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SCRIPT = str(Path(__file__).resolve())
+ROOT = Path(SCRIPT).parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def child(src: str, calls_path: str, out_path: str) -> None:
+    """Make each listed call once and write what each gave, as JSON."""
+    sys.path[:0] = [src, str(PERFBENCH)]
+    import checks
+    from abovetight import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise RuntimeError("abovetight imported from %s, not from %s" % (cli.__file__, src))
+    outputs = []
+    for argv in json.loads(Path(calls_path).read_text(encoding="utf-8")):
+        try:
+            result = cli.run(argv)
+        except Exception as exc:  # a crash is an output to compare, not a reason to stop
+            outputs.append({"raised": repr(exc)})
+            continue
+        payload = json.loads(result.to_json())
+        del payload["time_ms"]
+        emitted = Path(argv[-1])
+        gen = None
+        if argv[0] == "gen" and emitted.is_file():
+            gen = emitted.read_text(encoding="utf-8")
+            emitted.unlink()
+        outputs.append({"record": checks.full_record(result), "json": payload, "gen": gen})
+    Path(out_path).write_text(json.dumps(outputs), encoding="utf-8")
+
+
+def write_calls(seeds: list[int], tiny: bool, workdir: Path):
+    """Labels and argv lists of every call; the instance files are written as the benchmark does."""
+    import run  # perfbench/run.py, for its fresh import and file writer
+
+    pkg = run.fresh_import()
+    labels, argvs = [], []
+    for seed in seeds:
+        for workload in run.workloads.WORKLOADS:
+            calls = run.workloads.build(workload, seed, pkg, tiny)
+            run.write_inputs(pkg, calls, workdir / ("%s-%d" % (workload, seed)))
+            labels += ["seed %d %s" % (seed, call.label) for call in calls]
+            argvs += [call.argv() for call in calls]
+    return labels, argvs
+
+
+def first_difference(labels, ours, theirs) -> str | None:
+    for label, a, b in zip(labels, ours, theirs):
+        for part in ("raised", "record", "json", "gen"):
+            if a.get(part) != b.get(part):
+                return "%s: %s differs\n  this:  %.300s\n  other: %.300s" % (
+                    label, part, json.dumps(a.get(part)), json.dumps(b.get(part))
+                )
+    if len(ours) != len(theirs):
+        return "%d calls answered here, %d there" % (len(ours), len(theirs))
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--child"]:
+        child(*argv[1:])
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("other", type=Path, help="root of the checkout to compare with")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 7])
+    parser.add_argument("--tiny", action="store_true", help="smallest workload sizes")
+    args = parser.parse_args(argv)
+    other_src = args.other.resolve() / "src"
+    if not (other_src / "abovetight" / "cli.py").is_file():
+        print("compare_outputs: no package under %s" % other_src, file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(PERFBENCH))
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        labels, argvs = write_calls(args.seeds, args.tiny, workdir)
+        calls_path = workdir / "calls.json"
+        calls_path.write_text(json.dumps(argvs), encoding="utf-8")
+        outputs = []
+        # One side after the other: both write each gen file to the same path.
+        for side, src in (("this", ROOT / "src"), ("other", other_src)):
+            out = workdir / ("%s.json" % side)
+            command = [sys.executable, SCRIPT, "--child", str(src), str(calls_path), str(out)]
+            if subprocess.run(command).returncode != 0:
+                print("compare_outputs: the call run under %s failed" % src, file=sys.stderr)
+                return 2
+            outputs.append(json.loads(out.read_text(encoding="utf-8")))
+    ours, theirs = outputs
+    problem = first_difference(labels, ours, theirs)
+    if problem is not None:
+        print("compare_outputs: first difference at %s" % problem)
+        return 1
+    seeds = " ".join(map(str, args.seeds))
+    print("compare_outputs: %d calls at seeds %s, no difference" % (len(labels), seeds))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -258,8 +258,9 @@ def parse_instance(text: str) -> Instance:
 def serialize_instance(instance: Instance) -> InstanceFile:
     """Render an instance in its dialect; parse(serialize(x)) == x."""
     if isinstance(instance, WeightedDigraph):
-        fmt, sizes = "digraph", (instance.n, len(instance.arcs))
-        body = ["a %d %d %d" % (u + 1, v + 1, w) for u, v, w in instance.arcs]
+        fmt, sizes = "digraph", (instance.n, len(instance.weights))
+        arcs = zip(instance.tails, instance.heads, instance.weights)
+        body = ["a %d %d %d" % (u + 1, v + 1, w) for u, v, w in arcs]
     elif isinstance(instance, Lin2System):
         fmt, sizes = "lin2", (instance.n, len(instance.equations))
         body = [

@@ -31,10 +31,6 @@ PACKED_BUDGET_BYTES = gf2.COUNT_BUDGET_BYTES
 PACKED_BYTES_PER_ORDER = 1 << 10
 
 
-class _ParallelArcs(ValueError):
-    """The one constructor fault that ``WeightedDigraph.from_columns`` repairs."""
-
-
 def _pair_keys(n: int, tails, heads) -> list[int]:
     """Each arc's (tail, head) pair as the int tail * n + head, which orders arcs as the pairs do.
 
@@ -47,9 +43,10 @@ def _checked_columns(n: int, tails, heads, weights) -> list:
     """The arcs' tail, head, weight and pair-key columns in (tail, head) order, once they pass the checks.
 
     Reports the first fault kind present, in the order endpoint, loop,
-    weight, parallel arc; with several faults it does not say which arc
-    carries them. The columns are sorted only when their pairs are not
-    already ascending.
+    weight; with several faults it does not say which arc carries them.
+    Parallel arcs are merged by weight sum. The columns are rebuilt only
+    when their pairs are not already ascending, and only after every arc
+    has passed the checks, so a bad weight cannot hide in a sum.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -63,13 +60,18 @@ def _checked_columns(n: int, tails, heads, weights) -> list:
     if min(weights) < 1 or type(sum(weights)) is not int:
         raise ValueError("arc weights must be positive integers")
     keys = _pair_keys(n, tails, heads)
-    columns = [tails, heads, weights, keys]
     if all(map(operator.lt, keys, keys[1:])):
-        return columns
-    if len(set(keys)) < len(keys):
-        raise _ParallelArcs("parallel arcs must be merged before construction")
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return [list(map(column.__getitem__, order)) for column in columns]
+        return [tails, heads, weights, keys]
+    merged: dict[int, int] = {}
+    for key, weight in zip(keys, weights):
+        merged[key] = merged.get(key, 0) + weight
+    keys = sorted(merged)
+    return [
+        list(map(operator.floordiv, keys, repeat(n))),
+        list(map(operator.mod, keys, repeat(n))),
+        list(map(merged.__getitem__, keys)),
+        keys,
+    ]
 
 
 def _columns(arcs) -> tuple[tuple, tuple, tuple]:
@@ -98,7 +100,11 @@ class WeightedDigraph:
     pair_keys: tuple[int, ...] = field(compare=False, repr=False)
 
     def __init__(self, n: int, arcs) -> None:
-        self._fill(n, *_checked_columns(n, *_columns(arcs)))
+        tails, heads, weights = _columns(arcs)
+        columns = _checked_columns(n, tails, heads, weights)
+        if len(columns[3]) < len(tails):
+            raise ValueError("parallel arcs must be merged before construction")
+        self._fill(n, *columns)
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> WeightedDigraph:
@@ -107,27 +113,8 @@ class WeightedDigraph:
 
     @classmethod
     def from_columns(cls, n: int, tails, heads, weights) -> WeightedDigraph:
-        """``from_arcs`` on the arcs' tail, head and weight columns.
-
-        The arcs are merged only when the check finds parallel ones. It
-        checks for them last, so by then every unmerged arc has passed the
-        endpoint, loop and weight checks: a bad weight cannot hide in a sum.
-        """
-        try:
-            return cls._unchecked(n, *_checked_columns(n, tails, heads, weights))
-        except _ParallelArcs:
-            pass
-        merged: dict[int, int] = {}
-        for key, weight in zip(_pair_keys(n, tails, heads), weights):
-            merged[key] = merged.get(key, 0) + weight
-        keys = sorted(merged)
-        return cls._unchecked(
-            n,
-            list(map(operator.floordiv, keys, repeat(n))),
-            list(map(operator.mod, keys, repeat(n))),
-            list(map(merged.__getitem__, keys)),
-            keys,
-        )
+        """``from_arcs`` on the arcs' tail, head and weight columns."""
+        return cls._unchecked(n, *_checked_columns(n, tails, heads, weights))
 
     @classmethod
     def _unchecked(cls, n: int, tails, heads, weights, pair_keys) -> WeightedDigraph:
@@ -163,9 +150,6 @@ class WeightedDigraph:
         # From a list, for the reason given in _fill.
         return tuple(list(zip(self.tails, self.heads, self.weights)))
 
-    def weight_map(self) -> dict[tuple[int, int], int]:
-        return dict(zip(zip(self.tails, self.heads), self.weights))
-
 
 @dataclass(frozen=True)
 class DigraphStats:
@@ -196,12 +180,11 @@ class LinearOrder:
 
 
 def digraph_stats(g: WeightedDigraph) -> DigraphStats:
-    wm = g.weight_map()
     return DigraphStats(
         W=sum(g.weights),
         W2=sum(map(operator.mul, g.weights, g.weights)),
         arc_count=len(g.weights),
-        oriented=all((v, u) not in wm for u, v in wm),
+        oriented=set(g.pair_keys).isdisjoint(_pair_keys(g.n, g.heads, g.tails)),
     )
 
 
@@ -234,17 +217,12 @@ def active_vertices(g: WeightedDigraph) -> list[int]:
     return sorted({*g.tails, *g.heads})
 
 
-def active_arcs(g: WeightedDigraph, active: list[int]) -> list[tuple[int, int, int]]:
-    """The arcs renumbered over ``active``: arc (i, j, w) runs from ``active[i]`` to ``active[j]``."""
-    index = dict(zip(active, range(len(active))))
-    return list(zip(map(index.__getitem__, g.tails), map(index.__getitem__, g.heads), g.weights))
-
-
 def _in_weights(g: WeightedDigraph, active: list[int]) -> list[list[int]]:
     """``matrix[i][t]`` is the weight of the arc from ``active[t]`` into ``active[i]``, or 0."""
+    index = dict(zip(active, range(len(active))))
     matrix = [[0] * len(active) for _ in active]
-    for u, v, w in active_arcs(g, active):
-        matrix[v][u] = w
+    for u, v, w in zip(g.tails, g.heads, g.weights):
+        matrix[index[v]][index[u]] = w
     return matrix
 
 

@@ -26,6 +26,7 @@ from abovetight.linord import (
     loalb_threshold,
     reduce_two_cycles,
     with_isolated,
+    x_value,
 )
 from abovetight.maxlin import (
     Lin2Equation,
@@ -404,9 +405,43 @@ def brute_overlap_histogram(f: ExactCnfFormula) -> tuple[int, Counter[int]]:
     return conflicts, shared_counts
 
 
+def weight_map(g: WeightedDigraph) -> dict[tuple[int, int], int]:
+    """Each arc's weight keyed by its (tail, head) pair."""
+    return dict(zip(zip(g.tails, g.heads), g.weights))
+
+
+def oriented_by_weight_map(g: WeightedDigraph) -> bool:
+    """No arc's reverse is an arc: ``digraph_stats``' 2-cycle test before it read pair keys."""
+    wm = weight_map(g)
+    return all((v, u) not in wm for u, v in wm)
+
+
+def estimate_digraph_moments_by_induced_graph(
+    g: WeightedDigraph, samples: int, seed: int
+) -> dict[str, object]:
+    """``estimate_moments`` on a digraph, sampled as before orders were scored from the columns.
+
+    It renumbers the arcs over the active vertices, builds the digraph they
+    induce, and scores each shuffle of 0..n'-1 as a checked ``LinearOrder``.
+    """
+    rng = random.Random(seed)
+    active = sorted({*g.tails, *g.heads})
+    index = {v: i for i, v in enumerate(active)}
+    induced = WeightedDigraph(len(active), tuple((index[u], index[v], w) for u, v, w in g.arcs))
+    vertices = list(range(induced.n))
+    values: list[float] = []
+    for _ in range(samples):
+        rng.shuffle(vertices)
+        values.append(x_value(induced, LinearOrder(tuple(vertices))) / 2)
+    e1 = sum(values) / samples
+    e2 = sum(v * v for v in values) / samples
+    e4 = sum(v**4 for v in values) / samples
+    return {"estimate": True, "samples": samples, "e1": e1, "e2": e2, "e4": e4}
+
+
 def reduce_two_cycles_by_dict(g: WeightedDigraph) -> WeightedDigraph:
     """2-cycle cancelling by a walk over the weight map: the package's rule before it became one comprehension."""
-    wm = g.weight_map()
+    wm = weight_map(g)
     kept = []
     for (u, v), w in wm.items():
         rw = wm.get((v, u))
@@ -453,7 +488,7 @@ def solve_loalb_faithful_by_snapshots(
         raise ValueError("k must be a positive integer")
     reduced = reduce_two_cycles(g)
     threshold = loalb_threshold(k)
-    wm = dict(reduced.weight_map())
+    wm = weight_map(reduced)
     alive = {v for arc in wm for v in arc}
     isolated_first = len(wm) >= threshold
     out_adj: dict[int, dict[int, int]] = {v: {} for v in alive}

@@ -30,10 +30,12 @@ from helpers import (
     brute_decide_loalb,
     brute_max_forward_weight,
     faithful_outcome,
+    oriented_by_weight_map,
     random_digraph,
     reduce_two_cycles_by_dict,
     solve_loalb_faithful_by_snapshots,
     subset_dp_max_forward,
+    weight_map,
     witness_balance,
     with_isolated_by_ranks,
 )
@@ -97,25 +99,36 @@ _CONSTRUCTOR_FAULTS = [
     (3, ((0, 1, 1), (1, 2, Fraction(3, 2))), "arc weights must be positive integers"),
     # A zero weight beside a parallel arc: the weight is named, and not hidden in a sum.
     (3, ((0, 1, 1), (1, 0, 1), (0, 1, 0)), "arc weights must be positive integers"),
+    # Parallel arcs and a later loop: the loop is named.
+    (3, ((0, 1, 1), (0, 1, 2), (2, 2, 1)), "loops are not allowed"),
+    # Shuffled parallel arcs, merged by the check and then refused by the plain constructor.
+    (
+        4,
+        ((2, 3, 1), (0, 1, 2), (1, 2, 1), (0, 1, 1), (2, 3, 5)),
+        "parallel arcs must be merged before construction",
+    ),
 ]
 
 
 @pytest.mark.parametrize("n,arcs,message", _CONSTRUCTOR_FAULTS)
 def test_constructor_names_each_fault(n, arcs, message):
-    with pytest.raises(ValueError) as info:
-        WeightedDigraph(n, arcs)
-    assert str(info.value) == message
+    # As given and reversed, so each fault is met with the pairs in and out of order.
+    for given in (arcs, arcs[::-1]):
+        with pytest.raises(ValueError) as info:
+            WeightedDigraph(n, given)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("n,arcs,message", _CONSTRUCTOR_FAULTS)
 def test_column_constructor_names_each_fault_but_merges_parallel_arcs(n, arcs, message):
-    columns = tuple(zip(*arcs)) or ((), (), ())
-    if message.startswith("parallel"):
-        assert WeightedDigraph.from_columns(n, *columns) == WeightedDigraph.from_arcs(n, arcs)
-        return
-    with pytest.raises(ValueError) as info:
-        WeightedDigraph.from_columns(n, *columns)
-    assert str(info.value) == message
+    for given in (arcs, arcs[::-1]):
+        columns = tuple(zip(*given)) or ((), (), ())
+        if message.startswith("parallel"):
+            assert WeightedDigraph.from_columns(n, *columns) == WeightedDigraph.from_arcs(n, arcs)
+            continue
+        with pytest.raises(ValueError) as info:
+            WeightedDigraph.from_columns(n, *columns)
+        assert str(info.value) == message
 
 
 def test_constructor_accepts_an_empty_arc_tuple():
@@ -208,9 +221,21 @@ def test_reduce_two_cycles_matches_the_dict_walk():
     for _ in range(400):
         g = random_digraph(rng, n_max=8, wmax=rng.choice([1, 2, 5]), allow_two_cycles=True)
         check_each_fact_once(g)
-        wm = g.weight_map()
+        wm = weight_map(g)
         equal_pairs += sum(1 for (u, v), w in wm.items() if wm.get((v, u)) == w)
     assert equal_pairs > 100
+
+
+def test_oriented_reads_the_pair_keys_as_the_weight_map_did():
+    rng = random.Random(1618)
+    seen = Counter()
+    for i in range(400):
+        density = rng.choice([0.1, 0.3, 0.6])
+        g = random_digraph(rng, n_max=7, density=density, allow_two_cycles=i % 2 == 0, n_min=0)
+        oriented = digraph_stats(g).oriented
+        assert oriented == oriented_by_weight_map(g), g
+        seen[oriented] += 1
+    assert min(seen.values()) > 40
 
 
 @given(st.data())

@@ -31,6 +31,7 @@ from abovetight.rsat import ExactCnfFormula, overlap_histogram, x_value_scaled
 from helpers import (
     brute_dist_linord,
     brute_pair_expectation,
+    estimate_digraph_moments_by_induced_graph,
     lin2_x,
     random_digraph,
     random_formula,
@@ -453,6 +454,31 @@ def test_estimates_are_labeled_and_close_on_moderate_instance():
     f = ExactCnfFormula.from_clauses(2, 2, [(1, 2)])
     est_f = estimate_moments(f, samples=500, seed=1)
     assert est_f["estimate"] is True
+
+
+def test_digraph_estimate_matches_the_induced_graph_sampler():
+    rng = random.Random(5381)
+    heavy = (1 << 53) + 1
+    drawn = [
+        WeightedDigraph(0, ()),
+        WeightedDigraph(1, ()),
+        WeightedDigraph(4, ()),
+        WeightedDigraph(2, ((0, 1, heavy),)),
+        WeightedDigraph(5, ((4, 1, heavy), (1, 4, 2 * heavy + 1), (1, 3, 1))),
+    ]
+    for _ in range(200):
+        wmax = rng.choice([1, 5, 1 << 60, 1 << 70])
+        g = random_digraph(rng, n_max=7, wmax=wmax, density=rng.choice([0.2, 0.5]), n_min=0)
+        # Isolated vertices past the drawn ones too, not only between them.
+        drawn.append(WeightedDigraph(g.n + rng.randint(0, 3), g.arcs))
+    assert sum(1 for g in drawn if not digraph_stats(g).oriented) > 50
+    assert sum(1 for g in drawn if max(g.weights, default=0) > 1 << 53) > 50
+    for g in drawn:
+        seed = rng.randrange(1 << 32)
+        samples = rng.randint(1, 40)
+        assert estimate_moments(g, samples, seed) == estimate_digraph_moments_by_induced_graph(
+            g, samples, seed
+        ), g
 
 
 def test_distribution_validation():

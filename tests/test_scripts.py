@@ -16,6 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
         ["scripts/order_switch.py", "--n", "3", "4", "--reps", "1"],
         ["scripts/line_count.py"],
         ["scripts/parse_split.py", "--scale", "0.02", "--reps", "1"],
+        # A checkout compared with itself gives the same output on every call.
+        ["scripts/compare_outputs.py", ".", "--tiny", "--seeds", "0"],
         # The benchmark builds its instances through the package's public names.
         ["perfbench/smoke.py"],
     ],
