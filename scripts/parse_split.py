@@ -2,7 +2,8 @@
 
 Builds seeded instances of the shapes that are settled by a bound or cut to
 a kernel (random digraphs with 2-cycles, a huge header around three arcs,
-width-2 and width-3 formulas, lin2 systems of small equations), writes each
+width-2 and width-3 formulas, lin2 systems of small equations, and a
+width-3 formula whose clauses all share one variable), writes each
 to a file, and times ``instances.parse_instance`` on its text and
 ``cli.run`` on the command (both best of ``--reps``). Prints one JSON row
 per instance, with the parse share of the command, and a total row.
@@ -49,6 +50,16 @@ def formula(rng: random.Random, n: int, m: int, r: int) -> ExactCnfFormula:
     return ExactCnfFormula(n, r, tuple(clauses))
 
 
+def one_hot_formula(rng: random.Random, m: int, r: int) -> ExactCnfFormula:
+    """m width-r clauses that share only variable 1, each with its own r - 1 variables."""
+    clauses = []
+    for j in range(m):
+        hub = 1 if rng.random() < 0.5 else -1
+        own = range(2 + (r - 1) * j, 2 + (r - 1) * (j + 1))
+        clauses.append((hub,) + tuple(v if rng.random() < 0.75 else -v for v in own))
+    return ExactCnfFormula(1 + (r - 1) * m, r, tuple(clauses))
+
+
 def system(rng: random.Random, n: int, m: int) -> Lin2System:
     """m random equations of 1 or 3 variables over n, weights 1-4."""
     eqs = []
@@ -76,6 +87,8 @@ def families(rng: random.Random, scale: float) -> list[tuple[str, object, list[s
         out.append(("ecnf/r%d-n%d-m%d" % (r, n, m), formula(rng, n, m, r), ["rsat", "--k-num", "1"]))
     n, m = size(300, 6), size(1500, 6)
     out.append(("lin2/n%d-m%d" % (n, m), system(rng, n, m), ["linalb", "--k", "1"]))
+    m = size(3000, 4)
+    out.append(("ecnf/one-hot-r3-m%d" % m, one_hot_formula(rng, m, 3), ["rsat", "--k-num", "1"]))
     return out
 
 

@@ -179,7 +179,7 @@ def _run_moments(args: argparse.Namespace) -> RunResult:
         diag["second_moment_holds"] = claim.holds
         if claim.pairwise_e2 is not None:
             diag["pairwise_e2"] = claim.pairwise_e2
-    except ValueError as exc:
+    except (ValueError, CapExceeded) as exc:
         diag["second_moment_skipped"] = str(exc)
     if args.b is not None:
         b = Fraction(args.b)

@@ -237,22 +237,15 @@ def verify_fourth_moment_tail(d: ExactDistribution, b: Fraction | int) -> TailCh
 
 
 def pairwise_second_moment(f: ExactCnfFormula) -> Fraction:
-    """E(X^2) of a formula from per-clause and per-pair closed forms.
+    """E(X^2) of a formula by Parseval over the Fourier expansion of X, not by enumeration.
 
-    Each clause contributes (2^r - 1)/4^r; an ordered conflicting pair
-    contributes -1/4^r, an ordered pair sharing t literals (2^t - 1)/4^r,
-    and variable-disjoint pairs contribute nothing.
+    ``rsat.overlap_histogram`` sums the squared Fourier coefficients from
+    sub-clause counts. The sum equals the per-clause and per-pair closed forms:
+    each clause contributes (2^r - 1)/4^r, an ordered conflicting pair
+    -1/4^r, an ordered pair sharing t literals (2^t - 1)/4^r, and
+    variable-disjoint pairs nothing.
     """
-    return _pairwise_e2(f, *rsat.overlap_histogram(f))
-
-
-def _pairwise_e2(f: ExactCnfFormula, conflicts: int, shared_counts: Counter[int]) -> Fraction:
-    q = 4**f.r
-    acc = Fraction(len(f.clauses) * ((1 << f.r) - 1), q)
-    acc += Fraction(-conflicts, q)
-    for t, count in shared_counts.items():
-        acc += Fraction(count * ((1 << t) - 1), q)
-    return acc
+    return Fraction(rsat.overlap_histogram(f)[2], 4**f.r)
 
 
 def verify_second_moment_claims(
@@ -264,9 +257,11 @@ def verify_second_moment_claims(
     Oriented digraphs must satisfy E(X^2) >= W2/12, merge-normalized equation
     systems the identities E(X) = 0 and E(X^2) = sum of squared weights, and
     formulas within the conflict-number restriction E(X^2) >= m/4^r; formula
-    checks also cross-check the enumerated E(X^2) against the pairwise closed
-    form. ``dist`` is the instance's distribution from ``dist_*``.
-    Precondition violations raise ValueError, checked before ``dist`` is read.
+    checks also cross-check the enumerated E(X^2) against Parseval's sum
+    (``pairwise_second_moment``). ``dist`` is the instance's distribution
+    from ``dist_*``. Precondition violations raise ValueError, checked before
+    ``dist`` is read; a formula past ``rsat.SUBCLAUSE_KEY_BUDGET`` raises
+    CapExceeded.
     """
     if isinstance(instance, WeightedDigraph):
         st = digraph_stats(instance)
@@ -284,15 +279,15 @@ def verify_second_moment_claims(
         target = Fraction(sum(eq.weight**2 for eq in instance.equations))
         return SecondMomentCheck(e2, target, e1 == 0 and e2 == target)
     if isinstance(instance, ExactCnfFormula):
-        # One pass over clause pairs serves the restriction and the closed form.
-        conflicts, shared_counts = rsat.overlap_histogram(instance)
-        cn = conflicts - sum(shared_counts.values())
+        # One pass over sub-clause counts serves the restriction and Parseval.
+        conflicts, sharing, fourier = rsat.overlap_histogram(instance)
+        cn = 2 * conflicts - sharing + len(instance.clauses)
         bound = rsat.conflict_bound(instance)
         if cn > bound:
             raise ValueError("conflict number %d exceeds (2^r - 2)m = %d" % (cn, bound))
         e1 = moment_p(dist, 1)
         e2 = moment_p(dist, 2)
-        pairwise = _pairwise_e2(instance, conflicts, shared_counts)
+        pairwise = Fraction(fourier, 4**instance.r)
         target = Fraction(len(instance.clauses), 4**instance.r)
         holds = e1 == 0 and e2 == pairwise and e2 >= target
         return SecondMomentCheck(e2, target, holds, pairwise_e2=pairwise)

@@ -13,11 +13,22 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial, reduce
+from itertools import chain, combinations, compress, repeat
+from math import comb
+from typing import Iterable, Iterator, Sequence
 
 from . import gf2
 from .maxlin import DEFAULT_ASSIGNMENT_CAP, fourth_moment_threshold
 from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict, check_cap
+
+# Sub-clause keys of size 2 and up that ``overlap_histogram`` may count, summed
+# over the sizes it reaches. At this many keys, formulas of width 2-20 sharing
+# 1-19 variables took at most 0.95 s (three width-16 clauses sharing 10-15
+# variables, where each index set's fixed cost dominates) and 53 MiB traced
+# (200,000 width-2 clauses sharing one variable), within gf2.COUNT_BUDGET_BYTES
+# (Python 3.11, 2 cores).
+SUBCLAUSE_KEY_BUDGET = 200_000
 
 
 def _check_formula(n: int, r: int, widths: Iterable[int], columns: Sequence[Sequence[int]]) -> None:
@@ -83,39 +94,72 @@ class ExactCnfFormula:
 
 
 def conflict_number(f: ExactCnfFormula) -> int:
-    """Ordered conflicting clause pairs minus ordered overlapping clause pairs."""
-    conflicts, shared_counts = overlap_histogram(f)
-    return conflicts - sum(shared_counts.values())
+    """Ordered conflicting clause pairs minus ordered overlapping clause pairs.
 
-
-def overlap_histogram(f: ExactCnfFormula) -> tuple[int, Counter[int]]:
-    """Ordered conflict count and ordered overlap counts keyed by shared size.
-
-    A pair conflicts when some literal of one clause is negated in the other,
-    and otherwise overlaps on its shared literals. Pairs sharing no variable
-    are disjoint, so each clause meets only the earlier clauses found through
-    its variables' clause lists, and memory stays O(m * r).
+    Of the S ordered pairs that share a variable (``overlap_histogram``), m
+    pair a clause with itself and C conflict, so S - m - C overlap and the
+    difference is 2C - S + m.
     """
-    by_var: dict[int, list[int]] = {}
-    for j, clause in enumerate(f.clauses):
-        for lit in clause:
-            by_var.setdefault(abs(lit), []).append(j)
-    conflicts = 0
-    shared_counts: Counter[int] = Counter()
-    for a in reversed(range(len(f.clauses))):
-        clause = f.clauses[a]
-        # a ends each of its variables' lists; dropping it leaves the earlier clauses.
-        for lit in clause:
-            by_var[abs(lit)].pop()
-        lits = set(clause)
-        negated = {-lit for lit in clause}
-        for b in set().union(*(by_var[abs(lit)] for lit in clause)):
-            other = f.clauses[b]
-            if negated.isdisjoint(other):
-                shared_counts[len(lits.intersection(other))] += 2
-            else:
-                conflicts += 2
-    return conflicts, shared_counts
+    conflicts, sharing, _ = overlap_histogram(f)
+    return 2 * conflicts - sharing + len(f.clauses)
+
+
+def overlap_histogram(f: ExactCnfFormula) -> tuple[int, int, int]:
+    """(C, S, Q): ordered conflicting clause pairs, ordered pairs sharing a variable, 4^r E(X^2).
+
+    S counts each clause paired with itself. No clause pair is visited. For
+    each size t, N(L) counts the clauses holding the signed sub-clause L,
+    M(V) those holding the variable tuple V, and T(V) sums over them
+    (-1)^(their negated literals on V). Inclusion-exclusion over the sets on
+    which a pair disagrees, or that it shares, gives
+    C = sum (-1)^(t+1) N(L) N(-L) and S = sum (-1)^(t+1) M(V)^2. Parseval over
+    the Fourier expansion of X (Alon, Gutin, Kim, Szeider and Yeo, SODA 2010)
+    gives Q = sum T(V)^2.
+
+    Were every key in one clause, M(V) = T(V)^2 = 1 would give S = m and
+    Q = m(2^r - 1); each size counted adds its excess over that. Once no
+    variable tuple of some size lies in two clauses, no larger one does, and
+    the count stops. Before each size t >= 2 is counted, its m * C(r, t) keys
+    and those of the sizes before it are checked against SUBCLAUSE_KEY_BUDGET.
+    Size 1 counts the formula's own literals and is never refused.
+    """
+    m, r = len(f.clauses), f.r
+    columns = list(zip(*f.clauses))
+    negated = [list(map(operator.neg, column)) for column in columns]
+    # Size 1 keys are ints: M(v)^2 and T(v)^2 are N(v)^2 + N(-v)^2 +- 2 N(v) N(-v).
+    literals = Counter(chain.from_iterable(columns))
+    excess = sum(map(operator.mul, literals.values(), literals.values())) - m * r
+    conflicts = sum(map(literals.get, chain.from_iterable(negated), repeat(0)))
+    sharing, fourier = m + excess + conflicts, m * ((1 << r) - 1) + excess - conflicts
+    if sharing == m:  # no variable lies in two clauses
+        return conflicts, sharing, fourier
+    variables = [list(map(abs, column)) for column in columns]
+    negative = [list(map((0).__gt__, column)) for column in columns]
+    keys = 0
+    for t in range(2, r + 1):
+        level = m * comb(r, t)
+        keys += level
+        check_cap("pair counts", keys, "sub-clause keys", SUBCLAUSE_KEY_BUDGET)
+        index_sets = list(combinations(range(r), t))
+        shared = Counter(_sub_clauses(variables, index_sets))
+        if len(shared) == level:
+            break
+        signed = Counter(_sub_clauses(columns, index_sets))
+        parities = (reduce(partial(map, operator.xor), map(negative.__getitem__, i)) for i in index_sets)
+        odd = Counter(compress(_sub_clauses(variables, index_sets), chain.from_iterable(parities)))
+        # T(V) = M(V) - 2 P(V), P(V) counting the clauses with odd negations on V.
+        excess = sum(map(operator.mul, shared.values(), shared.values())) - level
+        cross = sum(map(operator.mul, odd.values(), map(shared.__getitem__, odd)))
+        sign = 1 if t % 2 else -1
+        conflicts += sign * sum(map(signed.get, _sub_clauses(negated, index_sets), repeat(0)))
+        sharing += sign * excess
+        fourier += excess - 4 * cross + 4 * sum(map(operator.mul, odd.values(), odd.values()))
+    return conflicts, sharing, fourier
+
+
+def _sub_clauses(table: list, index_sets: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """Each row's entries at each index set, read a whole column at a time."""
+    return chain.from_iterable(zip(*map(table.__getitem__, index)) for index in index_sets)
 
 
 def _is_true(lit: int, assignment: Sequence[int]) -> bool:
@@ -196,7 +240,9 @@ def decide_rsatalb(
     Requires conflict number at most (2^r - 2)m; outside that family the bound
     shortcut is unsound and the call is refused unless ``diagnostic`` is set,
     in which case the instance is solved exhaustively. Within the family,
-    m >= 16 * 64^r * k_num^2 certifies YES outright.
+    m >= 16 * 64^r * k_num^2 certifies YES outright. A formula whose conflict
+    number would count more sub-clause keys than SUBCLAUSE_KEY_BUDGET raises
+    CapExceeded.
     """
     if k_num < 1:
         raise ValueError("the target numerator must be positive")

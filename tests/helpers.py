@@ -405,6 +405,51 @@ def brute_overlap_histogram(f: ExactCnfFormula) -> tuple[int, Counter[int]]:
     return conflicts, shared_counts
 
 
+def pair_walk_histogram(f: ExactCnfFormula) -> tuple[int, Counter[int]]:
+    """``brute_overlap_histogram`` by walking only the pairs that share a variable.
+
+    The clause-pair walk ``rsat.overlap_histogram`` ran before it counted
+    sub-clauses: each clause meets the earlier clauses found through its
+    variables' clause lists. Quadratic in the clauses on one variable, but
+    fast enough for the ``kernelize`` shapes, where the all-pairs oracle is not.
+    """
+    by_var: dict[int, list[int]] = {}
+    for j, clause in enumerate(f.clauses):
+        for lit in clause:
+            by_var.setdefault(abs(lit), []).append(j)
+    conflicts = 0
+    shared_counts: Counter[int] = Counter()
+    for a in reversed(range(len(f.clauses))):
+        clause = f.clauses[a]
+        # a ends each of its variables' lists; dropping it leaves the earlier clauses.
+        for lit in clause:
+            by_var[abs(lit)].pop()
+        lits = set(clause)
+        negated = {-lit for lit in clause}
+        for b in set().union(*(by_var[abs(lit)] for lit in clause)):
+            other = f.clauses[b]
+            if negated.isdisjoint(other):
+                shared_counts[len(lits.intersection(other))] += 2
+            else:
+                conflicts += 2
+    return conflicts, shared_counts
+
+
+def pair_counts(f: ExactCnfFormula, histogram: tuple[int, Counter[int]]) -> tuple[int, int, int]:
+    """``rsat.overlap_histogram``'s (C, S, 4^r E(X^2)) from a conflict count and overlaps by shared size.
+
+    S adds the m diagonal pairs to the conflicting and overlapping ones. Each
+    clause adds 2^r - 1 to 4^r E(X^2), an ordered conflicting pair -1, and an
+    ordered pair sharing t literals 2^t - 1.
+    """
+    conflicts, shared_counts = histogram
+    m = len(f.clauses)
+    sharing = m + conflicts + sum(shared_counts.values())
+    fourier = m * ((1 << f.r) - 1) - conflicts
+    fourier += sum(count * ((1 << t) - 1) for t, count in shared_counts.items())
+    return conflicts, sharing, fourier
+
+
 def weight_map(g: WeightedDigraph) -> dict[tuple[int, int], int]:
     """Each arc's weight keyed by its (tail, head) pair."""
     return dict(zip(zip(g.tails, g.heads), g.weights))

@@ -43,12 +43,13 @@ from abovetight.moments import (
     verify_symmetric_tail,
 )
 from abovetight.outcome import Verdict
-from abovetight.rsat import ExactCnfFormula, decide_rsatalb, overlap_histogram
+from abovetight.rsat import ExactCnfFormula, decide_rsatalb
 
 from helpers import (
     brute_decide_lin2,
     brute_decide_loalb,
     brute_max_forward_weight,
+    brute_overlap_histogram,
     brute_pair_expectation,
     brute_patterns_lin2,
     occurrence_reduce,
@@ -315,8 +316,9 @@ def test_criterion_07_threshold_constants():
 
 def pair_closed_form(f: ExactCnfFormula) -> Fraction:
     """E(X_Y X_Z) of a two-clause formula from its pair counts: -4^-r for a
-    conflict, (2^t - 1)/4^r for t shared literals, 0 for disjoint clauses."""
-    conflicts, shared_counts = overlap_histogram(f)
+    conflict, (2^t - 1)/4^r for t shared literals, 0 for disjoint clauses.
+    The counts come from the all-pairs oracle."""
+    conflicts, shared_counts = brute_overlap_histogram(f)
     terms = -conflicts + sum(c * (2**t - 1) for t, c in shared_counts.items())
     return Fraction(terms, 2 * 4**f.r)
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -246,6 +247,36 @@ def test_a_counter_past_its_budget_is_named_in_the_refusal(tmp_path):
     assert "cap" not in result.diagnostics
 
 
+def test_wide_clauses_are_answered_or_refused_by_the_keys_they_share(tmp_path):
+    # Width 40: one clause repeats no variable, so its pair counts stop after
+    # the 40 literals; two equal clauses repeat every sub-clause, and the pass
+    # is refused before the size whose keys would pass the budget.
+    clause = " ".join(map(str, range(1, 41))) + " 0\n"
+    for copies, verdict in ((1, "KERNEL"), (2, "ERROR")):
+        path = write(tmp_path, "f.txt", "p ecnf 40 %d 40\n" % copies + clause * copies)
+        started = time.perf_counter()
+        result = run(["rsat", path, "--k-num", "1"])
+        elapsed = time.perf_counter() - started
+        assert result.verdict == verdict
+        assert elapsed < (0.1 if copies == 1 else 1), elapsed
+    keys = 2 * sum(math.comb(40, t) for t in range(2, 5))
+    budget = rsat.SUBCLAUSE_KEY_BUDGET
+    assert result.error == "pair counts refused: %d sub-clause keys exceed cap %d" % (keys, budget)
+
+
+def test_moments_skips_the_second_moment_check_past_the_key_budget(tmp_path):
+    # Sixty copies of one width-12 clause repeat every sub-clause, so the pair
+    # counts are refused before size 8; the 12 variables still enumerate.
+    clause = " ".join(map(str, range(1, 13))) + " 0\n"
+    result = run(["moments", write(tmp_path, "f.txt", "p ecnf 12 60 12\n" + clause * 60)])
+    assert result.verdict == "OK"
+    keys = 60 * sum(math.comb(12, t) for t in range(2, 9))
+    budget = rsat.SUBCLAUSE_KEY_BUDGET
+    skipped = "pair counts refused: %d sub-clause keys exceed cap %d" % (keys, budget)
+    assert result.diagnostics["second_moment_skipped"] == skipped
+    assert "second_moment_holds" not in result.diagnostics
+
+
 def test_moments_cap_zero_is_error(tmp_path):
     unmerged = write(tmp_path, "s.txt", "p lin2 2 2\ne 1 1 1 2\ne 2 0 1 2\n")
     for path in (unmerged, write(tmp_path, "g.txt", THREE_CYCLE)):
@@ -283,7 +314,7 @@ def test_moments_enumerates_each_sample_space_once(tmp_path, monkeypatch):
         assert calls == {name: int(name == enumerator) for name in cases}
 
 
-def test_moments_on_formula_walks_clause_pairs_once(tmp_path, monkeypatch):
+def test_moments_on_formula_counts_clause_pairs_once(tmp_path, monkeypatch):
     calls = {"overlap_histogram": 0}
     count_calls(monkeypatch, calls, rsat, "overlap_histogram")
     path = write(tmp_path, "f.txt", "p ecnf 4 2 2\n1 2 0\n3 4 0\n")

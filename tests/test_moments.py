@@ -30,6 +30,7 @@ from abovetight.rsat import ExactCnfFormula, overlap_histogram, x_value_scaled
 
 from helpers import (
     brute_dist_linord,
+    brute_overlap_histogram,
     brute_pair_expectation,
     estimate_digraph_moments_by_induced_graph,
     lin2_x,
@@ -366,15 +367,20 @@ def test_pairwise_expectations_match_enumeration():
             if y == z:
                 continue
             expected = brute_pair_expectation(y, z, r)
-            conflicts, shared_counts = overlap_histogram(ExactCnfFormula(n, r, (y, z)))
-            if conflicts:
-                assert (conflicts, shared_counts) == (2, Counter())
+            f = ExactCnfFormula(n, r, (y, z))
+            conflicts, sharing, fourier = overlap_histogram(f)
+            # Q less the two clauses' own 2^r - 1 is both ordered pairs' terms at scale 4^r.
+            assert fourier - 2 * (2**r - 1) == 2 * 4**r * expected
+            brute_conflicts, shared_counts = brute_overlap_histogram(f)
+            if brute_conflicts:
+                assert (conflicts, sharing, shared_counts) == (2, 4, Counter())
                 assert expected == Fraction(-1, 4**r)
             elif not shared_counts:
+                assert (conflicts, sharing) == (0, 2)
                 assert expected == 0
             else:
                 [(t, count)] = shared_counts.items()
-                assert count == 2
+                assert (conflicts, sharing, count) == (0, 4, 2)
                 assert expected == Fraction(2**t - 1, 4**r)
                 # Overlap terms never fall below 4^-r.
                 assert expected >= Fraction(1, 4**r)

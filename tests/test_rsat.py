@@ -3,14 +3,18 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abovetight import rsat
+from abovetight.moments import dist_rsat, moment_p
 from abovetight.outcome import CapExceeded, RestrictionViolated, Verdict
 from abovetight.rsat import (
+    SUBCLAUSE_KEY_BUDGET,
     ExactCnfFormula,
     conflict_bound,
     conflict_number,
@@ -29,6 +33,8 @@ from helpers import (
     clause_constraints,
     edge_formulas,
     flip_walk_rsat,
+    pair_counts,
+    pair_walk_histogram,
     random_formula,
     rsat_scaled_x,
     walk,
@@ -101,41 +107,48 @@ def test_formula_from_columns_is_the_formula_from_clauses():
 
 
 def pair_histogram(r: int, y: tuple[int, ...], z: tuple[int, ...]):
+    """(C, S, Q) of the two-clause formula, checked against the all-pairs oracle."""
     n = max(abs(lit) for lit in y + z)
-    return overlap_histogram(ExactCnfFormula.from_clauses(n, r, [y, z]))
+    f = ExactCnfFormula.from_clauses(n, r, [y, z])
+    counts = overlap_histogram(f)
+    assert counts == pair_counts(f, brute_overlap_histogram(f))
+    return counts
 
 
+# Pinned from the oracle's conflicts C and overlaps O: S = m + C + O, and
+# Q = m(2^r - 1) - C + (2^t - 1) per ordered pair sharing t literals.
 def test_pair_relation_conflict():
-    assert pair_histogram(2, (1, 2), (-1, 3)) == (2, Counter())
+    assert pair_histogram(2, (1, 2), (-1, 3)) == (2, 4, 4)
 
 
 def test_pair_relation_overlap():
-    assert pair_histogram(2, (1, 2), (1, 3)) == (0, Counter({1: 2}))
+    assert pair_histogram(2, (1, 2), (1, 3)) == (0, 4, 8)
 
 
 def test_pair_relation_disjoint():
-    assert pair_histogram(2, (1, 2), (3, 4)) == (0, Counter())
+    assert pair_histogram(2, (1, 2), (3, 4)) == (0, 2, 6)
 
 
 def test_pair_relation_conflict_wins_over_sharing():
-    assert pair_histogram(3, (1, 2, 3), (1, 2, -3)) == (2, Counter())
+    assert pair_histogram(3, (1, 2, 3), (1, 2, -3)) == (2, 4, 12)
 
 
 def test_conflict_number_single_conflict_pair():
     f = ExactCnfFormula.from_clauses(3, 2, [(1, 2), (-1, 3)])
-    assert overlap_histogram(f) == (2, Counter())
+    assert overlap_histogram(f) == (2, 4, 4)
     assert conflict_number(f) == 2
 
 
 def test_conflict_number_single_overlap_pair():
     f = ExactCnfFormula.from_clauses(3, 2, [(1, 2), (1, 3)])
-    assert overlap_histogram(f) == (0, Counter({1: 2}))
+    assert overlap_histogram(f) == (0, 4, 8)
     assert conflict_number(f) == -2
 
 
 def test_conflict_number_complete_width_two():
+    # Every ordered pair of distinct clauses conflicts, and X is identically 0.
     f = complete_formula(2)
-    assert overlap_histogram(f) == (12, Counter())
+    assert overlap_histogram(f) == (12, 16, 0)
     assert conflict_number(f) == 12 > conflict_bound(f) == 8
 
 
@@ -155,7 +168,8 @@ def test_conflict_counts_match_naive_pairs():
                 chosen = sorted(rng.sample(range(1, n + 1), r))
                 clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
         f = ExactCnfFormula(n, r, tuple(clauses))
-        assert overlap_histogram(f) == brute_overlap_histogram(f)
+        assert overlap_histogram(f) == pair_counts(f, brute_overlap_histogram(f))
+        assert pair_walk_histogram(f) == brute_overlap_histogram(f)
         for y, z in itertools.combinations(clauses, 2):
             negated = sum(1 for lit in y if -lit in z)
             seen["duplicate"] += y == z
@@ -171,12 +185,112 @@ def test_overlap_histogram_memory_stays_linear_in_the_clauses():
     f = ExactCnfFormula(601, 3, tuple(clauses))
     tracemalloc.start()
     try:
-        conflicts, shared_counts = overlap_histogram(f)
+        counts = overlap_histogram(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (conflicts, shared_counts) == (2 * 150 * 150, Counter({1: 2 * 2 * 150 * 149 // 2}))
+    # C = 2 * 150 * 150 ordered pairs of opposite signs on variable 1; the
+    # other 2 * 150 * 149 pairs of distinct clauses share one literal.
+    conflicts, overlaps = 2 * 150 * 150, 2 * 150 * 149
+    assert counts == (conflicts, 300 + conflicts + overlaps, 300 * 7 - conflicts + overlaps)
     assert peak < 1 << 20, "peak %d bytes" % peak
+
+
+@st.composite
+def pair_stat_formulas(draw):
+    """Width 2-6 formulas over few variables: fresh clauses, duplicates, copies
+    with several signs flipped, and (for a hub) variable 1 in every clause."""
+    r = draw(st.integers(2, 6))
+    n = draw(st.integers(r, r + 4))
+    hub = draw(st.booleans())
+    clauses: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["fresh", "duplicate", "flipped"]) if clauses else st.just("fresh"))
+        if kind == "fresh":
+            others = draw(st.lists(st.integers(2, n), min_size=r - 1, max_size=r - 1, unique=True))
+            first = 1 if hub else draw(st.integers(1, n).filter(lambda v: v not in others))
+            signs = draw(st.lists(st.booleans(), min_size=r, max_size=r))
+            clause = sorted([first] + others)
+            clauses.append(tuple(v if sign else -v for v, sign in zip(clause, signs)))
+            continue
+        clause = draw(st.sampled_from(clauses))
+        if kind == "flipped":
+            flips = draw(st.lists(st.booleans(), min_size=r, max_size=r).filter(any))
+            clause = tuple(-lit if flip else lit for lit, flip in zip(clause, flips))
+        clauses.append(clause)
+    return ExactCnfFormula(n, r, tuple(clauses))
+
+
+@given(pair_stat_formulas())
+@settings(max_examples=300, deadline=None)
+def test_pair_counts_match_the_all_pairs_oracle_and_enumeration(f):
+    conflicts, shared_counts = brute_overlap_histogram(f)
+    counts = overlap_histogram(f)
+    assert counts == pair_counts(f, (conflicts, shared_counts))
+    assert conflict_number(f) == conflicts - sum(shared_counts.values())
+    if f.clauses:
+        assert Fraction(counts[2], 4**f.r) == moment_p(dist_rsat(f), 2)
+
+
+def test_pair_counts_match_the_pair_walk_at_kernelize_sizes():
+    # The benchmark's kernel formulas (three literals in four positive) and a
+    # one-hot hub, where the all-pairs oracle is too slow.
+    rng = random.Random(21)
+    for n, m, r in ((1500, 4000, 2), (1000, 2000, 3), (700, 1500, 4)):
+        clauses = [
+            tuple(v if rng.random() < 0.75 else -v for v in sorted(rng.sample(range(1, n + 1), r)))
+            for _ in range(m)
+        ]
+        f = ExactCnfFormula(n, r, tuple(clauses))
+        assert overlap_histogram(f) == pair_counts(f, pair_walk_histogram(f))
+    hub = [(rng.choice((1, -1)),) + tuple(sorted(rng.sample(range(2, 40), 2))) for _ in range(800)]
+    f = ExactCnfFormula(40, 3, tuple(hub))
+    assert overlap_histogram(f) == pair_counts(f, pair_walk_histogram(f))
+
+
+def one_hot_formula(m: int) -> ExactCnfFormula:
+    """m width-3 clauses that share only variable 1, with alternating signs on it."""
+    clauses = tuple((1 if j % 2 else -1, 2 * j + 2, 2 * j + 3) for j in range(m))
+    return ExactCnfFormula(2 * m + 1, 3, clauses)
+
+
+def test_pair_counts_of_a_large_one_hot_formula_are_fast():
+    # 30,000 clauses: 450,000,000 conflicting ordered pairs, every pair shares
+    # variable 1, and the pair walk takes minutes.
+    m = 30000
+    f = one_hot_formula(m)
+    started = time.perf_counter()
+    counts = overlap_histogram(f)
+    elapsed = time.perf_counter() - started
+    conflicts = 2 * (m // 2) ** 2
+    overlaps = m * (m - 1) - conflicts
+    assert counts == (conflicts, m * m, 7 * m - conflicts + overlaps)
+    assert elapsed < 2, elapsed
+
+
+def test_wide_clauses_sharing_two_variables_stop_early(monkeypatch):
+    # r = 16: clauses share at most their two hub variables, so no triple
+    # repeats and sizes 4-16 are never counted.
+    rng = random.Random(16)
+    clauses = []
+    for j in range(40):
+        hubs = sorted(rng.sample(range(1, 5), 2))
+        clause = hubs + list(range(5 + 14 * j, 19 + 14 * j))
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in clause))
+    f = ExactCnfFormula(4 + 14 * 40, 16, tuple(clauses))
+    monkeypatch.setattr(rsat, "SUBCLAUSE_KEY_BUDGET", 40 * (120 + 560))
+    assert overlap_histogram(f) == pair_counts(f, brute_overlap_histogram(f))
+
+
+def test_sub_clause_keys_are_refused_past_the_budget():
+    # A one-hot formula is charged the 3m keys of its variable pairs, which no
+    # two clauses share, so it stops there.
+    m = SUBCLAUSE_KEY_BUDGET // 3
+    conflicts = 2 * (m // 2) * (m - m // 2)
+    assert overlap_histogram(one_hot_formula(m))[:2] == (conflicts, m * m)
+    message = "pair counts refused: %d sub-clause keys exceed cap %d" % (3 * m + 3, SUBCLAUSE_KEY_BUDGET)
+    with pytest.raises(CapExceeded, match=message):
+        overlap_histogram(one_hot_formula(m + 1))
 
 
 def test_x_value_scaled_single_clause():
@@ -348,10 +462,12 @@ def test_decide_kernel_on_cap():
 def test_conflict_and_overlap_counts_are_even(seed):
     rng = random.Random(seed)
     f = random_formula(rng, rng.choice([2, 3]), n_max=8, m_max=8)
-    conflicts, shared_counts = overlap_histogram(f)
+    conflicts, sharing, _ = overlap_histogram(f)
+    # Off the diagonal, ordered pairs come two to an unordered one.
     assert conflicts % 2 == 0
-    assert all(count % 2 == 0 for count in shared_counts.values())
-    assert conflict_number(f) == conflicts - sum(shared_counts.values())
+    assert (sharing - len(f.clauses)) % 2 == 0
+    brute_conflicts, shared_counts = brute_overlap_histogram(f)
+    assert conflict_number(f) == brute_conflicts - sum(shared_counts.values())
 
 
 def test_from_clauses_leaves_the_distinct_variable_check_to_the_constructor():
