@@ -5,9 +5,11 @@ and this checkout's package, and writes the instance files to a temporary
 directory. Two child processes, one importing this checkout's ``src/`` and
 one ``OTHER_CHECKOUT/src``, then make the same ``cli.run`` calls. Call by
 call the script compares ``perfbench/checks.full_record``, ``to_json()``
-without ``time_ms``, and the file each ``gen`` call writes. On the first
-difference it prints the call's label and exits 1; otherwise it prints the
-number of calls compared.
+without ``time_ms``, and the file each ``gen`` call writes, each diagnostic
+key being a part of its own. It prints one line per part that differs on
+some call: whether this checkout added, removed or changed it, on how many
+calls, and the first such call's label with its two values. It exits 1 on
+any difference; otherwise it prints the number of calls compared.
 
     python3 scripts/compare_outputs.py ../parent --seeds 0 7
 """
@@ -67,16 +69,44 @@ def write_calls(seeds: list[int], tiny: bool, workdir: Path):
     return labels, argvs
 
 
-def first_difference(labels, ours, theirs) -> str | None:
-    for label, a, b in zip(labels, ours, theirs):
-        for part in ("raised", "record", "json", "gen"):
-            if a.get(part) != b.get(part):
-                return "%s: %s differs\n  this:  %.300s\n  other: %.300s" % (
-                    label, part, json.dumps(a.get(part)), json.dumps(b.get(part))
-                )
+def parts(output: dict) -> dict[str, list]:
+    """A call's output by part, each diagnostic a part of its own.
+
+    The record and the JSON payload carry the same diagnostics, once as
+    ``str()`` and once as written, so a diagnostic's part holds both.
+    """
+    flat: dict[str, list] = {}
+    for part, value in output.items():
+        if part == "record":
+            verdict, diagnostics, *rest = value
+            value = [verdict, *rest]
+        elif part == "json":
+            value = dict(value)
+            diagnostics = value.pop("diagnostics").items()
+        else:
+            diagnostics = ()
+        flat[part] = [value]
+        for key, item in diagnostics:
+            flat.setdefault("diagnostics." + key, []).append(item)
+    return flat
+
+
+def differences(labels, ours, theirs) -> list[str]:
+    """One line per part that differs on some call, grouped by part and by how it differs."""
+    groups: dict[tuple[str, str], list] = {}
+    for label, a, b in zip(labels, map(parts, ours), map(parts, theirs)):
+        for name in sorted(a.keys() | b.keys()):
+            if a.get(name) != b.get(name):
+                how = "added" if name not in b else "removed" if name not in a else "changed"
+                groups.setdefault((name, how), []).append((label, a.get(name), b.get(name)))
+    lines = [
+        "%s %s on %d calls, first %s: this %.120s, other %.120s"
+        % (name, how, len(found), found[0][0], json.dumps(found[0][1]), json.dumps(found[0][2]))
+        for (name, how), found in groups.items()
+    ]
     if len(ours) != len(theirs):
-        return "%d calls answered here, %d there" % (len(ours), len(theirs))
-    return None
+        lines.append("%d calls answered here, %d there" % (len(ours), len(theirs)))
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -109,9 +139,10 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
             outputs.append(json.loads(out.read_text(encoding="utf-8")))
     ours, theirs = outputs
-    problem = first_difference(labels, ours, theirs)
-    if problem is not None:
-        print("compare_outputs: first difference at %s" % problem)
+    problems = differences(labels, ours, theirs)
+    for problem in problems:
+        print("compare_outputs: %s" % problem)
+    if problems:
         return 1
     seeds = " ".join(map(str, args.seeds))
     print("compare_outputs: %d calls at seeds %s, no difference" % (len(labels), seeds))

@@ -4,8 +4,9 @@ For each n', a cycle (few distinct forward weights, the Counter DP's best
 case) and a tournament with random weights (up to n'! distinct forward
 weights, its worst case) are built at total weights W where the packed
 ints take ``PACKED_BYTES_PER_ORDER`` * n'! * f bytes, for each factor f
-given. Each graph is counted by both paths, forced by moving ``linord``'s
-constants, and by ``moments.dist_linord`` as committed. Prints one JSON
+given. Each graph is counted by both paths, forced by moving
+``gf2.COUNT_BUDGET_BYTES`` and ``linord.PACKED_BYTES_PER_ORDER``, and by
+``moments.dist_linord`` as committed. Prints one JSON
 row per graph: W, the path taken, and each path's fastest time.
 
     python3 scripts/order_switch.py --n 3 4 5 6 7 8 --factors 0.25 1 4
@@ -23,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from abovetight import linord, moments  # noqa: E402
+from abovetight import gf2, linord, moments  # noqa: E402
 from abovetight.linord import WeightedDigraph  # noqa: E402
 
 
@@ -41,8 +42,8 @@ def tournament(n: int, total: int, rng: random.Random) -> WeightedDigraph:
 
 def fastest(g: WeightedDigraph, reps: int, budget: int, per_order: int) -> tuple[float, object]:
     """Fastest of ``reps`` calls with the switch constants set to the given values."""
-    saved = linord.PACKED_BUDGET_BYTES, linord.PACKED_BYTES_PER_ORDER
-    linord.PACKED_BUDGET_BYTES, linord.PACKED_BYTES_PER_ORDER = budget, per_order
+    saved = gf2.COUNT_BUDGET_BYTES, linord.PACKED_BYTES_PER_ORDER
+    gf2.COUNT_BUDGET_BYTES, linord.PACKED_BYTES_PER_ORDER = budget, per_order
     try:
         best, dist = math.inf, None
         for _ in range(reps):
@@ -50,7 +51,7 @@ def fastest(g: WeightedDigraph, reps: int, budget: int, per_order: int) -> tuple
             dist = moments.dist_linord(g)
             best = min(best, time.perf_counter() - started)
     finally:
-        linord.PACKED_BUDGET_BYTES, linord.PACKED_BYTES_PER_ORDER = saved
+        gf2.COUNT_BUDGET_BYTES, linord.PACKED_BYTES_PER_ORDER = saved
     return best, dist
 
 
@@ -64,7 +65,7 @@ def main(argv=None) -> int:
         rng = random.Random(n)
         orders = math.factorial(n)
         digit_bytes = 1 << (-(-orders.bit_length() // 8) - 1).bit_length()
-        limit = min(linord.PACKED_BUDGET_BYTES, linord.PACKED_BYTES_PER_ORDER * orders)
+        limit = min(gf2.COUNT_BUDGET_BYTES, linord.PACKED_BYTES_PER_ORDER * orders)
         for factor in args.factors:
             # The W whose packed ints take factor * PACKED_BYTES_PER_ORDER * n'! bytes.
             total = int(factor * linord.PACKED_BYTES_PER_ORDER * orders) // (digit_bytes << n) - 1
@@ -73,7 +74,7 @@ def main(argv=None) -> int:
             for label, g in (("cycle", cycle(n, total)), ("tournament", tournament(n, total, rng))):
                 packed_s, packed = fastest(g, args.reps, 1 << 62, 1 << 62)
                 counter_s, counter = fastest(g, args.reps, 0, 0)
-                committed_s, committed = fastest(g, args.reps, linord.PACKED_BUDGET_BYTES, linord.PACKED_BYTES_PER_ORDER)
+                committed_s, committed = fastest(g, args.reps, gf2.COUNT_BUDGET_BYTES, linord.PACKED_BYTES_PER_ORDER)
                 if not packed == counter == committed:
                     raise AssertionError("the paths disagree on %s:%d:%d" % (label, n, total))
                 row = {

@@ -177,8 +177,7 @@ def _run_moments(args: argparse.Namespace) -> RunResult:
         claim = moments.verify_second_moment_claims(instance, dist=dist)
         diag["second_moment_target"] = claim.target
         diag["second_moment_holds"] = claim.holds
-        if claim.pairwise_e2 is not None:
-            diag["pairwise_e2"] = claim.pairwise_e2
+        diag["pairwise_e2"] = claim.pairwise_e2
     except (ValueError, CapExceeded) as exc:
         diag["second_moment_skipped"] = str(exc)
     if args.b is not None:

@@ -56,12 +56,12 @@ _HEADER_FIELDS: dict[str, tuple[tuple[str, ...], str]] = {
 }
 
 # The sizes each generator kind reads, with their defaults; None where the
-# default is derived from other sizes (m from n).
+# default is derived from other sizes (m from n, and random-lin2's r as min(3, n)).
 GENERATOR_SIZES: dict[str, dict[str, int | None]] = {
     "symmetric-digraph": {"n": 4, "m": None, "wmax": 4},
     "random-oriented": {"n": 6, "m": None, "wmax": 4},
     "cancelling-pairs-lin2": {"n": 6, "pairs": 3, "wmax": 4},
-    "random-lin2": {"n": 6, "m": None, "r": 3, "wmax": 4},
+    "random-lin2": {"n": 6, "m": None, "r": None, "wmax": 4},
     "complete-rcnf": {"r": 2},
     "disjoint-complete-rcnf": {"r": 2, "blocks": 2},
     "remark2": {"n": 3},
@@ -347,11 +347,11 @@ def gen_instance(kind: str, seed: int = 0, **sizes: int | None) -> InstanceFile:
         _require(1 <= n <= 30, "n must be in 1..30")
         m = 2 * n if m is None else m
         _require(0 <= m <= 4096, "m must be in 0..4096")
-        rmax = min(r, n)
-        _require(rmax >= 1, "r must be positive")
+        r = min(3, n) if r is None else r
+        _require(1 <= r <= n, "r must be in 1..n")
         eqs = []
         for _ in range(m):
-            size = rng.randint(1, rmax)
+            size = rng.randint(1, r)
             variables = tuple(sorted(rng.sample(range(n), size)))
             eqs.append(Lin2Equation(variables, rng.randint(0, 1), rng.randint(1, wmax)))
         return serialize_instance(Lin2System(n, tuple(eqs)))

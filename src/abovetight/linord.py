@@ -24,10 +24,10 @@ from . import gf2
 from .outcome import CapExceeded, DecisionOutcome, Verdict, check_cap
 
 DEFAULT_VERTEX_CAP = 24
-# forward_weight_counts packs its counts while 2^n' subsets of (W + 1) digits fit in this many bytes,
-PACKED_BUDGET_BYTES = gf2.COUNT_BUDGET_BYTES
-# and in this many per order of the n' vertices; past that the Counter DP, whose work
-# follows the at most n'! distinct forward weights, measured faster (scripts/order_switch.py).
+# forward_weight_counts packs its counts while 2^n' subsets of (W + 1) digits fit in
+# gf2.COUNT_BUDGET_BYTES and in this many bytes per order of the n' vertices; past that the
+# Counter DP, whose work follows the at most n'! distinct forward weights, measured faster
+# (scripts/order_switch.py).
 PACKED_BYTES_PER_ORDER = 1 << 10
 
 
@@ -153,11 +153,14 @@ class WeightedDigraph:
 
 @dataclass(frozen=True)
 class DigraphStats:
-    """Total weight, total squared weight, arc count, and 2-cycle freeness."""
+    """Total squared weight, summed squared vertex imbalance, and 2-cycle freeness.
 
-    W: int
+    ``imbalance2`` is the sum over the vertices of (out_v - in_v)^2, out_v
+    and in_v the weights of the arcs out of and into v.
+    """
+
     W2: int
-    arc_count: int
+    imbalance2: int
     oriented: bool
 
 
@@ -180,10 +183,13 @@ class LinearOrder:
 
 
 def digraph_stats(g: WeightedDigraph) -> DigraphStats:
+    net: Counter[int] = Counter()
+    for u, v, w in zip(g.tails, g.heads, g.weights):
+        net[u] += w
+        net[v] -= w
     return DigraphStats(
-        W=sum(g.weights),
         W2=sum(map(operator.mul, g.weights, g.weights)),
-        arc_count=len(g.weights),
+        imbalance2=sum(map(operator.mul, net.values(), net.values())),
         oriented=set(g.pair_keys).isdisjoint(_pair_keys(g.n, g.heads, g.tails)),
     )
 
@@ -322,7 +328,7 @@ def forward_weight_counts(g: WeightedDigraph, active: list[int]) -> dict[int, in
     into v. Each subset keeps its orders' forward weights as one packed int
     whose digit f counts the orders of weight f, so a move that gains g is
     one shift by g digits and one add: O(2^n' * n') big-int steps on at most
-    W + 1 digits, W the total weight. Past ``PACKED_BUDGET_BYTES`` or
+    W + 1 digits, W the total weight. Past ``gf2.COUNT_BUDGET_BYTES`` or
     ``PACKED_BYTES_PER_ORDER`` * n'! bytes each subset keeps a Counter
     instead, at O(2^n' * n' * support) dict updates, which follows the
     distinct forward weights rather than W.
@@ -335,7 +341,7 @@ def forward_weight_counts(g: WeightedDigraph, active: list[int]) -> dict[int, in
     # Digits of 1, 2, 4 or 8 bytes hold n'! for n' <= 20; a larger n' always fails the budget.
     orders = math.factorial(nv)
     digit_bytes = 1 << (-(-orders.bit_length() // 8) - 1).bit_length()
-    if (total_weight + 1) * digit_bytes << nv <= min(PACKED_BUDGET_BYTES, PACKED_BYTES_PER_ORDER * orders):
+    if (total_weight + 1) * digit_bytes << nv <= min(gf2.COUNT_BUDGET_BYTES, PACKED_BYTES_PER_ORDER * orders):
         shift = 8 * digit_bytes
         # Each vertex's bit and its gain tables, scaled from digits to bits.
         moves = [(1 << i, [x * shift for x in lo[i]], [x * shift for x in hi[i]]) for i in range(nv)]

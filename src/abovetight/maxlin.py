@@ -19,10 +19,6 @@ from . import gf2
 from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict, check_cap
 
 DEFAULT_ASSIGNMENT_CAP = 20
-# Bits of the bit-sliced weight counter (2^n times the length of W).
-# A distribution's transposed copy of the counter takes at most twice that
-# once W has 8 bits or more (one byte per 8 bits, padded to a native word).
-COUNTER_BITS = 8 * gf2.COUNT_BUDGET_BYTES
 
 
 @dataclass(frozen=True)
@@ -101,10 +97,9 @@ class Lin2System:
 
 @dataclass(frozen=True)
 class SystemStats:
-    """Counts: equations m, total weight W, max arity r, max occurrence rho."""
+    """Counts: equations m, max arity r, max occurrence rho."""
 
     m: int
-    W: int
     r: int
     rho: int
 
@@ -158,7 +153,6 @@ def system_stats(s: Lin2System) -> SystemStats:
         occ.update(eq.variables)
     return SystemStats(
         m=len(s.equations),
-        W=sum(eq.weight for eq in s.equations),
         r=max((len(eq.variables) for eq in s.equations), default=0),
         rho=max(occ.values(), default=0),
     )
@@ -233,11 +227,14 @@ def evaluate_x(s: Lin2System, z: Sequence[int]) -> int:
 def _satisfied_weight(s: Lin2System, refused: str) -> tuple[list[int], int]:
     """``gf2.tally`` slices of the satisfied weight Y of each assignment, and W; X = 2Y - W.
 
-    The slices take 2^n times the bit length of W; past COUNTER_BITS the
-    count is refused, reported as ``refused``.
+    The slices take 2^n times the bit length of W; past the bits of
+    ``gf2.COUNT_BUDGET_BYTES`` the count is refused, reported as
+    ``refused``. A distribution's transposed copy of the slices takes at
+    most twice that once W has 8 bits or more (one byte per 8 bits, padded
+    to a native word).
     """
     total = sum(eq.weight for eq in s.equations)
-    check_cap(refused, total.bit_length() << s.n, "counter bits", COUNTER_BITS)
+    check_cap(refused, total.bit_length() << s.n, "counter bits", 8 * gf2.COUNT_BUDGET_BYTES)
     pairs = ((sum(1 << v for v in eq.variables), eq) for eq in s.equations)
     slices = gf2.tally((gf2.parity_mask(mask, eq.rhs, s.n), eq.weight) for mask, eq in pairs)
     return slices, total
@@ -247,7 +244,7 @@ def solve_exact(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[int, 
     """Exhaustive optimum of X with a witness assignment.
 
     Deterministic: maximum X, smallest assignment on ties. Refuses systems
-    with more than ``cap`` variables or a counter past COUNTER_BITS.
+    with more than ``cap`` variables or a counter past the count budget.
     """
     check_cap("exact solve", s.n, "variables", cap)
     slices, total = _satisfied_weight(s, "exact solve")
@@ -256,7 +253,7 @@ def solve_exact(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[int, 
 
 
 def x_distribution_counts(s: Lin2System) -> Counter[int]:
-    """Exact multiset of X values over all 2^n assignments; refused past COUNTER_BITS."""
+    """Exact multiset of X values over all 2^n assignments; refused past the count budget."""
     slices, total = _satisfied_weight(s, "distribution")
     return gf2.histogram(slices, s.n, 1, -total)
 
@@ -303,7 +300,7 @@ def decide_linalb(
     YES outright at the case's threshold; otherwise the rank-reduced kernel
     is solved exhaustively and a witness is lifted back by zero-padding.
     A kernel with more than ``cap`` variables, or whose weight counter
-    passes COUNTER_BITS, is returned as KERNEL; the diagnostics name which.
+    passes the count budget, is returned as KERNEL; the diagnostics name which.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -339,7 +336,7 @@ def decide_linalb(
             diag["cap"] = cap
         else:
             diag["counter_bits"] = exc.needed
-            diag["counter_cap"] = COUNTER_BITS
+            diag["counter_cap"] = 8 * gf2.COUNT_BUDGET_BYTES
         return DecisionOutcome(Verdict.KERNEL, kernel=reduction.reduced, diagnostics=diag)
     diag["best_x"] = best
     diag["target_x"] = 2 * k

@@ -111,12 +111,16 @@ class TailCheck:
 
 @dataclass(frozen=True)
 class SecondMomentCheck:
-    """Second-moment identity or lower bound for one instance kind."""
+    """The enumerated E(X^2), the paper's lower bound on it, and whether the claim holds.
+
+    ``pairwise_e2`` is E(X^2) in closed form, from the instance's weights
+    or clauses rather than from its distribution.
+    """
 
     e2: Fraction
     target: Fraction
     holds: bool
-    pairwise_e2: Fraction | None = None
+    pairwise_e2: Fraction
 
 
 def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistribution:
@@ -240,12 +244,13 @@ def pairwise_second_moment(f: ExactCnfFormula) -> Fraction:
     """E(X^2) of a formula by Parseval over the Fourier expansion of X, not by enumeration.
 
     ``rsat.overlap_histogram`` sums the squared Fourier coefficients from
-    sub-clause counts. The sum equals the per-clause and per-pair closed forms:
-    each clause contributes (2^r - 1)/4^r, an ordered conflicting pair
-    -1/4^r, an ordered pair sharing t literals (2^t - 1)/4^r, and
-    variable-disjoint pairs nothing.
+    sub-clause counts, and the formula keeps its result (``overlap_counts``).
+    The sum equals the per-clause and per-pair closed forms: each clause
+    contributes (2^r - 1)/4^r, an ordered conflicting pair -1/4^r, an
+    ordered pair sharing t literals (2^t - 1)/4^r, and variable-disjoint
+    pairs nothing.
     """
-    return Fraction(rsat.overlap_histogram(f)[2], 4**f.r)
+    return Fraction(f.overlap_counts[2], 4**f.r)
 
 
 def verify_second_moment_claims(
@@ -254,44 +259,35 @@ def verify_second_moment_claims(
 ) -> SecondMomentCheck:
     """Check the second-moment claim on the instance's exact distribution.
 
-    Oriented digraphs must satisfy E(X^2) >= W2/12, merge-normalized equation
-    systems the identities E(X) = 0 and E(X^2) = sum of squared weights, and
-    formulas within the conflict-number restriction E(X^2) >= m/4^r; formula
-    checks also cross-check the enumerated E(X^2) against Parseval's sum
-    (``pairwise_second_moment``). ``dist`` is the instance's distribution
-    from ``dist_*``. Precondition violations raise ValueError, checked before
-    ``dist`` is read; a formula past ``rsat.SUBCLAUSE_KEY_BUDGET`` raises
-    CapExceeded.
+    Each kind has a paper target and a closed form for E(X^2), and the claim
+    is E(X) = 0 and E(X^2) = closed form >= target. Oriented digraphs have
+    target W2/12 and closed form (W2 + sum over v of (out_v - in_v)^2)/12,
+    equal to the target exactly when every vertex is balanced;
+    merge-normalized equation systems have the sum of squared weights for
+    both; formulas within the conflict-number restriction have target m/4^r
+    and Parseval's sum (``pairwise_second_moment``). ``dist`` is the
+    instance's distribution from ``dist_*``. Precondition violations raise
+    ValueError, checked before ``dist`` is read; a formula past
+    ``rsat.SUBCLAUSE_KEY_BUDGET`` raises CapExceeded.
     """
     if isinstance(instance, WeightedDigraph):
         st = digraph_stats(instance)
         if not st.oriented:
             raise ValueError("digraph must be oriented (no 2-cycles)")
-        e1 = moment_p(dist, 1)
-        e2 = moment_p(dist, 2)
-        target = Fraction(st.W2, 12)
-        return SecondMomentCheck(e2, target, e1 == 0 and e2 >= target)
-    if isinstance(instance, Lin2System):
+        target, closed = Fraction(st.W2, 12), Fraction(st.W2 + st.imbalance2, 12)
+    elif isinstance(instance, Lin2System):
         if not instance.is_merge_normalized():
             raise ValueError("system must be merge-normalized")
-        e1 = moment_p(dist, 1)
-        e2 = moment_p(dist, 2)
-        target = Fraction(sum(eq.weight**2 for eq in instance.equations))
-        return SecondMomentCheck(e2, target, e1 == 0 and e2 == target)
-    if isinstance(instance, ExactCnfFormula):
-        # One pass over sub-clause counts serves the restriction and Parseval.
-        conflicts, sharing, fourier = rsat.overlap_histogram(instance)
-        cn = 2 * conflicts - sharing + len(instance.clauses)
-        bound = rsat.conflict_bound(instance)
+        target = closed = Fraction(sum(eq.weight**2 for eq in instance.equations))
+    elif isinstance(instance, ExactCnfFormula):
+        cn, bound = rsat.conflict_number(instance), rsat.conflict_bound(instance)
         if cn > bound:
             raise ValueError("conflict number %d exceeds (2^r - 2)m = %d" % (cn, bound))
-        e1 = moment_p(dist, 1)
-        e2 = moment_p(dist, 2)
-        pairwise = Fraction(fourier, 4**instance.r)
-        target = Fraction(len(instance.clauses), 4**instance.r)
-        holds = e1 == 0 and e2 == pairwise and e2 >= target
-        return SecondMomentCheck(e2, target, holds, pairwise_e2=pairwise)
-    raise TypeError("unsupported instance type: %r" % type(instance))
+        target, closed = Fraction(len(instance.clauses), 4**instance.r), pairwise_second_moment(instance)
+    else:
+        raise TypeError("unsupported instance type: %r" % type(instance))
+    e2 = moment_p(dist, 2)
+    return SecondMomentCheck(e2, target, moment_p(dist, 1) == 0 and e2 == closed >= target, closed)
 
 
 def estimate_moments(

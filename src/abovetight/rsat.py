@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import chain, combinations, compress, repeat
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -92,6 +92,15 @@ class ExactCnfFormula:
         seen = {abs(lit) for clause in self.clauses for lit in clause}
         return sorted(seen)
 
+    @cached_property
+    def overlap_counts(self) -> tuple[int, int, int]:
+        """``overlap_histogram`` of the formula, counted on first use.
+
+        ``conflict_number`` and ``moments.pairwise_second_moment`` both read
+        it, so a command that needs both counts the formula once.
+        """
+        return overlap_histogram(self)
+
 
 def conflict_number(f: ExactCnfFormula) -> int:
     """Ordered conflicting clause pairs minus ordered overlapping clause pairs.
@@ -100,7 +109,7 @@ def conflict_number(f: ExactCnfFormula) -> int:
     pair a clause with itself and C conflict, so S - m - C overlap and the
     difference is 2C - S + m.
     """
-    conflicts, sharing, _ = overlap_histogram(f)
+    conflicts, sharing, _ = f.overlap_counts
     return 2 * conflicts - sharing + len(f.clauses)
 
 

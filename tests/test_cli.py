@@ -434,6 +434,12 @@ def test_gen_refuses_a_size_its_kind_does_not_read():
     assert "--pairs" in result.error
 
 
+def test_gen_random_lin2_refuses_r_past_n():
+    result = run(["gen", "random-lin2", "--n", "3", "--r", "9"])
+    assert result.verdict == "ERROR"
+    assert result.error == "r must be in 1..n"
+
+
 def test_every_generator_kind_takes_a_seed():
     for kind in GENERATOR_KINDS:
         result = run(["gen", kind, "--seed", "3"])
@@ -517,6 +523,16 @@ def test_moments_on_formula_reports_decomposition(tmp_path):
     assert result.verdict == "OK"
     assert str(result.diagnostics["pairwise_e2"]) == "3/8"
     assert result.diagnostics["second_moment_holds"] is True
+
+
+def test_moments_reports_the_closed_form_second_moment_of_every_kind(tmp_path, capsys):
+    # The unit path 1 -> 2 -> 3 has W2 = 2 and imbalances +1, 0, -1: E(X^2) = (2 + 2)/12.
+    path = write(tmp_path, "p.txt", "p digraph 3 2\na 1 2 1\na 2 3 1\n")
+    assert main(["moments", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "pairwise_e2 1/3" in lines and "e2 1/3" in lines and "second_moment_target 1/6" in lines
+    result = run(["moments", write(tmp_path, "s.txt", ODD_SET_FOUR)])
+    assert result.diagnostics["pairwise_e2"] == result.diagnostics["second_moment_target"] == 4
 
 
 def test_main_prints_lines_and_exit_codes(tmp_path, capsys):

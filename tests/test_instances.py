@@ -333,6 +333,13 @@ def test_generators_are_seed_deterministic():
     assert gen_instance("random-lin2", seed=1).text != gen_instance("random-lin2", seed=2).text
 
 
+def test_random_lin2_refuses_an_equation_size_past_n():
+    for r in (0, 4, 9):
+        with pytest.raises(ValueError, match="r must be in 1..n"):
+            gen_instance("random-lin2", n=3, r=r)
+    assert gen_instance("random-lin2", n=3, r=3).text == gen_instance("random-lin2", n=3).text
+
+
 def test_generator_refuses_sizes_its_kind_does_not_read():
     with pytest.raises(ValueError, match="--pairs"):
         gen_instance("random-oriented", pairs=3)
@@ -386,7 +393,8 @@ GENERATOR_PINS = [
      "9613e0ee2474ad7725f1bec0385bfb27039a648a084954dde43da27f9591e4ee"),
     ("random-lin2", {"n": 10, "m": 15, "r": 5, "wmax": 9},
      "a4948f773be5d474aa7503ae9daa79f14010de66e672b3fa2774f0d857b94ff0"),
-    ("random-lin2", {"n": 2, "r": 4},
+    # r defaults to min(3, n), the size the old silent clip of r to n drew at.
+    ("random-lin2", {"n": 2},
      "e7a87b876000436559fefb5f68f30cd2f0ce1ba2e2c5d0724244f86b763b6c34"),
     ("random-lin2", {"m": 0},
      "b2eff02ddcf4361fb6ac5ba892ba27b7f268f71773f1e03a7379fd2070e11166"),

@@ -58,18 +58,19 @@ def test_two_cycle_rule_leaves_plain_arcs_alone():
 
 def test_stats_single_arc():
     st_ = digraph_stats(WeightedDigraph.from_arcs(2, [(0, 1, 2)]))
-    assert (st_.W, st_.W2, st_.arc_count, st_.oriented) == (2, 4, 1, True)
+    # Vertex 0 sends 2 and vertex 1 receives it: imbalances +2 and -2.
+    assert (st_.W2, st_.imbalance2, st_.oriented) == (4, 8, True)
 
 
 def test_stats_three_cycle():
     g = WeightedDigraph.from_arcs(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
     st_ = digraph_stats(g)
-    assert (st_.W, st_.W2, st_.oriented) == (3, 3, True)
+    assert (st_.W2, st_.imbalance2, st_.oriented) == (3, 0, True)
 
 
 def test_stats_two_cycle_not_oriented():
     st_ = digraph_stats(WeightedDigraph.from_arcs(2, [(0, 1, 3), (1, 0, 3)]))
-    assert (st_.W, st_.W2, st_.oriented) == (6, 18, False)
+    assert (st_.W2, st_.imbalance2, st_.oriented) == (18, 0, False)
 
 
 def test_parallel_arcs_merge_on_construction():
@@ -138,7 +139,7 @@ def test_constructor_accepts_an_empty_arc_tuple():
         assert reduce_two_cycles(g) == g
         assert WeightedDigraph.from_arcs(n, []) == g
         st_ = digraph_stats(g)
-        assert (st_.W, st_.W2, st_.arc_count, st_.oriented) == (0, 0, 0, True)
+        assert (st_.W2, st_.imbalance2, st_.oriented) == (0, 0, True)
 
 
 def test_from_arcs_merges_only_arcs_that_pass_every_other_check():
@@ -209,7 +210,7 @@ def check_each_fact_once(g: WeightedDigraph) -> None:
     st_ = digraph_stats(reduced)
     assert st_.oriented
     diag = decide_loalb(g, 1).diagnostics
-    assert (diag["w2"], diag["kernel_arcs"]) == (st_.W2, st_.arc_count)
+    assert (diag["w2"], diag["kernel_arcs"]) == (st_.W2, len(reduced.weights))
     _, order = exact_max_acyclic(reduced)
     for lead in (False, True):
         assert with_isolated(order, g.n, lead).vertices == with_isolated_by_ranks(order, g.n, lead)
@@ -715,5 +716,5 @@ def test_heavy_oriented_graphs_always_reach_the_certified_margin():
             continue
         checked += 1
         value, _ = exact_max_acyclic(g)
-        assert 2 * value - st.W >= 2 * k
+        assert 2 * value - sum(g.weights) >= 2 * k
     assert checked > 10

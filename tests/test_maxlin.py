@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abovetight.maxlin import (
-    COUNTER_BITS,
     CaseKind,
     Lin2Equation,
     Lin2System,
@@ -77,12 +76,12 @@ def test_merge_preserves_x_pointwise():
 
 def test_stats_small_system():
     stats = system_stats(sys2(2, [((0,), 1, 1), ((0, 1), 1, 2)]))
-    assert (stats.m, stats.W, stats.r, stats.rho) == (2, 3, 2, 2)
+    assert (stats.m, stats.r, stats.rho) == (2, 2, 2)
 
 
 def test_stats_empty_system():
     stats = system_stats(Lin2System(3, ()))
-    assert (stats.m, stats.W, stats.r, stats.rho) == (0, 0, 0, 0)
+    assert (stats.m, stats.r, stats.rho) == (0, 0, 0)
 
 
 def test_stats_all_subsets_three_variables():
@@ -425,7 +424,7 @@ def test_solve_exact_refuses_a_counter_past_its_budget():
     # The kernel is inside the variable cap: the counter refused it.
     assert outcome.diagnostics["kernel_vars"] == 20
     assert outcome.diagnostics["counter_bits"] == 605 << 20
-    assert outcome.diagnostics["counter_cap"] == COUNTER_BITS
+    assert outcome.diagnostics["counter_cap"] == 536870912
     assert "cap" not in outcome.diagnostics
     assert decide_linalb(s, 1, CaseKind.GENERAL, cap=19).diagnostics["cap"] == 19
     assert time.perf_counter() - started < 1.0

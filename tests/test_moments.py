@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from abovetight import linord
+from abovetight import gf2, linord
 from abovetight.instances import all_subsets_system
 from abovetight.linord import WeightedDigraph, digraph_stats
-from abovetight.maxlin import Lin2System, merge_duplicates, system_stats
+from abovetight.maxlin import CaseKind, Lin2System, decide_linalb, merge_duplicates, system_stats
 from abovetight.moments import (
     ExactDistribution,
     dist_lin2,
@@ -25,7 +25,7 @@ from abovetight.moments import (
     verify_second_moment_claims,
     verify_symmetric_tail,
 )
-from abovetight.outcome import CapExceeded
+from abovetight.outcome import CapExceeded, Verdict
 from abovetight.rsat import ExactCnfFormula, overlap_histogram, x_value_scaled
 
 from helpers import (
@@ -115,24 +115,24 @@ def test_dist_linord_paths_agree_on_each_side_of_the_packed_budget(monkeypatch):
     # (W + 1) << 4 bytes and the budget falls between W = 2^22 - 1 and 2^22.
     # The per-order limit is lifted so that the memory budget alone decides.
     monkeypatch.setattr(linord, "PACKED_BYTES_PER_ORDER", 1 << 62)
-    budget = linord.PACKED_BUDGET_BYTES
+    budget = gf2.COUNT_BUDGET_BYTES
     at_budget = (budget >> 4) - 1
     packed_calls = []
     real_compress = linord.compress
     monkeypatch.setattr(linord, "compress", lambda *a: packed_calls.append(a) or real_compress(*a))
     for total, packed in ((at_budget, True), (at_budget + 1, False)):
         g = WeightedDigraph.from_arcs(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 2, 1), (3, 0, total - 7)])
-        assert digraph_stats(g).W == total
+        assert sum(g.weights) == total
         packed_calls.clear()
         d = dist_linord(g)
         assert bool(packed_calls) == packed
         assert d == brute_dist_linord(g)
         # Move the budget to the other side of this W: the other path agrees.
-        monkeypatch.setattr(linord, "PACKED_BUDGET_BYTES", total << 4 if packed else (total + 1) << 4)
+        monkeypatch.setattr(gf2, "COUNT_BUDGET_BYTES", total << 4 if packed else (total + 1) << 4)
         packed_calls.clear()
         assert dist_linord(g) == d
         assert bool(packed_calls) != packed
-        monkeypatch.setattr(linord, "PACKED_BUDGET_BYTES", budget)
+        monkeypatch.setattr(gf2, "COUNT_BUDGET_BYTES", budget)
 
 
 def test_dist_linord_paths_agree_on_each_side_of_the_per_order_limit(monkeypatch):
@@ -150,7 +150,7 @@ def test_dist_linord_paths_agree_on_each_side_of_the_per_order_limit(monkeypatch
         weights = [rng.randint(1, total // 10) for _ in range(9)]
         weights.append(total - sum(weights))
         g = WeightedDigraph.from_arcs(6, [(u, v, w) for (u, v), w in zip(pairs, weights)])
-        assert digraph_stats(g).W == total
+        assert sum(g.weights) == total
         packed_calls.clear()
         d = dist_linord(g)
         assert bool(packed_calls) == packed
@@ -168,7 +168,7 @@ def test_dist_linord_heavy_three_cycle_takes_the_counter_dp():
     # distinct forward weights: the packed path would shift millions of
     # digits where the Counter DP makes a handful of dict updates.
     cycle = WeightedDigraph.from_arcs(3, [(0, 1, 2**23 - 3), (1, 2, 1), (2, 0, 1)])
-    assert (digraph_stats(cycle).W + 1) << 3 == linord.PACKED_BUDGET_BYTES
+    assert (sum(cycle.weights) + 1) << 3 == gf2.COUNT_BUDGET_BYTES
     tracemalloc.start()
     try:
         started = time.perf_counter()
@@ -305,6 +305,78 @@ def test_second_moment_requires_oriented_graph():
     g = WeightedDigraph.from_arcs(2, [(0, 1, 1), (1, 0, 1)])
     with pytest.raises(ValueError, match="oriented"):
         verify_second_moment_claims(g, dist_linord(g))
+
+
+def oriented_corpus(rng: random.Random, count: int):
+    """Oriented digraphs with up to 8 active vertices, up to 2 isolated ones, and weights 1-4 or up
+    to 10^9; every third one is a union of constant-weight directed cycles, so every vertex is
+    balanced."""
+    for i in range(count):
+        active_count = rng.randint(3 if i % 3 == 0 else 0, 8)
+        n = active_count + rng.randint(0, 2)
+        active = rng.sample(range(n), active_count)
+        big = rng.choice((4, 10**9))
+        if i % 3 == 0:
+            arcs = []
+            for _ in range(rng.randint(1, 2)):
+                cycle = rng.sample(active, rng.randint(3, active_count))
+                w = rng.randint(1, big)
+                arcs += [(u, v, w) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+            g = WeightedDigraph.from_arcs(n, arcs)
+            if not digraph_stats(g).oriented:
+                continue
+        else:
+            pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in itertools.combinations(active, 2)]
+            g = WeightedDigraph.from_arcs(n, [(u, v, rng.randint(1, big)) for u, v in pairs if rng.random() < 0.6])
+        yield g
+
+
+def test_pairwise_e2_is_the_enumerated_second_moment_of_oriented_digraphs():
+    # E(X^2) = (W2 + sum over v of (out_v - in_v)^2) / 12, which is W2/12 exactly when every
+    # vertex is balanced.
+    rng = random.Random(2212)
+    balanced_seen = unbalanced_seen = 0
+    for g in oriented_corpus(rng, 150):
+        d = brute_dist_linord(g) if g.n <= 7 else dist_linord(g)
+        check = verify_second_moment_claims(g, d)
+        assert check.holds and check.pairwise_e2 == check.e2 == moment_p(d, 2), g
+        net = Counter()
+        for u, v, w in g.arcs:
+            net[u] += w
+            net[v] -= w
+        balanced = not any(net.values())
+        assert (check.pairwise_e2 == check.target == Fraction(sum(w * w for _, _, w in g.arcs), 12)) == balanced
+        balanced_seen += balanced and bool(g.arcs)
+        unbalanced_seen += not balanced
+    assert balanced_seen > 20 and unbalanced_seen > 50
+
+
+def test_second_moment_claim_compares_with_the_instance_closed_form():
+    # A single weight-2 arc has X = +-1, so E(X) = 0 and E(X^2) = 1 >= W2/12 = 1/4 of the
+    # three-cycle; but the three-cycle's own E(X^2) is 1/4, so its claim fails on that distribution.
+    single = dist_linord(WeightedDigraph.from_arcs(2, [(0, 1, 2)]))
+    check = verify_second_moment_claims(three_cycle(), single)
+    assert (check.e2, check.target, check.pairwise_e2) == (1, Fraction(1, 4), Fraction(1, 4))
+    assert not check.holds
+
+
+def test_one_count_budget_moves_both_count_limits(monkeypatch):
+    # One byte (8 counter bits) sends the three-cycle's 32-byte packed counts to the
+    # Counter DP and refuses the 16-bit counter of three unit equations on three variables.
+    s = Lin2System.from_tuples(3, [((0,), 0, 1), ((1,), 1, 1), ((2,), 0, 1)])
+    packed_calls = []
+    real_compress = linord.compress
+    monkeypatch.setattr(linord, "compress", lambda *a: packed_calls.append(a) or real_compress(*a))
+    d = dist_linord(three_cycle())
+    assert packed_calls and decide_linalb(s, 1, CaseKind.GENERAL).verdict is Verdict.YES_WITNESS
+    monkeypatch.setattr(gf2, "COUNT_BUDGET_BYTES", 1)
+    packed_calls.clear()
+    assert dist_linord(three_cycle()) == d and not packed_calls
+    with pytest.raises(CapExceeded, match="16 counter bits exceed cap 8"):
+        dist_lin2(s)
+    outcome = decide_linalb(s, 1, CaseKind.GENERAL)
+    assert outcome.verdict is Verdict.KERNEL
+    assert (outcome.diagnostics["counter_bits"], outcome.diagnostics["counter_cap"]) == (16, 8)
 
 
 def test_second_moment_lin2_identity():

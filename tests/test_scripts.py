@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,52 @@ def test_script_exits_zero(argv):
         [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def call_output(diagnostics: dict, gen: str | None = None) -> dict:
+    """One call's output as the compare_outputs child writes it."""
+    record = ["OK", sorted([key, str(value)] for key, value in diagnostics.items()), None, None, None]
+    payload = {"diagnostics": diagnostics, "verdict": "OK", "witness": None, "kernel": None, "error": None}
+    return {"record": record, "json": payload, "gen": gen}
+
+
+def test_compare_outputs_reports_every_difference_grouped_by_key():
+    compare = load_script("compare_outputs")
+    labels = ["a", "b", "c", "d", "e"]
+    theirs = [
+        call_output({"e2": "1/4"}),
+        call_output({"e2": "1/4", "old": 1}),
+        call_output({"e2": "1/4"}),
+        call_output({}, gen="p lin2 1 0\n"),
+        call_output({"e2": "1/4"}),
+    ]
+    ours = [
+        call_output({"e2": "1/4", "pairwise_e2": "1/4"}),
+        call_output({"e2": "1/3", "pairwise_e2": "1/3"}),
+        call_output({"e2": "1/4"}),
+        call_output({}, gen="p lin2 2 0\n"),
+        {"raised": "ValueError('x')"},
+    ]
+    lines = compare.differences(labels, ours, theirs)
+    assert [line.split(":")[0] for line in lines] == [
+        "diagnostics.pairwise_e2 added on 2 calls, first a",
+        "diagnostics.e2 changed on 1 calls, first b",
+        "diagnostics.old removed on 1 calls, first b",
+        "gen changed on 1 calls, first d",
+        # A call that raised here lost every other part.
+        "diagnostics.e2 removed on 1 calls, first e",
+        "gen removed on 1 calls, first e",
+        "json removed on 1 calls, first e",
+        "raised added on 1 calls, first e",
+        "record removed on 1 calls, first e",
+    ]
+    assert lines[1].endswith('this ["1/3", "1/3"], other ["1/4", "1/4"]')
+    assert compare.differences(labels, theirs, theirs) == []
+    assert compare.differences(labels, ours, theirs[:4])[-1] == "5 calls answered here, 4 there"

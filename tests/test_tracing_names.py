@@ -15,8 +15,6 @@ from abovetight import cli
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 # Stages listed by the tracer whose functions the package no longer has.
 GONE = {("maxlin", "auto_case"), ("gf2", "independent_columns"), ("gf2", "express_in_basis")}
-# A listed stage that no command calls.
-UNCALLED = {("moments", "pairwise_second_moment")}
 
 ORIENTED = "p digraph 4 4\na 1 2 2\na 2 3 1\na 3 4 1\na 4 1 1\n"
 UNIT = "p digraph 4 4\na 1 2 1\na 2 3 1\na 3 4 1\na 4 1 1\n"
@@ -46,7 +44,7 @@ def test_every_traced_stage_still_names_a_package_function():
     tracing = load_tracing()
     missing = {(mod, name) for mod, name, _ in tracing.STAGES} - present_stages(tracing)
     assert missing <= GONE, sorted(missing - GONE)
-    # Among them the one-line wrappers that only the tracer reads.
+    # Among them the one-line wrappers over the formula's cached overlap counts.
     assert {("rsat", "conflict_number"), ("moments", "pairwise_second_moment")} <= {
         (mod, name) for mod, name, _ in tracing.STAGES
     }
@@ -85,5 +83,5 @@ def test_every_traced_stage_is_reached_by_some_command(tmp_path):
     assert "ERROR" not in verdicts and "REFUSED" not in verdicts, verdicts
     assert verdicts[:7] == ["YES_WITNESS"] * 7
     recorded = {span[0] for span in tracer.spans}
-    expected = {"%s.%s" % stage for stage in present_stages(tracing) - UNCALLED}
+    expected = {"%s.%s" % stage for stage in present_stages(tracing)}
     assert expected <= recorded, sorted(expected - recorded)
