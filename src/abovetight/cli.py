@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -181,6 +182,9 @@ def _run_moments(args: argparse.Namespace) -> RunResult:
     except (ValueError, CapExceeded) as exc:
         diag["second_moment_skipped"] = str(exc)
     if args.b is not None:
+        # No exponent, whose power of ten Fraction would build in full, and no zero denominator.
+        if not re.fullmatch(r"[-+]?\d+(\.\d+|/0*[1-9]\d*)?", args.b):
+            raise ValueError("--b must be an integer, a decimal or a/b with b > 0: %r" % args.b)
         b = Fraction(args.b)
         tail = moments.verify_fourth_moment_tail(dist, b)
         diag["tail_b"] = b
@@ -193,7 +197,12 @@ def _run_moments(args: argparse.Namespace) -> RunResult:
 
 
 def run(argv: Sequence[str]) -> RunResult:
-    """Execute one command and return its structured result."""
+    """Execute one command and return its structured result.
+
+    A refusal, an --emit file that cannot be written and a diagnostic too
+    long to print all come back as a REFUSED or ERROR result, so that
+    ``main`` can print any result it is given.
+    """
     args = _PARSER.parse_args(list(argv))
     started = time.perf_counter()
     try:
@@ -222,8 +231,7 @@ def run(argv: Sequence[str]) -> RunResult:
                 diagnostics={"kind": args.kind, "seed": args.seed, "format": out.format},
             )
             if args.emit:
-                with open(args.emit, "w", encoding="utf-8") as handle:
-                    handle.write(out.text)
+                _emit(args.emit, out.text)
             else:
                 result.diagnostics["text"] = out.text
     except RestrictionViolated as exc:
@@ -231,10 +239,24 @@ def run(argv: Sequence[str]) -> RunResult:
     except (OSError, ValueError, CapExceeded) as exc:
         result = RunResult(verdict="ERROR", error=str(exc))
     result.time_ms = (time.perf_counter() - started) * 1000
+    try:
+        for key, value in result.diagnostics.items():
+            str(value)  # raises past the interpreter's int-to-str digit limit
+    except ValueError as exc:
+        error = "cannot print %s: %s" % (key, exc)
+        result = RunResult(verdict="ERROR", error=error, time_ms=result.time_ms)
     if args.emit and args.command != "gen":
-        with open(args.emit, "w", encoding="utf-8") as handle:
-            handle.write(result.to_json() + "\n")
+        try:
+            _emit(args.emit, result.to_json() + "\n")
+        except OSError as exc:
+            result = RunResult(verdict="ERROR", error=str(exc), time_ms=result.time_ms)
     return result
+
+
+def _emit(path: str, text: str) -> None:
+    """Write an --emit file; an OSError names the path."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _cap_kw(args: argparse.Namespace) -> dict[str, int]:

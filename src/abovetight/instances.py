@@ -11,7 +11,8 @@ lin2      header ``p lin2 <n> <m>``, then m lines ``e <w> <b> <i1> ... <it>``
           listing an equation of weight w, right side b and distinct
           1-based variable indices.
 ecnf      header ``p ecnf <n> <m> <r>``, then m clause lines of exactly r
-          nonzero signed literals terminated by ``0``.
+          nonzero signed literals terminated by ``0``. The header refuses
+          an r outside 2..``rsat.MAX_CLAUSE_WIDTH``.
 
 Arc and clause lines have a fixed width, so they are read by columns: the
 int columns go to the ``WeightedDigraph`` or ``ExactCnfFormula`` column
@@ -45,7 +46,7 @@ from itertools import chain, repeat
 
 from .linord import WeightedDigraph
 from .maxlin import Lin2Equation, Lin2System
-from .rsat import ExactCnfFormula
+from .rsat import MAX_CLAUSE_WIDTH, ExactCnfFormula
 
 Instance = WeightedDigraph | Lin2System | ExactCnfFormula
 
@@ -67,6 +68,8 @@ GENERATOR_SIZES: dict[str, dict[str, int | None]] = {
     "remark2": {"n": 3},
 }
 GENERATOR_KINDS = tuple(GENERATOR_SIZES)
+# The most equations a lin2 generator writes.
+MAX_GEN_EQUATIONS = 4096
 
 
 class ParseError(ValueError):
@@ -199,8 +202,9 @@ def _lin2_by_lines(n: int, records: list[tuple[int, list[str]]]) -> Lin2System:
             raise ParseError(line_no, "variable index out of range 1..%d" % n)
         if len(set(indices)) != len(indices):
             raise ParseError(line_no, "repeated variable in the equation")
-        eqs.append(Lin2Equation._unchecked(tuple(sorted(i - 1 for i in indices)), b, w))
-    return Lin2System._unchecked(n, tuple(eqs))
+        variables = tuple(sorted(i - 1 for i in indices))
+        eqs.append(Lin2Equation._unchecked(variables=variables, rhs=b, weight=w))
+    return Lin2System._unchecked(n=n, equations=tuple(eqs))
 
 
 def parse_instance(text: str) -> Instance:
@@ -232,8 +236,9 @@ def parse_instance(text: str) -> Instance:
     n, m = sizes[0], sizes[1]
     if n < 0 or m < 0:
         raise ParseError(header_no, "counts must be nonnegative")
-    if fmt == "ecnf" and sizes[2] < 2:
-        raise ParseError(header_no, "clause width must be at least 2")
+    if fmt == "ecnf" and not 2 <= sizes[2] <= MAX_CLAUSE_WIDTH:
+        bound = "at least 2" if sizes[2] < 2 else "at most %d" % MAX_CLAUSE_WIDTH
+        raise ParseError(header_no, "clause width must be " + bound)
     body = lines[header_no:]
     if fmt == "lin2":
         records = _significant_lines(body, header_no + 1)
@@ -334,7 +339,8 @@ def gen_instance(kind: str, seed: int = 0, **sizes: int | None) -> InstanceFile:
         return serialize_instance(WeightedDigraph.from_arcs(n, arcs))
     if kind == "cancelling-pairs-lin2":
         _require(1 <= n <= 30, "n must be in 1..30")
-        _require(1 <= pairs <= (1 << n) - 1, "pairs must be in 1..2^n-1")
+        most = min((1 << n) - 1, MAX_GEN_EQUATIONS // 2)
+        _require(1 <= pairs <= most, "pairs must be in 1..%d" % most)
         subset_masks = rng.sample(range(1, 1 << n), pairs)
         eqs = []
         for mask in sorted(subset_masks):
@@ -346,7 +352,7 @@ def gen_instance(kind: str, seed: int = 0, **sizes: int | None) -> InstanceFile:
     if kind == "random-lin2":
         _require(1 <= n <= 30, "n must be in 1..30")
         m = 2 * n if m is None else m
-        _require(0 <= m <= 4096, "m must be in 0..4096")
+        _require(0 <= m <= MAX_GEN_EQUATIONS, "m must be in 0..%d" % MAX_GEN_EQUATIONS)
         r = min(3, n) if r is None else r
         _require(1 <= r <= n, "r must be in 1..n")
         eqs = []

@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import chain, compress, repeat
 
 from . import gf2
-from .outcome import CapExceeded, DecisionOutcome, Verdict, check_cap
+from .outcome import CapExceeded, DecisionOutcome, Record, Verdict, check_cap
 
 DEFAULT_VERTEX_CAP = 24
 # forward_weight_counts packs its counts while 2^n' subsets of (W + 1) digits fit in
@@ -81,7 +81,7 @@ def _columns(arcs) -> tuple[tuple, tuple, tuple]:
 
 
 @dataclass(frozen=True, init=False)
-class WeightedDigraph:
+class WeightedDigraph(Record):
     """Loop-free digraph with positive integer arc weights, vertices 0..n-1.
 
     The arcs are held as three columns, ``tails``, ``heads`` and
@@ -89,7 +89,9 @@ class WeightedDigraph:
     tail * n + head; ``arcs`` is the same arcs as a sorted tuple of
     triples, built on first use. Every constructor checks its arcs in one
     place (``_checked_columns``); only columns derived from a checked
-    digraph skip it (``_unchecked``).
+    digraph's skip it (``_from_checked``). Such columns hold distinct
+    loop-free pairs in range, ordered by (tail, head), with positive int
+    weights and their pair keys.
     """
 
     n: int
@@ -104,7 +106,7 @@ class WeightedDigraph:
         columns = _checked_columns(n, tails, heads, weights)
         if len(columns[3]) < len(tails):
             raise ValueError("parallel arcs must be merged before construction")
-        self._fill(n, *columns)
+        vars(self).update(vars(self._from_checked(n, *columns)))
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> WeightedDigraph:
@@ -114,40 +116,23 @@ class WeightedDigraph:
     @classmethod
     def from_columns(cls, n: int, tails, heads, weights) -> WeightedDigraph:
         """``from_arcs`` on the arcs' tail, head and weight columns."""
-        return cls._unchecked(n, *_checked_columns(n, tails, heads, weights))
+        return cls._from_checked(n, *_checked_columns(n, tails, heads, weights))
 
     @classmethod
-    def _unchecked(cls, n: int, tails, heads, weights, pair_keys) -> WeightedDigraph:
-        """Skip the checks, for columns derived from a checked digraph's.
-
-        Such columns hold distinct loop-free pairs in range, ordered by
-        (tail, head), with positive weights and their pair keys.
-        """
-        g = object.__new__(cls)
-        g._fill(n, tails, heads, weights, pair_keys)
-        return g
-
-    def _fill(self, n: int, tails, heads, weights, pair_keys) -> None:
-        # The columns come as sequences, not iterators: tuple() of an iterator grows
-        # and then shrinks the tuple, which in CPython 3.11 moves small tuples between
-        # the per-size free lists; over a thousand small digraphs that held 0.3 MB more.
-        vars(self).update(
-            n=n,
-            tails=tuple(tails),
-            heads=tuple(heads),
-            weights=tuple(weights),
-            pair_keys=tuple(pair_keys),
-        )
+    def _from_checked(cls, n: int, tails, heads, weights, pair_keys) -> WeightedDigraph:
+        """The digraph of checked column sequences, each made a tuple (see ``Record``)."""
+        tails, heads, weights, pair_keys = map(tuple, (tails, heads, weights, pair_keys))
+        return cls._unchecked(n=n, tails=tails, heads=heads, weights=weights, pair_keys=pair_keys)
 
     def _subgraph(self, kept, weights=None) -> WeightedDigraph:
         """The arcs whose flag in ``kept`` is true, at their weight in ``weights`` if given; no check."""
         weights = self.weights if weights is None else weights
         columns = self.tails, self.heads, weights, self.pair_keys
-        return self._unchecked(self.n, *(list(compress(column, kept)) for column in columns))
+        return self._from_checked(self.n, *(list(compress(column, kept)) for column in columns))
 
     @cached_property
     def arcs(self) -> tuple[tuple[int, int, int], ...]:
-        # From a list, for the reason given in _fill.
+        # From a list, as Record says.
         return tuple(list(zip(self.tails, self.heads, self.weights)))
 
 
@@ -165,21 +150,17 @@ class DigraphStats:
 
 
 @dataclass(frozen=True)
-class LinearOrder:
-    """An order of the vertices 0..n-1, held as its sequence: ``vertices[r]`` has rank r + 1."""
+class LinearOrder(Record):
+    """An order of the vertices 0..n-1, held as its sequence: ``vertices[r]`` has rank r + 1.
+
+    ``_unchecked`` skips the permutation check, for a sequence already proved to be one.
+    """
 
     vertices: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not all(map(operator.eq, sorted(self.vertices), range(len(self.vertices)))):
             raise ValueError("sequence must be a permutation of 0..n-1")
-
-    @classmethod
-    def _unchecked(cls, vertices: tuple[int, ...]) -> LinearOrder:
-        """Skip the permutation check, for a sequence already proved to be one."""
-        order = object.__new__(cls)
-        vars(order)["vertices"] = vertices
-        return order
 
 
 def digraph_stats(g: WeightedDigraph) -> DigraphStats:
@@ -420,7 +401,7 @@ def with_isolated(seq: list[int], n: int, lead: bool = False) -> LinearOrder:
     vertices = tuple(chain(others, seq) if lead else chain(seq, others))
     if len(vertices) != n:
         raise ValueError("sequence must list distinct vertices of 0..n-1")
-    return LinearOrder._unchecked(vertices)
+    return LinearOrder._unchecked(vertices=vertices)
 
 
 def loalb_threshold(k: int) -> int:

@@ -16,14 +16,19 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from . import gf2
-from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict, check_cap
+from .outcome import CapExceeded, DecisionOutcome, Record, RestrictionViolated, Verdict, check_cap
 
 DEFAULT_ASSIGNMENT_CAP = 20
 
 
 @dataclass(frozen=True)
-class Lin2Equation:
-    """A weighted parity constraint: sum of ``variables`` equals ``rhs``."""
+class Lin2Equation(Record):
+    """A weighted parity constraint: sum of ``variables`` equals ``rhs``.
+
+    ``_unchecked`` skips the checks, for an equation derived from checked
+    ones or checked while parsed: its variables are nonempty and strictly
+    increasing, rhs is 0 or 1 and weight a positive int.
+    """
 
     variables: tuple[int, ...]
     rhs: int
@@ -39,21 +44,14 @@ class Lin2Equation:
         if not isinstance(self.weight, int) or self.weight < 1:
             raise ValueError("weights must be positive integers")
 
-    @classmethod
-    def _unchecked(cls, variables: tuple[int, ...], rhs: int, weight: int) -> Lin2Equation:
-        """Skip the checks, for an equation derived from checked ones or checked while parsed.
-
-        Its variables are nonempty and strictly increasing, rhs is 0 or 1 and
-        weight a positive int.
-        """
-        eq = object.__new__(cls)
-        vars(eq).update(variables=variables, rhs=rhs, weight=weight)
-        return eq
-
 
 @dataclass(frozen=True)
-class Lin2System:
-    """Weighted linear system over GF(2) on variables 0..n-1."""
+class Lin2System(Record):
+    """Weighted linear system over GF(2) on variables 0..n-1.
+
+    ``_unchecked`` skips the check, for equations over variables 0..n-1
+    derived from checked ones or parsed.
+    """
 
     n: int
     equations: tuple[Lin2Equation, ...]
@@ -65,13 +63,6 @@ class Lin2System:
             # Variables are strictly increasing, so the ends bound them all.
             if eq.variables[0] < 0 or eq.variables[-1] >= self.n:
                 raise ValueError("equation references a variable outside 0..n-1")
-
-    @classmethod
-    def _unchecked(cls, n: int, equations: tuple[Lin2Equation, ...]) -> Lin2System:
-        """Skip the check, for equations over variables 0..n-1 derived from checked ones or parsed."""
-        s = object.__new__(cls)
-        vars(s).update(n=n, equations=equations)
-        return s
 
     @classmethod
     def from_tuples(cls, n: int, eqs: Iterable[tuple[Sequence[int], int, int]]) -> Lin2System:
@@ -141,10 +132,10 @@ def merge_duplicates(s: Lin2System) -> Lin2System:
     out = []
     for key, net in signed.items():
         if net > 0:
-            out.append(Lin2Equation._unchecked(key, 0, net))
+            out.append(Lin2Equation._unchecked(variables=key, rhs=0, weight=net))
         elif net < 0:
-            out.append(Lin2Equation._unchecked(key, 1, -net))
-    return Lin2System._unchecked(s.n, tuple(out))
+            out.append(Lin2Equation._unchecked(variables=key, rhs=1, weight=-net))
+    return Lin2System._unchecked(n=s.n, equations=tuple(out))
 
 
 def system_stats(s: Lin2System) -> SystemStats:
@@ -188,14 +179,12 @@ def rank_reduce(s: Lin2System) -> RankReduction:
     basis = [occurring[p] for p in sorted(gf2.echelon(masks))]
     position = {v: i for i, v in enumerate(basis)}
     # Basis positions grow with the variables, so each equation's stay strictly
-    # increasing. Tuples from lists: see WeightedDigraph._fill on tuple() of an iterator.
-    new_eqs = [
-        Lin2Equation._unchecked(
-            tuple([position[v] for v in eq.variables if v in position]), eq.rhs, eq.weight
-        )
-        for eq in s.equations
-    ]
-    reduced = Lin2System._unchecked(len(basis), tuple(new_eqs))
+    # increasing. Tuples from lists, as Record says.
+    new_eqs = []
+    for eq in s.equations:
+        variables = tuple([position[v] for v in eq.variables if v in position])
+        new_eqs.append(Lin2Equation._unchecked(variables=variables, rhs=eq.rhs, weight=eq.weight))
+    reduced = Lin2System._unchecked(n=len(basis), equations=tuple(new_eqs))
     return RankReduction(reduced=reduced, basis=tuple(basis), original_n=s.n)
 
 

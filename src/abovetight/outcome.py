@@ -4,7 +4,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, TypeVar
+
+R = TypeVar("R", bound="Record")
+
+
+class Record:
+    """Base of the frozen record types whose checks values already checked may skip.
+
+    ``_unchecked`` builds such a record from its fields by keyword with no
+    ``__init__`` or ``__post_init__`` call, so the caller vouches for what
+    those would check; each subclass states that invariant in its docstring.
+    Tuple fields are built from lists or tuples, not iterators: in CPython
+    3.11 ``tuple()`` of an iterator grows and then shrinks the tuple, which
+    moves small tuples between the per-size free lists, and over a thousand
+    small digraphs that held 0.3 MB more.
+    """
+
+    @classmethod
+    def _unchecked(cls: type[R], **fields: Any) -> R:
+        record = object.__new__(cls)
+        vars(record).update(fields)
+        return record
 
 
 class Verdict(Enum):

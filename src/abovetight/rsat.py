@@ -11,6 +11,7 @@ numerator k_num.
 from __future__ import annotations
 
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
@@ -20,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import gf2
 from .maxlin import DEFAULT_ASSIGNMENT_CAP, fourth_moment_threshold
-from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict, check_cap
+from .outcome import CapExceeded, DecisionOutcome, Record, RestrictionViolated, Verdict, check_cap
 
 # Sub-clause keys of size 2 and up that ``overlap_histogram`` may count, summed
 # over the sizes it reaches. At this many keys, formulas of width 2-20 sharing
@@ -29,6 +30,14 @@ from .outcome import CapExceeded, DecisionOutcome, RestrictionViolated, Verdict,
 # (200,000 width-2 clauses sharing one variable), within gf2.COUNT_BUDGET_BYTES
 # (Python 3.11, 2 cores).
 SUBCLAUSE_KEY_BUDGET = 200_000
+
+# The widest clause an ecnf header may declare. Past it the threshold 16 * 64^r = 2^(6r + 4)
+# that rsat prints at k_num = 1, the largest printed value that grows with r alone, has more
+# digits than the interpreter's int-to-str limit (taken as CPython's default of 4300 where the
+# interpreter has none or it is off). 2^(6r + 4) < 10^limit exactly when 6r + 5 is at most the
+# bit length of 10^limit.
+_DIGITS = getattr(sys, "get_int_max_str_digits", int)() or 4300
+MAX_CLAUSE_WIDTH = ((10**_DIGITS).bit_length() - 5) // 6
 
 
 def _check_formula(n: int, r: int, widths: Iterable[int], columns: Sequence[Sequence[int]]) -> None:
@@ -57,11 +66,12 @@ def _check_formula(n: int, r: int, widths: Iterable[int], columns: Sequence[Sequ
 
 
 @dataclass(frozen=True)
-class ExactCnfFormula:
+class ExactCnfFormula(Record):
     """Multiset of width-r clauses; literals are nonzero ints over vars 1..n.
 
     Each clause lists its literals by increasing variable. The constructor
-    checks the clauses a column at a time (``_check_formula``).
+    and ``from_columns`` check the clauses a column at a time
+    (``_check_formula``); ``from_columns`` then skips ``__post_init__``.
     """
 
     n: int
@@ -78,10 +88,8 @@ class ExactCnfFormula:
         The r columns are of equal length; the clauses are built only after the check.
         """
         _check_formula(n, r, (len(columns),), columns)
-        f = object.__new__(cls)
-        # From a list: see WeightedDigraph._fill on tuple() of an iterator.
-        vars(f).update(n=n, r=r, clauses=tuple(list(zip(*columns))))
-        return f
+        # From a list, as Record says.
+        return cls._unchecked(n=n, r=r, clauses=tuple(list(zip(*columns))))
 
     @classmethod
     def from_clauses(cls, n: int, r: int, clauses: Iterable[Sequence[int]]) -> ExactCnfFormula:

@@ -1,12 +1,17 @@
 import argparse
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import abovetight
 from abovetight import maxlin, moments, rsat
 from abovetight.cli import _PARSER, main, run
 from abovetight.instances import GENERATOR_KINDS, gen_instance
@@ -550,3 +555,56 @@ def test_main_prints_lines_and_exit_codes(tmp_path, capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         run(["frobnicate", "x"])
+
+
+# Only where the interpreter limits int-to-str conversion can a value be too long to print.
+LIMITED = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["loalb", "g.txt", "--k", "1", "--emit", "missing/x.json"], "missing/x.json"),
+        # w2_threshold = 12k^2 has 4,401 digits.
+        pytest.param(["loalb", "g.txt", "--k", "9" * 2200], "w2_threshold", marks=LIMITED),
+        # m_threshold = 16 * 64^2400.
+        pytest.param(["linalb", "s.txt", "--k", "1", "--case", "arity"], "m_threshold", marks=LIMITED),
+        (["rsat", "f.txt", "--k-num", "1"], "clause width"),
+        (["rsat", "w.txt", "--k-num", "1"], "clause width"),
+        (["moments", "w.txt"], "clause width"),
+        (["moments", "g.txt", "--b", "1/0"], "--b"),
+        (["moments", "g.txt", "--b", "1e-3000000"], "--b"),
+        (["gen", "cancelling-pairs-lin2", "--n", "12", "--pairs", "2049"], "pairs must be in 1..2048"),
+    ],
+)
+def test_hostile_input_ends_in_error_naming_its_cause(tmp_path, argv, named):
+    # In a child process, so that a crash while main prints, or a hang, fails this test alone.
+    write(tmp_path, "g.txt", SINGLE_ARC)
+    write(tmp_path, "s.txt", "p lin2 2400 1\ne 1 1 %s\n" % " ".join(map(str, range(1, 2401))))
+    clause = " ".join(map(str, range(1, 2401)))
+    write(tmp_path, "f.txt", "p ecnf 2400 1 2400\n%s 0\n" % clause)
+    write(tmp_path, "w.txt", "p ecnf 1 0 300000\n")
+    src = str(Path(abovetight.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "abovetight.cli", *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "verdict ERROR" and "Traceback" not in proc.stderr
+    assert named in next(line for line in lines if line.startswith("error "))
+
+
+@LIMITED
+def test_emit_writes_the_error_when_a_diagnostic_is_too_long_to_print(tmp_path):
+    out = tmp_path / "r.json"
+    path = write(tmp_path, "g.txt", SINGLE_ARC)
+    result = run(["loalb", path, "--k", "9" * 2200, "--emit", str(out)])
+    assert result.verdict == "ERROR" and result.error.startswith("cannot print w2_threshold")
+    assert json.loads(out.read_text())["error"] == result.error

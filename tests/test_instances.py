@@ -13,10 +13,10 @@ from abovetight.instances import (
     parse_instance,
     serialize_instance,
 )
-from abovetight.linord import WeightedDigraph
-from abovetight.maxlin import CaseKind, Lin2System, decide_linalb, merge_duplicates
+from abovetight.linord import LinearOrder, WeightedDigraph
+from abovetight.maxlin import CaseKind, Lin2Equation, Lin2System, decide_linalb, merge_duplicates
 from abovetight.outcome import Verdict
-from abovetight.rsat import ExactCnfFormula, decide_rsatalb
+from abovetight.rsat import MAX_CLAUSE_WIDTH, ExactCnfFormula, decide_rsatalb
 
 from helpers import parse_instance_by_lines, random_digraph, random_formula, random_lin2
 
@@ -56,6 +56,8 @@ def test_parse_ecnf():
         ("p ecnf 2 1 2\n1 -1 0\n", 2, "repeats"),
         ("p ecnf 2 1 2\n1 3 0\n", 2, "variable out of range 1..2"),
         ("p ecnf 2 1 1\n1 0\n", 1, "at least 2"),
+        # Refused at the header, before the r literal columns are built.
+        ("p ecnf 1 0 %d\n" % (MAX_CLAUSE_WIDTH + 1), 1, "at most %d" % MAX_CLAUSE_WIDTH),
         ("p nonsense 1 1\n", 1, "unknown format"),
         ("", 1, "empty"),
         ("p digraph 2\n", 1, "header needs"),
@@ -487,3 +489,25 @@ def test_remark2_generator_matches_library_family():
 
     s = parse_instance(gen_instance("remark2", n=4).text)
     assert s == all_subsets_system(4)
+
+
+_EQUATION = Lin2Equation((0, 2), 1, 3)
+
+
+@pytest.mark.parametrize(
+    "checked, fields",
+    [
+        (_EQUATION, dict(variables=(0, 2), rhs=1, weight=3)),
+        (Lin2System(3, (_EQUATION,)), dict(n=3, equations=(_EQUATION,))),
+        (LinearOrder((2, 0, 1)), dict(vertices=(2, 0, 1))),
+        (
+            WeightedDigraph.from_arcs(3, [(2, 0, 1), (0, 1, 2), (0, 1, 1)]),
+            dict(n=3, tails=(0, 2), heads=(1, 0), weights=(3, 1), pair_keys=(1, 6)),
+        ),
+        (ExactCnfFormula(3, 2, ((1, -2), (-1, 3))), dict(n=3, r=2, clauses=((1, -2), (-1, 3)))),
+    ],
+)
+def test_unchecked_record_is_the_checked_one(checked, fields):
+    unchecked = type(checked)._unchecked(**fields)
+    assert vars(unchecked) == vars(checked)
+    assert unchecked == checked and hash(unchecked) == hash(checked)

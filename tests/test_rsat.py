@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -11,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abovetight import rsat
+from abovetight.instances import parse_instance
+from abovetight.maxlin import fourth_moment_threshold
 from abovetight.moments import dist_rsat, moment_p
 from abovetight.outcome import CapExceeded, RestrictionViolated, Verdict
 from abovetight.rsat import (
+    MAX_CLAUSE_WIDTH,
     SUBCLAUSE_KEY_BUDGET,
     ExactCnfFormula,
     conflict_bound,
@@ -65,6 +69,13 @@ def test_formula_validation():
         ExactCnfFormula(2, 2, ((2, -1),))
     with pytest.raises(ValueError, match="cover all variables"):
         satisfied_count(ExactCnfFormula(2, 2, ((1, 2),)), [1])
+
+
+def test_max_clause_width_is_the_widest_whose_threshold_prints():
+    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    at, past = (fourth_moment_threshold(1, r) for r in (MAX_CLAUSE_WIDTH, MAX_CLAUSE_WIDTH + 1))
+    assert at < 10**limit <= past
+    assert parse_instance("p ecnf 1 0 %d\n" % MAX_CLAUSE_WIDTH).r == MAX_CLAUSE_WIDTH
 
 
 @pytest.mark.parametrize(
