@@ -14,6 +14,8 @@ from itertools import repeat
 from operator import add, lshift
 from typing import Iterable
 
+from .outcome import check_cap
+
 
 def echelon(rows: Iterable[int]) -> dict[int, int]:
     """Row echelon form of ``rows``, each echelon row keyed by its lowest set bit.
@@ -50,8 +52,9 @@ def solve_affine(rows: Iterable[int], rhs: int, cols: int) -> int | None:
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
-# Bytes an exact count may hold: the bit-sliced counter of ``maxlin`` and the
-# packed order polynomials of ``linord.forward_weight_counts`` (64 MiB).
+# Bytes an exact count may hold: the bit-sliced counter of ``maxlin`` and ``rsat``
+# (``check_counter``) and the packed order polynomials of
+# ``linord.forward_weight_counts`` (64 MiB).
 COUNT_BUDGET_BYTES = 1 << 26
 # Native unsigned integer formats by width in bytes, for memoryview.cast.
 WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -82,6 +85,17 @@ def cube_mask(care: int, value: int, n: int) -> int:
         elif (value >> v) & 1:
             mask <<= 1 << v
     return mask
+
+
+def check_counter(refused: str, total: int, n: int) -> None:
+    """Refuse, reported as ``refused``, a ``tally`` of weights summing to ``total`` over 2^n assignments.
+
+    Its slices take 2^n times the bit length of ``total``; past the bits of
+    ``COUNT_BUDGET_BYTES`` the count raises CapExceeded with ``counter_cap``
+    and ``counter_bits``.
+    """
+    needed = total.bit_length() << n
+    check_cap(refused, needed, "counter bits", 8 * COUNT_BUDGET_BYTES, ("counter_cap", "counter_bits"))
 
 
 def tally(weighted_masks: Iterable[tuple[int, int]]) -> list[int]:

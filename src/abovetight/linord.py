@@ -373,7 +373,7 @@ def exact_max_acyclic(
     """
     active = active_vertices(g)
     m = len(active)
-    check_cap("exact solve", m, "non-isolated vertices", cap)
+    check_cap("exact solve", m, "non-isolated vertices", cap, ("cap", "kernel_vertices"))
     matrix = _in_weights(g, active)
     out_masks = [sum(1 << i for i, row in enumerate(matrix) if row[t]) for t in range(m)]
     value = sum(g.weights)
@@ -434,8 +434,7 @@ def decide_loalb(
     try:
         value, order = exact_max_acyclic(reduced, cap=cap)
     except CapExceeded as exc:
-        diag["cap"] = cap
-        diag["kernel_vertices"] = exc.needed
+        diag.update(exc.report)
         return DecisionOutcome(Verdict.KERNEL, kernel=reduced, diagnostics=diag)
     doubled = 2 * value - sum(weights)
     diag["best_2x"] = doubled

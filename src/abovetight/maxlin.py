@@ -216,14 +216,13 @@ def evaluate_x(s: Lin2System, z: Sequence[int]) -> int:
 def _satisfied_weight(s: Lin2System, refused: str) -> tuple[list[int], int]:
     """``gf2.tally`` slices of the satisfied weight Y of each assignment, and W; X = 2Y - W.
 
-    The slices take 2^n times the bit length of W; past the bits of
-    ``gf2.COUNT_BUDGET_BYTES`` the count is refused, reported as
-    ``refused``. A distribution's transposed copy of the slices takes at
-    most twice that once W has 8 bits or more (one byte per 8 bits, padded
-    to a native word).
+    The slices take 2^n times the bit length of W, refused as ``refused``
+    past the count budget (``gf2.check_counter``). A distribution's
+    transposed copy of the slices takes at most twice that once W has 8
+    bits or more (one byte per 8 bits, padded to a native word).
     """
     total = sum(eq.weight for eq in s.equations)
-    check_cap(refused, total.bit_length() << s.n, "counter bits", 8 * gf2.COUNT_BUDGET_BYTES)
+    gf2.check_counter(refused, total, s.n)
     pairs = ((sum(1 << v for v in eq.variables), eq) for eq in s.equations)
     slices = gf2.tally((gf2.parity_mask(mask, eq.rhs, s.n), eq.weight) for mask, eq in pairs)
     return slices, total
@@ -235,7 +234,7 @@ def solve_exact(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[int, 
     Deterministic: maximum X, smallest assignment on ties. Refuses systems
     with more than ``cap`` variables or a counter past the count budget.
     """
-    check_cap("exact solve", s.n, "variables", cap)
+    check_cap("exact solve", s.n, "variables", cap, ("cap", "kernel_vars"))
     slices, total = _satisfied_weight(s, "exact solve")
     best_y, z = gf2.top(slices, s.n)
     return 2 * best_y - total, tuple((z >> v) & 1 for v in range(s.n))
@@ -321,11 +320,7 @@ def decide_linalb(
     try:
         best, y = solve_exact(reduction.reduced, cap=cap)
     except CapExceeded as exc:
-        if reduction.reduced.n > cap:
-            diag["cap"] = cap
-        else:
-            diag["counter_bits"] = exc.needed
-            diag["counter_cap"] = 8 * gf2.COUNT_BUDGET_BYTES
+        diag.update(exc.report)
         return DecisionOutcome(Verdict.KERNEL, kernel=reduction.reduced, diagnostics=diag)
     diag["best_x"] = best
     diag["target_x"] = 2 * k

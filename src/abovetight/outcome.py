@@ -60,18 +60,26 @@ class DecisionOutcome:
 
 
 class CapExceeded(Exception):
-    """Exact solving refused: the instance is larger than the configured cap."""
+    """Exact solving refused: the instance is larger than the configured cap.
 
-    def __init__(self, message: str, needed: int):
+    ``report`` holds the limit and the count that passed it, under the keys
+    a KERNEL record echoes them with.
+    """
+
+    def __init__(self, message: str, report: dict[str, int]):
         super().__init__(message)
-        self.needed = needed
+        self.report = report
 
 
-def check_cap(refused: str, needed: int, items: str, cap: int) -> None:
-    """Raise CapExceeded when ``needed`` items exceed ``cap``."""
+def check_cap(refused: str, needed: int, items: str, cap: int, keys: tuple[str, ...] = ()) -> None:
+    """Raise CapExceeded when ``needed`` items exceed ``cap``.
+
+    ``keys`` names the limit and the count in the report, for a check whose
+    refusal a KERNEL record echoes; without them the report is empty.
+    """
     if needed > cap:
         message = "%s refused: %d %s exceed cap %d" % (refused, needed, items, cap)
-        raise CapExceeded(message, needed)
+        raise CapExceeded(message, dict(zip(keys, (cap, needed))))
 
 
 class RestrictionViolated(Exception):

@@ -27,8 +27,8 @@ from .outcome import CapExceeded, DecisionOutcome, Record, RestrictionViolated, 
 # over the sizes it reaches. At this many keys, formulas of width 2-20 sharing
 # 1-19 variables took at most 0.95 s (three width-16 clauses sharing 10-15
 # variables, where each index set's fixed cost dominates) and 53 MiB traced
-# (200,000 width-2 clauses sharing one variable), within gf2.COUNT_BUDGET_BYTES
-# (Python 3.11, 2 cores).
+# (200,000 width-2 clauses sharing one variable), within the 64 MiB count
+# budget of ``gf2`` (Python 3.11, 2 cores).
 SUBCLAUSE_KEY_BUDGET = 200_000
 
 # The widest clause an ecnf header may declare. Past it the threshold 16 * 64^r = 2^(6r + 4)
@@ -199,12 +199,14 @@ def _scaled(f: ExactCnfFormula, satisfied: int) -> int:
     return (1 << f.r) * satisfied - ((1 << f.r) - 1) * len(f.clauses)
 
 
-def _satisfied_count(f: ExactCnfFormula, variables: list[int]) -> list[int]:
+def _satisfied_count(f: ExactCnfFormula, variables: list[int], refused: str) -> list[int]:
     """``gf2.tally`` slices of the satisfied-clause count, over bit p = ``variables[p]``.
 
-    A clause is unsatisfied exactly where each of its variables takes the
+    Refused as ``refused`` past the count budget (``gf2.check_counter``). A
+    clause is unsatisfied exactly where each of its variables takes the
     value that makes its literal false.
     """
+    gf2.check_counter(refused, len(f.clauses), len(variables))
     index = {v: p for p, v in enumerate(variables)}
     full = (1 << (1 << len(variables))) - 1
     unsatisfied = (
@@ -226,8 +228,8 @@ def solve_exact(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[
     assignment on ties.
     """
     variables = f.occurring_variables()
-    check_cap("exact solve", len(variables), "occurring variables", cap)
-    satisfied, z = gf2.top(_satisfied_count(f, variables), len(variables))
+    check_cap("exact solve", len(variables), "occurring variables", cap, ("cap", "kernel_vars"))
+    satisfied, z = gf2.top(_satisfied_count(f, variables, "exact solve"), len(variables))
     witness = [0] * f.n
     for p, v in enumerate(variables):
         witness[v - 1] = (z >> p) & 1
@@ -237,8 +239,7 @@ def solve_exact(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[
 def scaled_x_counts(f: ExactCnfFormula) -> Counter[int]:
     """Exact multiset of scaled-balance values over the assignments of the occurring variables."""
     variables = f.occurring_variables()
-    slices = _satisfied_count(f, variables)
-    return gf2.histogram(slices, len(variables), f.r, _scaled(f, 0))
+    return gf2.histogram(_satisfied_count(f, variables, "distribution"), len(variables), f.r, _scaled(f, 0))
 
 
 def conflict_bound(f: ExactCnfFormula) -> int:
@@ -278,8 +279,7 @@ def decide_rsatalb(
     try:
         best, witness = solve_exact(f, cap=cap)
     except CapExceeded as exc:
-        diag["cap"] = cap
-        diag["kernel_vars"] = exc.needed
+        diag.update(exc.report)
         return DecisionOutcome(Verdict.KERNEL, kernel=f, diagnostics=diag)
     diag["best_scaled_x"] = best
     diag["target_scaled_x"] = k_num

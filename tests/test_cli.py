@@ -21,6 +21,9 @@ SINGLE_ARC = "p digraph 2 1\na 1 2 2\n"
 ODD_SET_FOUR = "p lin2 4 4\ne 1 1 1\ne 1 1 2\ne 1 1 3\ne 1 1 4\n"
 SINGLE_CLAUSE = "p ecnf 2 1 2\n1 2 0\n"
 COMPLETE_R2 = "p ecnf 2 4 2\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
+# The all-positive width-3 chain on 28 variables: clause i holds variables i+1..i+3.
+# Its counter needs 5 slices of 2^28 bits, 1,342,177,280 bits, past the count budget.
+F28 = "p ecnf 28 26 3\n" + "".join("%d %d %d 0\n" % (i + 1, i + 2, i + 3) for i in range(26))
 
 
 def write(tmp_path, name, text):
@@ -577,6 +580,7 @@ LIMITED = pytest.mark.skipif(
         (["moments", "g.txt", "--b", "1/0"], "--b"),
         (["moments", "g.txt", "--b", "1e-3000000"], "--b"),
         (["gen", "cancelling-pairs-lin2", "--n", "12", "--pairs", "2049"], "pairs must be in 1..2048"),
+        (["moments", "F28.txt", "--cap", "40"], "counter bits"),
     ],
 )
 def test_hostile_input_ends_in_error_naming_its_cause(tmp_path, argv, named):
@@ -586,6 +590,7 @@ def test_hostile_input_ends_in_error_naming_its_cause(tmp_path, argv, named):
     clause = " ".join(map(str, range(1, 2401)))
     write(tmp_path, "f.txt", "p ecnf 2400 1 2400\n%s 0\n" % clause)
     write(tmp_path, "w.txt", "p ecnf 1 0 300000\n")
+    write(tmp_path, "F28.txt", F28)
     src = str(Path(abovetight.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "abovetight.cli", *argv],
@@ -599,6 +604,24 @@ def test_hostile_input_ends_in_error_naming_its_cause(tmp_path, argv, named):
     lines = proc.stdout.splitlines()
     assert lines[0] == "verdict ERROR" and "Traceback" not in proc.stderr
     assert named in next(line for line in lines if line.startswith("error "))
+
+
+def test_rsat_past_the_count_budget_ends_in_kernel(tmp_path):
+    # In a child process with the hostile-input timeout: the counter is refused, not built.
+    write(tmp_path, "F28.txt", F28)
+    src = str(Path(abovetight.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "abovetight.cli", "rsat", "F28.txt", "--k-num", "1", "--cap", "40"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "verdict KERNEL"
+    assert "counter_bits 1342177280" in lines and "counter_cap 536870912" in lines
 
 
 @LIMITED

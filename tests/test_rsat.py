@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abovetight import rsat
+from abovetight import gf2, rsat
 from abovetight.instances import parse_instance
 from abovetight.maxlin import fourth_moment_threshold
 from abovetight.moments import dist_rsat, moment_p
@@ -417,6 +417,25 @@ def test_solve_exact_cap_refusal():
     f = ExactCnfFormula.from_clauses(6, 2, [(1, 2), (3, 4), (5, 6)])
     with pytest.raises(CapExceeded):
         solve_exact(f, cap=5)
+
+
+# Three clauses on six variables count in 2 slices of 2^6 bits: 128 counter bits.
+SIX_VARIABLES = ExactCnfFormula.from_clauses(6, 2, [(1, 2), (3, 4), (5, 6)])
+
+
+def test_decide_refuses_a_counter_past_the_count_budget(monkeypatch):
+    # Within the size cap of 20, a budget of 8 bytes (64 bits) refuses the counter.
+    monkeypatch.setattr(gf2, "COUNT_BUDGET_BYTES", 8)
+    out = decide_rsatalb(SIX_VARIABLES, 1)
+    assert out.verdict is Verdict.KERNEL and out.kernel is SIX_VARIABLES
+    assert (out.diagnostics["counter_bits"], out.diagnostics["counter_cap"]) == (128, 64)
+    assert "cap" not in out.diagnostics
+
+
+def test_distribution_refuses_a_counter_past_the_count_budget(monkeypatch):
+    monkeypatch.setattr(gf2, "COUNT_BUDGET_BYTES", 8)
+    with pytest.raises(CapExceeded, match="distribution refused: 128 counter bits exceed cap 64"):
+        dist_rsat(SIX_VARIABLES)
 
 
 def test_decide_single_clause_yes():
