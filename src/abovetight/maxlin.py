@@ -283,12 +283,14 @@ def decide_linalb(
     The system is merge-normalized first; every case reads its structure
     from the result. The odd-set case needs a variable set meeting every
     equation an odd number of times and is refused without one. With
-    ``case`` None the applicable case with the smallest threshold is used,
-    ties going to odd set, then arity, then occurrence. Large systems are
-    YES outright at the case's threshold; otherwise the rank-reduced kernel
-    is solved exhaustively and a witness is lifted back by zero-padding.
-    A kernel with more than ``cap`` variables, or whose weight counter
-    passes the count budget, is returned as KERNEL; the diagnostics name which.
+    ``case`` None the odd-set case is used whenever such a set exists, its
+    threshold being the smallest, and otherwise the one of arity and
+    occurrence with the smaller threshold, ties going to arity. Large
+    systems are YES outright at the case's threshold; otherwise the
+    rank-reduced kernel is solved exhaustively and a witness is lifted back
+    by zero-padding. A kernel with more than ``cap`` variables, or whose
+    weight counter passes the count budget, is returned as KERNEL; the
+    diagnostics name which.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -296,10 +298,9 @@ def decide_linalb(
     stats = system_stats(merged)
     odd_set = find_odd_set(merged) if case in (None, CaseKind.ODD_SET) else None
     if case is None:
-        # The empty set is odd-hitting for an empty system, so this is never empty.
-        cases = [CaseKind.ODD_SET] if odd_set is not None else []
-        if stats.m:
-            cases += [CaseKind.BOUNDED_ARITY, CaseKind.BOUNDED_OCCURRENCE]
+        # An odd set's 4k^2 lies below every arity threshold (1,024(2k-1)^2 and up) and every
+        # occurrence threshold (128(2k-1)^2 and up); an empty system has the empty odd set.
+        cases = (CaseKind.BOUNDED_ARITY, CaseKind.BOUNDED_OCCURRENCE) if odd_set is None else (CaseKind.ODD_SET,)
         case = min(cases, key=lambda c: case_threshold(c, k, stats))
     elif case is CaseKind.ODD_SET and odd_set is None:
         raise RestrictionViolated("no variable set meets every equation an odd number of times")

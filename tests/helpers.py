@@ -29,9 +29,13 @@ from abovetight.linord import (
     x_value,
 )
 from abovetight.maxlin import (
+    CaseKind,
     Lin2Equation,
     Lin2System,
     RankReduction,
+    case_threshold,
+    find_odd_set,
+    merge_duplicates,
     occurrence_f,
     system_stats,
 )
@@ -474,14 +478,15 @@ def estimate_digraph_moments_by_induced_graph(
     index = {v: i for i, v in enumerate(active)}
     induced = WeightedDigraph(len(active), tuple((index[u], index[v], w) for u, v, w in g.arcs))
     vertices = list(range(induced.n))
-    values: list[float] = []
+    # Running sums in sample order, as the package adds them.
+    s1 = s2 = s4 = 0.0
     for _ in range(samples):
         rng.shuffle(vertices)
-        values.append(x_value(induced, LinearOrder(tuple(vertices))) / 2)
-    e1 = sum(values) / samples
-    e2 = sum(v * v for v in values) / samples
-    e4 = sum(v**4 for v in values) / samples
-    return {"estimate": True, "samples": samples, "e1": e1, "e2": e2, "e4": e4}
+        x = x_value(induced, LinearOrder(tuple(vertices))) / 2
+        s1 += x
+        s2 += x * x
+        s4 += x**4
+    return {"estimate": True, "samples": samples, "e1": s1 / samples, "e2": s2 / samples, "e4": s4 / samples}
 
 
 def reduce_two_cycles_by_dict(g: WeightedDigraph) -> WeightedDigraph:
@@ -605,6 +610,22 @@ def faithful_outcome(solve, g: WeightedDigraph, k: int):
 def lin2_masks(s: Lin2System) -> list[int]:
     """Each equation's variables as one mask with bit v for variable v."""
     return [sum(1 << v for v in eq.variables) for eq in s.equations]
+
+
+def auto_case_by_candidates(s: Lin2System, k: int) -> CaseKind:
+    """``decide_linalb``'s case for ``case=None`` as the package chose it before it went by dominance.
+
+    Every applicable case is a candidate, the odd-set case only when an
+    odd set exists and the bounded ones only when the system has equations,
+    and the smallest threshold wins, ties going to odd set, then arity,
+    then occurrence.
+    """
+    merged = merge_duplicates(s)
+    stats = system_stats(merged)
+    cases = [CaseKind.ODD_SET] if find_odd_set(merged) is not None else []
+    if stats.m:
+        cases += [CaseKind.BOUNDED_ARITY, CaseKind.BOUNDED_OCCURRENCE]
+    return min(cases, key=lambda c: case_threshold(c, k, stats))
 
 
 def find_odd_set_wide(s: Lin2System) -> frozenset[int] | None:

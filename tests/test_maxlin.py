@@ -29,6 +29,7 @@ from abovetight.outcome import CapExceeded, RestrictionViolated, Verdict
 from abovetight import maxlin
 
 from helpers import (
+    auto_case_by_candidates,
     brute_best_x_lin2,
     brute_decide_lin2,
     brute_first_best,
@@ -40,6 +41,7 @@ from helpers import (
     occurrence_reduce,
     parity_constraints,
     random_lin2,
+    random_lin2_bounded_occurrence,
     rank_reduce_wide,
     walk,
 )
@@ -554,6 +556,23 @@ def test_auto_case_falls_back_to_bounded_structure():
     diag = decide_linalb(s, 1).diagnostics
     assert diag["case"] == "occurrence"
     assert diag["m_threshold"] == 32 * 2 * 2  # rho = 2; below 16 * 64^2 for arity 2
+
+
+def test_auto_case_by_dominance_matches_the_candidate_list():
+    # Variable 0 in 50 width-2 equations, and (1, 2) closing an odd cycle with (0, 1) and
+    # (0, 2) so that no odd set exists: 16 * 64^2 < 32 * 50^2, so arity wins.
+    hub = sys2(51, [((0, i), 0, 1) for i in range(1, 51)] + [((1, 2), 0, 1)])
+    rng = random.Random(24)
+    systems = [Lin2System(0, ()), hub] + edge_lin2_systems(rng)
+    systems += [random_lin2(rng) for _ in range(150)]
+    systems += [random_lin2_bounded_occurrence(rng, rng.randint(1, 4)) for _ in range(50)]
+    chosen = set()
+    for s in systems:
+        for k in range(1, 41):
+            case = auto_case_by_candidates(s, k)
+            assert decide_linalb(s, k).diagnostics["case"] == case.value
+            chosen.add(case)
+    assert chosen == set(CaseKind) - {CaseKind.GENERAL}
 
 
 @given(st.data())
