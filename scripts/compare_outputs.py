@@ -1,9 +1,11 @@
-"""Check that another checkout gives the same output as this one on every benchmark call.
+"""Check that another checkout gives the same output as this one on every benchmark call and probe.
 
 Builds each workload's call list once per seed, with ``perfbench/workloads.py``
 and this checkout's package, and writes the instance files to a temporary
-directory. Two child processes, one importing this checkout's ``src/`` and
-one ``OTHER_CHECKOUT/src``, then make the same ``cli.run`` calls. Call by
+directory. The fixed ``PROBES``, labelled ``probe ...``, follow them: calls
+that reach the refusals and raised caps no workload does. Two child
+processes, one importing this checkout's ``src/`` and one
+``OTHER_CHECKOUT/src``, then make the same ``cli.run`` calls. Call by
 call the script compares ``perfbench/checks.full_record``, ``to_json()``
 without ``time_ms``, and the file each ``gen`` call writes, each diagnostic
 key being a part of its own. It prints one line per part that differs on
@@ -26,6 +28,29 @@ from pathlib import Path
 SCRIPT = str(Path(__file__).resolve())
 ROOT = Path(SCRIPT).parent.parent
 PERFBENCH = ROOT / "perfbench"
+# The all-positive width-3 chain on 28 variables, clauses (i, i+1, i+2) for i = 1..26.
+CHAIN = "p ecnf 28 26 3\n" + "".join("%d %d %d 0\n" % (i, i + 1, i + 2) for i in range(1, 27))
+PATH = "p digraph 3 2\na 1 2 1\na 2 3 1\n"
+CYCLE = "p digraph 3 3\na 1 2 1\na 2 3 1\na 3 1 1\n"
+# x1 = 1, x2 = 1 and x1 + x2 = 1: two of the three hold at best, and no variable set meets each once.
+NO_ODD_SET = "p lin2 2 3\ne 1 1 1\ne 1 1 2\ne 1 1 1 2\n"
+RESTRICTED = "p ecnf 3 2 2\n1 2 0\n2 3 0\n"
+# Each probe's instance text and its command's flags after the file.
+PROBES = [
+    (CHAIN, ["rsat", "--k-num", "1"]),  # KERNEL at the cap
+    (CHAIN, ["rsat", "--k-num", "1", "--cap", "40"]),  # KERNEL at the count budget
+    (CHAIN, ["moments", "--cap", "40"]),  # ERROR at the count budget
+    ("p ecnf 2 4 2\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n", ["rsat", "--k-num", "1"]),  # REFUSED
+    (NO_ODD_SET, ["linalb", "--k", "1", "--case", "odd-set"]),  # REFUSED
+    (PATH, ["loalb", "--k", "1", "--cap", "30"]),
+    (CYCLE, ["loalb", "--k", "1", "--cap", "30"]),
+    (PATH, ["fas", "--k", "1", "--cap", "30"]),
+    (CYCLE, ["fas", "--k", "1", "--cap", "30"]),
+    ("p lin2 1 1\ne 2 0 1\n", ["linalb", "--k", "1", "--cap", "30"]),
+    (NO_ODD_SET, ["linalb", "--k", "1", "--cap", "30"]),
+    (RESTRICTED, ["rsat", "--k-num", "1", "--cap", "30"]),
+    (RESTRICTED, ["rsat", "--k-num", "3", "--cap", "30"]),
+]
 
 
 def child(src: str, calls_path: str, out_path: str) -> None:
@@ -66,6 +91,11 @@ def write_calls(seeds: list[int], tiny: bool, workdir: Path):
             run.write_inputs(pkg, calls, workdir / ("%s-%d" % (workload, seed)))
             labels += ["seed %d %s" % (seed, call.label) for call in calls]
             argvs += [call.argv() for call in calls]
+    for i, (text, (command, *flags)) in enumerate(PROBES):
+        path = workdir / ("probe-%02d.txt" % i)
+        path.write_text(text, encoding="utf-8")
+        labels.append("probe %d %s %s" % (i, command, " ".join(flags)))
+        argvs.append([command, str(path), *flags])
     return labels, argvs
 
 
@@ -145,7 +175,8 @@ def main(argv: list[str] | None = None) -> int:
     if problems:
         return 1
     seeds = " ".join(map(str, args.seeds))
-    print("compare_outputs: %d calls at seeds %s, no difference" % (len(labels), seeds))
+    counts = (len(labels) - len(PROBES), seeds, len(PROBES))
+    print("compare_outputs: %d calls at seeds %s and %d probes, no difference" % counts)
     return 0
 
 

@@ -116,7 +116,8 @@ _PARSER = build_parser()
 
 def _witness_tokens(witness: Any) -> list[int]:
     if not isinstance(witness, LinearOrder):
-        return [int(b) for b in witness]
+        # An assignment witness already holds the ints 0 and 1.
+        return list(witness)
     # The tokens are the order's own int objects, not n new ones. Sorted, the
     # order holds v at index v, so index v of the shifted copy holds v + 1. A
     # witness order is the solved vertices, then runs of the others in index

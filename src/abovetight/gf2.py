@@ -91,11 +91,12 @@ def check_counter(refused: str, total: int, n: int) -> None:
     """Refuse, reported as ``refused``, a ``tally`` of weights summing to ``total`` over 2^n assignments.
 
     Its slices take 2^n times the bit length of ``total``; past the bits of
-    ``COUNT_BUDGET_BYTES`` the count raises CapExceeded with ``counter_cap``
-    and ``counter_bits``.
+    ``COUNT_BUDGET_BYTES`` the count raises CapExceeded with ``counter_cap``,
+    ``counter_bits`` and ``kernel_vars``, the n the counter was sized for.
     """
     needed = total.bit_length() << n
-    check_cap(refused, needed, "counter bits", 8 * COUNT_BUDGET_BYTES, ("counter_cap", "counter_bits"))
+    keys = ("counter_cap", "counter_bits")
+    check_cap(refused, needed, "counter bits", 8 * COUNT_BUDGET_BYTES, keys, kernel_vars=n)
 
 
 def tally(weighted_masks: Iterable[tuple[int, int]]) -> list[int]:

@@ -17,11 +17,11 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress, repeat
 
 from . import gf2
-from .outcome import CapExceeded, DecisionOutcome, Record, Verdict, check_cap
+from .outcome import DecisionOutcome, Record, Verdict, check_cap, settle
 
 DEFAULT_VERTEX_CAP = 24
 # forward_weight_counts packs its counts while 2^n' subsets of (W + 1) digits fit in
@@ -431,18 +431,13 @@ def decide_loalb(
     }
     if w2 >= threshold:
         return DecisionOutcome(Verdict.YES_BY_BOUND, diagnostics=diag)
-    try:
+
+    def solve() -> tuple[int, list[int]]:
         value, order = exact_max_acyclic(reduced, cap=cap)
-    except CapExceeded as exc:
-        diag.update(exc.report)
-        return DecisionOutcome(Verdict.KERNEL, kernel=reduced, diagnostics=diag)
-    doubled = 2 * value - sum(weights)
-    diag["best_2x"] = doubled
-    diag["target_2x"] = 2 * k
-    if doubled >= 2 * k:
-        witness = with_isolated(order, reduced.n)
-        return DecisionOutcome(Verdict.YES_WITNESS, witness=witness, diagnostics=diag)
-    return DecisionOutcome(Verdict.NO, diagnostics=diag)
+        return 2 * value - sum(weights), order
+
+    lift = partial(with_isolated, n=reduced.n)
+    return settle(diag, reduced, solve, ("best_2x", "target_2x"), 2 * k, lift)
 
 
 def solve_loalb_faithful(

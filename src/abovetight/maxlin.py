@@ -11,12 +11,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress
 from typing import Iterable, Sequence
 
 from . import gf2
-from .outcome import CapExceeded, DecisionOutcome, Record, RestrictionViolated, Verdict, check_cap
+from .outcome import DecisionOutcome, Record, RestrictionViolated, Verdict, check_cap, settle
 
 DEFAULT_ASSIGNMENT_CAP = 20
 
@@ -318,14 +318,6 @@ def decide_linalb(
     del merged
     diag["kernel_vars"] = reduction.reduced.n
     diag["kernel_eqs"] = len(reduction.reduced.equations)
-    try:
-        best, y = solve_exact(reduction.reduced, cap=cap)
-    except CapExceeded as exc:
-        diag.update(exc.report)
-        return DecisionOutcome(Verdict.KERNEL, kernel=reduction.reduced, diagnostics=diag)
-    diag["best_x"] = best
-    diag["target_x"] = 2 * k
-    if best >= 2 * k:
-        witness = lift_assignment(reduction, y)
-        return DecisionOutcome(Verdict.YES_WITNESS, witness=witness, diagnostics=diag)
-    return DecisionOutcome(Verdict.NO, diagnostics=diag)
+    solve = partial(solve_exact, reduction.reduced, cap=cap)
+    lift = partial(lift_assignment, reduction)
+    return settle(diag, reduction.reduced, solve, ("best_x", "target_x"), 2 * k, lift)

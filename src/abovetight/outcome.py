@@ -1,10 +1,10 @@
-"""Shared decision outcomes and refusal errors for the three deciders."""
+"""Shared decision outcomes, refusal errors and verdict step for the three deciders."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, TypeVar
+from typing import Any, Callable, TypeVar
 
 R = TypeVar("R", bound="Record")
 
@@ -42,9 +42,11 @@ class DecisionOutcome:
     """Result of a decide_* call.
 
     ``witness`` is present exactly for YES_WITNESS verdicts; ``kernel``
-    carries the reduced instance when exact solving was refused because
-    the kernel exceeds the configured cap. ``diagnostics`` echoes every
-    threshold that was compared, so bound-based verdicts are auditable.
+    carries the reduced instance when exact solving was refused: the
+    kernel passed the size cap (the deciders' ``cap``: vertices for loalb,
+    variables for linalb and rsat) or its counter passed the count budget
+    (``gf2.COUNT_BUDGET_BYTES``). ``diagnostics`` echoes every threshold
+    that was compared, so bound-based verdicts are auditable.
     """
 
     verdict: Verdict
@@ -60,10 +62,13 @@ class DecisionOutcome:
 
 
 class CapExceeded(Exception):
-    """Exact solving refused: the instance is larger than the configured cap.
+    """A stage refused: a count passed its limit.
 
-    ``report`` holds the limit and the count that passed it, under the keys
-    a KERNEL record echoes them with.
+    The limits are the exact-solve size cap, the count budget of the
+    bit-sliced counters (``gf2.check_counter``) and the sub-clause key
+    budget of ``rsat.overlap_histogram``. ``report`` holds the limit and
+    the count that passed it, under the keys a KERNEL record echoes them
+    with, and any further count the check names.
     """
 
     def __init__(self, message: str, report: dict[str, int]):
@@ -71,15 +76,38 @@ class CapExceeded(Exception):
         self.report = report
 
 
-def check_cap(refused: str, needed: int, items: str, cap: int, keys: tuple[str, ...] = ()) -> None:
+def check_cap(refused: str, needed: int, items: str, cap: int, keys: tuple[str, ...] = (), **sizes: int) -> None:
     """Raise CapExceeded when ``needed`` items exceed ``cap``.
 
     ``keys`` names the limit and the count in the report, for a check whose
-    refusal a KERNEL record echoes; without them the report is empty.
+    refusal a KERNEL record echoes; ``sizes`` adds further counts to it.
+    Without either the report is empty.
     """
     if needed > cap:
         message = "%s refused: %d %s exceed cap %d" % (refused, needed, items, cap)
-        raise CapExceeded(message, dict(zip(keys, (cap, needed))))
+        raise CapExceeded(message, dict(zip(keys, (cap, needed)), **sizes))
+
+
+def settle(
+    diag: dict[str, Any], kernel: Any, solve: Callable, keys: tuple[str, str], target: int, lift: Callable
+) -> DecisionOutcome:
+    """The verdict of a decider's exact solve of ``kernel``, once no bound has settled it.
+
+    ``solve()`` gives the best value and what ``lift`` turns into the
+    witness. When the solve raises CapExceeded, ``diag`` echoes the report
+    and the verdict is KERNEL with ``kernel``. Otherwise ``diag`` records
+    the best value and ``target`` under ``keys``; the verdict is NO below
+    the target and YES_WITNESS at it or above, the only case that lifts.
+    """
+    try:
+        best, found = solve()
+    except CapExceeded as exc:
+        diag.update(exc.report)
+        return DecisionOutcome(Verdict.KERNEL, kernel=kernel, diagnostics=diag)
+    diag.update(zip(keys, (best, target)))
+    if best < target:
+        return DecisionOutcome(Verdict.NO, diagnostics=diag)
+    return DecisionOutcome(Verdict.YES_WITNESS, witness=lift(found), diagnostics=diag)
 
 
 class RestrictionViolated(Exception):

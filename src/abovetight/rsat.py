@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import gf2
 from .maxlin import DEFAULT_ASSIGNMENT_CAP, fourth_moment_threshold
-from .outcome import CapExceeded, DecisionOutcome, Record, RestrictionViolated, Verdict, check_cap
+from .outcome import DecisionOutcome, Record, RestrictionViolated, Verdict, check_cap, settle
 
 # Sub-clause keys of size 2 and up that ``overlap_histogram`` may count, summed
 # over the sizes it reaches. At this many keys, formulas of width 2-20 sharing
@@ -276,13 +276,6 @@ def decide_rsatalb(
         diag["m_threshold"] = threshold
         if m >= threshold:
             return DecisionOutcome(Verdict.YES_BY_BOUND, diagnostics=diag)
-    try:
-        best, witness = solve_exact(f, cap=cap)
-    except CapExceeded as exc:
-        diag.update(exc.report)
-        return DecisionOutcome(Verdict.KERNEL, kernel=f, diagnostics=diag)
-    diag["best_scaled_x"] = best
-    diag["target_scaled_x"] = k_num
-    if best >= k_num:
-        return DecisionOutcome(Verdict.YES_WITNESS, witness=witness, diagnostics=diag)
-    return DecisionOutcome(Verdict.NO, diagnostics=diag)
+    # The solve's witness already covers all n variables; tuple() of a tuple is that tuple.
+    solve = partial(solve_exact, f, cap=cap)
+    return settle(diag, f, solve, ("best_scaled_x", "target_scaled_x"), k_num, tuple)
