@@ -13,12 +13,22 @@ some call: whether this checkout added, removed or changed it, on how many
 calls, and the first such call's label with its two values. It exits 1 on
 any difference; otherwise it prints the number of calls compared.
 
+With ``--record`` it runs this checkout alone and writes what each call gave
+to a record file, by default ``tests/golden_outputs.json``, which
+``tests/test_golden.py`` compares a fresh run with. The record keeps each
+call's JSON payload, so the verdict, diagnostics, kernel and error as
+written; each witness and gen text is a 16-hex-digit SHA-256 prefix, and
+``time_ms`` and the temporary instance paths are left out, so two runs write
+byte-identical files.
+
     python3 scripts/compare_outputs.py ../parent --seeds 0 7
+    python3 scripts/compare_outputs.py --record
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -28,6 +38,7 @@ from pathlib import Path
 SCRIPT = str(Path(__file__).resolve())
 ROOT = Path(SCRIPT).parent.parent
 PERFBENCH = ROOT / "perfbench"
+RECORD = ROOT / "tests" / "golden_outputs.json"
 # The all-positive width-3 chain on 28 variables, clauses (i, i+1, i+2) for i = 1..26.
 CHAIN = "p ecnf 28 26 3\n" + "".join("%d %d %d 0\n" % (i, i + 1, i + 2) for i in range(1, 27))
 PATH = "p digraph 3 2\na 1 2 1\na 2 3 1\n"
@@ -139,43 +150,98 @@ def differences(labels, ours, theirs) -> list[str]:
     return lines
 
 
+def run_calls(seeds: list[int], tiny: bool, sources: list[Path]) -> tuple[list[str], list[list[dict]]]:
+    """Every call's label, and what each call gave under each source tree, one child process per tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        labels, argvs = write_calls(seeds, tiny, workdir)
+        calls_path = workdir / "calls.json"
+        calls_path.write_text(json.dumps(argvs), encoding="utf-8")
+        outputs = []
+        # One source after the other: each writes each gen file to the same path.
+        for i, src in enumerate(sources):
+            out = workdir / ("out-%d.json" % i)
+            command = [sys.executable, SCRIPT, "--child", str(src), str(calls_path), str(out)]
+            if subprocess.run(command).returncode != 0:
+                raise RuntimeError("the call run under %s failed" % src)
+            outputs.append(json.loads(out.read_text(encoding="utf-8")))
+    return labels, outputs
+
+
+def _digest(value) -> str:
+    """The first 16 hex digits of the SHA-256 of ``value``'s JSON text."""
+    return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()[:16]
+
+
+def hashed(output: dict) -> dict:
+    """A call's output as the record keeps it: its JSON payload and gen file, the witness and gen text hashed.
+
+    The record part is left out: it holds the verdict, diagnostics, witness,
+    kernel and error again, each diagnostic as ``str()`` of what the payload
+    writes.
+    """
+    if "raised" in output:
+        return output
+    payload = dict(output["json"])
+    if payload["witness"] is not None:
+        payload["witness"] = _digest(payload["witness"])
+    return {"json": payload, "gen": None if output["gen"] is None else _digest(output["gen"])}
+
+
+def write_record(path: Path, labels: list[str], outputs: list[dict]) -> None:
+    """One JSON array, each call's [label, hashed output] on a line of its own, keys sorted."""
+    lines = [json.dumps([label, hashed(output)], sort_keys=True) for label, output in zip(labels, outputs)]
+    path.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")
+
+
+def read_record(path: Path) -> tuple[list[str], list[dict]]:
+    """The labels and hashed outputs ``write_record`` wrote."""
+    pairs = json.loads(path.read_text(encoding="utf-8"))
+    return [label for label, _ in pairs], [output for _, output in pairs]
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--child"]:
         child(*argv[1:])
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("other", type=Path, help="root of the checkout to compare with")
+    parser.add_argument("other", type=Path, nargs="?", help="root of the checkout to compare with")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 7])
     parser.add_argument("--tiny", action="store_true", help="smallest workload sizes")
+    parser.add_argument(
+        "--record",
+        type=Path,
+        nargs="?",
+        const=RECORD,
+        help="write this checkout's outputs to this file (default %s) instead of comparing" % RECORD.relative_to(ROOT),
+    )
     args = parser.parse_args(argv)
-    other_src = args.other.resolve() / "src"
-    if not (other_src / "abovetight" / "cli.py").is_file():
-        print("compare_outputs: no package under %s" % other_src, file=sys.stderr)
-        return 2
+    if (args.other is None) == (args.record is None):
+        parser.error("give either the other checkout or --record")
+    sources = [ROOT / "src"]
+    if args.other is not None:
+        sources.append(args.other.resolve() / "src")
+        if not (sources[1] / "abovetight" / "cli.py").is_file():
+            print("compare_outputs: no package under %s" % sources[1], file=sys.stderr)
+            return 2
     sys.path.insert(0, str(PERFBENCH))
-    with tempfile.TemporaryDirectory() as tmp:
-        workdir = Path(tmp)
-        labels, argvs = write_calls(args.seeds, args.tiny, workdir)
-        calls_path = workdir / "calls.json"
-        calls_path.write_text(json.dumps(argvs), encoding="utf-8")
-        outputs = []
-        # One side after the other: both write each gen file to the same path.
-        for side, src in (("this", ROOT / "src"), ("other", other_src)):
-            out = workdir / ("%s.json" % side)
-            command = [sys.executable, SCRIPT, "--child", str(src), str(calls_path), str(out)]
-            if subprocess.run(command).returncode != 0:
-                print("compare_outputs: the call run under %s failed" % src, file=sys.stderr)
-                return 2
-            outputs.append(json.loads(out.read_text(encoding="utf-8")))
-    ours, theirs = outputs
-    problems = differences(labels, ours, theirs)
+    try:
+        labels, outputs = run_calls(args.seeds, args.tiny, sources)
+    except RuntimeError as exc:
+        print("compare_outputs: %s" % exc, file=sys.stderr)
+        return 2
+    seeds = " ".join(map(str, args.seeds))
+    counts = (len(labels) - len(PROBES), seeds, len(PROBES))
+    if args.record is not None:
+        write_record(args.record, labels, outputs[0])
+        print("compare_outputs: %d calls at seeds %s and %d probes written to %s" % (*counts, args.record))
+        return 0
+    problems = differences(labels, *outputs)
     for problem in problems:
         print("compare_outputs: %s" % problem)
     if problems:
         return 1
-    seeds = " ".join(map(str, args.seeds))
-    counts = (len(labels) - len(PROBES), seeds, len(PROBES))
     print("compare_outputs: %d calls at seeds %s and %d probes, no difference" % counts)
     return 0
 
