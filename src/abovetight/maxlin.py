@@ -101,12 +101,11 @@ class RankReduction:
 
     ``reduced`` is renumbered over 0..len(basis)-1 in basis order.
     Zero-padding a reduced assignment back onto the original variables
-    satisfies exactly the corresponding equations.
+    (``lift_assignment``) satisfies exactly the corresponding equations.
     """
 
     reduced: Lin2System
     basis: tuple[int, ...]
-    original_n: int
 
 
 class CaseKind(Enum):
@@ -185,15 +184,21 @@ def rank_reduce(s: Lin2System) -> RankReduction:
         variables = tuple([position[v] for v in eq.variables if v in position])
         new_eqs.append(Lin2Equation._unchecked(variables=variables, rhs=eq.rhs, weight=eq.weight))
     reduced = Lin2System._unchecked(n=len(basis), equations=tuple(new_eqs))
-    return RankReduction(reduced=reduced, basis=tuple(basis), original_n=s.n)
+    return RankReduction(reduced=reduced, basis=tuple(basis))
 
 
-def lift_assignment(reduction: RankReduction, y: Sequence[int]) -> tuple[int, ...]:
-    """Extend a reduced assignment to the original variables, zeroing the rest."""
-    if len(y) != len(reduction.basis):
+def lift_assignment(basis: Sequence[int], n: int, y: Sequence[int]) -> tuple[int, ...]:
+    """The assignment of variables 0..n-1 giving ``basis[i]`` the value ``y[i]`` and every other variable 0.
+
+    Widens a kernel's witness to the declared variables: ``basis`` is a rank
+    reduction's basis for linalb, and the occurring variables, less one, for
+    rsat. ``outcome.settle`` calls it only for a YES_WITNESS verdict, so the
+    n-long assignment is built only for a witness that is printed.
+    """
+    if len(y) != len(basis):
         raise ValueError("assignment length must match the basis size")
-    z = [0] * reduction.original_n
-    for value, variable in zip(y, reduction.basis):
+    z = [0] * n
+    for value, variable in zip(y, basis):
         if value not in (0, 1):
             raise ValueError("assignment values must be 0 or 1")
         z[variable] = value
@@ -319,5 +324,5 @@ def decide_linalb(
     diag["kernel_vars"] = reduction.reduced.n
     diag["kernel_eqs"] = len(reduction.reduced.equations)
     solve = partial(solve_exact, reduction.reduced, cap=cap)
-    lift = partial(lift_assignment, reduction)
+    lift = partial(lift_assignment, reduction.basis, s.n)
     return settle(diag, reduction.reduced, solve, ("best_x", "target_x"), 2 * k, lift)

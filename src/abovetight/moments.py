@@ -1,9 +1,10 @@
 """Exact distributions of the three balance variables and their moment checks.
 
-Each sample space is counted completely. The orders of a digraph's n'
-non-isolated vertices are counted by forward weight in ``linord``, beside
-the exact solver that shares their subset DP. Equation systems (after rank
-reduction) and formulas (over their occurring variables) are counted by the
+Each sample space is counted completely, on the kernel the kind's decider
+solves. The orders of a digraph's n' non-isolated vertices, once 2-cycles
+are cancelled, are counted by forward weight in ``linord``, beside the exact
+solver that shares their subset DP. Equation systems (merged, then rank
+reduced) and formulas (over their occurring variables) are counted by the
 bit-sliced counter of ``gf2``, through ``maxlin`` and ``rsat``. This module
 applies the caps on what is counted, and the multiplier of n!/n'!,
 2^(n - rank) or 2^(n - occurring) that turns the counts into the full
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import maxlin, rsat
-from .linord import WeightedDigraph, active_vertices, digraph_stats, forward_weight_counts
+from .linord import WeightedDigraph, active_vertices, digraph_stats, forward_weight_counts, reduce_two_cycles
 from .maxlin import DEFAULT_ASSIGNMENT_CAP, Lin2System
 from .outcome import check_cap
 from .rsat import ExactCnfFormula
@@ -126,11 +127,16 @@ class SecondMomentCheck:
 def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistribution:
     """Exact mass of 2X over all n! vertex orders (scale 2).
 
-    ``linord.forward_weight_counts`` counts the orders of the n'
-    non-isolated vertices by forward weight f. Each has 2X = 2f - W and
-    stands for n!/n'! full orders. ``cap`` bounds n'.
+    The kernel counted is the one ``linord.decide_loalb`` solves,
+    ``reduce_two_cycles(g)``: cancelling a 2-cycle lowers an order's forward
+    weight and W/2 by the same amount, so every order has the same X on
+    both. ``linord.forward_weight_counts`` counts the orders of the kernel's
+    n' non-isolated vertices by forward weight f. Each has 2X = 2f - W and
+    stands for n!/n'! full orders. ``cap`` bounds n', as ``--cap`` bounds
+    the same vertices in loalb.
     """
-    active = active_vertices(g)
+    kernel = reduce_two_cycles(g)
+    active = active_vertices(kernel)
     nv = len(active)
     check_cap("distribution", nv, "active vertices", cap)
     # n!/n'!, multiplied up so that a long header stops at the budget.
@@ -138,18 +144,21 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
     for factor in range(nv + 1, g.n + 1):
         multiplier *= factor
         _check_multiplier(multiplier.bit_length())
-    total_weight = sum(g.weights)
-    counts = Counter({2 * f - total_weight: c for f, c in forward_weight_counts(g, active).items()})
+    total_weight = sum(kernel.weights)
+    counts = Counter({2 * f - total_weight: c for f, c in forward_weight_counts(kernel, active).items()})
     return ExactDistribution.from_counts(2, counts, multiplier)
 
 
 def dist_lin2(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDistribution:
     """Exact mass of X over all 2^n assignments (scale 1).
 
-    The rank-reduced system is counted: every satisfaction pattern is hit
-    by exactly 2^(n - rank) assignments. ``cap`` bounds the rank.
+    The kernel counted is the one ``maxlin.decide_linalb`` solves, the rank
+    reduction of ``merge_duplicates(s)``: merging keeps every assignment's
+    X, and every satisfaction pattern of the merged system is hit by
+    exactly 2^(n - rank) assignments. ``cap`` bounds the rank, as ``--cap``
+    bounds the same kernel variables in linalb.
     """
-    reduced = maxlin.rank_reduce(s).reduced
+    reduced = maxlin.rank_reduce(maxlin.merge_duplicates(s)).reduced
     check_cap("distribution", reduced.n, "kernel variables", cap)
     _check_multiplier(s.n - reduced.n + 1)
     counts = maxlin.x_distribution_counts(reduced)
@@ -159,7 +168,8 @@ def dist_lin2(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDistribu
 def dist_rsat(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDistribution:
     """Exact mass of 2^r * X over all 2^n assignments (scale 2^r).
 
-    The occurring variables are counted; ``cap`` bounds their number.
+    The kernel counted is the one ``rsat.solve_exact`` solves, the occurring
+    variables; ``cap`` bounds their number, as ``--cap`` does in rsat.
     """
     occurring = len(f.occurring_variables())
     check_cap("distribution", occurring, "occurring variables", cap)

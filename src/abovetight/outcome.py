@@ -93,11 +93,13 @@ def settle(
 ) -> DecisionOutcome:
     """The verdict of a decider's exact solve of ``kernel``, once no bound has settled it.
 
-    ``solve()`` gives the best value and what ``lift`` turns into the
-    witness. When the solve raises CapExceeded, ``diag`` echoes the report
-    and the verdict is KERNEL with ``kernel``. Otherwise ``diag`` records
-    the best value and ``target`` under ``keys``; the verdict is NO below
-    the target and YES_WITNESS at it or above, the only case that lifts.
+    ``solve()`` gives the best value and a witness over the kernel, and
+    ``lift`` widens that witness to the instance's declared size. When the
+    solve raises CapExceeded, ``diag`` echoes the report and the verdict is
+    KERNEL with ``kernel``. Otherwise ``diag`` records the best value and
+    ``target`` under ``keys``; the verdict is NO below the target and
+    YES_WITNESS at it or above, the only case that lifts, so a KERNEL or NO
+    costs nothing per declared vertex or variable.
     """
     try:
         best, found = solve()

@@ -20,7 +20,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from . import gf2
-from .maxlin import DEFAULT_ASSIGNMENT_CAP, fourth_moment_threshold
+from .maxlin import DEFAULT_ASSIGNMENT_CAP, fourth_moment_threshold, lift_assignment
 from .outcome import DecisionOutcome, Record, RestrictionViolated, Verdict, check_cap, settle
 
 # Sub-clause keys of size 2 and up that ``overlap_histogram`` may count, summed
@@ -221,19 +221,19 @@ def _satisfied_count(f: ExactCnfFormula, variables: list[int], refused: str) -> 
 
 
 def solve_exact(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> tuple[int, tuple[int, ...]]:
-    """Exhaustive optimum of the scaled balance with a witness assignment.
+    """Exhaustive optimum of the scaled balance with a witness over the occurring variables.
 
-    Enumerates only the variables that occur in clauses; the rest of the
-    witness is 0. Deterministic: fewest unsatisfied clauses, smallest
-    assignment on ties.
+    The formula's kernel is its occurring variables: only they are
+    enumerated, and bit p of the witness is the value of the p-th of them in
+    increasing order, as ``maxlin.solve_exact`` gives bits over a rank
+    kernel. ``maxlin.lift_assignment`` widens it to all n variables, the rest
+    0. Deterministic: fewest unsatisfied clauses, smallest assignment on
+    ties.
     """
     variables = f.occurring_variables()
     check_cap("exact solve", len(variables), "occurring variables", cap, ("cap", "kernel_vars"))
     satisfied, z = gf2.top(_satisfied_count(f, variables, "exact solve"), len(variables))
-    witness = [0] * f.n
-    for p, v in enumerate(variables):
-        witness[v - 1] = (z >> p) & 1
-    return _scaled(f, satisfied), tuple(witness)
+    return _scaled(f, satisfied), tuple((z >> p) & 1 for p in range(len(variables)))
 
 
 def scaled_x_counts(f: ExactCnfFormula) -> Counter[int]:
@@ -276,6 +276,7 @@ def decide_rsatalb(
         diag["m_threshold"] = threshold
         if m >= threshold:
             return DecisionOutcome(Verdict.YES_BY_BOUND, diagnostics=diag)
-    # The solve's witness already covers all n variables; tuple() of a tuple is that tuple.
     solve = partial(solve_exact, f, cap=cap)
-    return settle(diag, f, solve, ("best_scaled_x", "target_scaled_x"), k_num, tuple)
+    # The occurring variables are found again only for a witness, whose lift is O(n) anyway.
+    lift = lambda y: lift_assignment([v - 1 for v in f.occurring_variables()], f.n, y)
+    return settle(diag, f, solve, ("best_scaled_x", "target_scaled_x"), k_num, lift)

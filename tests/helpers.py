@@ -651,7 +651,7 @@ def rank_reduce_wide(s: Lin2System) -> RankReduction:
         kept = tuple(sorted(position[v] for v in eq.variables if v in position))
         new_eqs.append(Lin2Equation(kept, eq.rhs, eq.weight))
     reduced = Lin2System(len(basis), tuple(new_eqs))
-    return RankReduction(reduced=reduced, basis=tuple(basis), original_n=s.n)
+    return RankReduction(reduced=reduced, basis=tuple(basis))
 
 
 def witness_balance(g: WeightedDigraph, tokens: list[int]) -> int | None:

@@ -263,9 +263,9 @@ def test_constructors_name_each_fault(cls, args, message):
 def test_assignment_helpers_refuse_bad_assignments():
     reduction = rank_reduce(sys2(3, [((0, 2), 1, 1)]))
     with pytest.raises(ValueError, match="basis size"):
-        lift_assignment(reduction, (1, 0))
+        lift_assignment(reduction.basis, 3, (1, 0))
     with pytest.raises(ValueError, match="0 or 1"):
-        lift_assignment(reduction, (2,))
+        lift_assignment(reduction.basis, 3, (2,))
     with pytest.raises(ValueError, match="cover all variables"):
         evaluate_x(reduction.reduced, (0, 1))
 
@@ -280,7 +280,7 @@ def test_from_tuples_refuses_a_repeated_variable():
 def test_lift_assignment_round_trip():
     s = sys2(3, [((0, 1, 2), 1, 1)])
     red = rank_reduce(s)
-    lifted = lift_assignment(red, (1,))
+    lifted = lift_assignment(red.basis, s.n, (1,))
     assert lifted == (1, 0, 0)
     assert evaluate_x(s, lifted) == 1
 
@@ -288,13 +288,13 @@ def test_lift_assignment_round_trip():
 def test_lift_identity_reduction():
     s = sys2(2, [((0,), 1, 2), ((1,), 0, 1)])
     red = rank_reduce(s)
-    assert lift_assignment(red, (1, 0)) == (1, 0)
+    assert lift_assignment(red.basis, s.n, (1, 0)) == (1, 0)
 
 
 def test_lift_all_zero():
     s = sys2(3, [((0, 1), 0, 1), ((1, 2), 1, 1)])
     red = rank_reduce(s)
-    assert lift_assignment(red, (0,) * red.reduced.n) == (0, 0, 0)
+    assert lift_assignment(red.basis, s.n, (0,) * red.reduced.n) == (0, 0, 0)
 
 
 def test_evaluate_x_examples():

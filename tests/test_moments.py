@@ -10,8 +10,16 @@ import pytest
 
 from abovetight import gf2, linord
 from abovetight.instances import all_subsets_system
-from abovetight.linord import WeightedDigraph, digraph_stats
-from abovetight.maxlin import CaseKind, Lin2System, decide_linalb, merge_duplicates, system_stats
+from abovetight.linord import WeightedDigraph, decide_loalb, digraph_stats
+from abovetight.maxlin import (
+    CaseKind,
+    Lin2Equation,
+    Lin2System,
+    decide_linalb,
+    merge_duplicates,
+    rank_reduce,
+    system_stats,
+)
 from abovetight.moments import (
     ExactDistribution,
     dist_lin2,
@@ -180,6 +188,39 @@ def test_dist_linord_heavy_three_cycle_takes_the_counter_dp():
     assert elapsed < 0.05, "took %.3f s" % elapsed
     assert peak < 1 << 20, "peak %d bytes" % peak
     assert d == brute_dist_linord(cycle)
+
+
+def test_dist_linord_caps_the_kernel_loalb_solves():
+    # A 12-cycle doubled back at equal weights, and the arc 0 -> 6: the 2-cycles
+    # cancel, so the kernel keeps 2 of the 12 active vertices, in moments as in loalb.
+    ring = [(v, (v + 1) % 12, 1) for v in range(12)] + [((v + 1) % 12, v, 1) for v in range(12)]
+    g = WeightedDigraph.from_arcs(12, ring + [(0, 6, 2)])
+    d = dist_linord(g, cap=2)
+    assert d.mass == ((-2, 239500800), (2, 239500800))
+    with pytest.raises(CapExceeded):
+        dist_linord(g, cap=1)
+    outcome = decide_loalb(g, 1, cap=2)
+    assert (outcome.verdict, outcome.diagnostics["kernel_arcs"]) == (Verdict.YES_WITNESS, 1)
+
+
+def test_dist_lin2_caps_the_kernel_linalb_solves():
+    rng = random.Random(26)
+    for _ in range(60):
+        s = random_lin2(rng, n_max=8, m_max=6)
+        # Each equation again at a random rhs and weight: merging cancels some and adds up others.
+        echoes = [Lin2Equation(eq.variables, rng.randint(0, 1), rng.randint(1, 3)) for eq in s.equations]
+        s = Lin2System(s.n, s.equations + tuple(echoes))
+        every = itertools.product((0, 1), repeat=s.n)
+        mass = tuple(sorted(Counter(lin2_x(s, z) for z in every).items()))
+        assert dist_lin2(s, cap=rank_reduce(merge_duplicates(s)).reduced.n).mass == mass
+    # 25 pairs x_v = 0, x_v = 1 and x0 + x1 = 1 at weight 3: rank 25 before merging, 1 after.
+    pairs = [((v,), b, 1) for v in range(25) for b in (0, 1)]
+    s = Lin2System.from_tuples(25, pairs + [((0, 1), 1, 3)])
+    assert dist_lin2(s, cap=1).mass == ((-3, 1 << 24), (3, 1 << 24))
+    with pytest.raises(CapExceeded):
+        dist_lin2(s, cap=0)
+    outcome = decide_linalb(s, 1, cap=1)
+    assert (outcome.verdict, outcome.diagnostics["kernel_vars"]) == (Verdict.YES_WITNESS, 1)
 
 
 def test_dist_lin2_examples():

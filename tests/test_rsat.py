@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from abovetight import gf2, rsat
 from abovetight.instances import parse_instance
-from abovetight.maxlin import fourth_moment_threshold
+from abovetight.maxlin import fourth_moment_threshold, lift_assignment
 from abovetight.moments import dist_rsat, moment_p
 from abovetight.outcome import CapExceeded, RestrictionViolated, Verdict
 from abovetight.rsat import (
@@ -333,6 +333,11 @@ def test_scaled_x_is_sum_of_clause_terms():
             assert per_clause == x_value_scaled(f, assignment)
 
 
+def lifted(f, witness):
+    """A solve's witness over the occurring variables, widened to all n as decide_rsatalb does."""
+    return lift_assignment([v - 1 for v in f.occurring_variables()], f.n, witness)
+
+
 def test_solve_exact_examples():
     assert solve_exact(ExactCnfFormula.from_clauses(2, 2, [(1, 2)]))[0] == 1
     assert solve_exact(complete_formula(2))[0] == 0
@@ -347,14 +352,15 @@ def test_solve_exact_matches_brute_force():
     for f in formulas + edge_formulas(rng):
         best, witness = solve_exact(f)
         assert best == brute_best_scaled_rsat(f)
-        assert x_value_scaled(f, witness) == best
+        assert x_value_scaled(f, lifted(f, witness)) == best
 
 
 def test_solve_exact_ties_go_to_the_smallest_assignment():
     rng = random.Random(4)
     formulas = [random_formula(rng, rng.choice([2, 3]), n_max=8, m_max=8) for _ in range(60)]
     for f in formulas + edge_formulas(rng):
-        assert solve_exact(f) == brute_first_best(f.n, lambda a: rsat_scaled_x(f, a))
+        best, witness = solve_exact(f)
+        assert (best, lifted(f, witness)) == brute_first_best(f.n, lambda a: rsat_scaled_x(f, a))
 
 
 def test_scaled_x_counts_match_x_value_scaled_over_all_assignments():
@@ -390,7 +396,8 @@ def test_bit_sliced_counter_matches_the_walker():
         witness = [0] * f.n
         for p, v in enumerate(variables):
             witness[v - 1] = (best_z >> p) & 1
-        assert solve_exact(f) == (best, tuple(witness))
+        found, bits = solve_exact(f)
+        assert (found, lifted(f, bits)) == (best, tuple(witness))
         assert scaled_x_counts(f) == Counter(scan)
 
 
