@@ -46,6 +46,13 @@ CYCLE = "p digraph 3 3\na 1 2 1\na 2 3 1\na 3 1 1\n"
 # x1 = 1, x2 = 1 and x1 + x2 = 1: two of the three hold at best, and no variable set meets each once.
 NO_ODD_SET = "p lin2 2 3\ne 1 1 1\ne 1 1 2\ne 1 1 1 2\n"
 RESTRICTED = "p ecnf 3 2 2\n1 2 0\n2 3 0\n"
+# 25 pairs x_v = 0, x_v = 1 that cancel when merged, and x1 + x2 = 1 at weight 3: rank 25 before
+# merging, 1 after.
+CANCELLING = "p lin2 25 51\n" + "".join("e 1 0 %d\ne 1 1 %d\n" % (v, v) for v in range(1, 26)) + "e 3 1 1 2\n"
+# A 12-cycle with every arc doubled back at its weight, and the arc 1 -> 7 at weight 2: 12 active
+# vertices before the 2-cycles cancel, 2 after.
+SYMMETRIC = "p digraph 12 25\n" + "".join("a %d %d 1\na %d %d 1\n" % (v, v % 12 + 1, v % 12 + 1, v) for v in range(1, 13))
+SYMMETRIC += "a 1 7 2\n"
 # Each probe's instance text and its command's flags after the file.
 PROBES = [
     (CHAIN, ["rsat", "--k-num", "1"]),  # KERNEL at the cap
@@ -61,6 +68,9 @@ PROBES = [
     (NO_ODD_SET, ["linalb", "--k", "1", "--cap", "30"]),
     (RESTRICTED, ["rsat", "--k-num", "1", "--cap", "30"]),
     (RESTRICTED, ["rsat", "--k-num", "3", "--cap", "30"]),
+    (CANCELLING, ["moments"]),  # OK: the cap bounds the merged system's rank
+    (SYMMETRIC, ["moments"]),  # OK: the cap bounds the active vertices left once 2-cycles cancel
+    (PATH, ["loalb", "--k", "1", "--cap", "-1"]),  # ERROR naming --cap
 ]
 
 
@@ -105,7 +115,7 @@ def write_calls(seeds: list[int], tiny: bool, workdir: Path):
     for i, (text, (command, *flags)) in enumerate(PROBES):
         path = workdir / ("probe-%02d.txt" % i)
         path.write_text(text, encoding="utf-8")
-        labels.append("probe %d %s %s" % (i, command, " ".join(flags)))
+        labels.append("probe %d %s" % (i, " ".join([command, *flags])))
         argvs.append([command, str(path), *flags])
     return labels, argvs
 

@@ -207,6 +207,8 @@ def run(argv: Sequence[str]) -> RunResult:
     args = _PARSER.parse_args(list(argv))
     started = time.perf_counter()
     try:
+        if getattr(args, "cap", None) is not None and args.cap < 0:  # gen takes no --cap
+            raise ValueError("--cap must be nonnegative, not %d" % args.cap)
         if args.command in ("loalb", "fas"):
             decide = decide_loalb if args.command == "loalb" else decide_fas_below
             outcome = decide(_load(args.file, WeightedDigraph), args.k, **_cap_kw(args))

@@ -418,6 +418,44 @@ def test_linalb_cost_follows_the_variables_present_not_the_highest_index(tmp_pat
     assert run(["linalb", path, "--k", "1"]).verdict == "YES_BY_BOUND"
 
 
+def test_a_no_costs_nothing_per_declared_variable(tmp_path):
+    # One record under a header declaring 10^6 vertices or variables. Each call
+    # is NO, so no witness is widened to n and nothing of size n is built.
+    n = 10**6
+    cases = [
+        ("f.txt", "p ecnf %d 1 2\n1 2 0\n" % n, ["rsat", "--k-num", "2"]),
+        ("s.txt", "p lin2 %d 1\ne 1 0 1\n" % n, ["linalb", "--k", "1"]),
+        ("g.txt", "p digraph %d 1\na 1 2 1\n" % n, ["loalb", "--k", "1"]),
+    ]
+    for name, text, (command, *flags) in cases:
+        path = write(tmp_path, name, text)
+        tracemalloc.start()
+        try:
+            result = run([command, path, *flags])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.verdict == "NO", command
+        assert peak < 2**20, "%s peak %.2f MB" % (command, peak / 2**20)
+
+
+def test_a_negative_cap_is_an_error_before_the_instance_is_read(tmp_path):
+    missing = str(tmp_path / "missing.txt")
+    for command, flags in (
+        ("loalb", ["--k", "1"]),
+        ("fas", ["--k", "1"]),
+        ("linalb", ["--k", "1"]),
+        ("rsat", ["--k-num", "1"]),
+        ("moments", []),
+    ):
+        result = run([command, missing, *flags, "--cap", "-1"])
+        assert (result.verdict, result.exit_code) == ("ERROR", 2)
+        assert result.error == "--cap must be nonnegative, not -1"
+    # A cap of 0 still refuses every kernel with a vertex in it.
+    result = run(["loalb", write(tmp_path, "g.txt", THREE_CYCLE), "--k", "1", "--cap", "0"])
+    assert (result.verdict, result.diagnostics["cap"]) == ("KERNEL", 0)
+
+
 def test_gen_round_trips_through_cli(tmp_path):
     out = tmp_path / "inst.txt"
     result = run(["gen", "symmetric-digraph", "--n", "4", "--seed", "5", "--emit", str(out)])
