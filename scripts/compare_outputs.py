@@ -15,7 +15,7 @@ any difference; otherwise it prints the number of calls compared.
 
 With ``--record`` it runs this checkout alone and writes what each call gave
 to a record file, by default ``tests/golden_outputs.json``, which
-``tests/test_golden.py`` compares a fresh run with. The record keeps each
+``tests/test_scripts.py`` compares a fresh run with. The record keeps each
 call's JSON payload, so the verdict, diagnostics, kernel and error as
 written; each witness and gen text is a 16-hex-digit SHA-256 prefix, and
 ``time_ms`` and the temporary instance paths are left out, so two runs write

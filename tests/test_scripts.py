@@ -77,3 +77,23 @@ def test_compare_outputs_reports_every_difference_grouped_by_key():
     assert lines[1].endswith('this ["1/3", "1/3"], other ["1/4", "1/4"]')
     assert compare.differences(labels, theirs, theirs) == []
     assert compare.differences(labels, ours, theirs[:4])[-1] == "5 calls answered here, 4 there"
+
+
+def test_outputs_match_the_golden_record(tmp_path):
+    """Every benchmark call and probe at seeds 0 and 7 gives what ``tests/golden_outputs.json`` holds.
+
+    A change that means to alter an output regenerates the record with
+    ``scripts/compare_outputs.py --record`` and lists each changed key in
+    ``CHANGES.md``.
+    """
+    compare = load_script("compare_outputs")
+    fresh = tmp_path / "golden_outputs.json"
+    argv = [sys.executable, "scripts/compare_outputs.py", "--record", str(fresh)]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    labels, ours = compare.read_record(fresh)
+    stored_labels, theirs = compare.read_record(compare.RECORD)
+    assert labels == stored_labels
+    # Each line names a part that differs, on how many calls, and the first call's two values.
+    assert compare.differences(labels, ours, theirs) == []
+    assert fresh.read_bytes() == compare.RECORD.read_bytes()
