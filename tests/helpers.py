@@ -22,6 +22,7 @@ from abovetight.linord import (
     DEFAULT_VERTEX_CAP,
     LinearOrder,
     WeightedDigraph,
+    _gain_tables,
     exact_max_acyclic,
     loalb_threshold,
     reduce_two_cycles,
@@ -104,6 +105,54 @@ def subset_dp_max_forward(g: WeightedDigraph) -> tuple[int, LinearOrder]:
     used = set(active)
     seq.extend(v for v in range(g.n) if v not in used)
     return dp[size - 1], LinearOrder(tuple(seq))
+
+
+def full_best_order(in_weights: list[list[int]]) -> tuple[int, list[int]]:
+    """Maximum forward weight over the orders of vertices 0..m-1, with an order attaining it.
+
+    ``in_weights[i][t]`` is the weight of the arc from t into i. Dynamic program
+    over subsets: the best order of a set S extends by a new last vertex i,
+    gaining the weight of arcs from S into i, read from ``_gain_tables``. The
+    order is recovered by walking back from the full set to a predecessor
+    whose value plus gain gives the current value.
+
+    The package's per-component solver before it pruned sets by a heuristic
+    order's weight; kept as the oracle for the pruned ``linord._best_order``.
+    """
+    m = len(in_weights)
+    h, lo, hi = _gain_tables(in_weights)
+    low = (1 << h) - 1
+    size = 1 << m
+    # The vertices each half of a set leaves out, with their gain from that half.
+    lo_moves = [[(1 << i, lo[i][s], hi[i]) for i in range(h) if not s >> i & 1] for s in range(low + 1)]
+    hi_moves = [
+        [(1 << i, hi[i][s], lo[i]) for i in range(h, m) if not s >> (i - h) & 1]
+        for s in range(size >> h)
+    ]
+    dp = [0] * size
+    for mask in range(size):
+        base = dp[mask]
+        sl = mask & low
+        sh = mask >> h
+        for bit, gain, table in lo_moves[sl]:
+            val = base + gain + table[sh]
+            if val > dp[mask | bit]:
+                dp[mask | bit] = val
+        for bit, gain, table in hi_moves[sh]:
+            val = base + gain + table[sl]
+            if val > dp[mask | bit]:
+                dp[mask | bit] = val
+    order = []
+    mask = size - 1
+    while mask:
+        for i in range(m):
+            prev = mask ^ 1 << i
+            if prev < mask and dp[prev] + lo[i][prev & low] + hi[i][prev >> h] == dp[mask]:
+                break
+        order.append(i)
+        mask = prev
+    order.reverse()
+    return dp[size - 1], order
 
 
 def brute_dist_linord(g: WeightedDigraph) -> ExactDistribution:

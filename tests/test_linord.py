@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abovetight import linord
 from abovetight.linord import (
     LinearOrder,
     WeightedDigraph,
@@ -17,6 +18,7 @@ from abovetight.linord import (
     decide_loalb,
     digraph_stats,
     exact_max_acyclic,
+    forward_weight_counts,
     reduce_two_cycles,
     solve_loalb_faithful,
     with_isolated,
@@ -30,6 +32,7 @@ from helpers import (
     brute_decide_loalb,
     brute_max_forward_weight,
     faithful_outcome,
+    full_best_order,
     oriented_by_weight_map,
     random_digraph,
     reduce_two_cycles_by_dict,
@@ -446,6 +449,67 @@ def test_component_split_matches_the_monolithic_subset_dp():
         assert sorted(order) == active_vertices(g), g
         total = sum(w for _, _, w in g.arcs)
         assert x_value(g, with_isolated(order, g.n)) == 2 * value - total, g
+
+
+def pruning_corpora(rng: random.Random, count: int):
+    """Three seeded corpora on which every vertex is active, keyed by name.
+
+    ``exact_solve``: oriented digraphs of 8-15 vertices and 2n arcs, weights
+    1-4, on a random Hamiltonian path, shaped like the benchmark's loalb
+    kernels. ``strong``: a Hamiltonian cycle plus random arcs, 8-14 vertices.
+    ``tournament``: unit-weight tournaments of 8-12 vertices, where orders tie
+    often and the heuristic order can miss the optimum.
+    """
+    corpora = {"exact_solve": [], "strong": [], "tournament": []}
+    for _ in range(count):
+        n = rng.randint(8, 15)
+        path = rng.sample(range(n), n)
+        pairs = {tuple(sorted(pair)) for pair in zip(path, path[1:])}
+        while len(pairs) < 2 * n:
+            pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+        arcs = [(u, v, rng.randint(1, 4)) if rng.random() < 0.5 else (v, u, rng.randint(1, 4)) for u, v in pairs]
+        corpora["exact_solve"].append(WeightedDigraph.from_arcs(n, arcs))
+        n = rng.randint(8, 14)
+        corpora["strong"].append(WeightedDigraph.from_arcs(n, strongly_connected_arcs(rng, list(range(n)))))
+        n = rng.randint(8, 12)
+        arcs = [(u, v, 1) if rng.random() < 0.5 else (v, u, 1) for u in range(n) for v in range(u + 1, n)]
+        corpora["tournament"].append(WeightedDigraph.from_arcs(n, arcs))
+    return corpora
+
+
+def test_pruned_subset_dp_matches_the_full_one(monkeypatch):
+    # Same best value and the same order, component by component and whole.
+    corpora = pruning_corpora(random.Random(2828), 40)
+    for name, graphs in corpora.items():
+        for g in graphs:
+            matrix = linord._in_weights(g, active_vertices(g))
+            assert linord._best_order(matrix) == full_best_order(matrix), (name, g)
+    solved = [exact_max_acyclic(g) for graphs in corpora.values() for g in graphs]
+    monkeypatch.setattr(linord, "_best_order", full_best_order)
+    assert solved == [exact_max_acyclic(g) for graphs in corpora.values() for g in graphs]
+
+
+def test_heuristic_order_weight_is_a_real_lower_bound():
+    misses = 0
+    for name, graphs in pruning_corpora(random.Random(2929), 40).items():
+        for g in graphs:
+            matrix = linord._in_weights(g, active_vertices(g))
+            lower, order = linord._insertion_order(matrix)
+            total = sum(g.weights)
+            # Every vertex is active, so matrix indices are the graph's vertices.
+            assert 2 * lower - total == x_value(g, LinearOrder(tuple(order))), (name, g)
+            best, _ = linord._best_order(matrix)
+            assert lower <= best, (name, g)
+            misses += lower < best
+    # The bound is not tight everywhere, so the pruning is tested with slack.
+    assert misses > 0
+
+
+def test_forward_weight_counts_reach_the_pruned_optimum():
+    for name, graphs in pruning_corpora(random.Random(3030), 8).items():
+        for g in graphs:
+            active = active_vertices(g)
+            assert max(forward_weight_counts(g, active)) == exact_max_acyclic(g)[0], (name, g)
 
 
 def test_matching_at_the_vertex_cap_is_solved_at_once():

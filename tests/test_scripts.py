@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ["scripts/verify_bounds.py", "--trials", "5", "--seed", "1"],
         ["scripts/histogram_switch.py", "--n", "8", "--reps", "1", "--budgets", "32"],
         ["scripts/order_switch.py", "--n", "3", "4", "--reps", "1"],
+        ["scripts/order_prune.py", "--strong", "8", "--tournaments", "8", "--reps", "1"],
         ["scripts/line_count.py"],
         ["scripts/parse_split.py", "--scale", "0.02", "--reps", "1"],
         # A checkout compared with itself gives the same output on every call.
