@@ -270,25 +270,24 @@ def verify_second_moment_claims(
     """Check the second-moment claim on the instance's exact distribution.
 
     Each kind has a paper target and a closed form for E(X^2), and the claim
-    is E(X) = 0 and E(X^2) = closed form >= target. Oriented digraphs have
-    target W2/12 and closed form (W2 + sum over v of (out_v - in_v)^2)/12,
-    equal to the target exactly when every vertex is balanced;
-    merge-normalized equation systems have the sum of squared weights for
+    is E(X) = 0 and E(X^2) = closed form >= target. Both are read from the
+    kernel ``dist_*`` counts, on which X has the instance's law. Digraphs,
+    once ``reduce_two_cycles`` leaves them oriented, have target W2/12 and
+    closed form (W2 + sum over v of (out_v - in_v)^2)/12, equal to the target
+    exactly when every vertex is balanced; equation systems, once
+    ``merge_duplicates`` normalizes them, have the sum of squared weights for
     both; formulas within the conflict-number restriction have target m/4^r
     and Parseval's sum (``pairwise_second_moment``). ``dist`` is the
-    instance's distribution from ``dist_*``. Precondition violations raise
-    ValueError, checked before ``dist`` is read; a formula past
+    instance's distribution from ``dist_*``. A formula outside the
+    restriction raises ValueError, checked before ``dist`` is read; one past
     ``rsat.SUBCLAUSE_KEY_BUDGET`` raises CapExceeded.
     """
     if isinstance(instance, WeightedDigraph):
-        st = digraph_stats(instance)
-        if not st.oriented:
-            raise ValueError("digraph must be oriented (no 2-cycles)")
+        st = digraph_stats(reduce_two_cycles(instance))
         target, closed = Fraction(st.W2, 12), Fraction(st.W2 + st.imbalance2, 12)
     elif isinstance(instance, Lin2System):
-        if not instance.is_merge_normalized():
-            raise ValueError("system must be merge-normalized")
-        target = closed = Fraction(sum(eq.weight**2 for eq in instance.equations))
+        merged = maxlin.merge_duplicates(instance)
+        target = closed = Fraction(sum(eq.weight**2 for eq in merged.equations))
     elif isinstance(instance, ExactCnfFormula):
         cn, bound = rsat.conflict_number(instance), rsat.conflict_bound(instance)
         if cn > bound:

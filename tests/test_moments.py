@@ -342,10 +342,16 @@ def test_second_moment_linord_three_cycle_exact_quarter():
     assert check.holds and check.e2 == Fraction(1, 4) and check.target == Fraction(3, 12)
 
 
-def test_second_moment_requires_oriented_graph():
+def test_second_moment_checks_the_two_cycle_free_graph():
+    # The claim is checked on the oriented graph left once 2-cycles cancel, which dist_linord counts.
     g = WeightedDigraph.from_arcs(2, [(0, 1, 1), (1, 0, 1)])
-    with pytest.raises(ValueError, match="oriented"):
-        verify_second_moment_claims(g, dist_linord(g))
+    check = verify_second_moment_claims(g, dist_linord(g))
+    assert check.holds and check.e2 == check.target == 0
+    # 0 -> 1 at 3 against 1 -> 0 at 1 leaves 0 -> 1 at 2 beside 1 -> 2 at 1: W2 = 5,
+    # vertex imbalances 2, -1 and -1.
+    g = WeightedDigraph.from_arcs(3, [(0, 1, 3), (1, 0, 1), (1, 2, 1)])
+    check = verify_second_moment_claims(g, dist_linord(g))
+    assert check.holds and check.target == Fraction(5, 12) and check.e2 == Fraction(11, 12)
 
 
 def oriented_corpus(rng: random.Random, count: int):
@@ -426,10 +432,11 @@ def test_second_moment_lin2_identity():
     assert check.holds and check.e2 == 5
 
 
-def test_second_moment_lin2_requires_merge_normalized():
+def test_second_moment_lin2_checks_the_merged_system():
+    # Two copies of x0 = 1 merge into one equation of weight 2, whose sum of squared weights is 4.
     s = Lin2System.from_tuples(1, [((0,), 1, 1), ((0,), 1, 1)])
-    with pytest.raises(ValueError, match="merge-normalized"):
-        verify_second_moment_claims(s, dist_lin2(s))
+    check = verify_second_moment_claims(s, dist_lin2(s))
+    assert check.holds and check.e2 == check.target == 4
 
 
 def test_second_moment_rsat_disjoint_pair():
