@@ -5,14 +5,14 @@ arcs, weights 1-4) and tournaments (weights 1-4, and unit weights) of each
 size given, and solves each with ``linord.exact_max_acyclic`` three ways:
 with the unpruned subset DP (``tests/helpers.full_best_order``), as
 committed, and with pruning forced on every component
-(``linord.PRUNE_MIN_VERTICES`` = 0), which puts the heuristic's cost on the
-small components the committed crossover leaves unpruned. Prints one JSON row per
-graph: n, the optimum, the heuristic order's weight (LB, on the whole
-graph), each way's fastest time, and whether all three give the same
-(value, order).
+(``linord.PRUNE_MIN_VERTICES`` = 0), which shows the heuristic's cost on
+the small components the committed crossover leaves unpruned. Prints one
+JSON row per graph: n, the optimum, the heuristic order's weight (LB, on
+the whole graph), each way's fastest time, and whether all three give the
+same (value, order). The second command below measures the crossover.
 
     python3 scripts/order_prune.py --strong 12 14 16 18 20 --tournaments 14 16 18 20
-    python3 scripts/order_prune.py --strong 4 5 6 7 8 9 10 12 --tournaments --graphs 10
+    python3 scripts/order_prune.py --strong 4 5 6 7 8 9 10 11 12 --tournaments --graphs 10 --reps 5
 """
 
 from __future__ import annotations
