@@ -35,13 +35,13 @@ def echelon(rows: Iterable[int]) -> dict[int, int]:
     return ech
 
 
-def solve_affine(rows: Iterable[int], rhs: int, cols: int) -> int | None:
-    """One solution of the system row i . x = bit i of ``rhs``, or None if inconsistent.
+def solve_affine(ech: dict[int, int], cols: int) -> int | None:
+    """One solution of the system whose augmented row echelon is ``ech``, or None if inconsistent.
 
-    Every row must lie below bit ``cols``. The solution is packed with x_j
-    at bit j and every free variable at 0, so it is deterministic.
+    ``ech`` is an ``echelon`` of rows each holding its coefficients below bit
+    ``cols`` and its right side at bit ``cols``. The solution is packed with
+    x_j at bit j and every free variable at 0, so it is deterministic.
     """
-    ech = echelon(row | ((rhs >> i) & 1) << cols for i, row in enumerate(rows))
     if cols in ech:
         return None  # some combination of rows reads 0 = 1
     x = 0

@@ -141,7 +141,7 @@ class WeightedDigraph(Record):
 
 @dataclass(frozen=True)
 class DigraphStats:
-    """Total squared weight, summed squared vertex imbalance, and 2-cycle freeness.
+    """Total squared weight and summed squared vertex imbalance.
 
     ``imbalance2`` is the sum over the vertices of (out_v - in_v)^2, out_v
     and in_v the weights of the arcs out of and into v.
@@ -149,7 +149,6 @@ class DigraphStats:
 
     W2: int
     imbalance2: int
-    oriented: bool
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,6 @@ def digraph_stats(g: WeightedDigraph) -> DigraphStats:
     return DigraphStats(
         W2=sum(map(operator.mul, g.weights, g.weights)),
         imbalance2=sum(map(operator.mul, net.values(), net.values())),
-        oriented=set(g.pair_keys).isdisjoint(_pair_keys(g.n, g.heads, g.tails)),
     )
 
 
@@ -290,8 +288,9 @@ def _best_order(in_weights: list[list[int]]) -> tuple[int, list[int]]:
     ``in_weights[i][t]`` is the weight of the arc from t into i. Dynamic program
     over subsets: the best order of a set S extends by a new last vertex i,
     gaining the weight of arcs from S into i, read from ``_gain_tables``. The
-    order is recovered by walking back from the full set to the first
-    predecessor, by vertex index, whose value plus gain gives the current value.
+    order is recovered by walking back from the full set to the first reached
+    predecessor, by vertex index, whose value plus gain gives the current
+    value; if none does, the dp values are wrong and AssertionError names the set.
 
     A set S is extended only when dp[S] + W - in(S) >= LB. W is the total
     weight, in(S) the in-weight of S's vertices (two half-width subset-sum
@@ -310,12 +309,13 @@ def _best_order(in_weights: list[list[int]]) -> tuple[int, list[int]]:
       each step the unpruned DP's first predecessor keeps its exact value,
       and no earlier one newly meets the equality.
 
-    Below ``PRUNE_MIN_VERTICES`` LB is 0 and nothing is skipped: there the
-    heuristic costs more than the pruning saves. Median times over 10
-    strongly connected graphs per size (a Hamiltonian cycle plus m random
-    arcs, weights 1-4; ``scripts/order_prune.py``, unpruned against pruned
-    with the heuristic): 133 / 173 us at 6 vertices, 122 / 139 us at 7,
-    191 / 175 us at 8, 626 / 358 us at 10, 2.6 / 0.95 ms at 12.
+    Below ``PRUNE_MIN_VERTICES`` LB is 0, nothing is skipped and the in-weight
+    tables are not built: there the heuristic costs more than the pruning
+    saves. Median times over 10 strongly connected graphs per size (a
+    Hamiltonian cycle plus m random arcs, weights 1-4;
+    ``scripts/order_prune.py``, unpruned against pruned with the heuristic):
+    133 / 173 us at 6 vertices, 122 / 139 us at 7, 191 / 175 us at 8,
+    626 / 358 us at 10, 2.6 / 0.95 ms at 12.
     """
     m = len(in_weights)
     h, lo, hi = _gain_tables(in_weights)
@@ -327,11 +327,13 @@ def _best_order(in_weights: list[list[int]]) -> tuple[int, list[int]]:
         [(1 << i, hi[i][s], lo[i]) for i in range(h, m) if not s >> (i - h) & 1]
         for s in range(size >> h)
     ]
-    in_totals = list(map(sum, in_weights))
-    in_lo, in_hi = _subset_sums(in_totals[:h]), _subset_sums(in_totals[h:])
     lower = _insertion_order(in_weights)[0] if m >= PRUNE_MIN_VERTICES else 0
-    # S is extended only when dp[S] - in(S) >= LB - W, which every reached set meets when LB = 0.
-    floor = lower - sum(in_totals)
+    if lower:
+        in_totals = list(map(sum, in_weights))
+        in_lo, in_hi = _subset_sums(in_totals[:h]), _subset_sums(in_totals[h:])
+        # S is extended only when dp[S] - in(S) >= LB - W. With LB = 0 the test stops
+        # before it reads these.
+        floor = lower - sum(in_totals)
     dp = [-1] * size
     dp[0] = 0
     for mask in range(size):
@@ -353,8 +355,10 @@ def _best_order(in_weights: list[list[int]]) -> tuple[int, list[int]]:
     while mask:
         for i in range(m):
             prev = mask ^ 1 << i
-            if prev < mask and dp[prev] + lo[i][prev & low] + hi[i][prev >> h] == dp[mask]:
+            if prev < mask and dp[prev] >= 0 and dp[prev] + lo[i][prev & low] + hi[i][prev >> h] == dp[mask]:
                 break
+        else:
+            raise AssertionError("no predecessor of vertex set %s attains its dp value" % bin(mask))
         order.append(i)
         mask = prev
     order.reverse()

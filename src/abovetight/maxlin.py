@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from . import gf2
@@ -70,20 +70,24 @@ class Lin2System(Record):
         return cls(n, tuple(Lin2Equation(tuple(sorted(vs)), rhs, w) for vs, rhs, w in eqs))
 
     @cached_property
-    def occurring_masks(self) -> tuple[list[int], list[int]]:
-        """The occurring variables in increasing order and each equation's mask, bit i for the i-th.
+    def occurrences(self) -> Counter[int]:
+        """How many equations hold each variable, counted once per system."""
+        return Counter(chain.from_iterable(eq.variables for eq in self.equations))
 
-        Row operations on these cost what the equations hold, not the highest index.
-        Built once per system, so ``find_odd_set`` and ``rank_reduce`` on one merged
-        system share it; neither modifies the lists.
+    @cached_property
+    def occurring_echelon(self) -> tuple[list[int], dict[int, int]]:
+        """The occurring variables in increasing order, and one row echelon of the equation masks over them.
+
+        Bit i of a mask is the i-th occurring variable and every row carries a
+        1 at bit ``len(occurring)``, so row operations cost what the equations
+        hold, not the highest index. Built once per system: ``find_odd_set``
+        back-substitutes it and ``rank_reduce`` reads its pivots below the top
+        bit, which are those of the plain masks.
         """
-        occurring = sorted(set().union(*(eq.variables for eq in self.equations)))
+        occurring = sorted(self.occurrences)
         position = {v: i for i, v in enumerate(occurring)}
-        return occurring, [sum(1 << position[v] for v in eq.variables) for eq in self.equations]
-
-    def is_merge_normalized(self) -> bool:
-        keys = [eq.variables for eq in self.equations]
-        return len(keys) == len(set(keys))
+        top = 1 << len(occurring)
+        return occurring, gf2.echelon(sum((1 << position[v] for v in eq.variables), top) for eq in self.equations)
 
 
 @dataclass(frozen=True)
@@ -138,13 +142,10 @@ def merge_duplicates(s: Lin2System) -> Lin2System:
 
 
 def system_stats(s: Lin2System) -> SystemStats:
-    occ: Counter[int] = Counter()
-    for eq in s.equations:
-        occ.update(eq.variables)
     return SystemStats(
         m=len(s.equations),
         r=max((len(eq.variables) for eq in s.equations), default=0),
-        rho=max(occ.values(), default=0),
+        rho=max(s.occurrences.values(), default=0),
     )
 
 
@@ -152,10 +153,12 @@ def find_odd_set(s: Lin2System) -> frozenset[int] | None:
     """A variable set meeting every equation in an odd number of variables.
 
     Exists iff the system with every right side replaced by 1 is solvable;
-    the set is the support of that solution. Returns None otherwise.
+    the set is the support of that solution, back-substituted from the
+    system's ``occurring_echelon``, whose top bit is that right side.
+    Returns None otherwise.
     """
-    occurring, masks = s.occurring_masks
-    x = gf2.solve_affine(masks, (1 << len(masks)) - 1, len(occurring))
+    occurring, ech = s.occurring_echelon
+    x = gf2.solve_affine(ech, len(occurring))
     if x is None:
         return None
     # Bit i of x, the digit at i from the right, is the value of occurring[i].
@@ -165,8 +168,9 @@ def find_odd_set(s: Lin2System) -> frozenset[int] | None:
 def rank_reduce(s: Lin2System) -> RankReduction:
     """Drop every variable outside the greedy-leftmost independent column basis.
 
-    The basis is the pivot set of one row echelon of the equation masks over
-    the occurring variables, numbered in increasing order.
+    The basis is the pivot set below the top bit of the system's
+    ``occurring_echelon``: an echelon keyed by lowest set bit reduces the
+    low bits of a row with a top bit exactly as it reduces the row without.
 
     Each equation keeps only its basis variables (renumbered by basis
     position). The eliminated columns lie in the basis span, so every
@@ -174,8 +178,8 @@ def rank_reduce(s: Lin2System) -> RankReduction:
     achievable in the reduction and vice versa; no equation loses all of
     its variables.
     """
-    occurring, masks = s.occurring_masks
-    basis = [occurring[p] for p in sorted(gf2.echelon(masks))]
+    occurring, ech = s.occurring_echelon
+    basis = [occurring[p] for p in sorted(ech) if p < len(occurring)]
     position = {v: i for i, v in enumerate(basis)}
     # Basis positions grow with the variables, so each equation's stay strictly
     # increasing. Tuples from lists, as Record says.
@@ -318,8 +322,9 @@ def decide_linalb(
         if stats.m >= threshold:
             return DecisionOutcome(Verdict.YES_BY_BOUND, diagnostics=diag)
     reduction = rank_reduce(merged)
-    # Free the merged system and its cached masks before the kernel is solved: held
-    # through the solve, they raised perfbench's kernelize peak RSS by 1.6 MB (5%).
+    # Free the merged system and its cached echelon before the kernel is solved: held
+    # through the solve, the system and its masks raised perfbench's kernelize peak RSS
+    # by 1.6 MB (5%).
     del merged
     diag["kernel_vars"] = reduction.reduced.n
     diag["kernel_eqs"] = len(reduction.reduced.equations)

@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
-from abovetight.gf2 import echelon, solve_affine
+from abovetight.gf2 import echelon
 from abovetight.instances import ParseError
 from abovetight.linord import (
     DEFAULT_VERTEX_CAP,
@@ -331,6 +331,29 @@ def brute_first_solution(rows: list[int], rhs: int, cols: int) -> int | None:
     return None
 
 
+def solve_affine_rows(rows: list[int], rhs: int, cols: int) -> int | None:
+    """One solution of the system row i . x = bit i of ``rhs``, or None if inconsistent.
+
+    ``gf2.solve_affine`` as it was when it built its own echelon from the
+    rows: every row must lie below bit ``cols``. The solution is packed with
+    x_j at bit j and every free variable at 0, so it is deterministic.
+    """
+    ech = echelon(row | ((rhs >> i) & 1) << cols for i, row in enumerate(rows))
+    if cols in ech:
+        return None  # some combination of rows reads 0 = 1
+    x = 0
+    for p in sorted(ech, reverse=True):
+        row = ech[p]
+        x |= (((row >> cols) ^ (row & x).bit_count()) & 1) << p
+    return x
+
+
+def merge_normalized(s: Lin2System) -> bool:
+    """No two equations hold the same variables, as ``merge_duplicates`` leaves a system."""
+    keys = [eq.variables for eq in s.equations]
+    return len(keys) == len(set(keys))
+
+
 def lin2_x(s: Lin2System, assignment) -> int:
     """Satisfied minus unsatisfied weight, by inline parity checks."""
     x = 0
@@ -383,7 +406,7 @@ def occurrence_reduce(s: Lin2System, k: int, r: int) -> Lin2System:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if not s.is_merge_normalized():
+    if not merge_normalized(s):
         raise ValueError("system must be merge-normalized first")
     stats = system_stats(s)
     if stats.r > r:
@@ -680,7 +703,7 @@ def auto_case_by_candidates(s: Lin2System, k: int) -> CaseKind:
 def find_odd_set_wide(s: Lin2System) -> frozenset[int] | None:
     """``find_odd_set`` with masks as wide as the highest variable index, as the package had it."""
     masks = lin2_masks(s)
-    x = solve_affine(masks, (1 << len(masks)) - 1, max(masks, default=0).bit_length())
+    x = solve_affine_rows(masks, (1 << len(masks)) - 1, max(masks, default=0).bit_length())
     if x is None:
         return None
     support = []

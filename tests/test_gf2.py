@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from abovetight import gf2
 from abovetight.gf2 import echelon, solve_affine
-from helpers import brute_first_solution, brute_independent_columns
+from helpers import brute_first_solution, brute_independent_columns, solve_affine_rows
 
 
 def pack(rows):
@@ -20,6 +20,15 @@ def rank(rows):
 
 def basis(rows):
     return sorted(echelon(rows))
+
+
+def augment(rows, rhs, cols):
+    """Each row with bit i of ``rhs`` at bit ``cols``."""
+    return [row | ((rhs >> i) & 1) << cols for i, row in enumerate(rows)]
+
+
+def solve(rows, rhs, cols):
+    return solve_affine(echelon(augment(rows, rhs, cols)), cols)
 
 
 # Columns a1=(1,0,1), a2=(1,1,0), a3=(0,1,1); a3 = a1 + a2 over GF(2).
@@ -63,17 +72,17 @@ def test_echelon_rows_are_keyed_by_their_lowest_bit():
 
 def test_solve_affine_small_system():
     # z1+z2=1, z2+z3=1
-    x = solve_affine(pack([[1, 1, 0], [0, 1, 1]]), 0b11, 3)
+    x = solve(pack([[1, 1, 0], [0, 1, 1]]), 0b11, 3)
     assert x is not None
     assert (x ^ (x >> 1)) & 1 == 1 and ((x >> 1) ^ (x >> 2)) & 1 == 1
 
 
 def test_solve_affine_contradiction():
-    assert solve_affine(pack([[1], [1]]), 0b01, 1) is None
+    assert solve(pack([[1], [1]]), 0b01, 1) is None
 
 
 def test_solve_affine_empty_system():
-    assert solve_affine([], 0, 3) == 0
+    assert solve_affine({}, 3) == 0
 
 
 def _random_rows(rng: random.Random, rows: int, cols: int) -> list[int]:
@@ -86,7 +95,8 @@ def _random_rows(rng: random.Random, rows: int, cols: int) -> list[int]:
     return out
 
 
-def test_echelon_pivots_match_the_column_walk():
+def _column_walk_corpus():
+    """3,000 seeded (rows, cols) systems, a third each square-ish, tall and wide."""
     rng = random.Random(20261018)
     for trial in range(3000):
         rows = rng.randint(0, 14)
@@ -95,8 +105,28 @@ def test_echelon_pivots_match_the_column_walk():
             rows = cols + rng.randint(1, 6)
         elif trial % 3 == 2:  # more columns than rows
             cols = rows + rng.randint(1, 6)
-        masks = _random_rows(rng, rows, cols)
+        yield _random_rows(rng, rows, cols), cols
+
+
+def test_echelon_pivots_match_the_column_walk():
+    for masks, cols in _column_walk_corpus():
         assert basis(masks) == brute_independent_columns(masks, cols), (masks, cols)
+
+
+def test_augmented_echelon_serves_the_basis_and_the_solve():
+    # One echelon of the rows with a right side at bit cols: its pivots below cols
+    # are the plain rows' pivots, and back-substituting it solves as the rows oracle.
+    rng = random.Random(29)
+    seen = Counter()
+    for masks, cols in _column_walk_corpus():
+        for rhs in (rng.getrandbits(len(masks)) if masks else 0, (1 << len(masks)) - 1):
+            ech = echelon(augment(masks, rhs, cols))
+            assert sorted(p for p in ech if p < cols) == basis(masks), (masks, cols)
+            x = solve_affine(ech, cols)
+            assert x == solve_affine_rows(masks, rhs, cols), (masks, rhs, cols)
+            seen["empty" if not masks else "deficient" if len(basis(masks)) < cols else "full"] += 1
+            seen["inconsistent" if x is None else "solved"] += 1
+    assert min(seen[kind] for kind in ("empty", "deficient", "full", "inconsistent", "solved")) > 0
 
 
 def test_rank_equals_basis_size_and_expansions_reproduce_columns():
@@ -133,7 +163,7 @@ def test_rhs_pivot_matches_brute_solvability():
         cols = rng.randint(0, 7)
         masks = _random_rows(rng, rows, cols)
         rhs = rng.getrandbits(rows) if rows else 0
-        augmented = [row | ((rhs >> i) & 1) << cols for i, row in enumerate(masks)]
+        augmented = augment(masks, rhs, cols)
         solvable = brute_first_solution(masks, rhs, cols) is not None
         assert (cols in echelon(augmented)) == (not solvable)
 
@@ -145,7 +175,7 @@ def test_solve_affine_agrees_with_brute_force():
         cols = rng.randint(0, 8)
         masks = _random_rows(rng, rows, cols)
         rhs = rng.getrandbits(rows) if rows else 0
-        x = solve_affine(masks, rhs, cols)
+        x = solve(masks, rhs, cols)
         brute = brute_first_solution(masks, rhs, cols)
         assert (x is None) == (brute is None)
         if x is not None:

@@ -26,7 +26,7 @@ from abovetight.maxlin import (
 )
 from abovetight.outcome import CapExceeded, RestrictionViolated, Verdict
 
-from abovetight import maxlin
+from abovetight import gf2, maxlin
 
 from helpers import (
     auto_case_by_candidates,
@@ -38,6 +38,7 @@ from helpers import (
     find_odd_set_wide,
     flip_walk_lin2,
     lin2_x,
+    merge_normalized,
     occurrence_reduce,
     parity_constraints,
     random_lin2,
@@ -201,8 +202,9 @@ def spread_variables(rng: random.Random, s: Lin2System, extra: int) -> Lin2Syste
 
 
 def test_occurring_masks_match_the_wide_oracles(monkeypatch):
-    # Masks over the occurring variables against masks as wide as the highest
-    # index: the same odd set, basis and reduction, and the same decision.
+    # One echelon of masks over the occurring variables against separate eliminations
+    # of masks as wide as the highest index: the same odd set, basis and reduction,
+    # and the same decision.
     rng = random.Random(8128)
     systems, decided = [], []
     for _ in range(4000):
@@ -223,15 +225,22 @@ def test_occurring_masks_match_the_wide_oracles(monkeypatch):
 
 
 def test_auto_case_builds_the_masks_once(monkeypatch):
-    # The odd-set search and the rank reduction both read the merged system's masks.
+    # The odd-set search and the rank reduction share one row echelon of the merged
+    # system's masks, so an auto-case decision eliminates once, kernel or not.
     calls = []
-    masks = vars(Lin2System)["occurring_masks"]
-    for owner, name in ((masks, "func"), (maxlin, "find_odd_set"), (maxlin, "rank_reduce")):
-        original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda s, f=original, n=name: calls.append(n) or f(s))
+    echelon = gf2.echelon
+    monkeypatch.setattr(gf2, "echelon", lambda rows: calls.append(rows) or echelon(rows))
     out = decide_linalb(sys2(4, [((0, 1), 1, 1), ((1, 2), 0, 1), ((2, 3), 1, 2)]), 1)
     assert out.verdict is Verdict.YES_WITNESS and "kernel_vars" in out.diagnostics
-    assert sorted(calls) == ["find_odd_set", "func", "rank_reduce"]
+    assert len(calls) == 1
+    rng = random.Random(2929)
+    kernels = 0
+    for _ in range(300):
+        calls.clear()
+        out = decide_linalb(random_lin2(rng, n_max=10, m_max=14), rng.randint(1, 3))
+        assert len(calls) == 1, out
+        kernels += "kernel_vars" in out.diagnostics
+    assert kernels > 200
 
 
 def _decision(s: Lin2System, k: int, case: CaseKind | None):
@@ -581,7 +590,7 @@ def test_merge_is_idempotent_and_normalized(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     s = random_lin2(rng, n_max=6, m_max=10)
     merged = merge_duplicates(s)
-    assert merged.is_merge_normalized()
+    assert merge_normalized(merged)
     assert merge_duplicates(merged) == merged
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from abovetight import gf2, linord
 from abovetight.instances import all_subsets_system
-from abovetight.linord import WeightedDigraph, decide_loalb, digraph_stats
+from abovetight.linord import WeightedDigraph, decide_loalb
 from abovetight.maxlin import (
     CaseKind,
     Lin2Equation,
@@ -42,6 +42,7 @@ from helpers import (
     brute_pair_expectation,
     estimate_digraph_moments_by_induced_graph,
     lin2_x,
+    oriented_by_weight_map,
     random_digraph,
     random_formula,
     random_lin2,
@@ -92,7 +93,7 @@ def test_dist_linord_matches_permutation_oracle():
             arcs += [(u, v) for u in active for v in active if u != v and rng.random() < 0.3]
             g = WeightedDigraph.from_arcs(n, [(u, v, rng.randint(1, 5)) for u, v in arcs])
             assert len({v for u, w, _ in g.arcs for v in (u, w)}) == active_count
-            seen_two_cycle |= not digraph_stats(g).oriented
+            seen_two_cycle |= not oriented_by_weight_map(g)
             seen_padding |= g.n > active_count
             assert dist_linord(g) == brute_dist_linord(g)
     assert seen_two_cycle and seen_padding
@@ -370,7 +371,7 @@ def oriented_corpus(rng: random.Random, count: int):
                 w = rng.randint(1, big)
                 arcs += [(u, v, w) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
             g = WeightedDigraph.from_arcs(n, arcs)
-            if not digraph_stats(g).oriented:
+            if not oriented_by_weight_map(g):
                 continue
         else:
             pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in itertools.combinations(active, 2)]
@@ -597,7 +598,7 @@ def test_digraph_estimate_matches_the_induced_graph_sampler():
         g = random_digraph(rng, n_max=7, wmax=wmax, density=rng.choice([0.2, 0.5]), n_min=0)
         # Isolated vertices past the drawn ones too, not only between them.
         drawn.append(WeightedDigraph(g.n + rng.randint(0, 3), g.arcs))
-    assert sum(1 for g in drawn if not digraph_stats(g).oriented) > 50
+    assert sum(1 for g in drawn if not oriented_by_weight_map(g)) > 50
     assert sum(1 for g in drawn if max(g.weights, default=0) > 1 << 53) > 50
     for g in drawn:
         seed = rng.randrange(1 << 32)
