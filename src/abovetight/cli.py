@@ -30,7 +30,7 @@ class RunResult:
 
     verdict: str
     diagnostics: dict[str, Any] = field(default_factory=dict)
-    witness: list[int] | None = None
+    witness: Sequence[int] | None = None
     kernel: dict[str, int] | None = None
     time_ms: float = 0.0
     error: str | None = None
@@ -114,10 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _witness_tokens(witness: Any) -> list[int]:
+def _witness_tokens(witness: Any) -> Sequence[int]:
+    """The printed tokens of a witness: an order's vertices numbered from 1, or an assignment as it is.
+
+    An assignment witness is ``maxlin.lift_assignment``'s tuple of the ints 0
+    and 1, already what is printed, so it is passed on without a copy of its
+    n pointers.
+    """
     if not isinstance(witness, LinearOrder):
-        # An assignment witness already holds the ints 0 and 1.
-        return list(witness)
+        return witness
     # The tokens are the order's own int objects, not n new ones. Sorted, the
     # order holds v at index v, so index v of the shifted copy holds v + 1. A
     # witness order is the solved vertices, then runs of the others in index
@@ -176,7 +181,7 @@ def _run_moments(args: argparse.Namespace) -> RunResult:
     diag["scale"] = dist.scale
     diag["total"] = dist.total
     try:
-        claim = moments.verify_second_moment_claims(instance, dist=dist)
+        claim = moments.verify_second_moment_claims(dist)
         diag["second_moment_target"] = claim.target
         diag["second_moment_holds"] = claim.holds
         diag["pairwise_e2"] = claim.pairwise_e2
@@ -189,7 +194,7 @@ def _run_moments(args: argparse.Namespace) -> RunResult:
         b = Fraction(args.b)
         tail = moments.verify_fourth_moment_tail(dist, b)
         diag["tail_b"] = b
-        if tail.preconditions_ok:
+        if tail.failed_precondition is None:
             diag["tail_probability"] = tail.probability
             diag["tail_holds"] = tail.holds
         else:

@@ -197,11 +197,13 @@ def lift_assignment(basis: Sequence[int], n: int, y: Sequence[int]) -> tuple[int
     Widens a kernel's witness to the declared variables: ``basis`` is a rank
     reduction's basis for linalb, and the occurring variables, less one, for
     rsat. ``outcome.settle`` calls it only for a YES_WITNESS verdict, so the
-    n-long assignment is built only for a witness that is printed.
+    n-long assignment is built only for a witness that is printed. It is
+    filled as one byte per variable, so at its peak it holds n bytes beside
+    the tuple's n pointers to the shared ints 0 and 1.
     """
     if len(y) != len(basis):
         raise ValueError("assignment length must match the basis size")
-    z = [0] * n
+    z = bytearray(n)
     for value, variable in zip(y, basis):
         if value not in (0, 1):
             raise ValueError("assignment values must be 0 or 1")

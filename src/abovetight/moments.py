@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import maxlin, rsat
+from .instances import Instance
 from .linord import WeightedDigraph, active_vertices, digraph_stats, forward_weight_counts, reduce_two_cycles
 from .maxlin import DEFAULT_ASSIGNMENT_CAP, Lin2System
 from .outcome import check_cap
@@ -41,12 +42,16 @@ class ExactDistribution:
     """Exact mass of a scaled integer variable over a finite uniform space.
 
     ``mass`` lists (value, count) pairs sorted by value; counts sum to
-    ``total`` and stored values are scale * X.
+    ``total`` and stored values are scale * X. ``kernel`` is the instance
+    that ``dist_*`` counted, on which X has the input's law, and from which
+    ``verify_second_moment_claims`` reads its target and closed form; it is
+    None on a hand-built law and takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     scale: int
     mass: tuple[tuple[int, int], ...]
     total: int
+    kernel: Instance | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.scale < 1:
@@ -62,10 +67,10 @@ class ExactDistribution:
             raise ValueError("counts must sum to the sample-space size")
 
     @classmethod
-    def from_counts(cls, scale: int, counts: Counter[int], multiplier: int = 1) -> ExactDistribution:
+    def from_counts(cls, scale: int, counts: Counter[int], multiplier: int, kernel: Instance) -> ExactDistribution:
         mass = tuple(sorted((v, c * multiplier) for v, c in counts.items()))
         total = sum(c for _, c in mass)
-        return cls(scale=scale, mass=mass, total=total)
+        return cls(scale=scale, mass=mass, total=total, kernel=kernel)
 
     def is_symmetric(self) -> bool:
         table = dict(self.mass)
@@ -83,28 +88,16 @@ class MomentReport:
 
 
 @dataclass(frozen=True)
-class SymmetryCheck:
-    """Outcome of the symmetric-distribution positive-tail check.
-
-    When the distribution is symmetric the event X >= sqrt(E(X^2)) must have
-    positive probability; ``holds`` is None when symmetry fails and the check
-    does not apply.
-    """
-
-    symmetric: bool
-    holds: bool | None
-
-
-@dataclass(frozen=True)
 class TailCheck:
     """Outcome of the fourth-moment tail check at ratio bound b.
 
-    Preconditions are E(X) = 0, E(X^2) > 0 and E(X^4) <= b * E(X^2)^2; when
-    they hold, Prob(X > sigma / (4 sqrt(b))) must be at least 4^(-4/3) / b,
-    compared exactly as 256 * (count * b_num)^3 >= (total * b_den)^3.
+    Preconditions are E(X) = 0, E(X^2) > 0 and E(X^4) <= b * E(X^2)^2;
+    ``failed_precondition`` names the first that fails, or is None when all
+    hold. Then Prob(X > sigma / (4 sqrt(b))) must be at least 4^(-4/3) / b,
+    compared exactly as 256 * (count * b_num)^3 >= (total * b_den)^3; when
+    a precondition fails, ``holds`` is None and ``probability`` 0.
     """
 
-    preconditions_ok: bool
     failed_precondition: str | None
     holds: bool | None
     probability: Fraction
@@ -112,13 +105,13 @@ class TailCheck:
 
 @dataclass(frozen=True)
 class SecondMomentCheck:
-    """The enumerated E(X^2), the paper's lower bound on it, and whether the claim holds.
+    """The paper's lower bound on E(X^2), E(X^2) in closed form, and whether the claim holds.
 
-    ``pairwise_e2`` is E(X^2) in closed form, from the instance's weights
-    or clauses rather than from its distribution.
+    ``pairwise_e2`` is read from the counted kernel's weights or clauses
+    rather than from its distribution; the enumerated E(X^2) is
+    ``moment_report``'s ``e2``.
     """
 
-    e2: Fraction
     target: Fraction
     holds: bool
     pairwise_e2: Fraction
@@ -146,7 +139,7 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
         _check_multiplier(multiplier.bit_length())
     total_weight = sum(kernel.weights)
     counts = Counter({2 * f - total_weight: c for f, c in forward_weight_counts(kernel, active).items()})
-    return ExactDistribution.from_counts(2, counts, multiplier)
+    return ExactDistribution.from_counts(2, counts, multiplier, kernel)
 
 
 def dist_lin2(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDistribution:
@@ -162,7 +155,7 @@ def dist_lin2(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDistribu
     check_cap("distribution", reduced.n, "kernel variables", cap)
     _check_multiplier(s.n - reduced.n + 1)
     counts = maxlin.x_distribution_counts(reduced)
-    return ExactDistribution.from_counts(1, counts, 1 << (s.n - reduced.n))
+    return ExactDistribution.from_counts(1, counts, 1 << (s.n - reduced.n), reduced)
 
 
 def dist_rsat(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDistribution:
@@ -175,7 +168,7 @@ def dist_rsat(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDis
     check_cap("distribution", occurring, "occurring variables", cap)
     _check_multiplier(f.n - occurring + 1)
     counts = rsat.scaled_x_counts(f)
-    return ExactDistribution.from_counts(1 << f.r, counts, 1 << (f.n - occurring))
+    return ExactDistribution.from_counts(1 << f.r, counts, 1 << (f.n - occurring), f)
 
 
 def _check_multiplier(bits: int) -> None:
@@ -199,15 +192,18 @@ def moment_report(d: ExactDistribution) -> MomentReport:
     )
 
 
-def verify_symmetric_tail(d: ExactDistribution) -> SymmetryCheck:
+def verify_symmetric_tail(d: ExactDistribution) -> bool | None:
     """Check Prob(X >= sqrt(E(X^2))) > 0 for a symmetric distribution.
 
-    The event is evaluated exactly: a positive value v qualifies iff
+    Returns whether the event has positive probability, or None when the
+    distribution is not symmetric and the check does not apply. The event
+    is evaluated exactly: a positive value v qualifies iff
     v^2 * total >= sum(count * value^2); the value 0 qualifies only when the
     second moment vanishes.
     """
+    if not d.is_symmetric():
+        return None
     s2 = sum(c * v * v for v, c in d.mass)  # total * scale^2 * E(X^2)
-    symmetric = d.is_symmetric()
     event = 0
     for v, c in d.mass:
         if v > 0:
@@ -215,8 +211,7 @@ def verify_symmetric_tail(d: ExactDistribution) -> SymmetryCheck:
                 event += c
         elif v == 0 and s2 == 0:
             event += c
-    holds = event > 0 if symmetric else None
-    return SymmetryCheck(symmetric=symmetric, holds=holds)
+    return event > 0
 
 
 def verify_fourth_moment_tail(d: ExactDistribution, b: Fraction | int) -> TailCheck:
@@ -236,7 +231,7 @@ def verify_fourth_moment_tail(d: ExactDistribution, b: Fraction | int) -> TailCh
     elif b.denominator * s4 * d.total > b.numerator * s2 * s2:
         failed = "E(X^4) = %s exceeds b E(X^2)^2" % moment_p(d, 4)
     if failed is not None:
-        return TailCheck(False, failed, None, Fraction(0))
+        return TailCheck(failed, None, Fraction(0))
     # X > sigma/(4 sqrt(b))  <=>  v > 0 and 16 num(b) total v^2 > den(b) s2.
     event = sum(
         c
@@ -247,7 +242,7 @@ def verify_fourth_moment_tail(d: ExactDistribution, b: Fraction | int) -> TailCh
     # Prob >= 4^(-4/3)/b  <=>  256 (Prob b)^3 >= 1.
     lhs = 256 * (event * b.numerator) ** 3
     rhs = (d.total * b.denominator) ** 3
-    return TailCheck(True, None, lhs >= rhs, prob)
+    return TailCheck(None, lhs >= rhs, prob)
 
 
 def pairwise_second_moment(f: ExactCnfFormula) -> Fraction:
@@ -263,40 +258,35 @@ def pairwise_second_moment(f: ExactCnfFormula) -> Fraction:
     return Fraction(f.overlap_counts[2], 4**f.r)
 
 
-def verify_second_moment_claims(
-    instance: WeightedDigraph | Lin2System | ExactCnfFormula,
-    dist: ExactDistribution,
-) -> SecondMomentCheck:
-    """Check the second-moment claim on the instance's exact distribution.
+def verify_second_moment_claims(dist: ExactDistribution) -> SecondMomentCheck:
+    """Check the second-moment claim on the kernel a ``dist_*`` distribution counted.
 
     Each kind has a paper target and a closed form for E(X^2), and the claim
-    is E(X) = 0 and E(X^2) = closed form >= target. Both are read from the
-    kernel ``dist_*`` counts, on which X has the instance's law. Digraphs,
-    once ``reduce_two_cycles`` leaves them oriented, have target W2/12 and
-    closed form (W2 + sum over v of (out_v - in_v)^2)/12, equal to the target
-    exactly when every vertex is balanced; equation systems, once
-    ``merge_duplicates`` normalizes them, have the sum of squared weights for
-    both; formulas within the conflict-number restriction have target m/4^r
-    and Parseval's sum (``pairwise_second_moment``). ``dist`` is the
-    instance's distribution from ``dist_*``. A formula outside the
-    restriction raises ValueError, checked before ``dist`` is read; one past
-    ``rsat.SUBCLAUSE_KEY_BUDGET`` raises CapExceeded.
+    is E(X) = 0 and E(X^2) = closed form >= target. Both are read from
+    ``dist.kernel``, on which X has the instance's law. A digraph kernel is
+    2-cycle free, with target W2/12 and closed form
+    (W2 + sum over v of (out_v - in_v)^2)/12, equal to the target exactly
+    when every vertex is balanced; an equation-system kernel, the rank
+    reduction of a merged system, keeps the merged weights, whose sum of
+    squares is both; a formula within the conflict-number restriction has
+    target m/4^r and Parseval's sum (``pairwise_second_moment``). A formula
+    outside the restriction raises ValueError, checked before the mass is
+    read; one past ``rsat.SUBCLAUSE_KEY_BUDGET`` raises CapExceeded.
     """
-    if isinstance(instance, WeightedDigraph):
-        st = digraph_stats(reduce_two_cycles(instance))
+    kernel = dist.kernel
+    if isinstance(kernel, WeightedDigraph):
+        st = digraph_stats(kernel)
         target, closed = Fraction(st.W2, 12), Fraction(st.W2 + st.imbalance2, 12)
-    elif isinstance(instance, Lin2System):
-        merged = maxlin.merge_duplicates(instance)
-        target = closed = Fraction(sum(eq.weight**2 for eq in merged.equations))
-    elif isinstance(instance, ExactCnfFormula):
-        cn, bound = rsat.conflict_number(instance), rsat.conflict_bound(instance)
+    elif isinstance(kernel, Lin2System):
+        target = closed = Fraction(sum(eq.weight**2 for eq in kernel.equations))
+    elif isinstance(kernel, ExactCnfFormula):
+        cn, bound = rsat.conflict_number(kernel), rsat.conflict_bound(kernel)
         if cn > bound:
             raise ValueError("conflict number %d exceeds (2^r - 2)m = %d" % (cn, bound))
-        target, closed = Fraction(len(instance.clauses), 4**instance.r), pairwise_second_moment(instance)
+        target, closed = Fraction(len(kernel.clauses), 4**kernel.r), pairwise_second_moment(kernel)
     else:
-        raise TypeError("unsupported instance type: %r" % type(instance))
-    e2 = moment_p(dist, 2)
-    return SecondMomentCheck(e2, target, moment_p(dist, 1) == 0 and e2 == closed >= target, closed)
+        raise TypeError("unsupported instance type: %r" % type(kernel))
+    return SecondMomentCheck(target, moment_p(dist, 1) == 0 and moment_p(dist, 2) == closed >= target, closed)
 
 
 def estimate_moments(

@@ -23,6 +23,7 @@ from abovetight.linord import (
     LinearOrder,
     WeightedDigraph,
     _gain_tables,
+    digraph_stats,
     exact_max_acyclic,
     loalb_threshold,
     reduce_two_cycles,
@@ -40,9 +41,9 @@ from abovetight.maxlin import (
     occurrence_f,
     system_stats,
 )
-from abovetight.moments import ExactDistribution
+from abovetight.moments import ExactDistribution, moment_p, pairwise_second_moment
 from abovetight.outcome import CapExceeded
-from abovetight.rsat import ExactCnfFormula
+from abovetight.rsat import ExactCnfFormula, conflict_bound, conflict_number
 
 
 def brute_max_forward_weight(g: WeightedDigraph) -> int:
@@ -159,7 +160,8 @@ def brute_dist_linord(g: WeightedDigraph) -> ExactDistribution:
     """Exact mass of 2X over all n! orders, by permutation enumeration.
 
     Only orders of non-isolated vertices are walked; each accounts for
-    n!/n'! full orders.
+    n!/n'! full orders. The distribution records ``g`` as the kernel it
+    counted.
     """
     active = sorted({v for u, v2, _ in g.arcs for v in (u, v2)})
     total_weight = sum(w for _, _, w in g.arcs)
@@ -174,7 +176,7 @@ def brute_dist_linord(g: WeightedDigraph) -> ExactDistribution:
                 forward += w
         counts[2 * forward - total_weight] += 1
     multiplier = math.factorial(g.n) // math.factorial(len(active))
-    return ExactDistribution.from_counts(2, counts, multiplier)
+    return ExactDistribution.from_counts(2, counts, multiplier, g)
 
 
 def brute_decide_loalb(g: WeightedDigraph, k: int) -> bool:
@@ -535,6 +537,34 @@ def oriented_by_weight_map(g: WeightedDigraph) -> bool:
     """No arc's reverse is an arc: ``digraph_stats``' 2-cycle test before it read pair keys."""
     wm = weight_map(g)
     return all((v, u) not in wm for u, v in wm)
+
+
+def second_moment_claim_of_instance(
+    instance: WeightedDigraph | Lin2System | ExactCnfFormula, dist: ExactDistribution
+) -> tuple[Fraction, bool, Fraction]:
+    """(target, holds, pairwise_e2) of the second-moment claim, derived again from the raw instance.
+
+    The oracle for ``verify_second_moment_claims``, which reads the kernel
+    its distribution counted: here a digraph's closed form is read once its
+    2-cycles cancel and a system's once its duplicates merge, and a formula
+    outside the conflict-number restriction raises ValueError before
+    ``dist`` is read.
+    """
+    if isinstance(instance, WeightedDigraph):
+        st = digraph_stats(reduce_two_cycles(instance))
+        target, closed = Fraction(st.W2, 12), Fraction(st.W2 + st.imbalance2, 12)
+    elif isinstance(instance, Lin2System):
+        merged = merge_duplicates(instance)
+        target = closed = Fraction(sum(eq.weight**2 for eq in merged.equations))
+    elif isinstance(instance, ExactCnfFormula):
+        cn, bound = conflict_number(instance), conflict_bound(instance)
+        if cn > bound:
+            raise ValueError("conflict number %d exceeds (2^r - 2)m = %d" % (cn, bound))
+        target, closed = Fraction(len(instance.clauses), 4**instance.r), pairwise_second_moment(instance)
+    else:
+        raise TypeError("unsupported instance type: %r" % type(instance))
+    e2 = moment_p(dist, 2)
+    return target, moment_p(dist, 1) == 0 and e2 == closed >= target, closed
 
 
 def estimate_digraph_moments_by_induced_graph(

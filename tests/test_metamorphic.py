@@ -104,7 +104,7 @@ def test_lin2_verdicts_survive_reordering_splitting_cancelling_and_relabelling(t
             moved = [0] * n
             for v, value in enumerate(witness):
                 moved[label[v]] = value
-            assert got_witness == moved
+            assert list(got_witness) == moved
 
 
 @given(st.data())

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from abovetight import gf2, linord
-from abovetight.instances import all_subsets_system
-from abovetight.linord import WeightedDigraph, decide_loalb
+from abovetight import gf2, linord, maxlin, moments, rsat
+from abovetight.cli import run
+from abovetight.instances import all_subsets_system, serialize_instance
+from abovetight.linord import WeightedDigraph, decide_loalb, reduce_two_cycles
 from abovetight.maxlin import (
     CaseKind,
     Lin2Equation,
@@ -40,6 +41,8 @@ from helpers import (
     brute_dist_linord,
     brute_overlap_histogram,
     brute_pair_expectation,
+    edge_formulas,
+    edge_lin2_systems,
     estimate_digraph_moments_by_induced_graph,
     lin2_x,
     oriented_by_weight_map,
@@ -47,6 +50,7 @@ from helpers import (
     random_formula,
     random_lin2,
     random_restricted_formula,
+    second_moment_claim_of_instance,
 )
 
 
@@ -300,32 +304,29 @@ def test_moment_report_fourth_at_least_second_squared():
 
 def test_symmetric_tail_on_oriented_graph():
     d = dist_linord(three_cycle())
-    check = verify_symmetric_tail(d)
-    assert check.symmetric and check.holds
+    assert d.is_symmetric() and verify_symmetric_tail(d) is True
 
 
 def test_symmetric_tail_on_odd_set_system():
     s = Lin2System.from_tuples(3, [((0, 1), 1, 2), ((1, 2), 0, 1)])
-    check = verify_symmetric_tail(dist_lin2(s))
-    assert check.symmetric and check.holds
+    d = dist_lin2(s)
+    assert d.is_symmetric() and verify_symmetric_tail(d) is True
 
 
 def test_symmetric_tail_reports_inapplicable():
     d = dist_rsat(ExactCnfFormula.from_clauses(2, 2, [(1, 2)]))
-    check = verify_symmetric_tail(d)
-    assert not check.symmetric and check.holds is None
+    assert not d.is_symmetric() and verify_symmetric_tail(d) is None
 
 
 def test_symmetric_tail_degenerate_zero_distribution():
     d = ExactDistribution(scale=1, mass=((0, 4),), total=4)
-    check = verify_symmetric_tail(d)
-    assert check.symmetric and check.holds
+    assert d.is_symmetric() and verify_symmetric_tail(d) is True
 
 
 def test_fourth_moment_tail_two_point():
     d = ExactDistribution(scale=1, mass=((-2, 1), (2, 1)), total=2)
     check = verify_fourth_moment_tail(d, 1)
-    assert check.preconditions_ok and check.holds
+    assert check.failed_precondition is None and check.holds
     assert check.probability == Fraction(1, 2)
 
 
@@ -333,26 +334,26 @@ def test_fourth_moment_tail_rejects_violated_precondition():
     d = dist_rsat(ExactCnfFormula.from_clauses(2, 2, [(1, 2)]))
     check = verify_fourth_moment_tail(d, 1)
     # A single clause is skewed: E(X) = 0 holds but E(X^4) > b E(X^2)^2 at b=1.
-    assert not check.preconditions_ok
     assert check.failed_precondition is not None
+    assert check.holds is None
 
 
 def test_second_moment_linord_three_cycle_exact_quarter():
-    g = three_cycle()
-    check = verify_second_moment_claims(g, dist_linord(g))
-    assert check.holds and check.e2 == Fraction(1, 4) and check.target == Fraction(3, 12)
+    d = dist_linord(three_cycle())
+    check = verify_second_moment_claims(d)
+    assert check.holds and moment_p(d, 2) == Fraction(1, 4) and check.target == Fraction(3, 12)
 
 
 def test_second_moment_checks_the_two_cycle_free_graph():
     # The claim is checked on the oriented graph left once 2-cycles cancel, which dist_linord counts.
-    g = WeightedDigraph.from_arcs(2, [(0, 1, 1), (1, 0, 1)])
-    check = verify_second_moment_claims(g, dist_linord(g))
-    assert check.holds and check.e2 == check.target == 0
+    d = dist_linord(WeightedDigraph.from_arcs(2, [(0, 1, 1), (1, 0, 1)]))
+    check = verify_second_moment_claims(d)
+    assert check.holds and moment_p(d, 2) == check.target == 0
     # 0 -> 1 at 3 against 1 -> 0 at 1 leaves 0 -> 1 at 2 beside 1 -> 2 at 1: W2 = 5,
     # vertex imbalances 2, -1 and -1.
-    g = WeightedDigraph.from_arcs(3, [(0, 1, 3), (1, 0, 1), (1, 2, 1)])
-    check = verify_second_moment_claims(g, dist_linord(g))
-    assert check.holds and check.target == Fraction(5, 12) and check.e2 == Fraction(11, 12)
+    d = dist_linord(WeightedDigraph.from_arcs(3, [(0, 1, 3), (1, 0, 1), (1, 2, 1)]))
+    check = verify_second_moment_claims(d)
+    assert check.holds and check.target == Fraction(5, 12) and moment_p(d, 2) == Fraction(11, 12)
 
 
 def oriented_corpus(rng: random.Random, count: int):
@@ -386,8 +387,8 @@ def test_pairwise_e2_is_the_enumerated_second_moment_of_oriented_digraphs():
     balanced_seen = unbalanced_seen = 0
     for g in oriented_corpus(rng, 150):
         d = brute_dist_linord(g) if g.n <= 7 else dist_linord(g)
-        check = verify_second_moment_claims(g, d)
-        assert check.holds and check.pairwise_e2 == check.e2 == moment_p(d, 2), g
+        check = verify_second_moment_claims(d)
+        assert check.holds and check.pairwise_e2 == moment_p(d, 2), g
         net = Counter()
         for u, v, w in g.arcs:
             net[u] += w
@@ -401,11 +402,112 @@ def test_pairwise_e2_is_the_enumerated_second_moment_of_oriented_digraphs():
 
 def test_second_moment_claim_compares_with_the_instance_closed_form():
     # A single weight-2 arc has X = +-1, so E(X) = 0 and E(X^2) = 1 >= W2/12 = 1/4 of the
-    # three-cycle; but the three-cycle's own E(X^2) is 1/4, so its claim fails on that distribution.
+    # three-cycle; but the three-cycle's own E(X^2) is 1/4, so a claim that reads the three-cycle
+    # as the kernel of that distribution fails.
     single = dist_linord(WeightedDigraph.from_arcs(2, [(0, 1, 2)]))
-    check = verify_second_moment_claims(three_cycle(), single)
-    assert (check.e2, check.target, check.pairwise_e2) == (1, Fraction(1, 4), Fraction(1, 4))
+    check = verify_second_moment_claims(ExactDistribution(single.scale, single.mass, single.total, three_cycle()))
+    assert (moment_p(single, 2), check.target, check.pairwise_e2) == (1, Fraction(1, 4), Fraction(1, 4))
     assert not check.holds
+
+
+def claim_corpus(rng: random.Random):
+    """Digraphs with 2-cycles, some cancelling fully and some leaving an arc; systems with
+    duplicate and cancelling equations; restricted formulas and formulas over the conflict bound."""
+    for i in range(60):
+        g = random_digraph(rng, n_max=7, allow_two_cycles=i % 2 == 0)
+        arcs, pairs = list(g.arcs), set(zip(g.tails, g.heads))
+        for u, v, w in g.arcs:
+            if (v, u) not in pairs:
+                roll = 0 if i % 10 == 1 else rng.random()  # every tenth graph cancels to nothing
+                if roll < 0.3:
+                    arcs.append((v, u, w))
+                elif roll < 0.5:
+                    arcs.append((v, u, rng.randint(1, 4)))
+        yield WeightedDigraph.from_arcs(g.n, arcs)
+    for s in edge_lin2_systems(rng):
+        yield s
+    for _ in range(60):
+        s = random_lin2(rng, n_max=8, m_max=10)
+        extra = []
+        for eq in s.equations:
+            roll = rng.random()
+            if roll < 0.25:
+                extra.append(Lin2Equation(eq.variables, eq.rhs, rng.randint(1, 3)))
+            elif roll < 0.5:
+                extra.append(Lin2Equation(eq.variables, 1 - eq.rhs, eq.weight))
+        yield Lin2System(s.n, s.equations + tuple(extra))
+    for f in edge_formulas(rng):
+        yield f
+    for i in range(60):
+        r = rng.choice((2, 3))
+        yield random_restricted_formula(rng, r, n_max=10, m_max=10) if i % 2 else random_formula(rng, r, n_max=r + 1, m_max=16)
+
+
+def claim_or_exception(call):
+    try:
+        return call()
+    except (ValueError, CapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def test_the_claim_on_the_counted_kernel_matches_the_instance_oracle(monkeypatch):
+    # The claim reads dist.kernel alone; the oracle derives the kernel again from the
+    # instance. Past the sub-clause budget both must raise the same CapExceeded.
+    rng = random.Random(3030)
+    counted = []
+    for module, name in ((moments, "forward_weight_counts"), (maxlin, "x_distribution_counts"), (rsat, "scaled_x_counts")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda kernel, *a, real=real: counted.append(kernel) or real(kernel, *a))
+    seen = Counter()
+    corpus = list(claim_corpus(rng))
+    # Uncounted copies of the formulas, whose sub-clause keys meet the lowered budget.
+    fresh = [ExactCnfFormula(x.n, x.r, x.clauses) for x in corpus if isinstance(x, ExactCnfFormula)]
+    for budget, instances in ((rsat.SUBCLAUSE_KEY_BUDGET, corpus), (30, fresh)):
+        monkeypatch.setattr(rsat, "SUBCLAUSE_KEY_BUDGET", budget)
+        for x in instances:
+            if isinstance(x, WeightedDigraph):
+                d, kernel = dist_linord(x), reduce_two_cycles(x)
+                seen["cancelled"] += kernel.weights != x.weights
+                seen["emptied"] += bool(x.weights) and not kernel.weights
+            elif isinstance(x, Lin2System):
+                d, kernel = dist_lin2(x), rank_reduce(merge_duplicates(x)).reduced
+                seen["merged"] += len(merge_duplicates(x).equations) < len(x.equations)
+            else:
+                d, kernel = dist_rsat(x), x
+            assert counted[-1] is d.kernel and d.kernel == kernel, x
+            got = claim_or_exception(lambda: verify_second_moment_claims(d))
+            if not isinstance(got, tuple):
+                got = (got.target, got.holds, got.pairwise_e2)
+            assert got == claim_or_exception(lambda: second_moment_claim_of_instance(x, d)), x
+            seen[got[0] if isinstance(got[0], type) else got[1]] += 1
+    assert seen[True] > 150 and seen[ValueError] > 10 and seen[CapExceeded] > 10, seen
+    assert seen["cancelled"] > 30 and seen["emptied"] > 3 and seen["merged"] > 30, seen
+
+
+def test_the_counted_kernel_takes_no_part_in_equality_hash_or_repr():
+    g = WeightedDigraph.from_arcs(3, [(0, 1, 2), (1, 0, 1), (1, 2, 1)])
+    d = dist_linord(g)
+    bare = ExactDistribution(d.scale, d.mass, d.total)
+    assert d.kernel == reduce_two_cycles(g) and bare.kernel is None
+    assert d == bare and hash(d) == hash(bare) and repr(d) == repr(bare)
+
+
+def test_a_moments_command_cancels_and_merges_once(tmp_path, monkeypatch):
+    # dist_* and the claim share one kernel, so one 2-cycle pass per digraph and one
+    # merge per equation system, where deriving the kernel again took two.
+    calls = Counter()
+    for module, name in ((linord, "reduce_two_cycles"), (moments, "reduce_two_cycles"), (maxlin, "merge_duplicates")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda x, real=real, name=name: calls.update([name]) or real(x))
+    g = WeightedDigraph.from_arcs(4, [(0, 1, 2), (1, 0, 1), (1, 2, 1), (2, 3, 3), (3, 2, 3)])
+    s = Lin2System.from_tuples(3, [((0, 1), 1, 2), ((0, 1), 0, 1), ((1, 2), 1, 1), ((2,), 0, 3)])
+    for name, instance in (("reduce_two_cycles", g), ("merge_duplicates", s)):
+        path = tmp_path / "instance.txt"
+        path.write_text(serialize_instance(instance).text)
+        calls.clear()
+        result = run(["moments", str(path), "--b", "64"])
+        assert result.verdict == "OK" and result.diagnostics["second_moment_holds"] is True
+        assert calls == Counter({name: 1}), name
 
 
 def test_one_count_budget_moves_both_count_limits(monkeypatch):
@@ -429,22 +531,25 @@ def test_one_count_budget_moves_both_count_limits(monkeypatch):
 
 def test_second_moment_lin2_identity():
     s = Lin2System.from_tuples(2, [((0,), 1, 1), ((0, 1), 1, 2)])
-    check = verify_second_moment_claims(s, dist_lin2(s))
-    assert check.holds and check.e2 == 5
+    d = dist_lin2(s)
+    check = verify_second_moment_claims(d)
+    assert check.holds and moment_p(d, 2) == 5
 
 
 def test_second_moment_lin2_checks_the_merged_system():
     # Two copies of x0 = 1 merge into one equation of weight 2, whose sum of squared weights is 4.
     s = Lin2System.from_tuples(1, [((0,), 1, 1), ((0,), 1, 1)])
-    check = verify_second_moment_claims(s, dist_lin2(s))
-    assert check.holds and check.e2 == check.target == 4
+    d = dist_lin2(s)
+    check = verify_second_moment_claims(d)
+    assert check.holds and moment_p(d, 2) == check.target == 4
 
 
 def test_second_moment_rsat_disjoint_pair():
     f = ExactCnfFormula.from_clauses(4, 2, [(1, 2), (3, 4)])
-    check = verify_second_moment_claims(f, dist_rsat(f))
+    d = dist_rsat(f)
+    check = verify_second_moment_claims(d)
     assert check.holds
-    assert check.e2 == Fraction(3, 8)
+    assert moment_p(d, 2) == Fraction(3, 8)
     assert check.pairwise_e2 == Fraction(3, 8)
     assert check.target == Fraction(2, 16)
 
@@ -453,15 +558,15 @@ def test_second_moment_rsat_rejects_unrestricted_formula():
     clauses = [(1, 2), (1, -2), (-1, 2), (-1, -2)]
     f = ExactCnfFormula.from_clauses(2, 2, clauses)
     with pytest.raises(ValueError, match="conflict number"):
-        verify_second_moment_claims(f, dist_rsat(f))
+        verify_second_moment_claims(dist_rsat(f))
 
 
 def test_second_moment_claims_accept_the_enumerated_distribution():
     g = WeightedDigraph.from_arcs(4, [(0, 1, 2), (1, 2, 1), (3, 1, 3)])
     s = Lin2System.from_tuples(3, [((0,), 1, 1), ((0, 1), 0, 2), ((1, 2), 1, 3)])
     f = ExactCnfFormula.from_clauses(4, 2, [(1, 2), (-2, 3), (3, -4)])
-    for instance, dist in ((g, dist_linord(g)), (s, dist_lin2(s)), (f, dist_rsat(f))):
-        assert verify_second_moment_claims(instance, dist).holds
+    for dist in (dist_linord(g), dist_lin2(s), dist_rsat(f)):
+        assert verify_second_moment_claims(dist).holds
 
 
 def test_single_clause_second_moment_constant():
@@ -630,8 +735,9 @@ def test_moment_functions_refuse_bad_input():
             verify_fourth_moment_tail(d, b)
     with pytest.raises(ValueError, match="samples must be positive"):
         estimate_moments(three_cycle(), samples=0)
-    with pytest.raises(TypeError, match="unsupported instance type"):
-        verify_second_moment_claims((3, ()), d)
+    for kernel in ((3, ()), None):
+        with pytest.raises(TypeError, match="unsupported instance type"):
+            verify_second_moment_claims(ExactDistribution(d.scale, d.mass, d.total, kernel))
     with pytest.raises(TypeError, match="unsupported instance type"):
         estimate_moments((3, ()))
 
@@ -640,6 +746,5 @@ def test_fourth_moment_tail_needs_mean_zero():
     # A hand-built law with E(X) = 1/2: no sample space gives it, but the check must say so.
     d = ExactDistribution(scale=2, mass=((-1, 1), (3, 1)), total=2)
     tail = verify_fourth_moment_tail(d, 64)
-    assert not tail.preconditions_ok
     assert tail.failed_precondition == "E(X) = 1/2 is not zero"
     assert tail.holds is None and tail.probability == 0
