@@ -3,10 +3,13 @@
 Builds seeded instances of the shapes that are settled by a bound or cut to
 a kernel (random digraphs with 2-cycles, a huge header around three arcs,
 width-2 and width-3 formulas, lin2 systems of small equations, and a
-width-3 formula whose clauses all share one variable), writes each
+width-3 formula whose clauses all share one variable), and the worst
+shapes for converting each distinct token once: a digraph whose weights
+are all distinct and a lin2 system whose indices mostly are. Writes each
 to a file, and times ``instances.parse_instance`` on its text and
 ``cli.run`` on the command (both best of ``--reps``). Prints one JSON row
-per instance, with the parse share of the command, and a total row.
+per instance, with the parse share of the command, one total row per
+dialect and a total row.
 ``--scale`` multiplies every vertex, variable, arc, clause and equation
 count; 1 gives the sizes of the benchmark's ``kernelize`` workload.
 
@@ -39,6 +42,12 @@ def digraph(rng: random.Random, n: int, m: int) -> WeightedDigraph:
         if u != v:
             pairs.add((u, v))
     return WeightedDigraph.from_arcs(n, [(u, v, rng.randint(1, 4)) for u, v in pairs])
+
+
+def with_distinct_weights(rng: random.Random, g: WeightedDigraph) -> WeightedDigraph:
+    """``g`` with its arcs reweighted by distinct weights up to 10^9."""
+    weights = rng.sample(range(1, 10**9 + 1), len(g.arcs))
+    return WeightedDigraph.from_arcs(g.n, [(u, v, w) for (u, v, _), w in zip(g.arcs, weights)])
 
 
 def formula(rng: random.Random, n: int, m: int, r: int) -> ExactCnfFormula:
@@ -89,6 +98,13 @@ def families(rng: random.Random, scale: float) -> list[tuple[str, object, list[s
     out.append(("lin2/n%d-m%d" % (n, m), system(rng, n, m), ["linalb", "--k", "1"]))
     m = size(3000, 4)
     out.append(("ecnf/one-hot-r3-m%d" % m, one_hot_formula(rng, m, 3), ["rsat", "--k-num", "1"]))
+    # The worst shapes for converting each distinct token once.
+    n, m = size(1500, 8), size(10000, 8)
+    g = with_distinct_weights(rng, digraph(rng, n, min(m, n * (n - 1))))
+    out.append(("digraph/distinct-weights-m%d" % len(g.arcs), g, ["loalb", "--k", "1"]))
+    # About 2m indices over n = 2m variables, so most index tokens occur once.
+    n, m = size(3000, 6), size(1500, 6)
+    out.append(("lin2/distinct-n%d-m%d" % (n, m), system(rng, n, m), ["linalb", "--k", "1"]))
     return out
 
 
@@ -113,6 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--scale must be positive and --reps at least 1")
     rng = random.Random(args.seed)
     total_parse = total_run = 0.0
+    by_dialect: dict[str, list[float]] = {}
     with tempfile.TemporaryDirectory() as workdir:
         for name, instance, flags in families(rng, args.scale):
             text = instances.serialize_instance(instance).text
@@ -124,6 +141,9 @@ def main(argv: list[str] | None = None) -> int:
             )
             total_parse += parse_ms
             total_run += run_ms
+            sums = by_dialect.setdefault(name.split("/")[0], [0.0, 0.0])
+            sums[0] += parse_ms
+            sums[1] += run_ms
             row = {
                 "instance": name,
                 "bytes": len(text),
@@ -133,6 +153,13 @@ def main(argv: list[str] | None = None) -> int:
                 "parse_share": round(parse_ms / run_ms, 3),
             }
             print(json.dumps(row))
+    for dialect, (parse_ms, run_ms) in by_dialect.items():
+        print(json.dumps({
+            "instance": "total/" + dialect,
+            "parse_ms": round(parse_ms, 3),
+            "run_ms": round(run_ms, 3),
+            "parse_share": round(parse_ms / run_ms, 3),
+        }))
     print(json.dumps({
         "instance": "total",
         "parse_ms": round(total_parse, 3),

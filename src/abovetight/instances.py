@@ -14,14 +14,17 @@ ecnf      header ``p ecnf <n> <m> <r>``, then m clause lines of exactly r
           nonzero signed literals terminated by ``0``. The header refuses
           an r outside 2..``rsat.MAX_CLAUSE_WIDTH``.
 
-Arc and clause lines have a fixed width, so they are read by columns: the
-int columns go to the ``WeightedDigraph`` or ``ExactCnfFormula`` column
-constructor, which checks them once. A digraph keeps its columns; a
-formula's clause tuples are built from its columns after the check. Only
-input that a column pass refuses is walked line by line, and the error
+Every dialect is read by columns. Arc and clause lines have a fixed
+width: the int columns go to the ``WeightedDigraph`` or ``ExactCnfFormula``
+column constructor, which checks them once. A digraph keeps its columns; a
+formula's clause tuples are built from its columns after the check.
+Equation lines vary in width: their weight and right-side columns and one
+stream of all their indices are checked for the whole file at once, and the
+equations are built without a further check. Vertex tokens and every
+equation column are converted once per distinct token (``_int_values``).
+Only input that a column pass refuses is walked line by line, and the error
 names the first bad line; clauses whose literals are out of variable order
-take the same walk, which sorts them. Equation lines vary in width and are
-always walked.
+take the same walk, which sorts them.
 
 ``_HEADER_FIELDS`` holds each dialect's header field names, in the order
 n, m[, r], and its record noun; one header check reads and validates all
@@ -39,10 +42,10 @@ takes a seed; the three deterministic ones (``complete-rcnf``,
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
+from operator import itemgetter
 
 from .linord import WeightedDigraph
 from .maxlin import Lin2Equation, Lin2System
@@ -105,6 +108,16 @@ def _int(token: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, "%s is not an integer: %r" % (what, token)) from None
 
 
+def _int_values(tokens, offset: int = 0) -> dict[str, int]:
+    """Each distinct token of ``tokens`` mapped to ``int(token) + offset``.
+
+    A column whose tokens repeat is then read by dict lookups, which cost
+    less than ``int()`` once each distinct token occurs a few times.
+    Raises ValueError where ``int()`` does.
+    """
+    return {token: int(token) + offset for token in set(tokens)}
+
+
 def _digraph_by_columns(n: int, records: list[str]) -> WeightedDigraph:
     """The digraph whose arc lines are ``records``, read a column at a time.
 
@@ -113,14 +126,18 @@ def _digraph_by_columns(n: int, records: list[str]) -> WeightedDigraph:
     tokens also number 4m, with ``a`` at every fourth place and integers
     elsewhere, each record's first token sits at a multiple of 4, and each
     record is exactly ``a <u> <v> <w>``. The int columns go to the digraph
-    as they are; no arc triple is built.
+    as they are; no arc triple is built. Each distinct tail or head token
+    is converted once. Weights may all differ, and a file of distinct
+    weights parses slower through a dict than by one ``int()`` per token,
+    so each weight token is converted on its own.
     """
     m = len(records)
     body = "\n" + "\n".join(records)
     tokens = body.split()
     if body.count("\na") != m or len(tokens) != 4 * m or tokens[0::4].count("a") != m:
         raise ValueError("records are not all 'a <u> <v> <w>'")
-    tails, heads = (list(map(operator.sub, map(int, tokens[i::4]), repeat(1))) for i in (1, 2))
+    vertex = _int_values(chain(tokens[1::4], tokens[2::4]), -1)
+    tails, heads = (list(map(vertex.__getitem__, tokens[i::4])) for i in (1, 2))
     return WeightedDigraph.from_columns(n, tails, heads, list(map(int, tokens[3::4])))
 
 
@@ -181,6 +198,30 @@ def _formula_by_lines(n: int, r: int, records: list[tuple[int, list[str]]]) -> E
     return ExactCnfFormula(n, r, tuple(clauses))
 
 
+def _lin2_by_columns(n: int, records: list[str]) -> Lin2System:
+    """The system whose equation lines are ``records``, read a column at a time.
+
+    Raises ValueError on any fault, without saying where. Each record must
+    be ``e <w> <b>`` and at least one index, so its tokens 1 and 2 form the
+    weight and right-side columns and the rest one stream of indices; each
+    check then covers the whole file at once.
+    """
+    rows = list(map(str.split, records))
+    if min(map(len, rows), default=4) < 4 or list(map(itemgetter(0), rows)).count("e") != len(rows):
+        raise ValueError("records are not all 'e <w> <b> <i1> ...'")
+    weights, rhs, index_rows = (list(map(itemgetter(i), rows)) for i in (1, 2, slice(3, None)))
+    weight, side, index = _int_values(weights), _int_values(rhs), _int_values(chain.from_iterable(index_rows), -1)
+    if min(weight.values(), default=1) < 1 or not {*side.values()} <= {0, 1}:
+        raise ValueError("a weight below 1 or a right side other than 0 and 1")
+    variables = [tuple(sorted(map(index.__getitem__, row))) for row in index_rows]
+    in_range = all(map(range(n).__contains__, index.values()))
+    if not in_range or sum(map(len, map(set, variables))) != sum(map(len, variables)):
+        raise ValueError("an index out of range or repeated in its equation")
+    columns = zip(variables, map(side.__getitem__, rhs), map(weight.__getitem__, weights))
+    eqs = [Lin2Equation._unchecked(variables=v, rhs=b, weight=w) for v, b, w in columns]
+    return Lin2System._unchecked(n=n, equations=tuple(eqs))
+
+
 def _lin2_by_lines(n: int, records: list[tuple[int, list[str]]]) -> Lin2System:
     """The system whose numbered equation lines are ``records``, checked one line at a time.
 
@@ -210,11 +251,11 @@ def _lin2_by_lines(n: int, records: list[tuple[int, list[str]]]) -> Lin2System:
 def parse_instance(text: str) -> Instance:
     """Parse one instance in any of the three dialects.
 
-    Arc and clause lines, fixed-width records, are read by columns
-    (``_digraph_by_columns``, ``_formula_by_columns``); only if that pass
-    or the constructor's check refuses them are they walked line by line,
-    which names the first bad line or, for clauses out of variable order,
-    sorts them. Equation lines vary in width and are always walked.
+    Every dialect's records are read by columns (``_digraph_by_columns``,
+    ``_lin2_by_columns``, ``_formula_by_columns``); only if that pass or the
+    constructor's check refuses them are they walked line by line, which
+    names the first bad line or, for clauses out of variable order, sorts
+    them.
     """
     lines = text.splitlines()
     for header_no, raw in enumerate(lines, start=1):
@@ -240,23 +281,22 @@ def parse_instance(text: str) -> Instance:
         bound = "at least 2" if sizes[2] < 2 else "at most %d" % MAX_CLAUSE_WIDTH
         raise ParseError(header_no, "clause width must be " + bound)
     body = lines[header_no:]
-    if fmt == "lin2":
-        records = _significant_lines(body, header_no + 1)
-    else:
-        records = [s for s in map(str.strip, body) if s and s[0] != "c"]
+    records = [s for s in map(str.strip, body) if s and s[0] != "c"]
     if len(records) != m:
         raise ParseError(header_no, "header announces %d %s, found %d" % (m, noun, len(records)))
-    if fmt == "lin2":
-        return _lin2_by_lines(n, records)
     try:
         if fmt == "digraph":
             return _digraph_by_columns(n, records)
+        if fmt == "lin2":
+            return _lin2_by_columns(n, records)
         return _formula_by_columns(n, sizes[2], records)
     except ValueError:
         pass
     numbered = _significant_lines(body, header_no + 1)
     if fmt == "digraph":
         raise _first_bad_arc_line(n, numbered)
+    if fmt == "lin2":
+        return _lin2_by_lines(n, numbered)
     return _formula_by_lines(n, sizes[2], numbered)
 
 

@@ -23,7 +23,12 @@ from itertools import accumulate, chain, compress, repeat
 from . import gf2
 from .outcome import DecisionOutcome, Record, Verdict, check_cap, settle
 
+# The most non-isolated vertices the exact solve takes by default. _best_order keeps 2^size
+# entries per strong component, so under any cap a component of more is refused.
 DEFAULT_VERTEX_CAP = 24
+# The most active vertices moments.dist_linord counts by default. The Counter path of
+# forward_weight_counts keeps one Counter per vertex subset, so under any cap it refuses more.
+DEFAULT_ORDER_CAP = 9
 # forward_weight_counts packs its counts while 2^n' subsets of (W + 1) digits fit in
 # gf2.COUNT_BUDGET_BYTES and in this many bytes per order of the n' vertices; past that the
 # Counter DP, whose work follows the at most n'! distinct forward weights, measured faster
@@ -377,17 +382,21 @@ def forward_weight_counts(g: WeightedDigraph, active: list[int]) -> dict[int, in
     W + 1 digits, W the total weight. Past ``gf2.COUNT_BUDGET_BYTES`` or
     ``PACKED_BYTES_PER_ORDER`` * n'! bytes each subset keeps a Counter
     instead, at O(2^n' * n' * support) dict updates, which follows the
-    distinct forward weights rather than W.
+    distinct forward weights rather than W; that path refuses an n' past
+    ``DEFAULT_ORDER_CAP`` before it builds anything.
     """
     nv = len(active)
-    h, lo, hi = _gain_tables(_in_weights(g, active))
-    low = (1 << h) - 1
-    full = (1 << nv) - 1
     total_weight = sum(g.weights)
     # Digits of 1, 2, 4 or 8 bytes hold n'! for n' <= 20; a larger n' always fails the budget.
     orders = math.factorial(nv)
     digit_bytes = 1 << (-(-orders.bit_length() // 8) - 1).bit_length()
-    if (total_weight + 1) * digit_bytes << nv <= min(gf2.COUNT_BUDGET_BYTES, PACKED_BYTES_PER_ORDER * orders):
+    packed = (total_weight + 1) * digit_bytes << nv <= min(gf2.COUNT_BUDGET_BYTES, PACKED_BYTES_PER_ORDER * orders)
+    if not packed:
+        check_cap("distribution", nv, "active vertices for the Counter DP", DEFAULT_ORDER_CAP)
+    h, lo, hi = _gain_tables(_in_weights(g, active))
+    low = (1 << h) - 1
+    full = (1 << nv) - 1
+    if packed:
         shift = 8 * digit_bytes
         # Each vertex's bit and its gain tables, scaled from digits to bits.
         moves = [(1 << i, [x * shift for x in lo[i]], [x * shift for x in hi[i]]) for i in range(nv)]
@@ -434,16 +443,20 @@ def exact_max_acyclic(
     plus the weight of every arc between components, attained by laying the
     components' orders end to end in that order. Isolated vertices are left
     out: they can go anywhere, and ``with_isolated`` appends them. Refuses
-    instances with more than ``cap`` non-isolated vertices before any search.
+    instances with more than ``cap`` non-isolated vertices, or with a
+    component of more than ``DEFAULT_VERTEX_CAP``, before any search.
     """
     active = active_vertices(g)
     m = len(active)
     check_cap("exact solve", m, "non-isolated vertices", cap, ("cap", "kernel_vertices"))
     matrix = _in_weights(g, active)
     out_masks = [sum(1 << i for i, row in enumerate(matrix) if row[t]) for t in range(m)]
+    components = _strong_components(out_masks)
+    largest = max(map(int.bit_count, components), default=0)
+    check_cap("exact solve", largest, "component vertices", DEFAULT_VERTEX_CAP, ("component_cap", "component_vertices"))
     value = sum(g.weights)
     seq = []
-    for comp in _strong_components(out_masks):
+    for comp in components:
         members = [i for i in range(m) if comp >> i & 1]
         inner = [[matrix[i][t] for t in members] for i in members]
         best, order = _best_order(inner)

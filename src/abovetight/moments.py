@@ -25,12 +25,12 @@ from fractions import Fraction
 
 from . import maxlin, rsat
 from .instances import Instance
-from .linord import WeightedDigraph, active_vertices, digraph_stats, forward_weight_counts, reduce_two_cycles
+from .linord import DEFAULT_ORDER_CAP, WeightedDigraph, active_vertices, digraph_stats
+from .linord import forward_weight_counts, reduce_two_cycles
 from .maxlin import DEFAULT_ASSIGNMENT_CAP, Lin2System
 from .outcome import check_cap
 from .rsat import ExactCnfFormula
 
-DEFAULT_ORDER_CAP = 9
 # Bits allowed in the count of full orders or assignments that each counted
 # one stands for (n!/n'! or 2^(n - kernel)), so a header declaring millions
 # of unused vertices or variables is refused at once, not multiplied out.

@@ -684,6 +684,37 @@ def test_rsat_past_the_count_budget_ends_in_kernel(tmp_path):
     assert "counter_bits 1342177280" in lines and "counter_cap 536870912" in lines
 
 
+@pytest.mark.parametrize(
+    "argv, verdict, named",
+    [
+        (["loalb", "c40.txt", "--k", "2", "--cap", "40"], "KERNEL", "component_vertices 40"),
+        (["moments", "c24.txt", "--cap", "24"], "ERROR", "24 active vertices for the Counter DP exceed cap 9"),
+    ],
+)
+def test_a_raised_cap_refuses_a_subset_dp_before_it_allocates(tmp_path, argv, verdict, named):
+    # Directed cycles of unit arcs: one strong component, and too few forward weights
+    # for the packed counts. Run in a child under a 512 MiB address-space limit and a
+    # timeout, so that a DP which does allocate 2^n entries fails this test alone.
+    for n in (24, 40):
+        arcs = "".join("a %d %d 1\n" % (v + 1, (v + 1) % n + 1) for v in range(n))
+        write(tmp_path, "c%d.txt" % n, "p digraph %d %d\n" % (n, n) + arcs)
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (%d, %d))" % (512 << 20, 512 << 20)
+    code = limit + "; from abovetight.cli import main; raise SystemExit(main())"
+    src = str(Path(abovetight.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    lines = proc.stdout.splitlines()
+    assert lines and lines[0] == "verdict " + verdict, proc.stdout + proc.stderr
+    assert any(named in line for line in lines), proc.stdout
+    assert float(lines[-1].removeprefix("time_ms ")) < 1000
+
+
 @LIMITED
 def test_emit_writes_the_error_when_a_diagnostic_is_too_long_to_print(tmp_path):
     out = tmp_path / "r.json"

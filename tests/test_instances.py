@@ -51,6 +51,9 @@ def test_parse_ecnf():
         ("p lin2 2 1\ne 0 1 1\n", 2, "positive"),
         ("p lin2 2 1\ne 1 2 1\n", 2, "right side"),
         ("p lin2 2 1\ne 1 1 1 1\n", 2, "repeated"),
+        ("p lin2 2 2\ne 1 1 1\ne 1 1 2 +2\n", 3, "repeated"),
+        ("p lin2 2 2\ne 1 1 1\ne 1 0 3\n", 3, "range"),
+        ("p lin2 2 2\ne 1 1 1\ne 1 1\n", 3, "expected 'e"),
         ("p ecnf 2 1 2\n1 2\n", 2, "end with 0"),
         ("p ecnf 2 1 2\n1 2 1 0\n", 2, "width"),
         ("p ecnf 2 1 2\n1 -1 0\n", 2, "repeats"),
@@ -277,6 +280,69 @@ def test_ecnf_parse_matches_the_line_oracle_on_noisy_files():
     assert errors > 200 and instances > 800
 
 
+def _noisy_lin2_text(rng: random.Random) -> str:
+    """A serialized random system, rewritten with legal noise and some faults.
+
+    Comments (before the header too), blank lines, tabs and runs of blanks,
+    CRLF line ends and ``+`` signs leave the system unchanged, and so does
+    listing an equation's indices out of order. One text in three then has
+    one fault: a weight of 0, a right side of 2, an index of 0 or n + 1, an
+    index repeated in another spelling (``3`` and ``+3``), a word, a record
+    of 3 tokens or a token of more digits than ``int()`` reads.
+    """
+    s = random_lin2(rng, n_max=7, m_max=8, wmax=3)
+    records = [["e", str(eq.weight), str(eq.rhs), *(str(v + 1) for v in eq.variables)] for eq in s.equations]
+    for rec in records:
+        if rng.random() < 0.2:
+            body = rec[3:]
+            rng.shuffle(body)
+            rec[3:] = body
+    header = ["p", "lin2", str(s.n), str(len(records))]
+    if records and rng.random() < 1 / 3:
+        rec = rng.choice(records)
+        j = rng.randrange(3, len(rec))
+        fault = rng.choice(["weight", "rhs", "low", "high", "repeat", "word", "short", "huge"])
+        if fault == "weight":
+            rec[1] = rng.choice(["0", "-1", "+0"])
+        elif fault == "rhs":
+            rec[2] = rng.choice(["2", "-1"])
+        elif fault in ("low", "high"):
+            rec[j] = "0" if fault == "low" else str(s.n + 1)
+        elif fault == "repeat":
+            rec.insert(j, "+" + rec[j])
+        elif fault == "word":
+            rec[rng.randrange(1, len(rec))] = rng.choice(["x", "1.5", "e", "c"])
+        elif fault == "short":
+            del rec[3:]
+        else:
+            rec[rng.randrange(1, len(rec))] = "9" * 5000
+    lines = []
+    for tokens in [header, *records]:
+        while rng.random() < 0.2:
+            lines.append(rng.choice(["", "   ", "\t", "c", "c e 1 1 2", "comment 7"]))
+        if rng.random() < 0.3:
+            tokens = [("+" + t) if t.isdigit() and rng.random() < 0.5 else t for t in tokens]
+        seps = [rng.choice([" ", "  ", "\t", " \t "]) for _ in tokens]
+        line = "".join(sep + t for sep, t in zip(seps, tokens))
+        lines.append(line if rng.random() < 0.5 else line.strip())
+    end = rng.choice(["\n", "\r\n"])
+    return end.join(lines) + rng.choice(["", end, end + end])
+
+
+def test_lin2_parse_matches_the_line_oracle_on_noisy_files():
+    rng = random.Random(1717)
+    errors = instances = 0
+    for _ in range(1500):
+        text = _noisy_lin2_text(rng)
+        got = _parsed(parse_instance, text)
+        assert got == _parsed(parse_instance_by_lines, text), text
+        if isinstance(got, tuple):
+            errors += 1
+        else:
+            instances += 1
+    assert errors > 200 and instances > 800
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -315,9 +381,35 @@ def test_ecnf_parse_matches_the_line_oracle_on_edge_cases(text):
         "p digraph 2 2\na 1 2 -1\na 1 2 2\n",
         "p digraph 3 2\na 1 3 1\na 1 1 x\n",
         "p digraph 2 1\na 1 2 %s\n" % ("9" * 5000),
+        # One vertex in three spellings: one vertex, and the parallel arcs merge.
+        "p digraph 3 3\na 1 2 1\na +1 2 2\na 01 3 1\n",
+        "p digraph 2 2\na 1 2 1\na +1 01 1\n",
     ],
 )
 def test_digraph_parse_matches_the_line_oracle_on_edge_cases(text):
+    assert _parsed(parse_instance, text) == _parsed(parse_instance_by_lines, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p lin2 0 0\n",
+        "p lin2 0 1\ne 1 1 1\n",
+        "c before\n\np lin2 3 0\nc after\n",
+        "p lin2 3 2\r\ne +2 +1 +3 1\r\ne 1\t0\t2\r\n",
+        "p lin2 3 2\ne 1 1 3 1 2\ne 2 0 2 03\n",
+        "p lin2 3 2\ne 1 1 1\ne 1 1\n",
+        "p lin2 3 2\ne 1 1 2\ne 1 1 3 +3\n",
+        "p lin2 3 2\ne 1 1 2\ne 1 1 3 03\n",
+        "p lin2 3 2\ne 1 0 0\ne 1 1 4\n",
+        "p lin2 3 2\ne 0 1 1\ne 1 2 1\n",
+        "p lin2 3 2\ne 1 1 1\nf 1 1 1\n",
+        "p lin2 3 2\ne 1 1 1\nef 1 1 1\n",
+        "p lin2 3 1\ne 1 1 x\n",
+        "p lin2 3 1\ne 1 1 %s\n" % ("9" * 5000),
+    ],
+)
+def test_lin2_parse_matches_the_line_oracle_on_edge_cases(text):
     assert _parsed(parse_instance, text) == _parsed(parse_instance_by_lines, text)
 
 
