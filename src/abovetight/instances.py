@@ -20,11 +20,12 @@ column constructor, which checks them once. A digraph keeps its columns; a
 formula's clause tuples are built from its columns after the check.
 Equation lines vary in width: their weight and right-side columns and one
 stream of all their indices are checked for the whole file at once, and the
-equations are built without a further check. Vertex tokens and every
-equation column are converted once per distinct token (``_int_values``).
-Only input that a column pass refuses is walked line by line, and the error
-names the first bad line; clauses whose literals are out of variable order
-take the same walk, which sorts them.
+equations are built without a further check. Vertex tokens, right sides
+and indices are converted once per distinct token (``_int_values``);
+weights, which may all differ, take one ``int()`` each. Only input that a
+column pass refuses is walked line by line, and the error names the first
+bad line; clauses whose literals are out of variable order take the same
+walk, which sorts them.
 
 ``_HEADER_FIELDS`` holds each dialect's header field names, in the order
 n, m[, r], and its record noun; one header check reads and validates all
@@ -204,48 +205,44 @@ def _lin2_by_columns(n: int, records: list[str]) -> Lin2System:
     Raises ValueError on any fault, without saying where. Each record must
     be ``e <w> <b>`` and at least one index, so its tokens 1 and 2 form the
     weight and right-side columns and the rest one stream of indices; each
-    check then covers the whole file at once.
+    check then covers the whole file at once. Right sides and indices are
+    converted once per distinct token, and weights, which may all differ,
+    one ``int()`` each, as in ``_digraph_by_columns``.
     """
     rows = list(map(str.split, records))
     if min(map(len, rows), default=4) < 4 or list(map(itemgetter(0), rows)).count("e") != len(rows):
         raise ValueError("records are not all 'e <w> <b> <i1> ...'")
-    weights, rhs, index_rows = (list(map(itemgetter(i), rows)) for i in (1, 2, slice(3, None)))
-    weight, side, index = _int_values(weights), _int_values(rhs), _int_values(chain.from_iterable(index_rows), -1)
-    if min(weight.values(), default=1) < 1 or not {*side.values()} <= {0, 1}:
+    weights = list(map(int, map(itemgetter(1), rows)))
+    rhs, index_rows = (list(map(itemgetter(i), rows)) for i in (2, slice(3, None)))
+    side, index = _int_values(rhs), _int_values(chain.from_iterable(index_rows), -1)
+    if min(weights, default=1) < 1 or not {*side.values()} <= {0, 1}:
         raise ValueError("a weight below 1 or a right side other than 0 and 1")
     variables = [tuple(sorted(map(index.__getitem__, row))) for row in index_rows]
     in_range = all(map(range(n).__contains__, index.values()))
     if not in_range or sum(map(len, map(set, variables))) != sum(map(len, variables)):
         raise ValueError("an index out of range or repeated in its equation")
-    columns = zip(variables, map(side.__getitem__, rhs), map(weight.__getitem__, weights))
+    columns = zip(variables, map(side.__getitem__, rhs), weights)
     eqs = [Lin2Equation._unchecked(variables=v, rhs=b, weight=w) for v, b, w in columns]
     return Lin2System._unchecked(n=n, equations=tuple(eqs))
 
 
-def _lin2_by_lines(n: int, records: list[tuple[int, list[str]]]) -> Lin2System:
-    """The system whose numbered equation lines are ``records``, checked one line at a time.
-
-    The line checks are the constructors' and more, so the equations and the
-    system are built without them.
-    """
-    eqs = []
+def _first_bad_equation_line(n: int, records: list[tuple[int, list[str]]]) -> ParseError:
+    """The error for the first equation line that breaks the lin2 dialect."""
     for line_no, rec in records:
         if len(rec) < 4 or rec[0] != "e":
-            raise ParseError(line_no, "expected 'e <w> <b> <i1> ...'")
+            return ParseError(line_no, "expected 'e <w> <b> <i1> ...'")
         w = _int(rec[1], line_no, "weight")
         b = _int(rec[2], line_no, "right side")
         if w < 1:
-            raise ParseError(line_no, "weights must be positive")
+            return ParseError(line_no, "weights must be positive")
         if b not in (0, 1):
-            raise ParseError(line_no, "right side must be 0 or 1")
+            return ParseError(line_no, "right side must be 0 or 1")
         indices = [_int(tok, line_no, "variable index") for tok in rec[3:]]
         if any(not 1 <= i <= n for i in indices):
-            raise ParseError(line_no, "variable index out of range 1..%d" % n)
+            return ParseError(line_no, "variable index out of range 1..%d" % n)
         if len(set(indices)) != len(indices):
-            raise ParseError(line_no, "repeated variable in the equation")
-        variables = tuple(sorted(i - 1 for i in indices))
-        eqs.append(Lin2Equation._unchecked(variables=variables, rhs=b, weight=w))
-    return Lin2System._unchecked(n=n, equations=tuple(eqs))
+            return ParseError(line_no, "repeated variable in the equation")
+    raise AssertionError("the column pass refused equation lines that each pass the line checks")
 
 
 def parse_instance(text: str) -> Instance:
@@ -296,7 +293,7 @@ def parse_instance(text: str) -> Instance:
     if fmt == "digraph":
         raise _first_bad_arc_line(n, numbered)
     if fmt == "lin2":
-        return _lin2_by_lines(n, numbered)
+        raise _first_bad_equation_line(n, numbered)
     return _formula_by_lines(n, sizes[2], numbered)
 
 
