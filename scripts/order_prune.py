@@ -79,7 +79,7 @@ def main(argv=None) -> int:
             oracle_s, oracle = fastest(g, args.reps, full_best_order, committed[1])
             pruned_s, pruned = fastest(g, args.reps, *committed)
             forced_s, forced = fastest(g, args.reps, committed[0], 0)
-            lower, _ = linord._insertion_order(linord._in_weights(g, linord.active_vertices(g)))
+            lower, _ = linord._insertion_order(linord._in_weights(g, [linord.active_vertices(g)])[0])
             row = {
                 "case": "%s:%d:%d" % (kind, n, i),
                 "n": n,

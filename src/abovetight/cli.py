@@ -10,6 +10,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Sequence
 
 from . import instances, maxlin, moments, rsat
@@ -114,6 +115,57 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _plain_entry(name: str, sub: argparse.ArgumentParser) -> tuple:
+    """A command's parser, positional, flags by option string, required actions and defaults.
+
+    All of it is read from the parser's own actions. -h, whose default is
+    SUPPRESS, prints and exits, and a flag that takes a list reads more than
+    one token, so neither enters the table. Every command has one
+    positional of one token; the unpacking below fails at import otherwise.
+    """
+    kept = [a for a in sub._actions if argparse.SUPPRESS not in (a.dest, a.default) and a.nargs in (None, 0)]
+    (positional,) = [a for a in kept if not a.option_strings]
+    flags = {s: a for a in kept for s in a.option_strings}
+    defaults = {"command": name, **{a.dest: a.default for a in kept}}
+    return sub, positional, flags, {a for a in sub._actions if a.required}, defaults
+
+
+(_COMMANDS,) = [a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+_PLAIN = {name: _plain_entry(name, sub) for name, sub in _COMMANDS.choices.items()}
+
+
+def _read_plain(argv: Sequence[str]) -> argparse.Namespace | None:
+    """What ``_PARSER.parse_args(argv)`` gives for a plain argv; None for any other.
+
+    A plain argv is a command, its positional, then distinct flags of its
+    table, each written in full and followed by its value, if it takes one.
+    A value that starts with "-" declines, and so does a required flag left
+    out; argparse's own code converts and checks each value, and one that
+    fails declines too. So argparse alone writes usage errors and help.
+    """
+    entry = _PLAIN.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    sub, positional, flags, required, defaults = entry
+    namespace, seen = argparse.Namespace(**defaults), set()
+    # The positional reads the first token as its value; each flag read after it from the same
+    # iterator reads the next token, if it takes a value. A missing value reads "-", which declines.
+    tokens = iter(argv[1:])
+    for action in chain([positional], map(flags.get, tokens)):
+        text = next(tokens, "-") if action is not None and action.nargs is None else None
+        if action is None or action in seen or text is not None and text.startswith("-"):
+            return None
+        seen.add(action)
+        try:
+            # store_true has no type and no choices: its None passes, and it stores its const.
+            value = sub._get_value(action, text)
+            sub._check_value(action, value)
+        except argparse.ArgumentError:
+            return None
+        action(sub, namespace, value)
+    return namespace if required <= seen else None
+
+
 def _witness_tokens(witness: Any) -> Sequence[int]:
     """The printed tokens of a witness: an order's vertices numbered from 1, or an assignment as it is.
 
@@ -209,7 +261,7 @@ def run(argv: Sequence[str]) -> RunResult:
     long to print all come back as a REFUSED or ERROR result, so that
     ``main`` can print any result it is given.
     """
-    args = _PARSER.parse_args(list(argv))
+    args = _read_plain(argv) or _PARSER.parse_args(list(argv))
     started = time.perf_counter()
     try:
         if getattr(args, "cap", None) is not None and args.cap < 0:  # gen takes no --cap

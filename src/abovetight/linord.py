@@ -15,6 +15,7 @@ import heapq
 import math
 import operator
 import sys
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
@@ -186,13 +187,15 @@ def reduce_two_cycles(g: WeightedDigraph) -> WeightedDigraph:
 
     Equal weights delete both arcs. The result is an oriented graph and is
     decision-equivalent to the input for every k: any order's forward weight
-    changes by the same constant as W/2 does.
+    changes by the same constant as W/2 does. Only the arcs whose reverse is
+    present are touched, each found by bisecting the sorted pair keys.
     """
-    weight = dict(zip(g.pair_keys, g.weights))
-    reverse = list(map(weight.get, _pair_keys(g.n, g.heads, g.tails), repeat(0)))
-    if not any(reverse):
+    both = set(g.pair_keys).intersection(_pair_keys(g.n, g.heads, g.tails))
+    if not both:
         return g
-    reduced = list(map(operator.sub, g.weights, reverse))
+    reduced = list(g.weights)
+    for key in both:
+        reduced[bisect_left(g.pair_keys, key)] -= g.weights[bisect_left(g.pair_keys, key % g.n * g.n + key // g.n)]
     return g._subgraph(list(map((0).__lt__, reduced)), reduced)
 
 
@@ -210,34 +213,45 @@ def active_vertices(g: WeightedDigraph) -> list[int]:
     return sorted({*g.tails, *g.heads})
 
 
-def _in_weights(g: WeightedDigraph, active: list[int]) -> list[list[int]]:
-    """``matrix[i][t]`` is the weight of the arc from ``active[t]`` into ``active[i]``, or 0."""
-    index = dict(zip(active, range(len(active))))
-    matrix = [[0] * len(active) for _ in active]
-    for u, v, w in zip(g.tails, g.heads, g.weights):
-        matrix[index[v]][index[u]] = w
-    return matrix
+def _in_weights(g: WeightedDigraph, groups: list[list[int]]) -> list[list[list[int]]]:
+    """One block per vertex group: ``block[i][t]`` is the weight of the arc from ``group[t]`` into ``group[i]``, or 0.
 
-
-def _strong_components(out_masks: list[int]) -> list[int]:
-    """Vertex masks of the strongly connected components, in topological order.
-
-    ``out_masks[i]`` holds the heads of the arcs out of vertex i. After the
-    bitmask transitive closure ``reach[i]`` holds every vertex i reaches,
-    itself included, so two vertices share a component exactly when they
-    reach the same set. A component that reaches another reaches a strict
-    superset of what that one reaches, so sorting by descending reach size
-    puts every arc between components forward.
+    The groups are disjoint and cover every arc's endpoints; an arc between
+    two groups is in no block, so the blocks take the room of the groups'
+    sizes squared, not of all the vertices'.
     """
-    reach = [out | 1 << i for i, out in enumerate(out_masks)]
+    where = {v: (c, j) for c, group in enumerate(groups) for j, v in enumerate(group)}
+    blocks = [[[0] * len(group) for _ in group] for group in groups]
+    for u, v, w in zip(g.tails, g.heads, g.weights):
+        (c, i), (d, t) = where[v], where[u]
+        if c == d:
+            blocks[c][i][t] = w
+    return blocks
+
+
+def _strong_components(g: WeightedDigraph, active: list[int]) -> list[list[int]]:
+    """The strongly connected components of the active vertices, each in increasing order, in topological order.
+
+    ``reach[i]`` starts as the heads of the arcs out of ``active[i]``, as a
+    bitmask of indices into ``active``. After the bitmask transitive closure
+    it holds every vertex i reaches, itself included, so two vertices share
+    a component exactly when they reach the same set. A component that
+    reaches another reaches a strict superset of what that one reaches, so
+    sorting by descending reach size puts every arc between components
+    forward.
+    """
+    index = dict(zip(active, range(len(active))))
+    reach = [1 << i for i in range(len(active))]
+    for u, v in zip(g.tails, g.heads):
+        reach[index[u]] |= 1 << index[v]
     for k in range(len(reach)):
         bit, via = 1 << k, reach[k]
         for i, r in enumerate(reach):
             if r & bit:
                 reach[i] = r | via
-    components: dict[int, int] = {}
-    for i, r in enumerate(reach):
-        components[r] = components.get(r, 0) | 1 << i
+    components: dict[int, list[int]] = {}
+    for v, r in zip(active, reach):
+        components.setdefault(r, []).append(v)
     return [components[r] for r in sorted(components, key=int.bit_count, reverse=True)]
 
 
@@ -393,7 +407,7 @@ def forward_weight_counts(g: WeightedDigraph, active: list[int]) -> dict[int, in
     packed = (total_weight + 1) * digit_bytes << nv <= min(gf2.COUNT_BUDGET_BYTES, PACKED_BYTES_PER_ORDER * orders)
     if not packed:
         check_cap("distribution", nv, "active vertices for the Counter DP", DEFAULT_ORDER_CAP)
-    h, lo, hi = _gain_tables(_in_weights(g, active))
+    h, lo, hi = _gain_tables(_in_weights(g, [active])[0])
     low = (1 << h) - 1
     full = (1 << nv) - 1
     if packed:
@@ -438,7 +452,8 @@ def exact_max_acyclic(
     Each strongly connected component of the non-isolated vertices is solved
     on its own by a subset dynamic program (``_best_order``) over its block of
     the in-weight matrix, the matrix ``forward_weight_counts`` counts orders
-    with. An arc between components is forward in the topological order of
+    with; only the blocks are built, so their room follows the components'
+    sizes. An arc between components is forward in the topological order of
     the condensation, so the optimum is the sum of the components' optima
     plus the weight of every arc between components, attained by laying the
     components' orders end to end in that order. Isolated vertices are left
@@ -447,22 +462,17 @@ def exact_max_acyclic(
     component of more than ``DEFAULT_VERTEX_CAP``, before any search.
     """
     active = active_vertices(g)
-    m = len(active)
-    check_cap("exact solve", m, "non-isolated vertices", cap, ("cap", "kernel_vertices"))
-    matrix = _in_weights(g, active)
-    out_masks = [sum(1 << i for i, row in enumerate(matrix) if row[t]) for t in range(m)]
-    components = _strong_components(out_masks)
-    largest = max(map(int.bit_count, components), default=0)
+    check_cap("exact solve", len(active), "non-isolated vertices", cap, ("cap", "kernel_vertices"))
+    components = _strong_components(g, active)
+    largest = max(map(len, components), default=0)
     check_cap("exact solve", largest, "component vertices", DEFAULT_VERTEX_CAP, ("component_cap", "component_vertices"))
     value = sum(g.weights)
     seq = []
-    for comp in components:
-        members = [i for i in range(m) if comp >> i & 1]
-        inner = [[matrix[i][t] for t in members] for i in members]
+    for members, inner in zip(components, _in_weights(g, components)):
         best, order = _best_order(inner)
         # The arcs inside the component count only as far as its order keeps them forward.
         value += best - sum(map(sum, inner))
-        seq.extend(active[members[j]] for j in order)
+        seq.extend(members[j] for j in order)
     return value, seq
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -23,6 +24,7 @@ from abovetight.linord import (
     LinearOrder,
     WeightedDigraph,
     _gain_tables,
+    _pair_keys,
     digraph_stats,
     exact_max_acyclic,
     loalb_threshold,
@@ -602,6 +604,19 @@ def reduce_two_cycles_by_dict(g: WeightedDigraph) -> WeightedDigraph:
         elif w > rw:
             kept.append((u, v, w - rw))
     return WeightedDigraph(g.n, tuple(sorted(kept)))
+
+
+def reduce_two_cycles_by_reverse_weights(g: WeightedDigraph) -> WeightedDigraph:
+    """2-cycle cancelling that reads every arc's reverse weight from a key-to-weight dict.
+
+    The package's rule before it touched only the arcs whose reverse is present.
+    """
+    weight = dict(zip(g.pair_keys, g.weights))
+    reverse = list(map(weight.get, _pair_keys(g.n, g.heads, g.tails), itertools.repeat(0)))
+    if not any(reverse):
+        return g
+    reduced = list(map(operator.sub, g.weights, reverse))
+    return g._subgraph(list(map((0).__lt__, reduced)), reduced)
 
 
 def with_isolated_by_ranks(seq: list[int], n: int, lead: bool = False) -> tuple[int, ...]:

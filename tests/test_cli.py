@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import abovetight
-from abovetight import maxlin, moments, rsat
+from abovetight import cli, maxlin, moments, rsat
 from abovetight.cli import _PARSER, main, run
 from abovetight.instances import GENERATOR_KINDS, gen_instance
 
@@ -576,6 +577,92 @@ def test_flag_set_of_every_command(capsys):
         with pytest.raises(SystemExit):
             _PARSER.parse_args(["gen", "remark2", *extra])
     capsys.readouterr()
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    # Registered before it runs: its dataclass looks its module up by name.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_every_benchmark_argv_takes_the_plain_reader(monkeypatch):
+    workloads = load_workloads()
+    argvs = []
+    for workload in workloads.WORKLOADS:
+        for seed in (0, 7):
+            for call in workloads.build(workload, seed, abovetight, tiny=True):
+                call.path = "in.txt"
+                argvs.append(call.argv())
+    assert {argv[0] for argv in argvs} == set(cli._PLAIN)
+    for argv in argvs:
+        plain, expected = cli._read_plain(argv), _PARSER.parse_args(argv)
+        assert plain is not None, argv
+        # The same attributes with the same values, in the same order.
+        assert list(vars(plain).items()) == list(vars(expected).items()), argv
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run() called argparse on a plain argv")
+
+    monkeypatch.setattr(_PARSER, "parse_args", refuse)
+    assert run(["gen", "remark2", "--seed", "3"]).diagnostics["seed"] == 3
+
+
+# Argvs off the plain form, or plain with a bad value: the reader declines each, or gives
+# argparse's namespace; argparse alone answers the ones it rejects.
+OFF_PLAIN = [
+    ["loalb", "g.txt", "--k=1"],
+    ["loalb", "--k", "1", "g.txt"],
+    ["loalb", "g.txt", "--k", "1", "--k", "2"],
+    ["rsat", "f.txt", "--k-num", "1", "--diagnostic", "--diagnostic"],
+    ["loalb", "g.txt", "--", "--k", "1"],
+    ["loalb", "g.txt", "--k", "1", "--"],
+    ["loalb", "g.txt", "--k", "1", "-h"],
+    ["gen", "--help"],
+    ["-h"],
+    ["loalb", "g.txt", "--k", "1", "--ca", "3"],
+    ["linalb", "s.txt", "--k", "1", "--case", "general", "--workers", "2"],
+    ["loalb", "g.txt", "--k", "1", "--cap", "-1"],
+    ["moments", "g.txt", "--b", "-3/2"],
+    ["loalb", "g.txt", "--k", "x"],
+    ["loalb", "g.txt", "--k"],
+    ["loalb", "g.txt", "--k", "1", "--emit", "--cap"],
+    ["linalb", "s.txt", "--k", "1", "--case", "bogus"],
+    ["gen", "nosuch"],
+    ["gen", "remark2", "--n", "1.5"],
+    ["loalb", "--k", "1"],
+    ["loalb"],
+    ["loalb", "g.txt"],
+    ["rsat", "f.txt", "--diagnostic"],
+    ["loalb", "g.txt", "h.txt", "--k", "1"],
+    ["frobnicate", "g.txt"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", OFF_PLAIN, ids=" ".join)
+def test_the_plain_reader_leaves_every_other_argv_to_argparse(argv, capsys):
+    plain = cli._read_plain(argv)
+    try:
+        expected = _PARSER.parse_args(argv)
+    except SystemExit as exc:
+        code, printed = exc.code, capsys.readouterr()
+        assert plain is None
+        with pytest.raises(SystemExit) as through_run:
+            run(argv)
+        assert through_run.value.code == code
+        assert capsys.readouterr() == printed
+        if "-h" in argv or "--help" in argv:
+            assert (code, printed.err) == (0, "") and printed.out.startswith("usage: abovetight")
+        else:
+            assert code == 2 and printed.err.startswith("usage: abovetight")
+    else:
+        assert plain is None or vars(plain) == vars(expected)
 
 
 def test_workers_flag_is_rejected(tmp_path):
