@@ -387,8 +387,9 @@ def _best_order(in_weights: list[list[int]]) -> tuple[int, list[int]]:
 def forward_weight_counts(g: WeightedDigraph, active: list[int]) -> dict[int, int]:
     """The number of orders of ``active``, the non-isolated vertices, at each forward weight they reach.
 
-    Dynamic program over subsets, like ``_best_order`` and on the same
-    in-weight matrix and gain tables: the orders of a set S end in some v
+    Dynamic program over subsets, like ``_best_order``, on one in-weight
+    block over all of ``active`` (the solver builds one per strong
+    component) and its gain tables: the orders of a set S end in some v
     of S, and each adds to an order of S - v the weight of arcs from S - v
     into v. Each subset keeps its orders' forward weights as one packed int
     whose digit f counts the orders of weight f, so a move that gains g is
@@ -450,16 +451,17 @@ def exact_max_acyclic(
     """Maximum forward weight over all orders, and the non-isolated vertices in an order attaining it.
 
     Each strongly connected component of the non-isolated vertices is solved
-    on its own by a subset dynamic program (``_best_order``) over its block of
-    the in-weight matrix, the matrix ``forward_weight_counts`` counts orders
-    with; only the blocks are built, so their room follows the components'
-    sizes. An arc between components is forward in the topological order of
-    the condensation, so the optimum is the sum of the components' optima
-    plus the weight of every arc between components, attained by laying the
-    components' orders end to end in that order. Isolated vertices are left
-    out: they can go anywhere, and ``with_isolated`` appends them. Refuses
-    instances with more than ``cap`` non-isolated vertices, or with a
-    component of more than ``DEFAULT_VERTEX_CAP``, before any search.
+    on its own by a subset dynamic program (``_best_order``) over its own
+    in-weight block (``forward_weight_counts`` builds one block over all the
+    active vertices instead); only the blocks are built, so their room
+    follows the components' sizes. An arc between components is forward in
+    the topological order of the condensation, so the optimum is the sum of
+    the components' optima plus the weight of every arc between components,
+    attained by laying the components' orders end to end in that order.
+    Isolated vertices are left out: they can go anywhere, and
+    ``with_isolated`` appends them. Refuses instances with more than ``cap``
+    non-isolated vertices, or with a component of more than
+    ``DEFAULT_VERTEX_CAP``, before any search.
     """
     active = active_vertices(g)
     check_cap("exact solve", len(active), "non-isolated vertices", cap, ("cap", "kernel_vertices"))

@@ -3,16 +3,36 @@
 ``Tracer.install`` skips a stage whose function is gone, and a stage that no
 command calls records no span, so a rename, a deletion or a dropped call
 would only show as a layer metric that reads 0. The tracer is loaded by
-path; it uses only the standard library.
+path; it uses only the standard library. The benchmark also reads names off
+the package root, which must resolve, and the root binds nothing else.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
+import abovetight
 from abovetight import cli
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+# The instance types perfbench's workloads build; the root binds no other name.
+INSTANCE_TYPES = {"WeightedDigraph", "Lin2Equation", "Lin2System", "ExactCnfFormula"}
+# What Python binds on every package module, whatever its source says.
+MODULE_ATTRIBUTES = {
+    "__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__", "__package__", "__path__", "__spec__"
+}
+# Imports the package as perfbench's fresh_import does, and prints the root's names, each marked if it is a module.
+ROOT_NAMES = (
+    "import importlib, json, types; pkg = importlib.import_module('abovetight');"
+    " [importlib.import_module('abovetight.' + m) for m in ('cli', 'instances')];"
+    " print(json.dumps({k: isinstance(v, types.ModuleType) for k, v in vars(pkg).items()}))"
+)
 # Stages listed by the tracer whose functions the package no longer has.
 GONE = {("maxlin", "auto_case"), ("gf2", "independent_columns"), ("gf2", "express_in_basis")}
 
@@ -85,3 +105,25 @@ def test_every_traced_stage_is_reached_by_some_command(tmp_path):
     recorded = {span[0] for span in tracer.spans}
     expected = {"%s.%s" % stage for stage in present_stages(tracing)}
     assert expected <= recorded, sorted(expected - recorded)
+
+
+def test_the_root_binds_what_the_benchmark_and_scripts_read_and_only_the_instance_types():
+    read = {
+        name
+        for path in sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+        for name in re.findall(r"\bpkg\.(\w+)", path.read_text())
+    }
+    assert INSTANCE_TYPES <= read
+    src = str(Path(abovetight.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", ROOT_NAMES],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = json.loads(proc.stdout)
+    assert read <= names.keys(), sorted(read - names.keys())
+    surface = {name for name, is_module in names.items() if not is_module} - MODULE_ATTRIBUTES
+    assert surface == INSTANCE_TYPES, sorted(surface ^ INSTANCE_TYPES)
