@@ -3,10 +3,11 @@
 Builds seeded instances of the shapes that are settled by a bound or cut to
 a kernel (random digraphs with 2-cycles, a huge header around three arcs,
 width-2 and width-3 formulas, lin2 systems of small equations, and a
-width-3 formula whose clauses all share one variable), and the worst
-shapes for converting each distinct token once: a digraph whose weights
-are all distinct and a lin2 system whose indices mostly are. Writes each
-to a file, and times ``instances.parse_instance`` on its text and
+width-3 formula whose clauses all share one variable), a width-3 formula
+written with each clause's literals in reverse, which the parser sorts,
+and the worst shapes for converting each distinct token once: a digraph
+whose weights are all distinct and a lin2 system whose indices mostly are.
+Writes each to a file, and times ``instances.parse_instance`` on its text and
 ``cli.run`` on the command (both best of ``--reps``). Prints one JSON row
 per instance, with the parse share of the command, one total row per
 dialect and a total row.
@@ -69,6 +70,12 @@ def one_hot_formula(rng: random.Random, m: int, r: int) -> ExactCnfFormula:
     return ExactCnfFormula(1 + (r - 1) * m, r, tuple(clauses))
 
 
+def reversed_text(f: ExactCnfFormula) -> str:
+    """The ecnf text of ``f`` with each clause's literals written in reverse variable order."""
+    header, *lines = instances.serialize_instance(f).text.splitlines()
+    return "\n".join([header, *(" ".join(line.split()[-2::-1]) + " 0" for line in lines)]) + "\n"
+
+
 def system(rng: random.Random, n: int, m: int) -> Lin2System:
     """m random equations of 1 or 3 variables over n, weights 1-4."""
     eqs = []
@@ -79,7 +86,7 @@ def system(rng: random.Random, n: int, m: int) -> Lin2System:
 
 
 def families(rng: random.Random, scale: float) -> list[tuple[str, object, list[str]]]:
-    """(name, instance, command flags) for each instance."""
+    """(name, instance or its text, command flags) for each instance."""
     def size(x: int, least: int) -> int:
         return max(least, round(x * scale))
 
@@ -105,6 +112,10 @@ def families(rng: random.Random, scale: float) -> list[tuple[str, object, list[s
     # About 2m indices over n = 2m variables, so most index tokens occur once.
     n, m = size(3000, 6), size(1500, 6)
     out.append(("lin2/distinct-n%d-m%d" % (n, m), system(rng, n, m), ["linalb", "--k", "1"]))
+    # Last, so the rows above keep their instances: clauses out of variable order.
+    n, m = size(1000, 6), size(2000, 4)
+    text = reversed_text(formula(rng, n, m, 3))
+    out.append(("ecnf/reversed-r3-n%d-m%d" % (n, m), text, ["rsat", "--k-num", "1"]))
     return out
 
 
@@ -132,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     by_dialect: dict[str, list[float]] = {}
     with tempfile.TemporaryDirectory() as workdir:
         for name, instance, flags in families(rng, args.scale):
-            text = instances.serialize_instance(instance).text
+            text = instance if isinstance(instance, str) else instances.serialize_instance(instance).text
             path = Path(workdir) / "instance.txt"
             path.write_text(text, encoding="utf-8")
             argv_run = [flags[0], str(path), *flags[1:]]

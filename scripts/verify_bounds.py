@@ -17,10 +17,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from abovetight.linord import digraph_stats
+from abovetight.linord import DEFAULT_ORDER_CAP, digraph_stats
 from abovetight.maxlin import merge_duplicates, system_stats
 from abovetight.moments import (
-    DEFAULT_ORDER_CAP,
     dist_lin2,
     dist_linord,
     dist_rsat,

@@ -22,15 +22,17 @@ Equation lines vary in width: their weight and right-side columns and one
 stream of all their indices are checked for the whole file at once, and the
 equations are built without a further check. Vertex tokens, right sides
 and indices are converted once per distinct token (``_int_values``);
-weights, which may all differ, take one ``int()`` each. Only input that a
-column pass refuses is walked line by line, and the error names the first
-bad line; clauses whose literals are out of variable order take the same
-walk, which sorts them.
+weights, which may all differ, take one ``int()`` each. Clauses whose
+literals are out of variable order are sorted in the column pass, so every
+dialect has that one way to succeed. Only input that a column pass refuses
+is walked line by line; the walk finds nothing to build and only names the
+first bad line.
 
-``_HEADER_FIELDS`` holds each dialect's header field names, in the order
-n, m[, r], and its record noun; one header check reads and validates all
-three, and ``serialize_instance`` writes the ``p`` line from a format name
-and a size tuple in the same order.
+``_DIALECTS`` holds each dialect's header field names, in the order
+n, m[, r], its record noun, its column reader and its line walk; one header
+check reads and validates all three sizes, and the reader and the walk take
+n, then r for ecnf. ``serialize_instance`` writes the ``p`` line from a
+format name and a size tuple in the same order.
 
 ``gen_instance`` writes a seeded instance of one of seven named families.
 ``GENERATOR_SIZES`` lists the sizes each family reads and their defaults;
@@ -50,15 +52,9 @@ from operator import itemgetter
 
 from .linord import WeightedDigraph
 from .maxlin import Lin2Equation, Lin2System
-from .rsat import MAX_CLAUSE_WIDTH, ExactCnfFormula
+from .rsat import MAX_CLAUSE_WIDTH, ClauseOrderError, ExactCnfFormula
 
 Instance = WeightedDigraph | Lin2System | ExactCnfFormula
-
-_HEADER_FIELDS: dict[str, tuple[tuple[str, ...], str]] = {
-    "digraph": (("vertex count", "arc count"), "arcs"),
-    "lin2": (("variable count", "equation count"), "equations"),
-    "ecnf": (("variable count", "clause count", "clause width"), "clauses"),
-}
 
 # The sizes each generator kind reads, with their defaults; None where the
 # default is derived from other sizes (m from n, and random-lin2's r as min(3, n)).
@@ -162,11 +158,14 @@ def _first_bad_arc_line(n: int, records: list[tuple[int, list[str]]]) -> ParseEr
 def _formula_by_columns(n: int, r: int, records: list[str]) -> ExactCnfFormula:
     """The formula whose clause lines are ``records``, read a column at a time.
 
-    Raises ValueError on any fault, without saying where, and also when a
-    clause lists its literals out of variable order. Each record must be
-    exactly r + 1 tokens, so token i of every record is one column: the
+    Raises ValueError on any fault, without saying where. Each record must
+    be exactly r + 1 tokens, so token i of every record is one column: the
     last must be all zeros, and ``ExactCnfFormula.from_columns`` checks the
-    r literal columns for range and strictly increasing variables.
+    r literal columns for range and strictly increasing variables. Only its
+    ``ClauseOrderError``, clauses of distinct variables listed out of order,
+    is repaired: the formula is then built through
+    ``ExactCnfFormula.from_clauses``, which sorts each clause and checks the
+    rest. Every other fault is raised before any clause is sorted.
     """
     rows = list(map(str.split, records))
     if not set(map(len, rows)) <= {r + 1}:
@@ -175,28 +174,28 @@ def _formula_by_columns(n: int, r: int, records: list[str]) -> ExactCnfFormula:
     if any(map(int, tokens[r :: r + 1])):
         raise ValueError("a record does not end with 0")
     columns = [list(map(int, tokens[i :: r + 1])) for i in range(r)]
-    return ExactCnfFormula.from_columns(n, r, columns)
+    try:
+        return ExactCnfFormula.from_columns(n, r, columns)
+    except ClauseOrderError:
+        return ExactCnfFormula.from_clauses(n, r, zip(*columns))
 
 
-def _formula_by_lines(n: int, r: int, records: list[tuple[int, list[str]]]) -> ExactCnfFormula:
-    """The formula whose numbered clause lines are ``records``, checked and sorted line by line."""
-    clauses = []
+def _first_bad_clause_line(n: int, r: int, records: list[tuple[int, list[str]]]) -> ParseError:
+    """The error for the first clause line that breaks the ecnf dialect; literal order is no fault."""
     for line_no, rec in records:
         lits = [_int(tok, line_no, "literal") for tok in rec]
-        if not lits or lits[-1] != 0:
-            raise ParseError(line_no, "clause line must end with 0")
-        lits = lits[:-1]
-        if any(lit == 0 for lit in lits):
-            raise ParseError(line_no, "literal 0 inside a clause")
-        if len(lits) != r:
-            raise ParseError(line_no, "clause width %d, expected %d" % (len(lits), r))
-        variables = [abs(lit) for lit in lits]
+        if lits[-1] != 0:
+            return ParseError(line_no, "clause line must end with 0")
+        variables = [abs(lit) for lit in lits[:-1]]
+        if 0 in variables:
+            return ParseError(line_no, "literal 0 inside a clause")
+        if len(variables) != r:
+            return ParseError(line_no, "clause width %d, expected %d" % (len(variables), r))
         if any(not 1 <= v <= n for v in variables):
-            raise ParseError(line_no, "variable out of range 1..%d" % n)
+            return ParseError(line_no, "variable out of range 1..%d" % n)
         if len(set(variables)) != r:
-            raise ParseError(line_no, "clause repeats a variable or has complementary literals")
-        clauses.append(tuple(sorted(lits, key=abs)))
-    return ExactCnfFormula(n, r, tuple(clauses))
+            return ParseError(line_no, "clause repeats a variable or has complementary literals")
+    raise AssertionError("the column pass refused clause lines that each pass the line checks")
 
 
 def _lin2_by_columns(n: int, records: list[str]) -> Lin2System:
@@ -245,14 +244,24 @@ def _first_bad_equation_line(n: int, records: list[tuple[int, list[str]]]) -> Pa
     raise AssertionError("the column pass refused equation lines that each pass the line checks")
 
 
+# Each dialect's header field names, in the order n, m[, r], its record noun,
+# its column reader and its line walk.
+_DIALECTS = {
+    "digraph": (("vertex count", "arc count"), "arcs", _digraph_by_columns, _first_bad_arc_line),
+    "lin2": (("variable count", "equation count"), "equations", _lin2_by_columns, _first_bad_equation_line),
+    "ecnf": (("variable count", "clause count", "clause width"), "clauses",
+             _formula_by_columns, _first_bad_clause_line),
+}
+
+
 def parse_instance(text: str) -> Instance:
     """Parse one instance in any of the three dialects.
 
     Every dialect's records are read by columns (``_digraph_by_columns``,
-    ``_lin2_by_columns``, ``_formula_by_columns``); only if that pass or the
-    constructor's check refuses them are they walked line by line, which
-    names the first bad line or, for clauses out of variable order, sorts
-    them.
+    ``_lin2_by_columns``, ``_formula_by_columns``, which also sorts clauses
+    listed out of variable order); only if that pass or the constructor's
+    check refuses them are they walked line by line, which names the first
+    bad line.
     """
     lines = text.splitlines()
     for header_no, raw in enumerate(lines, start=1):
@@ -264,37 +273,27 @@ def parse_instance(text: str) -> Instance:
     if header[0] != "p" or len(header) < 2:
         raise ParseError(header_no, "expected a 'p <format> ...' header")
     fmt = header[1]
-    if fmt not in _HEADER_FIELDS:
+    if fmt not in _DIALECTS:
         raise ParseError(header_no, "unknown format %r" % fmt)
-    fields, noun = _HEADER_FIELDS[fmt]
+    fields, noun, by_columns, first_bad_line = _DIALECTS[fmt]
     if len(header) != 2 + len(fields):
         usage = " ".join("<%s>" % name for name in "nmr"[: len(fields)])
         raise ParseError(header_no, "%s header needs 'p %s %s'" % (fmt, fmt, usage))
-    sizes = [_int(tok, header_no, what) for tok, what in zip(header[2:], fields)]
-    n, m = sizes[0], sizes[1]
+    n, m, *width = [_int(tok, header_no, what) for tok, what in zip(header[2:], fields)]
     if n < 0 or m < 0:
         raise ParseError(header_no, "counts must be nonnegative")
-    if fmt == "ecnf" and not 2 <= sizes[2] <= MAX_CLAUSE_WIDTH:
-        bound = "at least 2" if sizes[2] < 2 else "at most %d" % MAX_CLAUSE_WIDTH
+    if width and not 2 <= width[0] <= MAX_CLAUSE_WIDTH:
+        bound = "at least 2" if width[0] < 2 else "at most %d" % MAX_CLAUSE_WIDTH
         raise ParseError(header_no, "clause width must be " + bound)
     body = lines[header_no:]
     records = [s for s in map(str.strip, body) if s and s[0] != "c"]
     if len(records) != m:
         raise ParseError(header_no, "header announces %d %s, found %d" % (m, noun, len(records)))
     try:
-        if fmt == "digraph":
-            return _digraph_by_columns(n, records)
-        if fmt == "lin2":
-            return _lin2_by_columns(n, records)
-        return _formula_by_columns(n, sizes[2], records)
+        return by_columns(n, *width, records)
     except ValueError:
         pass
-    numbered = _significant_lines(body, header_no + 1)
-    if fmt == "digraph":
-        raise _first_bad_arc_line(n, numbered)
-    if fmt == "lin2":
-        raise _first_bad_equation_line(n, numbered)
-    return _formula_by_lines(n, sizes[2], numbered)
+    raise first_bad_line(n, *width, _significant_lines(body, header_no + 1))
 
 
 def serialize_instance(instance: Instance) -> InstanceFile:

@@ -40,6 +40,10 @@ _DIGITS = getattr(sys, "get_int_max_str_digits", int)() or 4300
 MAX_CLAUSE_WIDTH = ((10**_DIGITS).bit_length() - 5) // 6
 
 
+class ClauseOrderError(ValueError):
+    """A clause lists distinct variables out of increasing order, the one fault sorting repairs."""
+
+
 def _check_formula(n: int, r: int, widths: Iterable[int], columns: Sequence[Sequence[int]]) -> None:
     """Refuse a formula unless r >= 2, n >= 0 and each clause has r increasing variables in 1..n.
 
@@ -47,7 +51,8 @@ def _check_formula(n: int, r: int, widths: Iterable[int], columns: Sequence[Sequ
     clause j. Reports the first fault kind present, in the order clause
     width bound, variable count, clause width, repeated variable, variable
     order, range; with several faults it does not say which clause carries
-    them.
+    them. The variable order refusal is a ``ClauseOrderError``, every other
+    one a plain ValueError.
     """
     if r < 2:
         raise ValueError("clause width must be at least 2")
@@ -59,7 +64,7 @@ def _check_formula(n: int, r: int, widths: Iterable[int], columns: Sequence[Sequ
     if not all(all(map(operator.lt, a, b)) for a, b in zip(variables, variables[1:])):
         if any(len(set(clause)) < r for clause in zip(*variables)):
             raise ValueError("clause variables must be distinct")
-        raise ValueError("clause literals must be sorted by variable")
+        raise ClauseOrderError("clause literals must be sorted by variable")
     # Each clause's variables strictly increase, so its first and last bound them all.
     if variables and variables[0] and (min(variables[0]) < 1 or max(variables[-1]) > n):
         raise ValueError("literal out of range")
@@ -72,6 +77,8 @@ class ExactCnfFormula(Record):
     Each clause lists its literals by increasing variable. The constructor
     and ``from_columns`` check the clauses a column at a time
     (``_check_formula``); ``from_columns`` then skips ``__post_init__``.
+    Clauses out of variable order are refused with a ``ClauseOrderError``;
+    ``from_clauses`` sorts them first.
     """
 
     n: int

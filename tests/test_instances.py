@@ -366,6 +366,45 @@ def test_ecnf_parse_matches_the_line_oracle_on_edge_cases(text):
     assert _parsed(parse_instance, text) == _parsed(parse_instance_by_lines, text)
 
 
+def _ecnf_text(n: int, r: int, clauses) -> str:
+    return "p ecnf %d %d %d\n" % (n, len(clauses), r) + "".join(
+        " ".join(map(str, clause)) + " 0\n" for clause in clauses
+    )
+
+
+def test_clauses_out_of_variable_order_take_the_column_pass(monkeypatch):
+    f = random_formula(random.Random(3434), 3, n_max=12, m_min=20, m_max=40)
+    reversed_text = _ecnf_text(f.n, 3, [clause[::-1] for clause in f.clauses])
+
+    def no_line_walk(*args):
+        raise AssertionError("valid clauses were walked line by line")
+
+    monkeypatch.setattr("abovetight.instances._significant_lines", no_line_walk)
+    got = parse_instance(reversed_text)
+    assert got == parse_instance(serialize_instance(f).text) == f
+
+
+@pytest.mark.parametrize(
+    "fault,needle", [("past n", "variable out of range"), ("repeat", "clause repeats a variable")]
+)
+def test_a_fault_in_clauses_in_variable_order_is_never_sorted(monkeypatch, fault, needle):
+    f = random_formula(random.Random(3535), 3, n_max=12, m_min=20, m_max=40)
+    clauses = [list(clause) for clause in f.clauses]
+    if fault == "past n":
+        clauses[-1][-1] = f.n + 1
+    else:
+        clauses[len(clauses) // 2][1] = clauses[len(clauses) // 2][0]
+    text = _ecnf_text(f.n, 3, clauses)
+    expected = _parsed(parse_instance_by_lines, text)
+    assert needle in expected[1]
+
+    def no_sort(*args):
+        raise AssertionError("clauses were sorted on the way to an error")
+
+    monkeypatch.setattr(ExactCnfFormula, "from_clauses", no_sort)
+    assert _parsed(parse_instance, text) == expected
+
+
 @pytest.mark.parametrize(
     "text",
     [
