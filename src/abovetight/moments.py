@@ -22,6 +22,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import factorial
 
 from . import maxlin, rsat
 from .instances import Instance
@@ -41,8 +43,11 @@ MULTIPLIER_BITS = 1024
 class ExactDistribution:
     """Exact mass of a scaled integer variable over a finite uniform space.
 
-    ``mass`` lists (value, count) pairs sorted by value; counts sum to
-    ``total`` and stored values are scale * X. ``kernel`` is the instance
+    ``mass`` lists (value, count) pairs sorted by value and stored values
+    are scale * X. ``total`` is the size of the sample space, n! orders or
+    2^n assignments, which a ``dist_*`` caller declares and the counts must
+    reach exactly. ``power_sums`` sums the mass once, for every moment
+    check that reads this distribution. ``kernel`` is the instance
     that ``dist_*`` counted, on which X has the input's law, and from which
     ``verify_second_moment_claims`` reads its target and closed form; it is
     None on a hand-built law and takes no part in ``==``, ``hash`` or ``repr``.
@@ -67,14 +72,19 @@ class ExactDistribution:
             raise ValueError("counts must sum to the sample-space size")
 
     @classmethod
-    def from_counts(cls, scale: int, counts: Counter[int], multiplier: int, kernel: Instance) -> ExactDistribution:
+    def from_counts(
+        cls, scale: int, counts: Counter[int], multiplier: int, total: int, kernel: Instance
+    ) -> ExactDistribution:
         mass = tuple(sorted((v, c * multiplier) for v, c in counts.items()))
-        total = sum(c for _, c in mass)
         return cls(scale=scale, mass=mass, total=total, kernel=kernel)
 
+    @cached_property
+    def power_sums(self) -> dict[int, int]:
+        """sum(count * value^p) over the mass at the stored scale, for p = 1, 2 and 4."""
+        return {p: sum(c * v**p for v, c in self.mass) for p in (1, 2, 4)}
+
     def is_symmetric(self) -> bool:
-        table = dict(self.mass)
-        return all(table.get(-v, 0) == c for v, c in self.mass)
+        return all(v == -w and c == e for (v, c), (w, e) in zip(self.mass, reversed(self.mass)))
 
 
 @dataclass(frozen=True)
@@ -139,7 +149,7 @@ def dist_linord(g: WeightedDigraph, cap: int = DEFAULT_ORDER_CAP) -> ExactDistri
         _check_multiplier(multiplier.bit_length())
     total_weight = sum(kernel.weights)
     counts = Counter({2 * f - total_weight: c for f, c in forward_weight_counts(kernel, active).items()})
-    return ExactDistribution.from_counts(2, counts, multiplier, kernel)
+    return ExactDistribution.from_counts(2, counts, multiplier, multiplier * factorial(nv), kernel)
 
 
 def dist_lin2(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDistribution:
@@ -155,7 +165,7 @@ def dist_lin2(s: Lin2System, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDistribu
     check_cap("distribution", reduced.n, "kernel variables", cap)
     _check_multiplier(s.n - reduced.n + 1)
     counts = maxlin.x_distribution_counts(reduced)
-    return ExactDistribution.from_counts(1, counts, 1 << (s.n - reduced.n), reduced)
+    return ExactDistribution.from_counts(1, counts, 1 << (s.n - reduced.n), 1 << s.n, reduced)
 
 
 def dist_rsat(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDistribution:
@@ -168,7 +178,7 @@ def dist_rsat(f: ExactCnfFormula, cap: int = DEFAULT_ASSIGNMENT_CAP) -> ExactDis
     check_cap("distribution", occurring, "occurring variables", cap)
     _check_multiplier(f.n - occurring + 1)
     counts = rsat.scaled_x_counts(f)
-    return ExactDistribution.from_counts(1 << f.r, counts, 1 << (f.n - occurring), f)
+    return ExactDistribution.from_counts(1 << f.r, counts, 1 << (f.n - occurring), 1 << f.n, f)
 
 
 def _check_multiplier(bits: int) -> None:
@@ -176,11 +186,10 @@ def _check_multiplier(bits: int) -> None:
 
 
 def moment_p(d: ExactDistribution, p: int) -> Fraction:
-    """Exact p-th moment at unit scale: sum(count * value^p) / (total * scale^p)."""
-    if p < 1:
-        raise ValueError("moment order must be positive")
-    numerator = sum(c * v**p for v, c in d.mass)
-    return Fraction(numerator, d.total * d.scale**p)
+    """Exact p-th moment at unit scale, ``power_sums[p] / (total * scale^p)``, for p = 1, 2 or 4."""
+    if p not in d.power_sums:
+        raise ValueError("moment order must be 1, 2 or 4")
+    return Fraction(d.power_sums[p], d.total * d.scale**p)
 
 
 def moment_report(d: ExactDistribution) -> MomentReport:
@@ -197,21 +206,15 @@ def verify_symmetric_tail(d: ExactDistribution) -> bool | None:
 
     Returns whether the event has positive probability, or None when the
     distribution is not symmetric and the check does not apply. The event
-    is evaluated exactly: a positive value v qualifies iff
-    v^2 * total >= sum(count * value^2); the value 0 qualifies only when the
-    second moment vanishes.
+    is evaluated exactly: a value v >= 0 qualifies iff
+    v^2 * total >= sum(count * value^2), so the value 0 qualifies only when
+    the second moment vanishes. Every count is positive, so the event has
+    positive probability iff some value qualifies.
     """
     if not d.is_symmetric():
         return None
-    s2 = sum(c * v * v for v, c in d.mass)  # total * scale^2 * E(X^2)
-    event = 0
-    for v, c in d.mass:
-        if v > 0:
-            if v * v * d.total >= s2:
-                event += c
-        elif v == 0 and s2 == 0:
-            event += c
-    return event > 0
+    s2 = d.power_sums[2]  # total * scale^2 * E(X^2)
+    return any(v >= 0 and v * v * d.total >= s2 for v, _ in d.mass)
 
 
 def verify_fourth_moment_tail(d: ExactDistribution, b: Fraction | int) -> TailCheck:
@@ -220,8 +223,7 @@ def verify_fourth_moment_tail(d: ExactDistribution, b: Fraction | int) -> TailCh
     if b <= 0:
         raise ValueError("b must be positive")
     e1 = moment_p(d, 1)
-    s2 = sum(c * v * v for v, c in d.mass)
-    s4 = sum(c * v**4 for v, c in d.mass)
+    s2, s4 = d.power_sums[2], d.power_sums[4]
     failed = None
     if e1 != 0:
         failed = "E(X) = %s is not zero" % e1

@@ -178,7 +178,7 @@ def brute_dist_linord(g: WeightedDigraph) -> ExactDistribution:
                 forward += w
         counts[2 * forward - total_weight] += 1
     multiplier = math.factorial(g.n) // math.factorial(len(active))
-    return ExactDistribution.from_counts(2, counts, multiplier, g)
+    return ExactDistribution.from_counts(2, counts, multiplier, math.factorial(g.n), g)
 
 
 def brute_decide_loalb(g: WeightedDigraph, k: int) -> bool:

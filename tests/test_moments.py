@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from collections.abc import Callable
 from fractions import Fraction
 
 import pytest
@@ -726,10 +727,57 @@ def test_distribution_validation():
         ExactDistribution(scale=1, mass=((0, 0), (1, 1)), total=1)
 
 
+def three_kinds() -> list[tuple[Callable[..., ExactDistribution], WeightedDigraph | Lin2System | ExactCnfFormula]]:
+    """A digraph, an equation system and a formula with unused vertices or variables, each with its ``dist_*``."""
+    return [
+        (dist_linord, WeightedDigraph.from_arcs(5, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])),
+        (dist_lin2, Lin2System.from_tuples(4, [((0,), 1, 1), ((0, 1), 1, 2)])),
+        (dist_rsat, ExactCnfFormula.from_clauses(5, 2, [(1, 2), (3, 4)])),
+    ]
+
+
+def test_a_count_short_of_the_sample_space_is_refused(monkeypatch):
+    def one_short(count):
+        def short(*args):
+            counts = Counter(count(*args))
+            counts[max(counts, key=counts.get)] -= 1
+            return +counts
+
+        return short
+
+    monkeypatch.setattr(moments, "forward_weight_counts", one_short(moments.forward_weight_counts))
+    monkeypatch.setattr(maxlin, "x_distribution_counts", one_short(maxlin.x_distribution_counts))
+    monkeypatch.setattr(rsat, "scaled_x_counts", one_short(rsat.scaled_x_counts))
+    for dist, instance in three_kinds():
+        with pytest.raises(ValueError, match="sample-space size"):
+            dist(instance)
+
+
+def test_the_moment_checks_read_the_mass_a_few_times():
+    class CountedMass(tuple):
+        reads = 0
+
+        def __iter__(self):
+            CountedMass.reads += 1
+            return super().__iter__()
+
+    for dist, instance in three_kinds():
+        d = dist(instance)
+        counted = ExactDistribution(d.scale, CountedMass(d.mass), d.total, d.kernel)
+        CountedMass.reads = 0
+        report = moment_report(counted)
+        assert verify_second_moment_claims(counted).holds and report.e1 == 0
+        assert verify_fourth_moment_tail(counted, 64).holds
+        # Three power sums, the mirror check and the tail event: each one pass.
+        assert CountedMass.reads <= 5, (instance, CountedMass.reads)
+        assert report == moment_report(d)
+
+
 def test_moment_functions_refuse_bad_input():
     d = dist_linord(three_cycle())
-    with pytest.raises(ValueError, match="moment order"):
-        moment_p(d, 0)
+    for p in (0, 3):
+        with pytest.raises(ValueError, match="moment order"):
+            moment_p(d, p)
     for b in (0, Fraction(-1, 2)):
         with pytest.raises(ValueError, match="b must be positive"):
             verify_fourth_moment_tail(d, b)
