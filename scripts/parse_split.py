@@ -5,8 +5,11 @@ a kernel (random digraphs with 2-cycles, a huge header around three arcs,
 width-2 and width-3 formulas, lin2 systems of small equations, and a
 width-3 formula whose clauses all share one variable), a width-3 formula
 written with each clause's literals in reverse, which the parser sorts,
-and the worst shapes for converting each distinct token once: a digraph
-whose weights are all distinct and a lin2 system whose indices mostly are.
+the worst shapes for converting each distinct token once: a digraph
+whose weights are all distinct and a lin2 system whose indices mostly are,
+and the 10,000-arc digraph again with CRLF line ends and comment lines,
+which is normalized before it is read, beside its plain text, which is
+read as it stands.
 Writes each to a file, and times ``instances.parse_instance`` on its text and
 ``cli.run`` on the command (both best of ``--reps``). Prints one JSON row
 per instance, with the parse share of the command, one total row per
@@ -76,6 +79,13 @@ def reversed_text(f: ExactCnfFormula) -> str:
     return "\n".join([header, *(" ".join(line.split()[-2::-1]) + " 0" for line in lines)]) + "\n"
 
 
+def crlf_commented_text(g: WeightedDigraph) -> str:
+    """The digraph text of ``g`` with CRLF line ends and a comment line before every 50th arc line."""
+    header, *lines = instances.serialize_instance(g).text.splitlines()
+    rows = [header] + [("c arc %d\r\n" % i if i % 50 == 0 else "") + line for i, line in enumerate(lines)]
+    return "\r\n".join(rows) + "\r\n"
+
+
 def system(rng: random.Random, n: int, m: int) -> Lin2System:
     """m random equations of 1 or 3 variables over n, weights 1-4."""
     eqs = []
@@ -116,6 +126,9 @@ def families(rng: random.Random, scale: float) -> list[tuple[str, object, list[s
     n, m = size(1000, 6), size(2000, 4)
     text = reversed_text(formula(rng, n, m, 3))
     out.append(("ecnf/reversed-r3-n%d-m%d" % (n, m), text, ["rsat", "--k-num", "1"]))
+    # The second digraph row's instance, written with CRLF line ends and comments.
+    name, g, flags = out[1]
+    out.append((name.replace("digraph/", "digraph/crlf-comments-"), crlf_commented_text(g), flags))
     return out
 
 

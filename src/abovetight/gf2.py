@@ -1,6 +1,6 @@
-"""Packed-integer code: GF(2) row echelon, and counting over all assignments.
+"""Packed-integer code: GF(2) column elimination, and counting over all assignments.
 
-Echelon rows are packed with column j at bit j. The counter is bit-sliced:
+A column is packed with row i at bit i. The counter is bit-sliced:
 bit z of each packed int belongs to assignment z, which sets variable v to
 bit v of z, and a count is kept as slices, bit z of slices[i] being bit i
 of z's count.
@@ -17,38 +17,49 @@ from typing import Iterable
 from .outcome import check_cap
 
 
-def echelon(rows: Iterable[int]) -> dict[int, int]:
-    """Row echelon form of ``rows``, each echelon row keyed by its lowest set bit.
+def column_basis(columns: list[int], rows: int) -> tuple[list[int], dict[int, int], int]:
+    """The greedy leftmost basis of ``columns``, each packed over ``rows`` rows, and its echelon.
 
-    The keys are the pivot columns: column j is a key exactly when it is
-    not in the span of columns 0..j-1, so the sorted keys are the greedy
-    leftmost column basis and their number is the rank.
+    Column j is picked exactly when it is not in the span of columns 0..j-1,
+    so the picks are the leftmost basis and their number is the rank. Each
+    column is shifted up by the rank's bound, ``width``, and reduced by the
+    echelon entries keyed by its highest bit until that bit is new, when it
+    becomes an entry with bit i set for the i-th pick, or until only bits
+    below ``width`` are left, when it lies in the span. Bit i of an entry
+    thus marks the i-th picked column as one of its terms. The work is the
+    columns times the rank, each step an XOR of rows + ``width`` bits.
+    Returns the picked indices, the echelon and ``width``.
     """
+    width = min(rows, len(columns))
+    picked: list[int] = []
     ech: dict[int, int] = {}
-    for row in rows:
-        while row:
-            p = (row & -row).bit_length() - 1
-            if p not in ech:
-                ech[p] = row
+    for j, col in enumerate(columns):
+        col <<= width
+        while (top := col.bit_length()) > width:
+            entry = ech.get(top)
+            if entry is None:
+                ech[top] = col | 1 << len(picked)
+                picked.append(j)
                 break
-            row ^= ech[p]
-    return ech
+            col ^= entry
+    return picked, ech, width
 
 
-def solve_affine(ech: dict[int, int], cols: int) -> int | None:
-    """One solution of the system whose augmented row echelon is ``ech``, or None if inconsistent.
+def solve_affine(ech: dict[int, int], width: int, target: int) -> int | None:
+    """The picked columns that sum to ``target``, packed with the i-th pick at bit i, or None if none do.
 
-    ``ech`` is an ``echelon`` of rows each holding its coefficients below bit
-    ``cols`` and its right side at bit ``cols``. The solution is packed with
-    x_j at bit j and every free variable at 0, so it is deterministic.
+    ``ech`` and ``width`` are a ``column_basis`` echelon and its width. The
+    picked columns are independent, so the answer is unique: it is the one
+    solution of A x = ``target``, A the columns ``column_basis`` was given,
+    with x at 0 on every unpicked column.
     """
-    if cols in ech:
-        return None  # some combination of rows reads 0 = 1
-    x = 0
-    for p in sorted(ech, reverse=True):
-        row = ech[p]
-        x |= (((row >> cols) ^ (row & x).bit_count()) & 1) << p
-    return x
+    target <<= width
+    while (top := target.bit_length()) > width:
+        entry = ech.get(top)
+        if entry is None:
+            return None  # target lies outside the columns' span
+        target ^= entry
+    return target
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -56,6 +67,10 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 # (``check_counter``) and the packed order polynomials of
 # ``linord.forward_weight_counts`` (64 MiB).
 COUNT_BUDGET_BYTES = 1 << 26
+# Bits the columns and echelon of ``maxlin.Lin2System.occurring_echelon`` may hold,
+# the same 64 MiB. Past it the elimination is refused, so linalb and moments answer
+# ERROR.
+ELIMINATION_BUDGET_BITS = 1 << 29
 # Native unsigned integer formats by width in bytes, for memoryview.cast.
 WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # Splits per slice after which the trie of ``histogram`` gives way to the

@@ -14,7 +14,13 @@ ecnf      header ``p ecnf <n> <m> <r>``, then m clause lines of exactly r
           nonzero signed literals terminated by ``0``. The header refuses
           an r outside 2..``rsat.MAX_CLAUSE_WIDTH``.
 
-Every dialect is read by columns. Arc and clause lines have a fixed
+Every dialect is read by columns. A canonical digraph file, whose header
+is line 1, whose text is ASCII with ``\\n`` its only line break (no ``\\r``,
+``\\v``, ``\\f`` or ``\\x1c``-``\\x1e``, where ``splitlines`` also breaks)
+and whose body is m lines each starting with ``a``, is split into tokens
+once, straight from the text. Any other text is split into lines, each
+stripped, and the blank and comment lines dropped; the records left go to
+the same column reader. Arc and clause lines have a fixed
 width: the int columns go to the ``WeightedDigraph`` or ``ExactCnfFormula``
 column constructor, which checks them once. A digraph keeps its columns; a
 formula's clause tuples are built from its columns after the check.
@@ -30,8 +36,8 @@ first bad line.
 
 ``_DIALECTS`` holds each dialect's header field names, in the order
 n, m[, r], its record noun, its column reader and its line walk; one header
-check reads and validates all three sizes, and the reader and the walk take
-n, then r for ecnf. ``serialize_instance`` writes the ``p`` line from a
+check reads and validates all three sizes. The reader takes n, m, then r
+for ecnf, then the records; the walk takes n, then r for ecnf. ``serialize_instance`` writes the ``p`` line from a
 format name and a size tuple in the same order.
 
 ``gen_instance`` writes a seeded instance of one of seven named families.
@@ -115,23 +121,21 @@ def _int_values(tokens, offset: int = 0) -> dict[str, int]:
     return {token: int(token) + offset for token in set(tokens)}
 
 
-def _digraph_by_columns(n: int, records: list[str]) -> WeightedDigraph:
-    """The digraph whose arc lines are ``records``, read a column at a time.
+def _digraph_by_columns(n: int, m: int, body: str) -> WeightedDigraph:
+    """The digraph whose m arc lines are the lines of ``body``, read a column at a time.
 
-    Raises ValueError on any fault, without saying where. The records must
+    Raises ValueError on any fault, without saying where. Its lines must
     each start with the letter ``a``, which no integer does; so if their
     tokens also number 4m, with ``a`` at every fourth place and integers
-    elsewhere, each record's first token sits at a multiple of 4, and each
-    record is exactly ``a <u> <v> <w>``. The int columns go to the digraph
-    as they are; no arc triple is built. Each distinct tail or head token
-    is converted once. Weights may all differ, and a file of distinct
-    weights parses slower through a dict than by one ``int()`` per token,
-    so each weight token is converted on its own.
+    elsewhere, each line's first token sits at a multiple of 4, and each
+    line is exactly ``a <u> <v> <w>``. The int columns go to the digraph as
+    they are; no arc triple is built. Each distinct tail or head token is
+    converted once. Weights may all differ, and a file of distinct weights
+    parses slower through a dict than by one ``int()`` per token, so each
+    weight token is converted on its own.
     """
-    m = len(records)
-    body = "\n" + "\n".join(records)
     tokens = body.split()
-    if body.count("\na") != m or len(tokens) != 4 * m or tokens[0::4].count("a") != m:
+    if body.startswith("a") + body.count("\na") != m or len(tokens) != 4 * m or tokens[0::4].count("a") != m:
         raise ValueError("records are not all 'a <u> <v> <w>'")
     vertex = _int_values(chain(tokens[1::4], tokens[2::4]), -1)
     tails, heads = (list(map(vertex.__getitem__, tokens[i::4])) for i in (1, 2))
@@ -155,8 +159,8 @@ def _first_bad_arc_line(n: int, records: list[tuple[int, list[str]]]) -> ParseEr
     raise AssertionError("the column pass refused arc lines that each pass the line checks")
 
 
-def _formula_by_columns(n: int, r: int, records: list[str]) -> ExactCnfFormula:
-    """The formula whose clause lines are ``records``, read a column at a time.
+def _formula_by_columns(n: int, m: int, r: int, records: list[str]) -> ExactCnfFormula:
+    """The formula whose m clause lines are ``records``, read a column at a time.
 
     Raises ValueError on any fault, without saying where. Each record must
     be exactly r + 1 tokens, so token i of every record is one column: the
@@ -198,8 +202,8 @@ def _first_bad_clause_line(n: int, r: int, records: list[tuple[int, list[str]]])
     raise AssertionError("the column pass refused clause lines that each pass the line checks")
 
 
-def _lin2_by_columns(n: int, records: list[str]) -> Lin2System:
-    """The system whose equation lines are ``records``, read a column at a time.
+def _lin2_by_columns(n: int, m: int, records: list[str]) -> Lin2System:
+    """The system whose m equation lines are ``records``, read a column at a time.
 
     Raises ValueError on any fault, without saying where. Each record must
     be ``e <w> <b>`` and at least one index, so its tokens 1 and 2 form the
@@ -209,7 +213,7 @@ def _lin2_by_columns(n: int, records: list[str]) -> Lin2System:
     one ``int()`` each, as in ``_digraph_by_columns``.
     """
     rows = list(map(str.split, records))
-    if min(map(len, rows), default=4) < 4 or list(map(itemgetter(0), rows)).count("e") != len(rows):
+    if min(map(len, rows), default=4) < 4 or list(map(itemgetter(0), rows)).count("e") != m:
         raise ValueError("records are not all 'e <w> <b> <i1> ...'")
     weights = list(map(int, map(itemgetter(1), rows)))
     rhs, index_rows = (list(map(itemgetter(i), rows)) for i in (2, slice(3, None)))
@@ -259,17 +263,24 @@ def parse_instance(text: str) -> Instance:
 
     Every dialect's records are read by columns (``_digraph_by_columns``,
     ``_lin2_by_columns``, ``_formula_by_columns``, which also sorts clauses
-    listed out of variable order); only if that pass or the constructor's
-    check refuses them are they walked line by line, which names the first
-    bad line.
+    listed out of variable order). A plain digraph body of m lines goes to
+    its reader as it stands; if the reader refuses it, or the text is not
+    plain, the stripped records that are neither blank nor comments go to
+    the same reader. Only if that pass or the constructor's check refuses
+    them are they walked line by line, which names the first bad line.
     """
-    lines = text.splitlines()
-    for header_no, raw in enumerate(lines, start=1):
-        header = raw.split()
-        if header and not header[0].startswith("c"):
-            break
-    else:
-        raise ParseError(1, "empty instance")
+    first, _, rest = text.partition("\n")
+    header, header_no, lines = first.split(), 1, None
+    # Plain text breaks lines at '\n' alone, as splitlines does on ASCII without \r, \v, \f or \x1c-\x1e.
+    plain = text.isascii() and not any(map(text.__contains__, "\r\v\f\x1c\x1d\x1e"))
+    if not (plain and header and not header[0].startswith("c")):
+        lines = text.splitlines()
+        for header_no, raw in enumerate(lines, start=1):
+            header = raw.split()
+            if header and not header[0].startswith("c"):
+                break
+        else:
+            raise ParseError(1, "empty instance")
     if header[0] != "p" or len(header) < 2:
         raise ParseError(header_no, "expected a 'p <format> ...' header")
     fmt = header[1]
@@ -285,12 +296,18 @@ def parse_instance(text: str) -> Instance:
     if width and not 2 <= width[0] <= MAX_CLAUSE_WIDTH:
         bound = "at least 2" if width[0] < 2 else "at most %d" % MAX_CLAUSE_WIDTH
         raise ParseError(header_no, "clause width must be " + bound)
-    body = lines[header_no:]
+    # A plain digraph body of m lines is canonical if the reader takes it as it stands.
+    if lines is None and fmt == "digraph" and rest.count("\n") + (not rest.endswith("\n")) == m:
+        try:
+            return by_columns(n, m, rest)
+        except ValueError:
+            pass
+    body = (text.splitlines() if lines is None else lines)[header_no:]
     records = [s for s in map(str.strip, body) if s and s[0] != "c"]
     if len(records) != m:
         raise ParseError(header_no, "header announces %d %s, found %d" % (m, noun, len(records)))
     try:
-        return by_columns(n, *width, records)
+        return by_columns(n, m, *width, "\n".join(records) if fmt == "digraph" else records)
     except ValueError:
         pass
     raise first_bad_line(n, *width, _significant_lines(body, header_no + 1))

@@ -133,11 +133,14 @@ class WeightedDigraph(Record):
         tails, heads, weights, pair_keys = map(tuple, (tails, heads, weights, pair_keys))
         return cls._unchecked(n=n, tails=tails, heads=heads, weights=weights, pair_keys=pair_keys)
 
-    def _subgraph(self, kept, weights=None) -> WeightedDigraph:
-        """The arcs whose flag in ``kept`` is true, at their weight in ``weights`` if given; no check."""
-        weights = self.weights if weights is None else weights
-        columns = self.tails, self.heads, weights, self.pair_keys
-        return self._from_checked(self.n, *(list(compress(column, kept)) for column in columns))
+    def _subgraph(self, dropped: list[int], weights=None) -> WeightedDigraph:
+        """The arcs but those at the ascending positions ``dropped``, at their weight in ``weights`` if given; no check.
+
+        Each column is copied as the runs of slices between the dropped arcs.
+        """
+        runs = list(zip([0, *(i + 1 for i in dropped)], [*dropped, len(self.weights)]))
+        columns = self.tails, self.heads, self.weights if weights is None else weights, self.pair_keys
+        return self._from_checked(self.n, *(list(chain.from_iterable(col[a:b] for a, b in runs)) for col in columns))
 
     @cached_property
     def arcs(self) -> tuple[tuple[int, int, int], ...]:
@@ -188,15 +191,19 @@ def reduce_two_cycles(g: WeightedDigraph) -> WeightedDigraph:
     Equal weights delete both arcs. The result is an oriented graph and is
     decision-equivalent to the input for every k: any order's forward weight
     changes by the same constant as W/2 does. Only the arcs whose reverse is
-    present are touched, each found by bisecting the sorted pair keys.
+    present are touched, each found by bisecting the sorted pair keys, and
+    only the weights they reduce are rewritten.
     """
     both = set(g.pair_keys).intersection(_pair_keys(g.n, g.heads, g.tails))
     if not both:
         return g
-    reduced = list(g.weights)
+    weights, dropped = list(g.weights), []
     for key in both:
-        reduced[bisect_left(g.pair_keys, key)] -= g.weights[bisect_left(g.pair_keys, key % g.n * g.n + key // g.n)]
-    return g._subgraph(list(map((0).__lt__, reduced)), reduced)
+        i = bisect_left(g.pair_keys, key)
+        weights[i] -= g.weights[bisect_left(g.pair_keys, key % g.n * g.n + key // g.n)]
+        if weights[i] < 1:
+            dropped.append(i)
+    return g._subgraph(sorted(dropped), weights)
 
 
 def x_value(g: WeightedDigraph, order: LinearOrder) -> int:
@@ -527,7 +534,7 @@ def decide_loalb(
         return 2 * value - sum(weights), order
 
     lift = partial(with_isolated, n=reduced.n)
-    return settle(diag, reduced, solve, ("best_2x", "target_2x"), 2 * k, lift)
+    return settle(diag, reduced, solve, ("best_2x", "target_2x"), 2 * k, lift, reduced.n)
 
 
 def solve_loalb_faithful(
@@ -587,8 +594,8 @@ def solve_loalb_faithful(
 
     # Every vertex left keeps an arc: with none it would have been deleted,
     # since deletions run only while at least 12k^2 arcs remain.
-    kept = [u in out_adj and v in out_adj for u, v in zip(reduced.tails, reduced.heads)]
-    residual = reduced._subgraph(kept)
+    gone = [i for i, (u, v) in enumerate(zip(reduced.tails, reduced.heads)) if u not in out_adj or v not in out_adj]
+    residual = reduced._subgraph(gone)
     value, order = exact_max_acyclic(residual, cap=cap)
     if 2 * value - sum(residual.weights) < 2 * k:
         # Deletions preserve the bound-certified YES, so a short residual

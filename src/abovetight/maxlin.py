@@ -75,19 +75,28 @@ class Lin2System(Record):
         return Counter(chain.from_iterable(eq.variables for eq in self.equations))
 
     @cached_property
-    def occurring_echelon(self) -> tuple[list[int], dict[int, int]]:
-        """The occurring variables in increasing order, and one row echelon of the equation masks over them.
+    def occurring_echelon(self) -> tuple[list[int], dict[int, int], int]:
+        """The greedy leftmost basis of the variables' columns, and the columns' echelon and width.
 
-        Bit i of a mask is the i-th occurring variable and every row carries a
-        1 at bit ``len(occurring)``, so row operations cost what the equations
-        hold, not the highest index. Built once per system: ``find_odd_set``
-        back-substitutes it and ``rank_reduce`` reads its pivots below the top
-        bit, which are those of the plain masks.
+        Bit i of variable v's column is set when equation i holds v. Only
+        occurring variables have a column, taken in increasing order, so the
+        elimination (``gf2.column_basis``) costs what the equations hold, not
+        the highest index. Built once per system: ``find_odd_set`` expresses
+        the all-ones column in the basis and ``rank_reduce`` keeps the basis.
+        Before any column is built, the bits that the columns and the echelon
+        will hold are checked against ``gf2.ELIMINATION_BUDGET_BITS``; past it
+        the elimination raises CapExceeded.
         """
-        occurring = sorted(self.occurrences)
-        position = {v: i for i, v in enumerate(occurring)}
-        top = 1 << len(occurring)
-        return occurring, gf2.echelon(sum((1 << position[v] for v in eq.variables), top) for eq in self.equations)
+        m, occurring = len(self.equations), sorted(self.occurrences)
+        width = min(m, len(occurring))
+        check_cap("elimination", len(occurring) * m + width * (m + width), "bits", gf2.ELIMINATION_BUDGET_BITS)
+        columns = dict.fromkeys(occurring, 0)
+        for i, eq in enumerate(self.equations):
+            bit = 1 << i
+            for v in eq.variables:
+                columns[v] |= bit
+        picked, ech, width = gf2.column_basis(list(columns.values()), m)
+        return [occurring[j] for j in picked], ech, width
 
 
 @dataclass(frozen=True)
@@ -152,25 +161,24 @@ def system_stats(s: Lin2System) -> SystemStats:
 def find_odd_set(s: Lin2System) -> frozenset[int] | None:
     """A variable set meeting every equation in an odd number of variables.
 
-    Exists iff the system with every right side replaced by 1 is solvable;
-    the set is the support of that solution, back-substituted from the
-    system's ``occurring_echelon``, whose top bit is that right side.
+    Exists iff the system with every right side replaced by 1 is solvable,
+    that is iff the all-ones column is a sum of variable columns; the set is
+    the basis variables whose columns sum to it in the system's
+    ``occurring_echelon``, the solution with every other variable at 0.
     Returns None otherwise.
     """
-    occurring, ech = s.occurring_echelon
-    x = gf2.solve_affine(ech, len(occurring))
+    basis, ech, width = s.occurring_echelon
+    x = gf2.solve_affine(ech, width, (1 << len(s.equations)) - 1)
     if x is None:
         return None
-    # Bit i of x, the digit at i from the right, is the value of occurring[i].
-    return frozenset(compress(occurring, map(int, reversed(format(x, "b")))))
+    # Bit i of x, the digit at i from the right, is the value of basis[i].
+    return frozenset(compress(basis, map(int, reversed(format(x, "b")))))
 
 
 def rank_reduce(s: Lin2System) -> RankReduction:
     """Drop every variable outside the greedy-leftmost independent column basis.
 
-    The basis is the pivot set below the top bit of the system's
-    ``occurring_echelon``: an echelon keyed by lowest set bit reduces the
-    low bits of a row with a top bit exactly as it reduces the row without.
+    The basis is that of the system's ``occurring_echelon``.
 
     Each equation keeps only its basis variables (renumbered by basis
     position). The eliminated columns lie in the basis span, so every
@@ -178,8 +186,7 @@ def rank_reduce(s: Lin2System) -> RankReduction:
     achievable in the reduction and vice versa; no equation loses all of
     its variables.
     """
-    occurring, ech = s.occurring_echelon
-    basis = [occurring[p] for p in sorted(ech) if p < len(occurring)]
+    basis = s.occurring_echelon[0]
     position = {v: i for i, v in enumerate(basis)}
     # Basis positions grow with the variables, so each equation's stay strictly
     # increasing. Tuples from lists, as Record says.
@@ -332,4 +339,4 @@ def decide_linalb(
     diag["kernel_eqs"] = len(reduction.reduced.equations)
     solve = partial(solve_exact, reduction.reduced, cap=cap)
     lift = partial(lift_assignment, reduction.basis, s.n)
-    return settle(diag, reduction.reduced, solve, ("best_x", "target_x"), 2 * k, lift)
+    return settle(diag, reduction.reduced, solve, ("best_x", "target_x"), 2 * k, lift, s.n)

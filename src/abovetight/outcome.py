@@ -7,6 +7,9 @@ from enum import Enum
 from typing import Any, Callable, TypeVar
 
 R = TypeVar("R", bound="Record")
+# The most vertices or variables a YES witness lists, each declared one once. At this
+# size a witness took 0.5-0.7 s and 257-360 MB to build and print.
+WITNESS_BUDGET = 3_000_000
 
 
 class Record:
@@ -89,17 +92,19 @@ def check_cap(refused: str, needed: int, items: str, cap: int, keys: tuple[str, 
 
 
 def settle(
-    diag: dict[str, Any], kernel: Any, solve: Callable, keys: tuple[str, str], target: int, lift: Callable
+    diag: dict[str, Any], kernel: Any, solve: Callable, keys: tuple[str, str], target: int, lift: Callable, n: int
 ) -> DecisionOutcome:
     """The verdict of a decider's exact solve of ``kernel``, once no bound has settled it.
 
     ``solve()`` gives the best value and a witness over the kernel, and
-    ``lift`` widens that witness to the instance's declared size. When the
-    solve raises CapExceeded, ``diag`` echoes the report and the verdict is
-    KERNEL with ``kernel``. Otherwise ``diag`` records the best value and
-    ``target`` under ``keys``; the verdict is NO below the target and
-    YES_WITNESS at it or above, the only case that lifts, so a KERNEL or NO
-    costs nothing per declared vertex or variable.
+    ``lift`` widens that witness to the n vertices or variables the instance
+    declares. When the solve raises CapExceeded, ``diag`` echoes the report
+    and the verdict is KERNEL with ``kernel``. Otherwise ``diag`` records the
+    best value and ``target`` under ``keys``; the verdict is NO below the
+    target and YES_WITNESS at it or above, the only case that lifts, so a
+    KERNEL or NO costs nothing per declared vertex or variable. A witness
+    of more than ``WITNESS_BUDGET`` is not built: CapExceeded leaves
+    ``settle``, and the command line reports it as an ERROR.
     """
     try:
         best, found = solve()
@@ -109,6 +114,7 @@ def settle(
     diag.update(zip(keys, (best, target)))
     if best < target:
         return DecisionOutcome(Verdict.NO, diagnostics=diag)
+    check_cap("witness", n, "declared vertices or variables", WITNESS_BUDGET)
     return DecisionOutcome(Verdict.YES_WITNESS, witness=lift(found), diagnostics=diag)
 
 

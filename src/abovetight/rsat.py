@@ -286,4 +286,4 @@ def decide_rsatalb(
     solve = partial(solve_exact, f, cap=cap)
     # The occurring variables are found again only for a witness, whose lift is O(n) anyway.
     lift = lambda y: lift_assignment([v - 1 for v in f.occurring_variables()], f.n, y)
-    return settle(diag, f, solve, ("best_scaled_x", "target_scaled_x"), k_num, lift)
+    return settle(diag, f, solve, ("best_scaled_x", "target_scaled_x"), k_num, lift, f.n)

@@ -15,9 +15,9 @@ import operator
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from abovetight.gf2 import echelon
+from abovetight import instances
 from abovetight.instances import ParseError
 from abovetight.linord import (
     DEFAULT_VERTEX_CAP,
@@ -335,14 +335,33 @@ def brute_first_solution(rows: list[int], rhs: int, cols: int) -> int | None:
     return None
 
 
-def solve_affine_rows(rows: list[int], rhs: int, cols: int) -> int | None:
-    """One solution of the system row i . x = bit i of ``rhs``, or None if inconsistent.
+def echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Row echelon form of ``rows``, each echelon row keyed by its lowest set bit.
 
-    ``gf2.solve_affine`` as it was when it built its own echelon from the
-    rows: every row must lie below bit ``cols``. The solution is packed with
+    The package's row elimination before it eliminated columns. The keys are
+    the pivot columns: column j is a key exactly when it is not in the span
+    of columns 0..j-1, so the sorted keys are the greedy leftmost column
+    basis and their number is the rank.
+    """
+    ech: dict[int, int] = {}
+    for row in rows:
+        while row:
+            p = (row & -row).bit_length() - 1
+            if p not in ech:
+                ech[p] = row
+                break
+            row ^= ech[p]
+    return ech
+
+
+def solve_affine_echelon(ech: dict[int, int], cols: int) -> int | None:
+    """One solution of the system whose augmented row echelon is ``ech``, or None if inconsistent.
+
+    The package's ``gf2.solve_affine`` before it eliminated columns. ``ech``
+    is an ``echelon`` of rows each holding its coefficients below bit
+    ``cols`` and its right side at bit ``cols``. The solution is packed with
     x_j at bit j and every free variable at 0, so it is deterministic.
     """
-    ech = echelon(row | ((rhs >> i) & 1) << cols for i, row in enumerate(rows))
     if cols in ech:
         return None  # some combination of rows reads 0 = 1
     x = 0
@@ -350,6 +369,33 @@ def solve_affine_rows(rows: list[int], rhs: int, cols: int) -> int | None:
         row = ech[p]
         x |= (((row >> cols) ^ (row & x).bit_count()) & 1) << p
     return x
+
+
+def solve_affine_rows(rows: list[int], rhs: int, cols: int) -> int | None:
+    """One solution of the system row i . x = bit i of ``rhs``, or None if inconsistent.
+
+    ``solve_affine_echelon`` of the rows' own augmented echelon: every row
+    must lie below bit ``cols``. The solution is packed with x_j at bit j
+    and every free variable at 0, so it is deterministic.
+    """
+    return solve_affine_echelon(echelon(row | ((rhs >> i) & 1) << cols for i, row in enumerate(rows)), cols)
+
+
+def odd_set_and_basis_by_rows(s: Lin2System) -> tuple[frozenset[int] | None, list[int]]:
+    """``find_odd_set`` and ``rank_reduce``'s basis from one row echelon, as the package had them.
+
+    Each equation is a mask over the occurring variables, bit i for the i-th,
+    with a 1 at bit ``len(occurring)`` for the all-ones right side; the
+    pivots below that bit are the basis, and back-substitution with every
+    free variable at 0 gives the odd set.
+    """
+    occurring = sorted(s.occurrences)
+    position = {v: i for i, v in enumerate(occurring)}
+    top = 1 << len(occurring)
+    ech = echelon(sum((1 << position[v] for v in eq.variables), top) for eq in s.equations)
+    x = solve_affine_echelon(ech, len(occurring))
+    odd = None if x is None else frozenset(v for i, v in enumerate(occurring) if (x >> i) & 1)
+    return odd, [occurring[p] for p in sorted(ech) if p < len(occurring)]
 
 
 def merge_normalized(s: Lin2System) -> bool:
@@ -609,14 +655,17 @@ def reduce_two_cycles_by_dict(g: WeightedDigraph) -> WeightedDigraph:
 def reduce_two_cycles_by_reverse_weights(g: WeightedDigraph) -> WeightedDigraph:
     """2-cycle cancelling that reads every arc's reverse weight from a key-to-weight dict.
 
-    The package's rule before it touched only the arcs whose reverse is present.
+    The package's rule before it touched only the arcs whose reverse is present,
+    each column compressed by a mask of the arcs kept, not spliced.
     """
     weight = dict(zip(g.pair_keys, g.weights))
     reverse = list(map(weight.get, _pair_keys(g.n, g.heads, g.tails), itertools.repeat(0)))
     if not any(reverse):
         return g
     reduced = list(map(operator.sub, g.weights, reverse))
-    return g._subgraph(list(map((0).__lt__, reduced)), reduced)
+    kept = list(map((0).__lt__, reduced))
+    columns = g.tails, g.heads, reduced, g.pair_keys
+    return WeightedDigraph._from_checked(g.n, *(list(itertools.compress(column, kept)) for column in columns))
 
 
 def with_isolated_by_ranks(seq: list[int], n: int, lead: bool = False) -> tuple[int, ...]:
@@ -886,6 +935,62 @@ def parse_instance_by_lines(text: str):
             raise ParseError(line_no, "clause repeats a variable or has complementary literals")
         clauses.append(tuple(sorted(lits, key=abs)))
     return ExactCnfFormula(n, r, tuple(clauses))
+
+
+def _digraph_by_records(n: int, records: list[str]) -> WeightedDigraph:
+    """The digraph whose arc lines are ``records``, read a column at a time, as the package had it.
+
+    The records, already stripped, are joined again behind a leading
+    newline, so that ``\\na`` marks every record that starts with ``a``.
+    """
+    m = len(records)
+    body = "\n" + "\n".join(records)
+    tokens = body.split()
+    if body.count("\na") != m or len(tokens) != 4 * m or tokens[0::4].count("a") != m:
+        raise ValueError("records are not all 'a <u> <v> <w>'")
+    vertex = {token: int(token) - 1 for token in set(itertools.chain(tokens[1::4], tokens[2::4]))}
+    tails, heads = (list(map(vertex.__getitem__, tokens[i::4])) for i in (1, 2))
+    return WeightedDigraph.from_columns(n, tails, heads, list(map(int, tokens[3::4])))
+
+
+def parse_instance_by_records(text: str):
+    """``instances.parse_instance`` as it was before a plain digraph body was read as it stands.
+
+    Every text is split into lines, each line stripped, and the blank and
+    comment lines dropped; the records left go to the dialect's column
+    reader, and only input it refuses is walked line by line.
+    """
+    lines = text.splitlines()
+    for header_no, raw in enumerate(lines, start=1):
+        header = raw.split()
+        if header and not header[0].startswith("c"):
+            break
+    else:
+        raise ParseError(1, "empty instance")
+    if header[0] != "p" or len(header) < 2:
+        raise ParseError(header_no, "expected a 'p <format> ...' header")
+    fmt = header[1]
+    if fmt not in _HEADER_FIELDS:
+        raise ParseError(header_no, "unknown format %r" % fmt)
+    fields, noun, by_columns, first_bad_line = instances._DIALECTS[fmt]
+    if len(header) != 2 + len(fields):
+        usage = " ".join("<%s>" % name for name in "nmr"[: len(fields)])
+        raise ParseError(header_no, "%s header needs 'p %s %s'" % (fmt, fmt, usage))
+    n, m, *width = [_int_at(tok, header_no, what) for tok, what in zip(header[2:], fields)]
+    if n < 0 or m < 0:
+        raise ParseError(header_no, "counts must be nonnegative")
+    if width and not 2 <= width[0] <= instances.MAX_CLAUSE_WIDTH:
+        bound = "at least 2" if width[0] < 2 else "at most %d" % instances.MAX_CLAUSE_WIDTH
+        raise ParseError(header_no, "clause width must be " + bound)
+    body = lines[header_no:]
+    records = [s for s in map(str.strip, body) if s and s[0] != "c"]
+    if len(records) != m:
+        raise ParseError(header_no, "header announces %d %s, found %d" % (m, noun, len(records)))
+    try:
+        return _digraph_by_records(n, records) if fmt == "digraph" else by_columns(n, m, *width, records)
+    except ValueError:
+        pass
+    raise first_bad_line(n, *width, instances._significant_lines(body, header_no + 1))
 
 
 def random_digraph(

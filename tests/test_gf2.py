@@ -5,8 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abovetight import gf2
-from abovetight.gf2 import echelon, solve_affine
-from helpers import brute_first_solution, brute_independent_columns, solve_affine_rows
+from abovetight.gf2 import column_basis, solve_affine
+from helpers import (
+    brute_first_solution,
+    brute_independent_columns,
+    echelon,
+    solve_affine_echelon,
+    solve_affine_rows,
+)
 
 
 def pack(rows):
@@ -14,12 +20,19 @@ def pack(rows):
     return [sum(c << j for j, c in enumerate(row)) for row in rows]
 
 
+def columns_of(rows, cols):
+    """The columns of packed rows, column j with row i at bit i."""
+    return [sum(((row >> j) & 1) << i for i, row in enumerate(rows)) for j in range(cols)]
+
+
+def basis(rows, cols=None):
+    """The columns ``column_basis`` picks from packed rows."""
+    cols = max(rows, default=0).bit_length() if cols is None else cols
+    return column_basis(columns_of(rows, cols), len(rows))[0]
+
+
 def rank(rows):
-    return len(echelon(rows))
-
-
-def basis(rows):
-    return sorted(echelon(rows))
+    return len(basis(rows))
 
 
 def augment(rows, rhs, cols):
@@ -28,7 +41,10 @@ def augment(rows, rhs, cols):
 
 
 def solve(rows, rhs, cols):
-    return solve_affine(echelon(augment(rows, rhs, cols)), cols)
+    """x packed with x_j at bit j, row i . x = bit i of rhs and x_j = 0 off the picked columns; None if none is."""
+    picked, ech, width = column_basis(columns_of(rows, cols), len(rows))
+    y = solve_affine(ech, width, rhs)
+    return None if y is None else sum(1 << j for i, j in enumerate(picked) if (y >> i) & 1)
 
 
 # Columns a1=(1,0,1), a2=(1,1,0), a3=(0,1,1); a3 = a1 + a2 over GF(2).
@@ -49,6 +65,7 @@ def test_rank_zero_matrix():
 
 
 def test_rank_empty_matrix():
+    assert column_basis([], 0) == ([], {}, 0)
     assert echelon([]) == {}
 
 
@@ -65,9 +82,13 @@ def test_independent_columns_skips_zero_column():
 
 
 def test_echelon_rows_are_keyed_by_their_lowest_bit():
+    # The row oracle keys by lowest bit, the column elimination by highest.
     ech = echelon(DEPENDENT)
     for p, row in ech.items():
         assert row & -row == 1 << p
+    _, ech, width = column_basis(columns_of(DEPENDENT, 3), 3)
+    for top, entry in ech.items():
+        assert entry.bit_length() == top > width
 
 
 def test_solve_affine_small_system():
@@ -75,14 +96,19 @@ def test_solve_affine_small_system():
     x = solve(pack([[1, 1, 0], [0, 1, 1]]), 0b11, 3)
     assert x is not None
     assert (x ^ (x >> 1)) & 1 == 1 and ((x >> 1) ^ (x >> 2)) & 1 == 1
+    assert x == solve_affine_rows(pack([[1, 1, 0], [0, 1, 1]]), 0b11, 3)
 
 
 def test_solve_affine_contradiction():
     assert solve(pack([[1], [1]]), 0b01, 1) is None
+    assert solve_affine_rows(pack([[1], [1]]), 0b01, 1) is None
 
 
 def test_solve_affine_empty_system():
-    assert solve_affine({}, 3) == 0
+    # No rows over three columns: the empty right side is the empty sum.
+    _, ech, width = column_basis([0, 0, 0], 0)
+    assert solve_affine(ech, width, 0) == 0
+    assert solve_affine_echelon({}, 3) == 0
 
 
 def _random_rows(rng: random.Random, rows: int, cols: int) -> list[int]:
@@ -110,21 +136,23 @@ def _column_walk_corpus():
 
 def test_echelon_pivots_match_the_column_walk():
     for masks, cols in _column_walk_corpus():
-        assert basis(masks) == brute_independent_columns(masks, cols), (masks, cols)
+        walked = brute_independent_columns(masks, cols)
+        assert basis(masks, cols) == walked == sorted(echelon(masks)), (masks, cols)
 
 
 def test_augmented_echelon_serves_the_basis_and_the_solve():
-    # One echelon of the rows with a right side at bit cols: its pivots below cols
-    # are the plain rows' pivots, and back-substituting it solves as the rows oracle.
+    # The row oracle's one echelon of the rows with a right side at bit cols: its
+    # pivots below cols are the columns the elimination picks, and back-substituting
+    # it solves as the elimination does, free variables at 0.
     rng = random.Random(29)
     seen = Counter()
     for masks, cols in _column_walk_corpus():
         for rhs in (rng.getrandbits(len(masks)) if masks else 0, (1 << len(masks)) - 1):
             ech = echelon(augment(masks, rhs, cols))
-            assert sorted(p for p in ech if p < cols) == basis(masks), (masks, cols)
-            x = solve_affine(ech, cols)
-            assert x == solve_affine_rows(masks, rhs, cols), (masks, rhs, cols)
-            seen["empty" if not masks else "deficient" if len(basis(masks)) < cols else "full"] += 1
+            assert sorted(p for p in ech if p < cols) == basis(masks, cols), (masks, cols)
+            x = solve(masks, rhs, cols)
+            assert x == solve_affine_echelon(ech, cols) == solve_affine_rows(masks, rhs, cols), (masks, rhs, cols)
+            seen["empty" if not masks else "deficient" if len(basis(masks, cols)) < cols else "full"] += 1
             seen["inconsistent" if x is None else "solved"] += 1
     assert min(seen[kind] for kind in ("empty", "deficient", "full", "inconsistent", "solved")) > 0
 
@@ -135,7 +163,7 @@ def test_rank_equals_basis_size_and_expansions_reproduce_columns():
         rows = rng.randint(0, 12)
         cols = rng.randint(0, 12)
         masks = _random_rows(rng, rows, cols)
-        picked = basis(masks)
+        picked = basis(masks, cols)
         assert rank(masks) == len(picked) == len(brute_independent_columns(masks, cols))
 
         def column(j):
@@ -166,6 +194,7 @@ def test_rhs_pivot_matches_brute_solvability():
         augmented = augment(masks, rhs, cols)
         solvable = brute_first_solution(masks, rhs, cols) is not None
         assert (cols in echelon(augmented)) == (not solvable)
+        assert (solve(masks, rhs, cols) is None) == (not solvable)
 
 
 def test_solve_affine_agrees_with_brute_force():
@@ -182,7 +211,7 @@ def test_solve_affine_agrees_with_brute_force():
             for i, row in enumerate(masks):
                 assert (row & x).bit_count() & 1 == (rhs >> i) & 1
             # Free variables are 0: the solution lies on the pivot columns.
-            pivots = sum(1 << p for p in echelon(masks))
+            pivots = sum(1 << p for p in basis(masks, cols))
             assert x & ~pivots == 0
 
 
@@ -193,6 +222,7 @@ def test_rank_invariant_under_row_operations(data):
     cols = data.draw(st.integers(1, 8))
     masks = [data.draw(st.integers(0, (1 << cols) - 1)) for _ in range(rows)]
     base = rank(masks)
+    assert base == len(echelon(masks))
 
     perm = data.draw(st.permutations(range(rows)))
     assert rank([masks[i] for i in perm]) == base

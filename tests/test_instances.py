@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,13 @@ from abovetight.maxlin import CaseKind, Lin2Equation, Lin2System, decide_linalb,
 from abovetight.outcome import Verdict
 from abovetight.rsat import MAX_CLAUSE_WIDTH, ExactCnfFormula, decide_rsatalb
 
-from helpers import parse_instance_by_lines, random_digraph, random_formula, random_lin2
+from helpers import (
+    parse_instance_by_lines,
+    parse_instance_by_records,
+    random_digraph,
+    random_formula,
+    random_lin2,
+)
 
 
 def test_parse_digraph():
@@ -200,6 +207,76 @@ def test_digraph_parse_matches_the_line_oracle_on_noisy_files():
         else:
             instances += 1
     assert errors > 200 and instances > 800
+
+
+# Characters splitlines breaks a line at besides '\n', and two that only separate tokens.
+INSIDE_LINES = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\t", "\x1f"]
+
+
+def _variant_text(rng: random.Random) -> str:
+    """A serialized instance, mostly a digraph, with one to three of the variants a plain body must tell apart.
+
+    CRLF line ends; a line break or separator character inside a line;
+    leading blanks; comment and blank lines, before the header too; a record
+    split across two lines; an ``a`` in the middle of a record; ``+3`` and
+    ``007`` tokens; a header count of 0, or one off; and a missing or
+    doubled final line end.
+    """
+    kind = rng.choice(["digraph"] * 4 + ["lin2", "ecnf"])
+    if kind == "digraph":
+        instance = random_digraph(rng, n_max=6, n_min=0, wmax=3, allow_two_cycles=True, density=rng.random())
+    elif kind == "lin2":
+        instance = random_lin2(rng, n_max=5, m_max=6)
+    else:
+        instance = random_formula(rng, rng.choice((2, 3)), n_max=6, m_max=6)
+    rows = serialize_instance(instance).text.split("\n")[:-1]
+    if rng.random() < 0.2:
+        header = rows[0].split()
+        header[3] = rng.choice(["0", str(int(header[3]) + 1), str(max(0, int(header[3]) - 1))])
+        rows[0] = " ".join(header)
+    end, final = "\n", "\n"
+    for _ in range(rng.randint(1, 3)):
+        variant = rng.randrange(8)
+        i = rng.randrange(len(rows))
+        tokens = rows[i].split()
+        if variant == 0:
+            end = final = "\r\n"
+        elif variant == 1:
+            at = rng.randrange(len(rows[i]) + 1)
+            rows[i] = rows[i][:at] + rng.choice(INSIDE_LINES) + rows[i][at:]
+        elif variant == 2:
+            rows[i] = rng.choice([" ", "\t", "  "]) + rows[i]
+        elif variant == 3:
+            rows.insert(rng.randrange(len(rows) + 1), rng.choice(["c", "c a 1 2 3", "comment 7", "", "   "]))
+        elif variant == 4 and len(tokens) > 1:
+            cut = rng.randrange(1, len(tokens))
+            rows[i] = " ".join(tokens[:cut]) + "\n" + " ".join(tokens[cut:])
+        elif variant == 5 and i and tokens:
+            at = rng.randrange(1, len(tokens) + 1)
+            rows[i] = " ".join(tokens[:at] + ["a"] + tokens[at + rng.randint(0, 1) :])
+        elif variant == 6 and i and tokens:
+            at = rng.randrange(len(tokens))
+            if tokens[at].isdigit():
+                tokens[at] = rng.choice(["+", "0", "00"]) + tokens[at]
+            rows[i] = " ".join(tokens)
+        elif variant == 7:
+            final = rng.choice(["", end + end, end + "  " + end])
+    return end.join(rows) + final
+
+
+def test_parse_matches_the_record_oracle_on_plain_and_normalized_bodies():
+    # The parser before a plain digraph body was read as it stands: every text gives
+    # the same instance or the same ParseError, on plain bodies and on those that
+    # must be normalized first.
+    rng = random.Random(3636)
+    seen = Counter()
+    for _ in range(4000):
+        text = _variant_text(rng)
+        got = _parsed(parse_instance, text)
+        assert got == _parsed(parse_instance_by_records, text), repr(text)
+        plain = text.isascii() and not any(c in text for c in "\r\v\f\x1c\x1d\x1e")
+        seen[("plain" if plain else "breaks", "error" if isinstance(got, tuple) else "instance")] += 1
+    assert min(seen.values()) > 200 and len(seen) == 4, seen
 
 
 def _noisy_ecnf_text(rng: random.Random) -> str:

@@ -40,6 +40,7 @@ from helpers import (
     lin2_x,
     merge_normalized,
     occurrence_reduce,
+    odd_set_and_basis_by_rows,
     parity_constraints,
     random_lin2,
     random_lin2_bounded_occurrence,
@@ -224,12 +225,32 @@ def test_occurring_masks_match_the_wide_oracles(monkeypatch):
     assert {out.verdict for out in decided if not isinstance(out, str)} == set(Verdict)
 
 
+def test_column_elimination_matches_the_row_oracle_on_tall_and_wide_systems():
+    # The odd set and the basis of the column elimination against one row echelon of
+    # the same system, on systems with more equations than variables and with fewer.
+    rng = random.Random(3636)
+    shapes = Counter()
+    for trial in range(1500):
+        if trial % 2:
+            s = random_lin2(rng, n_max=8, m_min=9, m_max=40, r_max=rng.choice((2, 3, 8)))
+        else:
+            s = spread_variables(rng, random_lin2(rng, n_max=30, m_max=12, r_max=20), rng.randint(0, 40))
+        for system in (s, merge_duplicates(s)):
+            odd, basis = odd_set_and_basis_by_rows(system)
+            assert find_odd_set(system) == odd, system
+            assert list(rank_reduce(system).basis) == basis, system
+            m, occurring = len(system.equations), len(system.occurrences)
+            shapes["tall" if m > occurring else "wide" if m < occurring else "square"] += 1
+            shapes["odd" if odd is not None else "no odd set"] += 1
+    assert min(shapes.values()) > 100, shapes
+
+
 def test_auto_case_builds_the_masks_once(monkeypatch):
-    # The odd-set search and the rank reduction share one row echelon of the merged
-    # system's masks, so an auto-case decision eliminates once, kernel or not.
+    # The odd-set search and the rank reduction share one column elimination of the
+    # merged system, so an auto-case decision eliminates once, kernel or not.
     calls = []
-    echelon = gf2.echelon
-    monkeypatch.setattr(gf2, "echelon", lambda rows: calls.append(rows) or echelon(rows))
+    column_basis = gf2.column_basis
+    monkeypatch.setattr(gf2, "column_basis", lambda cols, rows: calls.append(cols) or column_basis(cols, rows))
     out = decide_linalb(sys2(4, [((0, 1), 1, 1), ((1, 2), 0, 1), ((2, 3), 1, 2)]), 1)
     assert out.verdict is Verdict.YES_WITNESS and "kernel_vars" in out.diagnostics
     assert len(calls) == 1

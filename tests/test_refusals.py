@@ -4,14 +4,20 @@ A KERNEL record echoes the limit that refused the solve and the count that
 passed it; otherwise a best value at the target is YES and one below it NO.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import abovetight
 from abovetight import gf2
 from abovetight.linord import WeightedDigraph, decide_fas_below, decide_loalb, reduce_two_cycles
 from abovetight.maxlin import CaseKind, Lin2System, decide_linalb
-from abovetight.outcome import Verdict
+from abovetight.outcome import WITNESS_BUDGET, Verdict
 from abovetight.rsat import ExactCnfFormula, decide_rsatalb
 from helpers import (
     brute_best_scaled_rsat,
@@ -121,3 +127,68 @@ def test_a_best_value_at_the_target_is_yes_and_one_step_past_it_no(decider):
         assert at.verdict is Verdict.YES_WITNESS
         assert score(instance, at.witness) == best
         assert decide(instance, best + step).verdict is Verdict.NO
+
+
+def run_limited(tmp_path: Path, calls: list[list[str]]) -> list[list]:
+    """Each call's verdict, error and time_ms from ``cli.run``, all run in one child.
+
+    The child runs under a 512 MiB address-space limit and a timeout, so a
+    call that allocates per declared item or per equation pair fails this
+    test alone; an exception escaping ``cli.run`` fails it with the traceback.
+    """
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (%d, %d))" % (512 << 20, 512 << 20)
+    code = limit + (
+        "; import json, sys; from abovetight.cli import run"
+        "; print(json.dumps([[r.verdict, r.error, r.time_ms] for r in map(run, json.loads(sys.argv[1]))]))"
+    )
+    src = str(Path(abovetight.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(calls)],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_a_witness_past_the_budget_is_refused_before_it_is_built(tmp_path):
+    # A YES of three records under a header declaring more than WITNESS_BUDGET
+    # vertices or variables: an ERROR naming the budget, fast, for each decider.
+    calls = []
+    for n in (WITNESS_BUDGET + 1, 10**9, 10**18):
+        cases = {
+            "loalb": ("p digraph %d 3\na 1 2 2\na 2 3 1\na 3 1 1\n", ["--k", "1"]),
+            "linalb": ("p lin2 %d 2\ne 1 0 1\ne 1 1 2\n", ["--k", "1"]),
+            "rsat": ("p ecnf %d 2 2\n1 2 0\n3 4 0\n", ["--k-num", "1"]),
+        }
+        for command, (text, flags) in cases.items():
+            path = tmp_path / ("%s-%d.txt" % (command, n))
+            path.write_text(text % n)
+            calls.append([command, str(path), *flags])
+    results = run_limited(tmp_path, calls)
+    for argv, (verdict, error, time_ms) in zip(calls, results):
+        n = int(Path(argv[1]).read_text().split()[2])
+        assert verdict == "ERROR", (argv, verdict)
+        assert error == "witness refused: %d declared vertices or variables exceed cap %d" % (n, WITNESS_BUDGET)
+        assert time_ms < 1000, (argv, time_ms)
+
+
+def test_an_elimination_past_its_budget_is_refused_before_it_allocates(tmp_path):
+    # 100,000 single-variable equations on distinct variables: the columns alone
+    # would take 10^10 bits, so the odd-set search refuses them; at 10,000 equations
+    # the elimination fits and the odd set settles the call by its bound.
+    calls = []
+    for m in (100_000, 10_000):
+        path = tmp_path / ("singles-%d.txt" % m)
+        path.write_text("p lin2 %d %d\n" % (m, m) + "".join("e 1 1 %d\n" % v for v in range(1, m + 1)))
+        calls.append(["linalb", str(path), "--k", "1"])
+    (refused, error, time_ms), (answered, _, _) = run_limited(tmp_path, calls)
+    bits = 100_000 * 100_000 + 100_000 * 200_000
+    assert refused == "ERROR" and error == "elimination refused: %d bits exceed cap %d" % (
+        bits, gf2.ELIMINATION_BUDGET_BITS
+    )
+    assert time_ms < 1000
+    assert answered == "YES_BY_BOUND"
