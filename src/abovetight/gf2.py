@@ -17,49 +17,50 @@ from typing import Iterable
 from .outcome import check_cap
 
 
-def column_basis(columns: list[int], rows: int) -> tuple[list[int], dict[int, int], int]:
-    """The greedy leftmost basis of ``columns``, each packed over ``rows`` rows, and its echelon.
+def column_basis(columns: Iterable[int]) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """The greedy leftmost basis of the packed ``columns``, and its echelon.
 
     Column j is picked exactly when it is not in the span of columns 0..j-1,
     so the picks are the leftmost basis and their number is the rank. Each
-    column is shifted up by the rank's bound, ``width``, and reduced by the
-    echelon entries keyed by its highest bit until that bit is new, when it
-    becomes an entry with bit i set for the i-th pick, or until only bits
-    below ``width`` are left, when it lies in the span. Bit i of an entry
-    thus marks the i-th picked column as one of its terms. The work is the
-    columns times the rank, each step an XOR of rows + ``width`` bits.
-    Returns the picked indices, the echelon and ``width``.
+    column is reduced by the echelon entries keyed by its highest bit until
+    that bit is new, when it becomes an entry, or until nothing is left,
+    when it lies in the span. An entry pairs the reduced column with its
+    terms: bit i is set when the i-th picked column is one of them. The
+    work is the columns times the rank. An entry's column holds no more
+    bits than the column it came from, and the i-th pick's terms at most
+    i + 1, so with ``columns`` an iterator that drops each column once read,
+    the columns and the echelon together hold at most the columns' bits
+    plus rank(rank + 1)/2. Returns the picked indices and the echelon.
     """
-    width = min(rows, len(columns))
     picked: list[int] = []
-    ech: dict[int, int] = {}
+    ech: dict[int, tuple[int, int]] = {}
     for j, col in enumerate(columns):
-        col <<= width
-        while (top := col.bit_length()) > width:
+        terms = 0
+        while top := col.bit_length():
             entry = ech.get(top)
             if entry is None:
-                ech[top] = col | 1 << len(picked)
+                ech[top] = col, terms | 1 << len(picked)
                 picked.append(j)
                 break
-            col ^= entry
-    return picked, ech, width
+            col, terms = col ^ entry[0], terms ^ entry[1]
+    return picked, ech
 
 
-def solve_affine(ech: dict[int, int], width: int, target: int) -> int | None:
+def solve_affine(ech: dict[int, tuple[int, int]], target: int) -> int | None:
     """The picked columns that sum to ``target``, packed with the i-th pick at bit i, or None if none do.
 
-    ``ech`` and ``width`` are a ``column_basis`` echelon and its width. The
-    picked columns are independent, so the answer is unique: it is the one
-    solution of A x = ``target``, A the columns ``column_basis`` was given,
-    with x at 0 on every unpicked column.
+    ``ech`` is a ``column_basis`` echelon. The picked columns are
+    independent, so the answer is unique: it is the one solution of
+    A x = ``target``, A the columns ``column_basis`` was given, with x at 0
+    on every unpicked column.
     """
-    target <<= width
-    while (top := target.bit_length()) > width:
+    terms = 0
+    while top := target.bit_length():
         entry = ech.get(top)
         if entry is None:
             return None  # target lies outside the columns' span
-        target ^= entry
-    return target
+        target, terms = target ^ entry[0], terms ^ entry[1]
+    return terms
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -68,9 +69,10 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 # ``linord.forward_weight_counts`` (64 MiB).
 COUNT_BUDGET_BYTES = 1 << 26
 # Bits the columns and echelon of ``maxlin.Lin2System.occurring_echelon`` may hold,
-# the same 64 MiB. Past it the elimination is refused, so linalb and moments answer
-# ERROR.
-ELIMINATION_BUDGET_BITS = 1 << 29
+# 1 GiB: a path of m two-variable equations holds about m^2 bits, so up to about
+# 92,000 of them are eliminated. Past it the elimination is refused, so linalb and
+# moments answer ERROR.
+ELIMINATION_BUDGET_BITS = 1 << 33
 # Native unsigned integer formats by width in bytes, for memoryview.cast.
 WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # Splits per slice after which the trie of ``histogram`` gives way to the

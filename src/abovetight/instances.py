@@ -15,15 +15,16 @@ ecnf      header ``p ecnf <n> <m> <r>``, then m clause lines of exactly r
           an r outside 2..``rsat.MAX_CLAUSE_WIDTH``.
 
 Every dialect is read by columns. A canonical digraph file, whose header
-is line 1, whose text is ASCII with ``\\n`` its only line break (no ``\\r``,
-``\\v``, ``\\f`` or ``\\x1c``-``\\x1e``, where ``splitlines`` also breaks)
-and whose body is m lines each starting with ``a``, is split into tokens
-once, straight from the text. Any other text is split into lines, each
-stripped, and the blank and comment lines dropped; the records left go to
-the same column reader. Arc and clause lines have a fixed
-width: the int columns go to the ``WeightedDigraph`` or ``ExactCnfFormula``
-column constructor, which checks them once. A digraph keeps its columns; a
-formula's clause tuples are built from its columns after the check.
+``p digraph <n> <m>`` in decimal digits is line 1, whose text is ASCII with
+``\\n`` its only line break (no ``\\r``, ``\\v``, ``\\f`` or ``\\x1c``-``\\x1e``,
+where ``splitlines`` also breaks) and whose body is m lines, is split into
+tokens once, straight from the text (``_canonical_digraph``). Any other
+text is split into lines, each stripped, and the blank and comment lines
+dropped; the records left go to the same column reader. Arc and clause
+lines have a fixed width: the int columns go to the ``WeightedDigraph`` or
+``ExactCnfFormula`` column constructor, which checks them once. A digraph
+keeps its columns; a formula's clause tuples are built from its columns
+after the check.
 Equation lines vary in width: their weight and right-side columns and one
 stream of all their indices are checked for the whole file at once, and the
 equations are built without a further check. Vertex tokens, right sides
@@ -32,13 +33,16 @@ weights, which may all differ, take one ``int()`` each. Clauses whose
 literals are out of variable order are sorted in the column pass, so every
 dialect has that one way to succeed. Only input that a column pass refuses
 is walked line by line; the walk finds nothing to build and only names the
-first bad line.
+first bad line. A canonical body whose lines all start with ``a`` goes to
+the walk as soon as its reader refuses it: stripping its lines would change
+no token.
 
 ``_DIALECTS`` holds each dialect's header field names, in the order
 n, m[, r], its record noun, its column reader and its line walk; one header
-check reads and validates all three sizes. The reader takes n, m, then r
-for ecnf, then the records; the walk takes n, then r for ecnf. ``serialize_instance`` writes the ``p`` line from a
-format name and a size tuple in the same order.
+check reads and validates all three sizes, and the reader and the walk take
+n, then r for ecnf; the digraph entry joins its records into the body text
+that ``_digraph_by_columns`` reads with m. ``serialize_instance`` writes the
+``p`` line from a format name and a size tuple in the same order.
 
 ``gen_instance`` writes a seeded instance of one of seven named families.
 ``GENERATOR_SIZES`` lists the sizes each family reads and their defaults;
@@ -96,12 +100,8 @@ class InstanceFile:
 
 def _significant_lines(lines: list[str], first_no: int) -> list[tuple[int, list[str]]]:
     """Line number and tokens of each line that is neither blank nor a comment."""
-    out = []
-    for line_no, raw in enumerate(lines, start=first_no):
-        tokens = raw.split()
-        if tokens and not tokens[0].startswith("c"):
-            out.append((line_no, tokens))
-    return out
+    numbered = enumerate(map(str.split, lines), start=first_no)
+    return [(line_no, tokens) for line_no, tokens in numbered if tokens and not tokens[0].startswith("c")]
 
 
 def _int(token: str, line_no: int, what: str) -> int:
@@ -159,8 +159,8 @@ def _first_bad_arc_line(n: int, records: list[tuple[int, list[str]]]) -> ParseEr
     raise AssertionError("the column pass refused arc lines that each pass the line checks")
 
 
-def _formula_by_columns(n: int, m: int, r: int, records: list[str]) -> ExactCnfFormula:
-    """The formula whose m clause lines are ``records``, read a column at a time.
+def _formula_by_columns(n: int, r: int, records: list[str]) -> ExactCnfFormula:
+    """The formula whose clause lines are ``records``, read a column at a time.
 
     Raises ValueError on any fault, without saying where. Each record must
     be exactly r + 1 tokens, so token i of every record is one column: the
@@ -202,8 +202,8 @@ def _first_bad_clause_line(n: int, r: int, records: list[tuple[int, list[str]]])
     raise AssertionError("the column pass refused clause lines that each pass the line checks")
 
 
-def _lin2_by_columns(n: int, m: int, records: list[str]) -> Lin2System:
-    """The system whose m equation lines are ``records``, read a column at a time.
+def _lin2_by_columns(n: int, records: list[str]) -> Lin2System:
+    """The system whose equation lines are ``records``, read a column at a time.
 
     Raises ValueError on any fault, without saying where. Each record must
     be ``e <w> <b>`` and at least one index, so its tokens 1 and 2 form the
@@ -213,7 +213,7 @@ def _lin2_by_columns(n: int, m: int, records: list[str]) -> Lin2System:
     one ``int()`` each, as in ``_digraph_by_columns``.
     """
     rows = list(map(str.split, records))
-    if min(map(len, rows), default=4) < 4 or list(map(itemgetter(0), rows)).count("e") != m:
+    if min(map(len, rows), default=4) < 4 or list(map(itemgetter(0), rows)).count("e") != len(rows):
         raise ValueError("records are not all 'e <w> <b> <i1> ...'")
     weights = list(map(int, map(itemgetter(1), rows)))
     rhs, index_rows = (list(map(itemgetter(i), rows)) for i in (2, slice(3, None)))
@@ -251,11 +251,37 @@ def _first_bad_equation_line(n: int, records: list[tuple[int, list[str]]]) -> Pa
 # Each dialect's header field names, in the order n, m[, r], its record noun,
 # its column reader and its line walk.
 _DIALECTS = {
-    "digraph": (("vertex count", "arc count"), "arcs", _digraph_by_columns, _first_bad_arc_line),
+    "digraph": (("vertex count", "arc count"), "arcs",
+                lambda n, records: _digraph_by_columns(n, len(records), "\n".join(records)), _first_bad_arc_line),
     "lin2": (("variable count", "equation count"), "equations", _lin2_by_columns, _first_bad_equation_line),
     "ecnf": (("variable count", "clause count", "clause width"), "clauses",
              _formula_by_columns, _first_bad_clause_line),
 }
+
+
+def _canonical_digraph(text: str) -> WeightedDigraph | None:
+    """The digraph of a canonical file, read from its text as it stands; None for any other text.
+
+    A canonical file's header is ``p digraph <n> <m>`` in decimal digits on
+    line 1, its text is ASCII with ``\\n`` its only line break (no ``\\r``,
+    ``\\v``, ``\\f`` or ``\\x1c``-``\\x1e``, where ``splitlines`` also breaks),
+    and its body is m lines. If the reader refuses a body whose lines all
+    start with ``a``, stripping them and dropping blank and comment lines
+    would change no token, so the line walk names the bad line at once.
+    """
+    first, _, rest = text.partition("\n")
+    header = first.split()
+    if len(header) != 4 or header[:2] != ["p", "digraph"] or not "".join(header[2:]).isdigit():
+        return None
+    n, m = map(int, header[2:])
+    plain = text.isascii() and not any(map(text.__contains__, "\r\v\f\x1c\x1d\x1e"))
+    if plain and rest.count("\n") + (not rest.endswith("\n")) == m:
+        try:
+            return _digraph_by_columns(n, m, rest)
+        except ValueError:
+            if rest.startswith("a") + rest.count("\na") == m:
+                raise _first_bad_arc_line(n, _significant_lines(rest.splitlines(), 2)) from None
+    return None
 
 
 def parse_instance(text: str) -> Instance:
@@ -263,24 +289,22 @@ def parse_instance(text: str) -> Instance:
 
     Every dialect's records are read by columns (``_digraph_by_columns``,
     ``_lin2_by_columns``, ``_formula_by_columns``, which also sorts clauses
-    listed out of variable order). A plain digraph body of m lines goes to
-    its reader as it stands; if the reader refuses it, or the text is not
-    plain, the stripped records that are neither blank nor comments go to
-    the same reader. Only if that pass or the constructor's check refuses
-    them are they walked line by line, which names the first bad line.
+    listed out of variable order). A canonical digraph file is read from
+    its text as it stands (``_canonical_digraph``); any other text is split
+    into lines, and its stripped records that are neither blank nor
+    comments go to the dialect's reader. Only if that pass or the
+    constructor's check refuses them are they walked line by line, which
+    names the first bad line.
     """
-    first, _, rest = text.partition("\n")
-    header, header_no, lines = first.split(), 1, None
-    # Plain text breaks lines at '\n' alone, as splitlines does on ASCII without \r, \v, \f or \x1c-\x1e.
-    plain = text.isascii() and not any(map(text.__contains__, "\r\v\f\x1c\x1d\x1e"))
-    if not (plain and header and not header[0].startswith("c")):
-        lines = text.splitlines()
-        for header_no, raw in enumerate(lines, start=1):
-            header = raw.split()
-            if header and not header[0].startswith("c"):
-                break
-        else:
-            raise ParseError(1, "empty instance")
+    if (canonical := _canonical_digraph(text)) is not None:
+        return canonical
+    lines = text.splitlines()
+    for header_no, raw in enumerate(lines, start=1):
+        header = raw.split()
+        if header and not header[0].startswith("c"):
+            break
+    else:
+        raise ParseError(1, "empty instance")
     if header[0] != "p" or len(header) < 2:
         raise ParseError(header_no, "expected a 'p <format> ...' header")
     fmt = header[1]
@@ -296,18 +320,12 @@ def parse_instance(text: str) -> Instance:
     if width and not 2 <= width[0] <= MAX_CLAUSE_WIDTH:
         bound = "at least 2" if width[0] < 2 else "at most %d" % MAX_CLAUSE_WIDTH
         raise ParseError(header_no, "clause width must be " + bound)
-    # A plain digraph body of m lines is canonical if the reader takes it as it stands.
-    if lines is None and fmt == "digraph" and rest.count("\n") + (not rest.endswith("\n")) == m:
-        try:
-            return by_columns(n, m, rest)
-        except ValueError:
-            pass
-    body = (text.splitlines() if lines is None else lines)[header_no:]
+    body = lines[header_no:]
     records = [s for s in map(str.strip, body) if s and s[0] != "c"]
     if len(records) != m:
         raise ParseError(header_no, "header announces %d %s, found %d" % (m, noun, len(records)))
     try:
-        return by_columns(n, m, *width, "\n".join(records) if fmt == "digraph" else records)
+        return by_columns(n, *width, records)
     except ValueError:
         pass
     raise first_bad_line(n, *width, _significant_lines(body, header_no + 1))

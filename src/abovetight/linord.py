@@ -191,19 +191,18 @@ def reduce_two_cycles(g: WeightedDigraph) -> WeightedDigraph:
     Equal weights delete both arcs. The result is an oriented graph and is
     decision-equivalent to the input for every k: any order's forward weight
     changes by the same constant as W/2 does. Only the arcs whose reverse is
-    present are touched, each found by bisecting the sorted pair keys, and
-    only the weights they reduce are rewritten.
+    present are touched, each found by bisecting the sorted pair keys once,
+    and only the weights they reduce are rewritten.
     """
     both = set(g.pair_keys).intersection(_pair_keys(g.n, g.heads, g.tails))
     if not both:
         return g
-    weights, dropped = list(g.weights), []
-    for key in both:
-        i = bisect_left(g.pair_keys, key)
-        weights[i] -= g.weights[bisect_left(g.pair_keys, key % g.n * g.n + key // g.n)]
-        if weights[i] < 1:
-            dropped.append(i)
-    return g._subgraph(sorted(dropped), weights)
+    # An arc's reverse is in ``both`` with it, so each key is bisected once.
+    at = {key: bisect_left(g.pair_keys, key) for key in both}
+    weights = list(g.weights)
+    for key, i in at.items():
+        weights[i] -= g.weights[at[key % g.n * g.n + key // g.n]]
+    return g._subgraph(sorted(i for i in at.values() if weights[i] < 1), weights)
 
 
 def x_value(g: WeightedDigraph, order: LinearOrder) -> int:

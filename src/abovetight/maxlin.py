@@ -11,8 +11,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import chain, compress
+from operator import xor
 from typing import Iterable, Sequence
 
 from . import gf2
@@ -75,28 +76,38 @@ class Lin2System(Record):
         return Counter(chain.from_iterable(eq.variables for eq in self.equations))
 
     @cached_property
-    def occurring_echelon(self) -> tuple[list[int], dict[int, int], int]:
-        """The greedy leftmost basis of the variables' columns, and the columns' echelon and width.
+    def occurring_echelon(self) -> tuple[set[int], list[int], dict[int, tuple[int, int]], int]:
+        """The column elimination behind ``find_odd_set`` and ``rank_reduce``: units, other picks, echelon, target.
 
-        Bit i of variable v's column is set when equation i holds v. Only
-        occurring variables have a column, taken in increasing order, so the
-        elimination (``gf2.column_basis``) costs what the equations hold, not
-        the highest index. Built once per system: ``find_odd_set`` expresses
-        the all-ones column in the basis and ``rank_reduce`` keeps the basis.
-        Before any column is built, the bits that the columns and the echelon
-        will hold are checked against ``gf2.ELIMINATION_BUDGET_BITS``; past it
-        the elimination raises CapExceeded.
+        A unit row, an equation of one variable u, clears u from every other
+        row. So u is in the greedy leftmost basis and is 1 in the all-ones
+        solution, and what is left is the elimination of the other rows over
+        the other variables, each row's 1 in the target flipped once per unit
+        variable it holds. Bit i of variable v's column is set when the i-th
+        other row holds v. Only occurring variables have a column, in
+        increasing order, so the elimination (``gf2.column_basis``) costs what
+        the equations hold, not the highest index. Before any column is
+        built, the bits that the columns and the echelon will hold (a column
+        reaches the last row holding its variable) are checked against
+        ``gf2.ELIMINATION_BUDGET_BITS``; past it the elimination raises
+        CapExceeded. Built once per system.
         """
-        m, occurring = len(self.equations), sorted(self.occurrences)
-        width = min(m, len(occurring))
-        check_cap("elimination", len(occurring) * m + width * (m + width), "bits", gf2.ELIMINATION_BUDGET_BITS)
-        columns = dict.fromkeys(occurring, 0)
-        for i, eq in enumerate(self.equations):
+        units = {eq.variables[0] for eq in self.equations if len(eq.variables) == 1}
+        rows = [eq.variables for eq in self.equations if len(eq.variables) > 1]
+        last = {v: i for i, row in enumerate(rows) for v in row}
+        rank = min(len(rows), len(last))
+        bits = sum(last.values(), len(last)) + rank * (rank + 1) // 2
+        check_cap("elimination", bits, "bits", gf2.ELIMINATION_BUDGET_BITS)
+        columns = dict.fromkeys(sorted(last), 0)
+        for i, row in enumerate(rows):
             bit = 1 << i
-            for v in eq.variables:
+            for v in row:
                 columns[v] |= bit
-        picked, ech, width = gf2.column_basis(list(columns.values()), m)
-        return [occurring[j] for j in picked], ech, width
+        target = reduce(xor, map(columns.pop, units & columns.keys()), (1 << len(rows)) - 1)
+        others = list(columns)
+        # Each column is dropped from the dict as it is read, so the echelon replaces it.
+        picked, ech = gf2.column_basis(map(columns.pop, others))
+        return units, [others[j] for j in picked], ech, target
 
 
 @dataclass(frozen=True)
@@ -167,12 +178,12 @@ def find_odd_set(s: Lin2System) -> frozenset[int] | None:
     ``occurring_echelon``, the solution with every other variable at 0.
     Returns None otherwise.
     """
-    basis, ech, width = s.occurring_echelon
-    x = gf2.solve_affine(ech, width, (1 << len(s.equations)) - 1)
+    units, picked, ech, target = s.occurring_echelon
+    x = gf2.solve_affine(ech, target)
     if x is None:
         return None
-    # Bit i of x, the digit at i from the right, is the value of basis[i].
-    return frozenset(compress(basis, map(int, reversed(format(x, "b")))))
+    # Bit i of x, the digit at i from the right, is the value of picked[i].
+    return frozenset(units.union(compress(picked, map(int, reversed(format(x, "b"))))))
 
 
 def rank_reduce(s: Lin2System) -> RankReduction:
@@ -186,7 +197,7 @@ def rank_reduce(s: Lin2System) -> RankReduction:
     achievable in the reduction and vice versa; no equation loses all of
     its variables.
     """
-    basis = s.occurring_echelon[0]
+    basis = sorted(chain(*s.occurring_echelon[:2]))
     position = {v: i for i, v in enumerate(basis)}
     # Basis positions grow with the variables, so each equation's stay strictly
     # increasing. Tuples from lists, as Record says.

@@ -954,7 +954,7 @@ def _digraph_by_records(n: int, records: list[str]) -> WeightedDigraph:
 
 
 def parse_instance_by_records(text: str):
-    """``instances.parse_instance`` as it was before a plain digraph body was read as it stands.
+    """``instances.parse_instance`` as it was before a canonical digraph file was read as it stands.
 
     Every text is split into lines, each line stripped, and the blank and
     comment lines dropped; the records left go to the dialect's column
@@ -987,7 +987,7 @@ def parse_instance_by_records(text: str):
     if len(records) != m:
         raise ParseError(header_no, "header announces %d %s, found %d" % (m, noun, len(records)))
     try:
-        return _digraph_by_records(n, records) if fmt == "digraph" else by_columns(n, m, *width, records)
+        return _digraph_by_records(n, records) if fmt == "digraph" else by_columns(n, *width, records)
     except ValueError:
         pass
     raise first_bad_line(n, *width, instances._significant_lines(body, header_no + 1))

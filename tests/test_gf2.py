@@ -28,7 +28,7 @@ def columns_of(rows, cols):
 def basis(rows, cols=None):
     """The columns ``column_basis`` picks from packed rows."""
     cols = max(rows, default=0).bit_length() if cols is None else cols
-    return column_basis(columns_of(rows, cols), len(rows))[0]
+    return column_basis(columns_of(rows, cols))[0]
 
 
 def rank(rows):
@@ -42,8 +42,8 @@ def augment(rows, rhs, cols):
 
 def solve(rows, rhs, cols):
     """x packed with x_j at bit j, row i . x = bit i of rhs and x_j = 0 off the picked columns; None if none is."""
-    picked, ech, width = column_basis(columns_of(rows, cols), len(rows))
-    y = solve_affine(ech, width, rhs)
+    picked, ech = column_basis(columns_of(rows, cols))
+    y = solve_affine(ech, rhs)
     return None if y is None else sum(1 << j for i, j in enumerate(picked) if (y >> i) & 1)
 
 
@@ -65,7 +65,7 @@ def test_rank_zero_matrix():
 
 
 def test_rank_empty_matrix():
-    assert column_basis([], 0) == ([], {}, 0)
+    assert column_basis([]) == ([], {})
     assert echelon([]) == {}
 
 
@@ -86,9 +86,9 @@ def test_echelon_rows_are_keyed_by_their_lowest_bit():
     ech = echelon(DEPENDENT)
     for p, row in ech.items():
         assert row & -row == 1 << p
-    _, ech, width = column_basis(columns_of(DEPENDENT, 3), 3)
-    for top, entry in ech.items():
-        assert entry.bit_length() == top > width
+    _, ech = column_basis(columns_of(DEPENDENT, 3))
+    for top, (reduced, terms) in ech.items():
+        assert reduced.bit_length() == top and 0 < terms < 1 << len(ech)
 
 
 def test_solve_affine_small_system():
@@ -106,8 +106,8 @@ def test_solve_affine_contradiction():
 
 def test_solve_affine_empty_system():
     # No rows over three columns: the empty right side is the empty sum.
-    _, ech, width = column_basis([0, 0, 0], 0)
-    assert solve_affine(ech, width, 0) == 0
+    _, ech = column_basis([0, 0, 0])
+    assert solve_affine(ech, 0) == 0
     assert solve_affine_echelon({}, 3) == 0
 
 

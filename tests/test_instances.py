@@ -218,9 +218,9 @@ def _variant_text(rng: random.Random) -> str:
 
     CRLF line ends; a line break or separator character inside a line;
     leading blanks; comment and blank lines, before the header too; a record
-    split across two lines; an ``a`` in the middle of a record; ``+3`` and
-    ``007`` tokens; a header count of 0, or one off; and a missing or
-    doubled final line end.
+    split across two lines; an ``a`` in the middle of a record; ``+3``,
+    ``007`` and negative tokens; a header count of 0, or one off; and a
+    missing or doubled final line end.
     """
     kind = rng.choice(["digraph"] * 4 + ["lin2", "ecnf"])
     if kind == "digraph":
@@ -257,7 +257,7 @@ def _variant_text(rng: random.Random) -> str:
         elif variant == 6 and i and tokens:
             at = rng.randrange(len(tokens))
             if tokens[at].isdigit():
-                tokens[at] = rng.choice(["+", "0", "00"]) + tokens[at]
+                tokens[at] = rng.choice(["+", "0", "00", "-"]) + tokens[at]
             rows[i] = " ".join(tokens)
         elif variant == 7:
             final = rng.choice(["", end + end, end + "  " + end])
@@ -265,7 +265,7 @@ def _variant_text(rng: random.Random) -> str:
 
 
 def test_parse_matches_the_record_oracle_on_plain_and_normalized_bodies():
-    # The parser before a plain digraph body was read as it stands: every text gives
+    # The parser before a canonical digraph file was read as it stands: every text gives
     # the same instance or the same ParseError, on plain bodies and on those that
     # must be normalized first.
     rng = random.Random(3636)

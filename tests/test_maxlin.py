@@ -227,7 +227,8 @@ def test_occurring_masks_match_the_wide_oracles(monkeypatch):
 
 def test_column_elimination_matches_the_row_oracle_on_tall_and_wide_systems():
     # The odd set and the basis of the column elimination against one row echelon of
-    # the same system, on systems with more equations than variables and with fewer.
+    # the same system, on systems with more equations than variables and with fewer,
+    # with single-variable equations (unit rows) and without.
     rng = random.Random(3636)
     shapes = Counter()
     for trial in range(1500):
@@ -242,6 +243,8 @@ def test_column_elimination_matches_the_row_oracle_on_tall_and_wide_systems():
             m, occurring = len(system.equations), len(system.occurrences)
             shapes["tall" if m > occurring else "wide" if m < occurring else "square"] += 1
             shapes["odd" if odd is not None else "no odd set"] += 1
+            arities = [len(eq.variables) for eq in system.equations]
+            shapes["unit rows" if 1 in arities else "no unit rows"] += 1
     assert min(shapes.values()) > 100, shapes
 
 
@@ -250,7 +253,7 @@ def test_auto_case_builds_the_masks_once(monkeypatch):
     # merged system, so an auto-case decision eliminates once, kernel or not.
     calls = []
     column_basis = gf2.column_basis
-    monkeypatch.setattr(gf2, "column_basis", lambda cols, rows: calls.append(cols) or column_basis(cols, rows))
+    monkeypatch.setattr(gf2, "column_basis", lambda cols: calls.append(cols) or column_basis(cols))
     out = decide_linalb(sys2(4, [((0, 1), 1, 1), ((1, 2), 0, 1), ((2, 3), 1, 2)]), 1)
     assert out.verdict is Verdict.YES_WITNESS and "kernel_vars" in out.diagnostics
     assert len(calls) == 1

@@ -177,18 +177,27 @@ def test_a_witness_past_the_budget_is_refused_before_it_is_built(tmp_path):
 
 
 def test_an_elimination_past_its_budget_is_refused_before_it_allocates(tmp_path):
-    # 100,000 single-variable equations on distinct variables: the columns alone
-    # would take 10^10 bits, so the odd-set search refuses them; at 10,000 equations
-    # the elimination fits and the odd set settles the call by its bound.
+    # 100,000 two-variable equations in a path: the columns alone would take 5 * 10^9
+    # bits, past the child's 512 MiB, so the odd-set search refuses them. The refusal
+    # adds under a second to the call that the arity bound settles without an
+    # elimination, which reads the same file. Single-variable equations are unit rows,
+    # set aside before any column is built, so 20,000, 60,000 and 100,000 of them are
+    # settled by the odd set's bound.
     calls = []
-    for m in (100_000, 10_000):
-        path = tmp_path / ("singles-%d.txt" % m)
-        path.write_text("p lin2 %d %d\n" % (m, m) + "".join("e 1 1 %d\n" % v for v in range(1, m + 1)))
+    for singles in (20_000, 60_000, 100_000):
+        path = tmp_path / ("singles-%d.txt" % singles)
+        body = "".join("e 1 1 %d\n" % v for v in range(1, singles + 1))
+        path.write_text("p lin2 %d %d\n" % (singles, singles) + body)
         calls.append(["linalb", str(path), "--k", "1"])
-    (refused, error, time_ms), (answered, _, _) = run_limited(tmp_path, calls)
-    bits = 100_000 * 100_000 + 100_000 * 200_000
+    m = 100_000
+    path = tmp_path / "path.txt"
+    path.write_text("p lin2 %d %d\n" % (m + 1, m) + "".join("e 1 1 %d %d\n" % (v, v + 1) for v in range(1, m + 1)))
+    calls += [["linalb", str(path), "--k", "1"], ["linalb", str(path), "--k", "1", "--case", "arity"]]
+    *answered, (refused, error, time_ms), (bound, _, bound_ms) = run_limited(tmp_path, calls)
+    # Each variable's column reaches the last equation holding it; the terms take rank(rank + 1)/2.
+    bits = (m + 1) + sum(range(1, m)) + (m - 1) + m * (m + 1) // 2
     assert refused == "ERROR" and error == "elimination refused: %d bits exceed cap %d" % (
         bits, gf2.ELIMINATION_BUDGET_BITS
     )
-    assert time_ms < 1000
-    assert answered == "YES_BY_BOUND"
+    assert bound == "YES_BY_BOUND" and time_ms - bound_ms < 1000, (time_ms, bound_ms)
+    assert [verdict for verdict, _, _ in answered] == ["YES_BY_BOUND"] * 3
