@@ -7,9 +7,9 @@ width-3 formula whose clauses all share one variable), a width-3 formula
 written with each clause's literals in reverse, which the parser sorts,
 the worst shapes for converting each distinct token once: a digraph
 whose weights are all distinct and a lin2 system whose indices mostly are,
-and the 10,000-arc digraph again with CRLF line ends and comment lines,
-which is normalized before it is read, beside its plain text, which is
-read as it stands.
+and the 10,000-arc digraph, the width-2 formula and the lin2 system again
+with CRLF line ends and comment lines, which are normalized before they are
+read, beside their plain texts, which are read as they stand.
 Writes each to a file, and times ``instances.parse_instance`` on its text and
 ``cli.run`` on the command (both best of ``--reps``). Prints one JSON row
 per instance, with the parse share of the command, one total row per
@@ -79,10 +79,10 @@ def reversed_text(f: ExactCnfFormula) -> str:
     return "\n".join([header, *(" ".join(line.split()[-2::-1]) + " 0" for line in lines)]) + "\n"
 
 
-def crlf_commented_text(g: WeightedDigraph) -> str:
-    """The digraph text of ``g`` with CRLF line ends and a comment line before every 50th arc line."""
-    header, *lines = instances.serialize_instance(g).text.splitlines()
-    rows = [header] + [("c arc %d\r\n" % i if i % 50 == 0 else "") + line for i, line in enumerate(lines)]
+def crlf_commented_text(instance) -> str:
+    """The text of ``instance`` with CRLF line ends and a comment line before every 50th record line."""
+    header, *lines = instances.serialize_instance(instance).text.splitlines()
+    rows = [header] + [("c record %d\r\n" % i if i % 50 == 0 else "") + line for i, line in enumerate(lines)]
     return "\r\n".join(rows) + "\r\n"
 
 
@@ -126,9 +126,11 @@ def families(rng: random.Random, scale: float) -> list[tuple[str, object, list[s
     n, m = size(1000, 6), size(2000, 4)
     text = reversed_text(formula(rng, n, m, 3))
     out.append(("ecnf/reversed-r3-n%d-m%d" % (n, m), text, ["rsat", "--k-num", "1"]))
-    # The second digraph row's instance, written with CRLF line ends and comments.
-    name, g, flags = out[1]
-    out.append((name.replace("digraph/", "digraph/crlf-comments-"), crlf_commented_text(g), flags))
+    # The second digraph row's, the width-2 formula's and the first lin2 row's instances,
+    # written with CRLF line ends and comments.
+    for name, instance, flags in (out[1], out[4], out[6]):
+        dialect, _, shape = name.partition("/")
+        out.append(("%s/crlf-comments-%s" % (dialect, shape), crlf_commented_text(instance), flags))
     return out
 
 

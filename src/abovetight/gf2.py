@@ -69,10 +69,11 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 # ``linord.forward_weight_counts`` (64 MiB).
 COUNT_BUDGET_BYTES = 1 << 26
 # Bits the columns and echelon of ``maxlin.Lin2System.occurring_echelon`` may hold,
-# 1 GiB: a path of m two-variable equations holds about m^2 bits, so up to about
-# 92,000 of them are eliminated. Past it the elimination is refused, so linalb and
+# 512 MiB, so that an elimination within it fits a 1 GiB process: a path of m
+# two-variable equations holds m^2 + 2m bits, so up to 65,535 of them are eliminated
+# (65,000 peaked at 619 MB). Past it the elimination is refused, so linalb and
 # moments answer ERROR.
-ELIMINATION_BUDGET_BITS = 1 << 33
+ELIMINATION_BUDGET_BITS = 1 << 32
 # Native unsigned integer formats by width in bytes, for memoryview.cast.
 WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # Splits per slice after which the trie of ``histogram`` gives way to the

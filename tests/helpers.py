@@ -987,7 +987,9 @@ def parse_instance_by_records(text: str):
     if len(records) != m:
         raise ParseError(header_no, "header announces %d %s, found %d" % (m, noun, len(records)))
     try:
-        return _digraph_by_records(n, records) if fmt == "digraph" else by_columns(n, *width, records)
+        if fmt == "digraph":
+            return _digraph_by_records(n, records)
+        return by_columns(n, m, *width, "\n".join(records))
     except ValueError:
         pass
     raise first_bad_line(n, *width, instances._significant_lines(body, header_no + 1))
@@ -1122,3 +1124,123 @@ def random_restricted_formula(
 
 def order_of(sequence: list[int]) -> LinearOrder:
     return LinearOrder(tuple(sequence))
+
+
+# The hostile-input sweep (tests/test_refusals.py). Each case is a generated
+# instance with one to three of these mutations, run by a random command.
+HOSTILE_SIZES = (10**6, 10**9, 10**18, 2**62)
+HOSTILE_TOKENS = ("0", "-1", "+3", "007", "1.5", "x")
+HOSTILE_CAPS = (None, 0, 24, 30, 40, 64, 200, 10**6)
+# The commands that read each dialect; one case in ten runs one of the three deciders instead.
+HOSTILE_COMMANDS = {"digraph": ("loalb", "fas", "moments"), "lin2": ("linalb", "moments"), "ecnf": ("rsat", "moments")}
+
+
+def _declare_huge_size(rng: random.Random, header: list[str], rows: list[list[str]]) -> None:
+    """A declared n, or now and then m, of 10^6 up to 2^62."""
+    header[rng.choice((2, 2, 2, 3))] = str(rng.choice(HOSTILE_SIZES))
+
+
+def _huge_weight(rng: random.Random, header: list[str], rows: list[list[str]]) -> None:
+    """One weight of 10^9 up to 10^4000; a clause has none, so a literal grows instead."""
+    row = rng.choice(rows) if rows else []
+    at = {"digraph": 3, "lin2": 1}.get(header[1], len(row) - 2)
+    if 0 <= at < len(row):
+        row[at] = str(10 ** rng.choice((9, 18, 100, 4000)))
+
+
+def _duplicate_records(rng: random.Random, header: list[str], rows: list[list[str]]) -> None:
+    """One record repeated up to 50 more times; the header counts them four times in five."""
+    if rows:
+        i, copies = rng.randrange(len(rows)), rng.randint(1, 50)
+        rows[i + 1 : i + 1] = [list(rows[i]) for _ in range(copies)]
+        if rng.random() < 0.8:
+            header[3] = str(int(header[3]) + copies)
+
+
+def _shuffle_records(rng: random.Random, header: list[str], rows: list[list[str]]) -> None:
+    """The records in a random order."""
+    rng.shuffle(rows)
+
+
+def _truncate(rng: random.Random, header: list[str], rows: list[list[str]]) -> None:
+    """The records cut short, or one record's last tokens dropped."""
+    if rows and rng.random() < 0.5:
+        row = rng.choice(rows)
+        del row[rng.randrange(len(row) + 1) :]
+    else:
+        del rows[rng.randrange(len(rows) + 1) :]
+
+
+def _bad_token(rng: random.Random, header: list[str], rows: list[list[str]]) -> None:
+    """One token of a record replaced by a zero, a sign, a leading zero, a decimal or a word."""
+    row = rng.choice(rows) if rows else []
+    if row:
+        row[rng.randrange(len(row))] = rng.choice(HOSTILE_TOKENS)
+
+
+def _reverse_literals(rng: random.Random, header: list[str], rows: list[list[str]]) -> None:
+    """One clause's literals, or one record's tokens after its letter, listed in reverse."""
+    row = rng.choice(rows) if rows else []
+    if header[1] == "ecnf":
+        row[:-1] = row[-2::-1]
+    else:
+        row[1:] = row[:0:-1]
+
+
+def _wide_clauses(rng: random.Random, header: list[str], rows: list[list[str]]) -> None:
+    """For an ecnf file, one to six clauses of width 20-200 in its place."""
+    if header[1] == "ecnf":
+        r = rng.randint(20, 200)
+        n = rng.randint(r, 2 * r)
+        clauses = [sorted(rng.sample(range(1, n + 1), r)) for _ in range(rng.randint(1, 6))]
+        rows[:] = [[str(rng.choice((v, -v))) for v in clause] + ["0"] for clause in clauses]
+        header[2:] = [str(n), str(len(rows)), str(r)]
+
+
+def _blank_and_comment_lines(rng: random.Random, header: list[str], rows: list[list[str]]) -> None:
+    """One to four blank or comment lines among the records."""
+    for _ in range(rng.randint(1, 4)):
+        rows.insert(rng.randrange(len(rows) + 1), rng.choice([[], ["c"], ["c", "1", "2", "0"], ["comment"]]))
+
+
+def _indent(rng: random.Random, header: list[str], rows: list[list[str]]) -> None:
+    """One to four records led by a blank, which a plain body must be normalized to lose."""
+    for row in rng.sample(rows, min(len(rows), rng.randint(1, 4))):
+        row.insert(0, "")
+
+
+# The weight of each mutation in a draw: a huge declared size, which reaches the
+# deciders only in a text that still parses, is drawn most often.
+HOSTILE_MUTATIONS, HOSTILE_WEIGHTS = zip(
+    (_declare_huge_size, 4),
+    (_huge_weight, 1),
+    (_duplicate_records, 1),
+    (_shuffle_records, 1),
+    (_truncate, 1),
+    (_bad_token, 1),
+    (_reverse_literals, 1),
+    (_wide_clauses, 1),
+    (_blank_and_comment_lines, 1),
+    (_indent, 1),
+)
+
+
+def hostile_case(rng: random.Random) -> tuple[str, str, list[str]]:
+    """A generated instance text with one to three mutations, and the command and flags to run it with."""
+    kind = rng.choice(instances.GENERATOR_KINDS)
+    header, *rows = map(str.split, instances.gen_instance(kind, seed=rng.randrange(1000)).text.splitlines())
+    for mutate in rng.choices(HOSTILE_MUTATIONS, HOSTILE_WEIGHTS, k=rng.randint(1, 3)):
+        mutate(rng, header, rows)
+    text = "\n".join(map(" ".join, [header, *rows])) + "\n"
+    dialect = header[1]
+    command = rng.choice(HOSTILE_COMMANDS[dialect] if rng.random() < 0.9 else ("loalb", "linalb", "rsat"))
+    case = rng.choice(["auto", *(c.value for c in CaseKind)])
+    flags = {
+        "loalb": ["--k", str(rng.choice((1, 2, 5, 10**6)))],
+        "fas": ["--k", str(rng.choice((1, 2, 0)))],
+        "linalb": ["--k", str(rng.choice((1, 2, 5, 10**6))), "--case", case],
+        "rsat": ["--k-num", str(rng.choice((1, 2, 64, 10**6)))] + ["--diagnostic"] * (rng.random() < 0.3),
+        "moments": ["--b", rng.choice(("8", "3/2"))] * (rng.random() < 0.5),
+    }[command]
+    cap = rng.choice(HOSTILE_CAPS)
+    return text, command, flags + ([] if cap is None else ["--cap", str(cap)])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abovetight import instances
 from abovetight.instances import (
     GENERATOR_KINDS,
     GENERATOR_SIZES,
@@ -277,6 +278,93 @@ def test_parse_matches_the_record_oracle_on_plain_and_normalized_bodies():
         plain = text.isascii() and not any(c in text for c in "\r\v\f\x1c\x1d\x1e")
         seen[("plain" if plain else "breaks", "error" if isinstance(got, tuple) else "instance")] += 1
     assert min(seen.values()) > 200 and len(seen) == 4, seen
+
+
+def _equation_or_clause_text(rng: random.Random) -> str:
+    """A serialized lin2 system or formula, with one to three variants its plain body must tell apart.
+
+    CRLF line ends; a ``\\v`` or ``\\x85`` inside a line, where
+    ``splitlines`` breaks it; a record split across two lines; an ``e`` or
+    a ``0`` in the middle of a record; leading blanks; comment and blank
+    lines; and a header count one off.
+    """
+    if rng.random() < 0.5:
+        instance = random_lin2(rng, n_max=6, m_max=7)
+    else:
+        instance = random_formula(rng, rng.choice((2, 3, 4)), n_max=7, m_max=7)
+    rows = serialize_instance(instance).text.split("\n")[:-1]
+    if rng.random() < 0.2:
+        header = rows[0].split()
+        header[3] = str(max(0, int(header[3]) + rng.choice((1, -1))))
+        rows[0] = " ".join(header)
+    end = "\n"
+    for _ in range(rng.randint(1, 3)):
+        variant = rng.randrange(6)
+        i = rng.randrange(1, len(rows)) if len(rows) > 1 else 0
+        tokens = rows[i].split()
+        if variant == 0:
+            end = "\r\n"
+        elif variant == 1:
+            at = rng.randrange(len(rows[i]) + 1)
+            rows[i] = rows[i][:at] + rng.choice(["\v", "\x85"]) + rows[i][at:]
+        elif variant == 2 and i and len(tokens) > 1:
+            cut = rng.randrange(1, len(tokens))
+            rows[i] = " ".join(tokens[:cut]) + "\n" + " ".join(tokens[cut:])
+        elif variant == 3 and i and tokens:
+            at = rng.randrange(1, len(tokens) + 1)
+            rows[i] = " ".join(tokens[:at] + [rng.choice(["e", "0"])] + tokens[at + rng.randint(0, 1) :])
+        elif variant == 4:
+            rows[i] = rng.choice([" ", "\t", "  "]) + rows[i]
+        else:
+            rows.insert(rng.randrange(len(rows) + 1), rng.choice(["c", "c e 1 1 1", "c 1 2 0", "", "  "]))
+    return end.join(rows) + end
+
+
+def test_equations_and_clauses_read_as_they_stand_match_the_record_oracle():
+    # lin2 and ecnf bodies are read as they stand when plain; every text, plain or
+    # normalized first, gives the same instance or ParseError as the record oracle.
+    rng = random.Random(3838)
+    seen = Counter()
+    for _ in range(3000):
+        text = _equation_or_clause_text(rng)
+        got = _parsed(parse_instance, text)
+        assert got == _parsed(parse_instance_by_records, text), repr(text)
+        plain = text.isascii() and not any(c in text for c in "\r\v\f\x1c\x1d\x1e")
+        seen[("plain" if plain else "breaks", "error" if isinstance(got, tuple) else "instance")] += 1
+    assert min(seen.values()) > 200 and len(seen) == 4, seen
+
+
+@pytest.mark.parametrize(
+    "text,reads",
+    [
+        # Plain bodies that normalizing leaves as they are: one read, then the line walk.
+        ("p digraph 3 2\na 1 2 1\na 3 3 1\n", 1),
+        ("p lin2 3 2\ne 1 1 1\ne 1 2 1\n", 1),
+        ("p ecnf 3 2 2\n1 2 0\n1 1 0", 1),
+        # Plain bodies that normalizing changes: read as they stand, then again.
+        ("p digraph 3 2\na 1 2 1\n a 2 3 1\n", 2),
+        ("p digraph 3 2\na 1 2 1\n a 3 3 1\n", 2),
+        ("p lin2 3 2\n e 1 1 1\ne 1 2 1\n", 2),
+        # A plain body whose records fall short of the header's count: one read.
+        ("p ecnf 3 2 2\n1 2 0\nc 1 3 0\n", 1),
+        # Bodies that are not plain are normalized before their one read.
+        ("p lin2 3 1\r\ne 1 1 1\r\n", 1),
+        ("c first\np ecnf 3 1 2\n1 -3 0\n", 1),
+        ("p digraph 3 1\na 1 2 1\n\n", 1),
+    ],
+)
+def test_a_body_is_read_again_only_when_normalizing_changed_it(monkeypatch, text, reads):
+    fmt = text.split()[text.split().index("p") + 1]
+    fields, noun, by_columns, first_bad_line = instances._DIALECTS[fmt]
+    bodies = []
+
+    def counted(*args):
+        bodies.append(args[-1])
+        return by_columns(*args)
+
+    monkeypatch.setitem(instances._DIALECTS, fmt, (fields, noun, counted, first_bad_line))
+    assert _parsed(parse_instance, text) == _parsed(parse_instance_by_lines, text)
+    assert len(bodies) == reads, bodies
 
 
 def _noisy_ecnf_text(rng: random.Random) -> str:

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from helpers import (
     brute_best_scaled_rsat,
     brute_best_x_lin2,
     brute_max_forward_weight,
+    hostile_case,
     lin2_x,
     random_digraph,
     random_lin2,
@@ -129,21 +131,37 @@ def test_a_best_value_at_the_target_is_yes_and_one_step_past_it_no(decider):
         assert decide(instance, best + step).verdict is Verdict.NO
 
 
+# Runs each call of a JSON list under a 512 MiB address-space limit; an exception
+# escaping cli.run is reported as the verdict ESCAPED, with its repr as the error.
+CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from abovetight.cli import run
+
+def call(argv):
+    try:
+        result = run(argv)
+    except Exception as exc:
+        return ["ESCAPED", repr(exc), None]
+    return [result.verdict, result.error, result.time_ms]
+
+print(json.dumps([call(argv) for argv in json.loads(sys.argv[1])]))
+"""
+# What cli.run may answer: the deciders' four verdicts, and OK, REFUSED and ERROR.
+VERDICTS = {*(v.value for v in Verdict), "OK", "REFUSED", "ERROR"}
+
+
 def run_limited(tmp_path: Path, calls: list[list[str]]) -> list[list]:
     """Each call's verdict, error and time_ms from ``cli.run``, all run in one child.
 
     The child runs under a 512 MiB address-space limit and a timeout, so a
     call that allocates per declared item or per equation pair fails this
-    test alone; an exception escaping ``cli.run`` fails it with the traceback.
+    test alone; an exception escaping ``cli.run`` comes back as the verdict
+    ``ESCAPED``.
     """
-    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (%d, %d))" % (512 << 20, 512 << 20)
-    code = limit + (
-        "; import json, sys; from abovetight.cli import run"
-        "; print(json.dumps([[r.verdict, r.error, r.time_ms] for r in map(run, json.loads(sys.argv[1]))]))"
-    )
     src = str(Path(abovetight.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(calls)],
+        [sys.executable, "-c", CHILD, json.dumps(calls)],
         cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
@@ -152,6 +170,26 @@ def run_limited(tmp_path: Path, calls: list[list[str]]) -> list[list]:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def test_hostile_inputs_get_a_verdict_fast_and_raise_nothing(tmp_path):
+    # Generated instances with one to three mutations from helpers.HOSTILE_MUTATIONS:
+    # declared sizes past every budget, huge weights, records duplicated, shuffled or
+    # cut, bad tokens, clauses of width 20-200, blank and comment lines, indented
+    # records; each run by a random command under a random --cap.
+    rng = random.Random(3737)
+    calls = []
+    for i in range(300):
+        text, command, flags = hostile_case(rng)
+        path = tmp_path / ("case-%d.txt" % i)
+        path.write_text(text)
+        calls.append([command, str(path), *flags])
+    results = run_limited(tmp_path, calls)
+    for argv, (verdict, error, time_ms) in zip(calls, results):
+        assert verdict in VERDICTS, (argv, verdict, error)
+        assert time_ms < 10_000, (argv, time_ms)
+    # The mutations leave most cases an ERROR, but enough reach the deciders' verdicts.
+    assert len(Counter(verdict for verdict, _, _ in results)) >= 6
 
 
 def test_a_witness_past_the_budget_is_refused_before_it_is_built(tmp_path):
@@ -177,27 +215,29 @@ def test_a_witness_past_the_budget_is_refused_before_it_is_built(tmp_path):
 
 
 def test_an_elimination_past_its_budget_is_refused_before_it_allocates(tmp_path):
-    # 100,000 two-variable equations in a path: the columns alone would take 5 * 10^9
-    # bits, past the child's 512 MiB, so the odd-set search refuses them. The refusal
-    # adds under a second to the call that the arity bound settles without an
-    # elimination, which reads the same file. Single-variable equations are unit rows,
-    # set aside before any column is built, so 20,000, 60,000 and 100,000 of them are
-    # settled by the odd set's bound.
+    # 70,000 and 100,000 two-variable equations in a path: the columns and the echelon
+    # would hold 4.9 and 10 * 10^9 bits, past the budget and the child's 512 MiB, so the
+    # odd-set search refuses them. The refusal adds under a second to the call that the
+    # arity bound settles without an elimination, which reads the same file.
+    # Single-variable equations are unit rows, set aside before any column is built, so
+    # 20,000, 60,000 and 100,000 of them are settled by the odd set's bound.
     calls = []
     for singles in (20_000, 60_000, 100_000):
         path = tmp_path / ("singles-%d.txt" % singles)
         body = "".join("e 1 1 %d\n" % v for v in range(1, singles + 1))
         path.write_text("p lin2 %d %d\n" % (singles, singles) + body)
         calls.append(["linalb", str(path), "--k", "1"])
-    m = 100_000
-    path = tmp_path / "path.txt"
-    path.write_text("p lin2 %d %d\n" % (m + 1, m) + "".join("e 1 1 %d %d\n" % (v, v + 1) for v in range(1, m + 1)))
-    calls += [["linalb", str(path), "--k", "1"], ["linalb", str(path), "--k", "1", "--case", "arity"]]
-    *answered, (refused, error, time_ms), (bound, _, bound_ms) = run_limited(tmp_path, calls)
-    # Each variable's column reaches the last equation holding it; the terms take rank(rank + 1)/2.
-    bits = (m + 1) + sum(range(1, m)) + (m - 1) + m * (m + 1) // 2
-    assert refused == "ERROR" and error == "elimination refused: %d bits exceed cap %d" % (
-        bits, gf2.ELIMINATION_BUDGET_BITS
-    )
-    assert bound == "YES_BY_BOUND" and time_ms - bound_ms < 1000, (time_ms, bound_ms)
-    assert [verdict for verdict, _, _ in answered] == ["YES_BY_BOUND"] * 3
+    paths = (70_000, 100_000)
+    for m in paths:
+        path = tmp_path / ("path-%d.txt" % m)
+        path.write_text("p lin2 %d %d\n" % (m + 1, m) + "".join("e 1 1 %d %d\n" % (v, v + 1) for v in range(1, m + 1)))
+        calls += [["linalb", str(path), "--k", "1"], ["linalb", str(path), "--k", "1", "--case", "arity"]]
+    results = run_limited(tmp_path, calls)
+    assert [verdict for verdict, _, _ in results[:3]] == ["YES_BY_BOUND"] * 3
+    for m, (refused, error, time_ms), (bound, _, bound_ms) in zip(paths, results[3::2], results[4::2]):
+        # Each variable's column reaches the last equation holding it; the terms take rank(rank + 1)/2.
+        bits = (m + 1) + sum(range(1, m)) + (m - 1) + m * (m + 1) // 2
+        assert refused == "ERROR" and error == "elimination refused: %d bits exceed cap %d" % (
+            bits, gf2.ELIMINATION_BUDGET_BITS
+        )
+        assert bound == "YES_BY_BOUND" and time_ms - bound_ms < 1000, (m, time_ms, bound_ms)
