@@ -71,6 +71,10 @@ PROBES = [
     (CANCELLING, ["moments"]),  # OK: the cap bounds the merged system's rank
     (SYMMETRIC, ["moments"]),  # OK: the cap bounds the active vertices left once 2-cycles cancel
     (PATH, ["loalb", "--k", "1", "--cap", "-1"]),  # ERROR naming --cap
+    # OK: float estimates, one per dialect, which every sampled bit and its order fix
+    (SYMMETRIC, ["moments", "--estimate", "200", "--seed", "5"]),
+    (CANCELLING, ["moments", "--estimate", "200", "--seed", "5"]),
+    (RESTRICTED, ["moments", "--estimate", "200", "--seed", "5"]),
 ]
 
 
