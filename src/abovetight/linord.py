@@ -205,15 +205,6 @@ def reduce_two_cycles(g: WeightedDigraph) -> WeightedDigraph:
     return g._subgraph(sorted(i for i in at.values() if weights[i] < 1), weights)
 
 
-def x_value(g: WeightedDigraph, order: LinearOrder) -> int:
-    """Doubled balance 2X = 2*(forward weight) - W of the order on g."""
-    if len(order.vertices) != g.n:
-        raise ValueError("order must cover all vertices of the graph")
-    pos = dict(zip(order.vertices, range(g.n)))
-    forward = sum(w for u, v, w in zip(g.tails, g.heads, g.weights) if pos[u] < pos[v])
-    return 2 * forward - sum(g.weights)
-
-
 def active_vertices(g: WeightedDigraph) -> list[int]:
     """Non-isolated vertices in increasing order: what the order caps, DPs and sampler see."""
     return sorted({*g.tails, *g.heads})

@@ -229,19 +229,6 @@ def lift_assignment(basis: Sequence[int], n: int, y: Sequence[int]) -> tuple[int
     return tuple(z)
 
 
-def evaluate_x(s: Lin2System, z: Sequence[int]) -> int:
-    """Satisfied weight minus unsatisfied weight of assignment z."""
-    if len(z) != s.n:
-        raise ValueError("assignment must cover all variables")
-    total = 0
-    for eq in s.equations:
-        parity = 0
-        for v in eq.variables:
-            parity ^= z[v]
-        total += eq.weight if parity == eq.rhs else -eq.weight
-    return total
-
-
 def _satisfied_weight(s: Lin2System, refused: str) -> tuple[list[int], int]:
     """``gf2.tally`` slices of the satisfied weight Y of each assignment, and W; X = 2Y - W.
 

@@ -186,22 +186,6 @@ def _sub_clauses(table: list, index_sets: list[tuple[int, ...]]) -> Iterator[tup
     return chain.from_iterable(zip(*map(table.__getitem__, index)) for index in index_sets)
 
 
-def _is_true(lit: int, assignment: Sequence[int]) -> bool:
-    value = assignment[abs(lit) - 1]
-    return bool(value) if lit > 0 else not value
-
-
-def satisfied_count(f: ExactCnfFormula, assignment: Sequence[int]) -> int:
-    if len(assignment) != f.n:
-        raise ValueError("assignment must cover all variables")
-    return sum(1 for clause in f.clauses if any(_is_true(lit, assignment) for lit in clause))
-
-
-def x_value_scaled(f: ExactCnfFormula, assignment: Sequence[int]) -> int:
-    """Balance at scale 2^r: 2^r * m(x) - (2^r - 1) * m."""
-    return _scaled(f, satisfied_count(f, assignment))
-
-
 def _scaled(f: ExactCnfFormula, satisfied: int) -> int:
     return (1 << f.r) * satisfied - ((1 << f.r) - 1) * len(f.clauses)
 

@@ -30,7 +30,6 @@ from abovetight.linord import (
     loalb_threshold,
     reduce_two_cycles,
     with_isolated,
-    x_value,
 )
 from abovetight.maxlin import (
     CaseKind,
@@ -615,28 +614,64 @@ def second_moment_claim_of_instance(
     return target, moment_p(dist, 1) == 0 and e2 == closed >= target, closed
 
 
+def running_moments(draw, samples: int) -> dict[str, object]:
+    """``estimate_moments``' record of ``samples`` calls of ``draw``, summed in sample order as the package adds them."""
+    s1 = s2 = s4 = 0.0
+    for _ in range(samples):
+        x = draw()
+        s1 += x
+        s2 += x * x
+        s4 += x**4
+    return {"estimate": True, "samples": samples, "e1": s1 / samples, "e2": s2 / samples, "e4": s4 / samples}
+
+
 def estimate_digraph_moments_by_induced_graph(
     g: WeightedDigraph, samples: int, seed: int
 ) -> dict[str, object]:
     """``estimate_moments`` on a digraph, sampled as before orders were scored from the columns.
 
     It renumbers the arcs over the active vertices, builds the digraph they
-    induce, and scores each shuffle of 0..n'-1 as a checked ``LinearOrder``.
+    induce, and scores each shuffle of 0..n'-1 with ``witness_balance``.
     """
     rng = random.Random(seed)
     active = sorted({*g.tails, *g.heads})
     index = {v: i for i, v in enumerate(active)}
     induced = WeightedDigraph(len(active), tuple((index[u], index[v], w) for u, v, w in g.arcs))
     vertices = list(range(induced.n))
-    # Running sums in sample order, as the package adds them.
-    s1 = s2 = s4 = 0.0
-    for _ in range(samples):
+
+    def draw() -> float:
         rng.shuffle(vertices)
-        x = x_value(induced, LinearOrder(tuple(vertices))) / 2
-        s1 += x
-        s2 += x * x
-        s4 += x**4
-    return {"estimate": True, "samples": samples, "e1": s1 / samples, "e2": s2 / samples, "e4": s4 / samples}
+        return witness_balance(induced, [v + 1 for v in vertices]) / 2
+
+    return running_moments(draw, samples)
+
+
+def estimate_lin2_moments_by_assignment(s: Lin2System, samples: int, seed: int) -> dict[str, object]:
+    """``estimate_moments`` on an equation system, each draw a list of bits scored by ``lin2_x``.
+
+    It draws one bit per variable of ``rank_reduce_wide(s)``, in variable order.
+    """
+    rng = random.Random(seed)
+    reduced = rank_reduce_wide(s).reduced
+    return running_moments(lambda: float(lin2_x(reduced, [rng.randint(0, 1) for _ in range(reduced.n)])), samples)
+
+
+def estimate_formula_moments_by_assignment(f: ExactCnfFormula, samples: int, seed: int) -> dict[str, object]:
+    """``estimate_moments`` on a formula, each draw a list of bits scored by ``rsat_scaled_x``.
+
+    It renumbers the clauses over the occurring variables and draws one bit
+    per occurring variable, in variable order.
+    """
+    rng = random.Random(seed)
+    index = {v: i for i, v in enumerate(sorted({abs(lit) for c in f.clauses for lit in c}), start=1)}
+    clauses = tuple(tuple(index[abs(lit)] * (1 if lit > 0 else -1) for lit in c) for c in f.clauses)
+    renumbered = ExactCnfFormula(len(index), f.r, clauses)
+
+    def draw() -> float:
+        assignment = [rng.randint(0, 1) for _ in range(renumbered.n)]
+        return rsat_scaled_x(renumbered, assignment) / (1 << f.r)
+
+    return running_moments(draw, samples)
 
 
 def reduce_two_cycles_by_dict(g: WeightedDigraph) -> WeightedDigraph:
@@ -828,6 +863,11 @@ def witness_balance(g: WeightedDigraph, tokens: list[int]) -> int | None:
     pos = {v: i for i, v in enumerate(tokens) if v in ends}
     forward = sum(w for u, v, w in g.arcs if pos[u + 1] < pos[v + 1])
     return 2 * forward - sum(w for _, _, w in g.arcs)
+
+
+def order_balance(g: WeightedDigraph, order: LinearOrder) -> int | None:
+    """2X of an order of g's vertices 0..n-1, by ``witness_balance``."""
+    return witness_balance(g, [v + 1 for v in order.vertices])
 
 
 def _numbered_tokens(text: str) -> list[tuple[int, list[str]]]:

@@ -19,13 +19,11 @@ from abovetight.linord import (
     reduce_two_cycles,
     solve_loalb_faithful,
     with_isolated,
-    x_value,
 )
 from abovetight.maxlin import (
     CaseKind,
     Lin2System,
     decide_linalb,
-    evaluate_x,
     merge_duplicates,
     occurrence_f,
     rank_reduce,
@@ -52,7 +50,9 @@ from helpers import (
     brute_overlap_histogram,
     brute_pair_expectation,
     brute_patterns_lin2,
+    lin2_x,
     occurrence_reduce,
+    order_balance,
     random_digraph,
     random_formula,
     random_lin2,
@@ -396,7 +396,7 @@ def test_criterion_10_faithful_lifting():
         if order is None:
             violations.append("digraph %d declared NO despite the bound" % hits)
             continue
-        doubled = x_value(g, order)
+        doubled = order_balance(g, order)
         if doubled < 2:
             violations.append("digraph %d lifted order misses the target" % hits)
         optimum, _ = exact_max_acyclic(g)
@@ -415,7 +415,7 @@ def test_criterion_10_faithful_lifting():
         if out.verdict is not Verdict.YES_WITNESS:
             continue
         hits += 1
-        achieved = evaluate_x(s, out.witness)
+        achieved = lin2_x(s, out.witness)
         if achieved < 2:
             violations.append("system %d lifted witness misses the target" % hits)
         best, _ = solve_exact(s)
@@ -434,9 +434,9 @@ def test_criterion_10_faithful_lifting():
         witness = [0] * s.n
         for eq in reduced.equations:
             witness[eq.variables[0]] = eq.rhs
-        if evaluate_x(reduced, witness) < 2:
+        if lin2_x(reduced, witness) < 2:
             violations.append("seed %d reduced witness misses the target" % seed)
-        lifted_x = evaluate_x(s, witness)
+        lifted_x = lin2_x(s, witness)
         if lifted_x < 2:
             violations.append("seed %d zero-padded witness misses the target" % seed)
         if lifted_x > sum(eq.weight for eq in s.equations):
@@ -457,7 +457,7 @@ def test_criterion_11_solver_oracle_equivalence():
         if value != brute:
             violations.append("graph %d: DP %d != brute %d" % (i, value, brute))
         total = sum(w for _, _, w in g.arcs)
-        if 2 * value - total != x_value(g, with_isolated(order, g.n)):
+        if 2 * value - total != order_balance(g, with_isolated(order, g.n)):
             violations.append("graph %d: order does not attain the optimum" % i)
     _conclude(11, "subset DP equals permutation enumeration on 100 digraphs", violations)
 

@@ -36,7 +36,7 @@ from abovetight.moments import (
     verify_symmetric_tail,
 )
 from abovetight.outcome import CapExceeded, Verdict
-from abovetight.rsat import ExactCnfFormula, overlap_histogram, x_value_scaled
+from abovetight.rsat import ExactCnfFormula, overlap_histogram
 
 from helpers import (
     brute_dist_linord,
@@ -45,12 +45,15 @@ from helpers import (
     edge_formulas,
     edge_lin2_systems,
     estimate_digraph_moments_by_induced_graph,
+    estimate_formula_moments_by_assignment,
+    estimate_lin2_moments_by_assignment,
     lin2_x,
     oriented_by_weight_map,
     random_digraph,
     random_formula,
     random_lin2,
     random_restricted_formula,
+    rsat_scaled_x,
     second_moment_claim_of_instance,
 )
 
@@ -281,7 +284,7 @@ def test_dist_rsat_counts_the_occurring_variables():
     # Few clauses over many variables: most formulas leave some unused.
     for f in [random_formula(rng, rng.choice([2, 3]), n_max=9, m_max=3) for _ in range(60)]:
         every = itertools.product((0, 1), repeat=f.n)
-        mass = tuple(sorted(Counter(x_value_scaled(f, z) for z in every).items()))
+        mass = tuple(sorted(Counter(rsat_scaled_x(f, z) for z in every).items()))
         assert dist_rsat(f).mass == mass
 
 
@@ -712,6 +715,29 @@ def test_digraph_estimate_matches_the_induced_graph_sampler():
         assert estimate_moments(g, samples, seed) == estimate_digraph_moments_by_induced_graph(
             g, samples, seed
         ), g
+
+
+def test_lin2_and_formula_estimates_match_the_assignment_samplers():
+    rng = random.Random(6143)
+    systems, formulas = edge_lin2_systems(rng), edge_formulas(rng)
+    for _ in range(150):
+        wmax = rng.choice([1, 3, 1 << 60, 10**20])
+        s = random_lin2(rng, n_max=9, m_max=10, wmax=wmax)
+        # Unused variables past the drawn ones, as a padded header declares.
+        systems.append(Lin2System(s.n + rng.randint(0, 5), s.equations))
+        f = random_formula(rng, rng.choice([2, 3, 4]), n_max=9, m_max=10)
+        formulas.append(ExactCnfFormula(f.n + rng.randint(0, 5), f.r, f.clauses))
+    assert sum(1 for s in systems if max((eq.weight for eq in s.equations), default=0) > 1 << 53) > 50
+    assert sum(1 for f in formulas if len(f.occurring_variables()) < f.n) > 50
+    assert sum(1 for f in formulas if any(lit < 0 for c in f.clauses for lit in c)) > 100
+    for instance in systems + formulas:
+        seed, samples = rng.randrange(1 << 32), rng.randint(1, 40)
+        oracle = (
+            estimate_lin2_moments_by_assignment
+            if isinstance(instance, Lin2System)
+            else estimate_formula_moments_by_assignment
+        )
+        assert estimate_moments(instance, samples, seed) == oracle(instance, samples, seed), instance
 
 
 def test_distribution_validation():

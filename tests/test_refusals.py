@@ -26,11 +26,11 @@ from helpers import (
     brute_max_forward_weight,
     hostile_case,
     lin2_x,
+    order_balance,
     random_digraph,
     random_lin2,
     random_restricted_formula,
     rsat_scaled_x,
-    witness_balance,
 )
 
 # A 3-cycle of unit arcs: W2 = 3 < 12, so all 3 vertices are solved exactly.
@@ -107,12 +107,7 @@ def formula_case(rng: random.Random):
 
 TIES = {
     # A draw, the decision at a target, the oracle's score of a witness, and the step between targets.
-    "loalb": (
-        digraph_case,
-        lambda g, target: decide_loalb(g, target // 2),
-        lambda g, order: witness_balance(g, [v + 1 for v in order.vertices]),
-        2,
-    ),
+    "loalb": (digraph_case, lambda g, target: decide_loalb(g, target // 2), order_balance, 2),
     "linalb": (system_case, lambda s, target: decide_linalb(s, target // 2, CaseKind.GENERAL), lin2_x, 2),
     "rsat": (formula_case, decide_rsatalb, rsat_scaled_x, 1),
 }
@@ -190,6 +185,32 @@ def test_hostile_inputs_get_a_verdict_fast_and_raise_nothing(tmp_path):
         assert time_ms < 10_000, (argv, time_ms)
     # The mutations leave most cases an ERROR, but enough reach the deciders' verdicts.
     assert len(Counter(verdict for verdict, _, _ in results)) >= 6
+
+
+def test_an_estimate_past_the_float_range_is_an_error(tmp_path):
+    # A lin2 weight of 10^80 overflows X^4, one of 10^400 X itself, a digraph arc of
+    # 10^400 the halved balance, and a weight of 10^77 the sum of X^4 = 10^308 over
+    # the samples; each is an ERROR naming the estimate.
+    calls = []
+    overflowing = ("p lin2 2 1\ne %d 1 1 2\n" % 10**80, "p lin2 2 1\ne %d 1 1\n" % 10**400)
+    overflowing += ("p digraph 3 2\na 1 2 %d\na 2 3 1\n" % 10**400, "p lin2 1 1\ne %d 0 1\n" % 10**77)
+    for i, text in enumerate(overflowing):
+        path = tmp_path / ("overflow-%d.txt" % i)
+        path.write_text(text)
+        calls.append(["moments", str(path), "--estimate", "10"])
+    # Hostile texts of every dialect, each estimated whatever command it was drawn with.
+    rng = random.Random(6007)
+    for i in range(100):
+        path = tmp_path / ("case-%d.txt" % i)
+        path.write_text(hostile_case(rng)[0])
+        calls.append(["moments", str(path), "--estimate", "20"])
+    results = run_limited(tmp_path, calls)
+    for verdict, error, _ in results[:4]:
+        assert verdict == "ERROR" and error.startswith("estimate refused: "), (verdict, error)
+    for argv, (verdict, error, time_ms) in zip(calls, results):
+        assert verdict in ("OK", "ERROR"), (argv, verdict, error)
+        assert time_ms < 10_000, (argv, time_ms)
+    assert Counter(verdict for verdict, _, _ in results[4:])["OK"] >= 20
 
 
 def test_a_witness_past_the_budget_is_refused_before_it_is_built(tmp_path):

@@ -24,10 +24,8 @@ from abovetight.rsat import (
     conflict_number,
     decide_rsatalb,
     overlap_histogram,
-    satisfied_count,
     scaled_x_counts,
     solve_exact,
-    x_value_scaled,
 )
 
 from helpers import (
@@ -67,8 +65,6 @@ def test_formula_validation():
         ExactCnfFormula(-1, 2, ())
     with pytest.raises(ValueError, match="sorted by variable"):
         ExactCnfFormula(2, 2, ((2, -1),))
-    with pytest.raises(ValueError, match="cover all variables"):
-        satisfied_count(ExactCnfFormula(2, 2, ((1, 2),)), [1])
 
 
 def test_max_clause_width_is_the_widest_whose_threshold_prints():
@@ -306,14 +302,14 @@ def test_sub_clause_keys_are_refused_past_the_budget():
 
 def test_x_value_scaled_single_clause():
     f = ExactCnfFormula.from_clauses(2, 2, [(1, 2)])
-    assert x_value_scaled(f, (1, 0)) == 1
-    assert x_value_scaled(f, (0, 0)) == -3
+    assert rsat_scaled_x(f, (1, 0)) == 1
+    assert rsat_scaled_x(f, (0, 0)) == -3
 
 
 def test_x_value_scaled_complete_formula_is_identically_zero():
     f = complete_formula(2)
     for assignment in itertools.product((0, 1), repeat=2):
-        assert x_value_scaled(f, assignment) == 0
+        assert rsat_scaled_x(f, assignment) == 0
 
 
 def test_scaled_x_is_sum_of_clause_terms():
@@ -330,7 +326,7 @@ def test_scaled_x_is_sum_of_clause_terms():
                     assignment[abs(lit) - 1] == (1 if lit > 0 else 0) for lit in clause
                 )
                 per_clause += 1 if sat else 1 - (1 << r)
-            assert per_clause == x_value_scaled(f, assignment)
+            assert per_clause == rsat_scaled_x(f, assignment)
 
 
 def lifted(f, witness):
@@ -342,8 +338,9 @@ def test_solve_exact_examples():
     assert solve_exact(ExactCnfFormula.from_clauses(2, 2, [(1, 2)]))[0] == 1
     assert solve_exact(complete_formula(2))[0] == 0
     best, witness = solve_exact(ExactCnfFormula.from_clauses(2, 2, [(1, 2), (-1, 2)]))
+    # Both clauses hold: 2^2 * 2 - 3 * 2 = 2.
     assert best == 2
-    assert satisfied_count(ExactCnfFormula.from_clauses(2, 2, [(1, 2), (-1, 2)]), witness) == 2
+    assert rsat_scaled_x(ExactCnfFormula.from_clauses(2, 2, [(1, 2), (-1, 2)]), witness) == 2
 
 
 def test_solve_exact_matches_brute_force():
@@ -352,7 +349,7 @@ def test_solve_exact_matches_brute_force():
     for f in formulas + edge_formulas(rng):
         best, witness = solve_exact(f)
         assert best == brute_best_scaled_rsat(f)
-        assert x_value_scaled(f, lifted(f, witness)) == best
+        assert rsat_scaled_x(f, lifted(f, witness)) == best
 
 
 def test_solve_exact_ties_go_to_the_smallest_assignment():
@@ -367,7 +364,7 @@ def test_scaled_x_counts_match_x_value_scaled_over_all_assignments():
     rng = random.Random(5)
     formulas = [random_formula(rng, rng.choice([2, 3]), n_max=9, m_max=10) for _ in range(40)]
     for f in formulas + edge_formulas(rng):
-        every = Counter(x_value_scaled(f, z) for z in itertools.product((0, 1), repeat=f.n))
+        every = Counter(rsat_scaled_x(f, z) for z in itertools.product((0, 1), repeat=f.n))
         # Each assignment of the occurring variables extends to 2^(n - occurring) of these.
         free = f.n - len(f.occurring_variables())
         assert scaled_x_counts(f) == Counter({v: c >> free for v, c in every.items()})
@@ -409,7 +406,7 @@ def test_solve_exact_at_twenty_variables_within_budget():
     started = time.perf_counter()
     best, witness = solve_exact(s)
     elapsed = time.perf_counter() - started
-    assert x_value_scaled(s, witness) == best
+    assert rsat_scaled_x(s, witness) == best
     assert elapsed < 1.0, "took %.2f s" % elapsed
     tracemalloc.start()
     try:
@@ -449,7 +446,7 @@ def test_decide_single_clause_yes():
     f = ExactCnfFormula.from_clauses(2, 2, [(1, 2)])
     out = decide_rsatalb(f, 1)
     assert out.verdict is Verdict.YES_WITNESS
-    assert x_value_scaled(f, out.witness) >= 1
+    assert rsat_scaled_x(f, out.witness) >= 1
 
 
 def test_decide_complete_formula_refused_then_no_in_diagnostic_mode():
@@ -465,7 +462,7 @@ def test_decide_two_disjoint_clauses():
     f = ExactCnfFormula.from_clauses(4, 2, [(1, 2), (3, 4)])
     out = decide_rsatalb(f, 2)
     assert out.verdict is Verdict.YES_WITNESS
-    assert x_value_scaled(f, out.witness) == 2
+    assert rsat_scaled_x(f, out.witness) == 2
 
 
 def test_decide_rejects_nonpositive_target():

@@ -98,3 +98,21 @@ def test_outputs_match_the_golden_record(tmp_path):
     # Each line names a part that differs, on how many calls, and the first call's two values.
     assert compare.differences(labels, ours, theirs) == []
     assert fresh.read_bytes() == compare.RECORD.read_bytes()
+
+
+def test_unreached_lists_the_functions_no_call_enters():
+    proc = subprocess.run(
+        [sys.executable, "scripts/unreached.py", "--tiny", "--seeds", "0"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    *listed, summary = proc.stdout.splitlines()
+    names = {line.split()[1] for line in listed}
+    # cli.main prints a result that cli.run returns, and only cli.run is called.
+    assert "main" in names
+    # The probes estimate each dialect's moments, so every draw is entered.
+    assert not any(name.startswith(("run", "estimate_moments")) for name in names), names
+    assert summary.startswith("unreached: %d of " % len(listed)), summary
