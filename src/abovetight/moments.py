@@ -14,8 +14,7 @@ rational; square roots and other irrational thresholds are compared by
 raising both sides to integer powers, so no floating point enters any
 verification path. A Monte-Carlo estimator for larger instances is labeled
 as an estimate and is never used in assertions; it scores each sampled
-assignment from bit masks and each sampled order from vertex positions,
-without a per-assignment evaluator.
+assignment from bit masks and each sampled order from vertex positions.
 """
 
 from __future__ import annotations
@@ -320,7 +319,8 @@ def estimate_moments(
         def draw() -> float:
             rng.shuffle(active)
             pos = dict(zip(active, range(len(active))))
-            forward = sum(w for u, v, w in zip(instance.tails, instance.heads, instance.weights) if pos[u] < pos[v])
+            arcs = zip(instance.tails, instance.heads, instance.weights)
+            forward = sum(w for u, v, w in arcs if pos[u] < pos[v])
             # Not forward - W / 2: past 2^53 the two round differently.
             return (2 * forward - total_weight) / 2
 
